@@ -46,19 +46,29 @@ def frobenius_matrix(ap: AlgebraPresentation) -> Matrix:
     return Matrix(ap.ring, rows, ap.rank)
 
 
+def iterated_frobenius(fro: Matrix) -> Matrix:
+    """The Frobenius matrix raised to the k-th power, for the least k with p^k >= rank.
+
+    On a finite F_p-algebra this power kills exactly the nilradical, so
+    its kernel is the nilradical and its rank is the dimension of the
+    semisimple quotient.
+    """
+    p = fro.ring.p
+    power = fro
+    size = p
+    while size < fro.nrows:
+        power = power * fro
+        size *= p
+    return power
+
+
 def nilradical_mod_p(a: AlgebraPresentation, p: int) -> Lattice:
     """Nilradical of A/pA: the kernel of Frobenius iterated past the rank."""
     a.require_valid()
     ap = algebra_mod_p(a, p)
     if ap.rank == 0:
         return Lattice.zero(ap.ring, 0)
-    fro = frobenius_matrix(ap)
-    power = fro
-    size = p
-    while size < ap.rank:
-        power = power * fro
-        size *= p
-    return kernel_lattice(power)
+    return kernel_lattice(iterated_frobenius(frobenius_matrix(ap)))
 
 
 @dataclass
@@ -114,12 +124,7 @@ def binomial_check(a: AlgebraPresentation, primes=DEFAULT_PRIMES) -> BinomialRep
             results.append(BinomialPrimeResult(p, True, True, 0))
             continue
         fro = frobenius_matrix(ap)
-        power = fro
-        size = p
-        while size < ap.rank:
-            power = power * fro
-            size *= p
-        nil = kernel_lattice(power)
+        nil = kernel_lattice(iterated_frobenius(fro))
         reduced = nil.rank == 0
         proj, section = nil.complement_projection()
         quotient_frobenius = section * fro * proj

@@ -8,33 +8,43 @@ character values.  The search therefore splits the fraction-field space
 recursively into simultaneous eigenspaces, pursuing only eigenvalues in
 the ground field (no other eigenvalue can contribute), then keeps the
 candidates whose coordinates are integral and verifies the defining
-equations exactly.
+equations exactly.  Eigenvalues in F_p are the roots of the
+characteristic polynomial found by root finding for every prime; the
+exhaustive scan ``group_likes_bruteforce`` is an oracle for tests only.
 
 Pointedness is decided over the fraction field K: C is pointed iff the
 semisimple quotient of A (x) K has dimension equal to the number of
 K-valued characters (so C (x) K is pointed) and every group-like of
 C (x) K already has coordinates in R.  The radical is the trace-form
 kernel in characteristic zero and the iterated Frobenius kernel in
-characteristic p.
+characteristic p.  The trace form is built over Z: clearing the
+denominators of Delta scales it by a square and keeps its rank.
+
+A caller that needs both answers uses ``pointed_group_likes``, which
+runs the character search once for the pointedness decision and the
+group-likes together.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalgebra import Coalgebra, CoalgebraMap, validate_map
+from .binomial import frobenius_matrix, iterated_frobenius
+from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, validate_map
 from .errors import (
     NotGroupLike,
     NotGroupLikeImage,
+    NotPointed,
     TooLarge,
     UnsupportedRing,
 )
 from .lattice import Lattice
 from .matrix import Matrix, charpoly, elementary_divisors, hnf, hnf_basis
-from .polyroots import FP_SCAN_BOUND, integer_roots, prime_field_roots
+from .polyroots import integer_roots, prime_field_roots
 from .rings import ZZ, Ring
 
 BRUTE_FORCE_BOUND = 10**7
@@ -97,17 +107,7 @@ def _field_eigenvalues(mat: Matrix) -> list:
     if d == 0:
         return []
     if ring.kind == "Fp":
-        p = ring.p
-        if p <= FP_SCAN_BOUND:
-            ident = Matrix.identity(ring, d)
-            out = []
-            for lam in range(p):
-                shifted = mat - ident.scale(lam)
-                if shifted.rank() < d:
-                    out.append(lam)
-            return out
-        coeffs = charpoly(mat)
-        return prime_field_roots(coeffs, p)
+        return prime_field_roots(charpoly(mat), ring.p)
     # rational case: scale to an integer matrix, take integer roots, scale back
     denom = 1
     for row in mat.rows:
@@ -151,23 +151,22 @@ def _character_tuples(delta_rows, n: int, field: Ring) -> list[tuple]:
     return [prefix for _, prefix in spaces]
 
 
-def group_likes(c: Coalgebra) -> GroupLikeSet:
-    """All group-like elements, with certificates.
-
-    The eigen-covector recursion runs over the fraction field; a
-    candidate survives if every coordinate lies in the ground ring, and
-    each survivor is reverified exactly against the definition.
-    """
-    ring = c.ring
-    n = c.rank
-    field = ring.fraction_field()
-    if field == ring:
+def _characters(c: Coalgebra):
+    """The fraction field of the ground ring and the character tuples over it."""
+    field = c.ring.fraction_field()
+    if field == c.ring:
         delta_rows = c.delta.rows
     else:
-        conv = ring.to_fraction
+        conv = c.ring.to_fraction
         delta_rows = [[conv(v) for v in row] for row in c.delta.rows]
+    return field, _character_tuples(delta_rows, c.rank, field)
+
+
+def _verified_group_likes(c: Coalgebra, field: Ring, tuples) -> list:
+    """The characters with coordinates in the ground ring, each reverified exactly."""
+    ring = c.ring
     vectors = []
-    for tup in _character_tuples(delta_rows, n, field):
+    for tup in tuples:
         if field != ring:
             if not all(ring.contains_fraction(x) for x in tup):
                 continue
@@ -178,7 +177,18 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
             raise AssertionError("character candidate failed exact verification")
         vectors.append(tuple(cand))
     vectors.sort()
-    return _certified(c, vectors)
+    return vectors
+
+
+def group_likes(c: Coalgebra) -> GroupLikeSet:
+    """All group-like elements, with certificates.
+
+    The eigen-covector recursion runs over the fraction field; a
+    candidate survives if every coordinate lies in the ground ring, and
+    each survivor is reverified exactly against the definition.
+    """
+    field, tuples = _characters(c)
+    return _certified(c, _verified_group_likes(c, field, tuples))
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -212,69 +222,72 @@ def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
     return _certified(c, vectors)
 
 
-def _dual_block(delta_rows, n, i):
-    """Transposed multiplication-by-f_i matrix of the dual algebra."""
-    return [row[i * n : (i + 1) * n] for row in delta_rows]
+def _trace_form_rank(c: Coalgebra) -> int:
+    """Rank of the trace form (x, y) -> tr(L_x L_y) of the dual algebra.
+
+    Delta is first cleared of denominators by the lcm D of all of them,
+    which scales the form by D^2 and keeps its rank, so the Gram matrix
+    is integral.  With B_i the i-th n x n column block of Delta (the
+    transposed multiplication by the i-th dual basis vector),
+    tr(B_i B_j) is the dot product of B_i flattened by rows with B_j
+    flattened by columns; the form is symmetric, so only the upper
+    triangle is computed.
+    """
+    n = c.rank
+    rows = c.delta.rows
+    if c.ring.kind != "Z":
+        denom = math.lcm(*(v.denominator for row in rows for v in row))
+        rows = [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
+    by_rows = [[v for row in rows for v in row[i * n : (i + 1) * n]] for i in range(n)]
+    by_cols = [[rows[b][j * n + a] for a in range(n) for b in range(n)] for j in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        bi = by_rows[i]
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, bi, by_cols[j]))
+    return hnf_basis(Matrix(ZZ, gram, n)).nrows
 
 
-def _frobenius_matrix(c: Coalgebra) -> Matrix:
-    """Matrix of x -> x^p on the dual algebra of a prime-field coalgebra."""
-    from .coalgebra import dual_algebra
+def _semisimple_dimension(c: Coalgebra) -> int:
+    """Dimension of the semisimple quotient of the dual algebra over the fraction field.
 
-    a = dual_algebra(c)
-    p = c.ring.p
-    rows = []
-    for i in range(c.rank):
-        e = [c.ring.one if t == i else c.ring.zero for t in range(c.rank)]
-        rows.append(a.power(e, p))
-    return Matrix(c.ring, rows, c.rank)
+    The radical is the kernel of the iterated Frobenius in characteristic
+    p and of the trace form in characteristic zero.
+    """
+    if c.ring.kind == "Fp":
+        return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
+    return _trace_form_rank(c)
+
+
+def _pointedness(c: Coalgebra, field: Ring, tuples) -> PointednessReport:
+    """Pointedness from the characters: as many as the semisimple dimension, all integral."""
+    semisimple_dim = _semisimple_dimension(c)
+    nonintegral = []
+    if field != c.ring:
+        nonintegral = [t for t in tuples if not all(c.ring.contains_fraction(x) for x in t)]
+    flag = semisimple_dim == len(tuples) and not nonintegral
+    return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
 
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport)."""
-    ring = c.ring
-    n = c.rank
-    if n == 0:
-        return True, PointednessReport(0, 0, (), True)
-    field = ring.fraction_field()
-    if field == ring:
-        delta_rows = c.delta.rows
-    else:
-        conv = ring.to_fraction
-        delta_rows = [[conv(v) for v in row] for row in c.delta.rows]
+    report = _pointedness(c, *_characters(c))
+    return report.pointed, report
 
-    if field.kind == "Fp":
-        fro = _frobenius_matrix(c)
-        k = 1
-        power = fro
-        while field.p**k < n:
-            power = power * fro
-            k += 1
-        semisimple_dim = power.rank()
-    else:
-        blocks = [_dual_block(delta_rows, n, i) for i in range(n)]
-        gram = []
-        for i in range(n):
-            bi = blocks[i]
-            row = []
-            for j in range(n):
-                bj = blocks[j]
-                tr = field.zero
-                for a in range(n):
-                    for b in range(n):
-                        tr = tr + bi[a][b] * bj[b][a]
-                row.append(tr)
-            gram.append(row)
-        semisimple_dim = Matrix(field, gram, n).rank()
 
-    tuples = _character_tuples(delta_rows, n, field)
-    nonintegral = []
-    if field != ring:
-        for tup in tuples:
-            if not all(ring.contains_fraction(x) for x in tup):
-                nonintegral.append(tup)
-    flag = semisimple_dim == len(tuples) and not nonintegral
-    return flag, PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
+def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
+    """Certified group-likes of a coalgebra that must be pointed.
+
+    One character search serves both the pointedness decision and the
+    group-likes, with every check of ``is_pointed`` and ``group_likes``.
+    A coalgebra that is not pointed raises NotPointed with ``need`` and
+    the report.
+    """
+    field, tuples = _characters(c)
+    report = _pointedness(c, field, tuples)
+    if not report.pointed:
+        raise NotPointed(f"{need}\n{report}")
+    return _certified(c, _verified_group_likes(c, field, tuples))
 
 
 def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:

@@ -152,8 +152,7 @@ class Matrix:
 
     # --- derived quantities ----------------------------------------------
     def rank(self) -> int:
-        h, _ = hnf(self.to_field())
-        return h.nrows
+        return hnf_basis(self.to_field()).nrows
 
     def inverse(self) -> "Matrix":
         """Inverse of a matrix that is invertible over its own ring."""

@@ -3,8 +3,8 @@
 Two situations occur when hunting eigenvalues: integer characteristic
 polynomials (rational eigenvalues of a scaled rational matrix are the
 integer roots, which divide the constant term), and polynomials over a
-prime field (small p is scanned exhaustively; large p falls back to
-splitting gcd(x^p - x, f) with seeded equal-degree factorization).
+prime field, where for every p the distinct roots are those of
+gcd(x^p - x, f), split by seeded equal-degree factorization.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 
 from .numtheory import divisors
-
-FP_SCAN_BOUND = 4096
 
 
 def integer_roots(coeffs: list[int]) -> list[int]:
@@ -110,16 +108,15 @@ def _ppow_mod(base, e, mod, p):
 def prime_field_roots(coeffs_desc: list[int], p: int) -> list[int]:
     """Roots in F_p of a nonzero polynomial with coefficients mod p.
 
-    Small fields are scanned exhaustively; otherwise the distinct linear
-    part gcd(x^p - x, f) is split by seeded equal-degree factorization.
+    Zero is split off first; the distinct linear part gcd(x^p - x, f) of
+    the rest is then split by seeded equal-degree factorization.  For
+    p = 2 that part has degree at most one, since only x + 1 remains.
     """
     cs = [c % p for c in coeffs_desc]
     while cs and cs[0] == 0:
         cs.pop(0)
     if not cs:
         raise ValueError("zero polynomial has every root")
-    if p <= FP_SCAN_BOUND:
-        return [x for x in range(p) if _eval_fp(cs, x, p) == 0]
     f = list(reversed(cs))
     _trim(f)
     roots = []
@@ -137,13 +134,6 @@ def prime_field_roots(coeffs_desc: list[int], p: int) -> list[int]:
 def _pad(f, g):
     m = max(len(f), len(g))
     return zip(f + [0] * (m - len(f)), g + [0] * (m - len(g)))
-
-
-def _eval_fp(cs_desc, x, p):
-    acc = 0
-    for c in cs_desc:
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _split_linear(f, p, rng):

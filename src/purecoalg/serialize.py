@@ -14,7 +14,7 @@ import json
 import os
 
 from .coalgebra import AlgebraPresentation, Coalgebra, CoalgebraMap
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TooLarge, ValidationError
 from .lattice import Lattice
 from .matrix import Matrix
 from .rings import Ring, ring_from_spec
@@ -23,6 +23,11 @@ from .simplicial import (
     SimplicialCoalgebra,
     SimplicialMap,
 )
+
+# A coalgebra or algebra of rank n is held as n^3 dense structure
+# constants; 144, the rank of the tensor square of a rank-12 corpus
+# coalgebra, keeps that below 3 million entries.
+MAX_RANK = 144
 
 
 def canonical_dumps(obj) -> str:
@@ -99,19 +104,42 @@ def coalgebra_to_obj(c: Coalgebra):
     return obj
 
 
-def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
-    ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
-    n = _expect(obj, "rank", int, "coalgebra")
+def _rank(obj, where: str) -> int:
+    """The declared rank, checked against MAX_RANK before anything is allocated."""
+    n = _expect(obj, "rank", int, where)
+    if isinstance(n, bool):
+        raise ParseError(f"{where} rank must be an integer, not a boolean")
     if n < 0:
         raise ParseError("rank must be nonnegative")
-    rows = [[ring.zero] * (n * n) for _ in range(n)]
-    for entry in _expect(obj, "delta", list, "coalgebra"):
+    if n > MAX_RANK:
+        raise TooLarge(f"{where} rank {n} exceeds the bound {MAX_RANK}")
+    return n
+
+
+def _dense_triples(obj, key: str, ring: Ring, n: int, where: str) -> list:
+    """Sparse [i, j, k, coeff] triples as n^3 coefficients, flat at index (i*n + j)*n + k."""
+    flat = [ring.zero] * (n * n * n)
+    seen = set()
+    for entry in _expect(obj, key, list, where):
         if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError(f"delta entries must be [i, j, k, coeff], got {entry!r}")
+            raise ParseError(f"{key} entries must be [i, j, k, coeff], got {entry!r}")
         i, j, k, coeff = entry
+        if any(isinstance(t, bool) for t in (i, j, k)):
+            raise ParseError(f"{key} indices must be integers, not booleans, in {entry!r}")
         if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
-            raise ParseError(f"delta indices out of range in {entry!r}")
-        rows[i][j * n + k] = ring.parse(coeff) if isinstance(coeff, str) else ring.normalize(coeff)
+            raise ParseError(f"{key} indices out of range in {entry!r}")
+        if (i, j, k) in seen:
+            raise ParseError(f"duplicate {key} entry for indices {[i, j, k]}")
+        seen.add((i, j, k))
+        flat[(i * n + j) * n + k] = ring.parse(coeff) if isinstance(coeff, str) else ring.normalize(coeff)
+    return flat
+
+
+def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
+    ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
+    n = _rank(obj, "coalgebra")
+    flat = _dense_triples(obj, "delta", ring, n, "coalgebra")
+    rows = [flat[i * n * n : (i + 1) * n * n] for i in range(n)]
     counit_obj = _expect(obj, "counit", list, "coalgebra")
     if len(counit_obj) != n:
         raise ParseError("counit must have length equal to the rank")
@@ -151,15 +179,9 @@ def _sparse_mult_to_obj(a: AlgebraPresentation):
 
 def algebra_from_obj(obj, validate: bool = True) -> AlgebraPresentation:
     ring = ring_from_spec(_expect(obj, "ring", dict, "algebra"))
-    n = _expect(obj, "rank", int, "algebra")
-    rows = [[ring.zero] * n for _ in range(n * n)]
-    for entry in _expect(obj, "mult", list, "algebra"):
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError(f"mult entries must be [i, j, k, coeff], got {entry!r}")
-        i, j, k, coeff = entry
-        if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
-            raise ParseError(f"mult indices out of range in {entry!r}")
-        rows[i * n + j][k] = ring.parse(coeff) if isinstance(coeff, str) else ring.normalize(coeff)
+    n = _rank(obj, "algebra")
+    flat = _dense_triples(obj, "mult", ring, n, "algebra")
+    rows = [flat[r * n : (r + 1) * n] for r in range(n * n)]
     unit_obj = _expect(obj, "unit", list, "algebra")
     if len(unit_obj) != n:
         raise ParseError("unit must have length equal to the rank")

@@ -30,11 +30,10 @@ from .coalgebra import (
 from .errors import (
     AmbientMismatch,
     DegreeTooHigh,
-    NotPointed,
     RingMismatch,
     ValidationError,
 )
-from .grouplike import group_likes, gr_of_map, is_pointed
+from .grouplike import group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, elementary_divisors
 from .rings import Ring
@@ -447,10 +446,7 @@ def gr_simplicial(c: SimplicialCoalgebra) -> FiniteSimplicialSet:
     """Levelwise group-likes with the induced structure maps."""
     level_sets = []
     for n, level in enumerate(c.levels):
-        flag, report = is_pointed(level)
-        if not flag:
-            raise NotPointed(f"level {n} is not pointed\n{report}")
-        level_sets.append(group_likes(level).vectors)
+        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed").vectors)
     names = [
         [_vector_name(g, level) for g in vectors]
         for vectors, level in zip(level_sets, c.levels)

@@ -37,13 +37,12 @@ from .errors import (
     NotExhaustive,
     NotGroupLike,
     NotIrreducible,
-    NotPointed,
     NotPure,
     NotSubcoalgebra,
     RingMismatch,
     ValidationError,
 )
-from .grouplike import group_likes, is_pointed
+from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice, solve_in_rows
 from .matrix import Matrix, elementary_divisors
 
@@ -139,6 +138,10 @@ class ComponentDecomposition:
     def __len__(self):
         return len(self.parts)
 
+    def coradical(self) -> Lattice:
+        """Span of the group-likes, certified when the decomposition was built."""
+        return Lattice.from_rows(self.coalgebra.ring, self.coalgebra.rank, [list(g) for g, _ in self.parts])
+
     def stacked_basis(self) -> Matrix:
         rows = []
         for _, lat in self.parts:
@@ -197,7 +200,7 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     return out
 
 
-def _require_pure_coradical(c: Coalgebra):
+def _require_pure(gl: GroupLikeSet) -> GroupLikeSet:
     """Group-like set whose span is pure, the scope of the structure theory.
 
     A coalgebra whose group-likes collide modulo some prime (the span is
@@ -205,7 +208,6 @@ def _require_pure_coradical(c: Coalgebra):
     splitting theorems; such inputs are rejected with the witness prime
     rather than silently producing a non-direct sum.
     """
-    gl = group_likes(c)
     if not gl.pure:
         raise NotPure(
             "the group-like span is impure"
@@ -217,7 +219,7 @@ def _require_pure_coradical(c: Coalgebra):
 
 def coradical_lattice(c: Coalgebra) -> Lattice:
     """Stage zero of the coradical filtration: the span of the group-likes."""
-    return _require_pure_coradical(c).lattice()
+    return _require_pure(group_likes(c)).lattice()
 
 
 def coradical_filtration(c: Coalgebra) -> Filtration:
@@ -227,10 +229,7 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     reach the full lattice, and a stall below full rank is reported as
     NotExhaustive (it would contradict pointedness).
     """
-    flag, report = is_pointed(c)
-    if not flag:
-        raise NotPointed(f"coradical filtration needs a pointed coalgebra\n{report}")
-    v0 = coradical_lattice(c)
+    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
@@ -249,10 +248,7 @@ def primitives(c: Coalgebra, g) -> Lattice:
     with the group-like line they exhaust stage one of the coradical
     filtration, which is verified before returning.
     """
-    flag, report = is_pointed(c)
-    if not flag:
-        raise NotPointed(f"primitives need a pointed irreducible coalgebra\n{report}")
-    gl = group_likes(c)
+    gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra")
     if len(gl) != 1:
         raise NotIrreducible(f"expected a unique group-like, found {len(gl)}")
     if tuple(g) != gl.vectors[0]:
@@ -332,14 +328,11 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     the iteration e <- 3e^2 - 2e^3; the component is the integral part
     of the eigenspace of the dual action of e_g.
     """
-    flag, report = is_pointed(c)
-    if not flag:
-        raise NotPointed(f"component decomposition needs a pointed coalgebra\n{report}")
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     n = c.rank
     ring = c.ring
     if n == 0:
         return ComponentDecomposition(c, ())
-    gl = _require_pure_coradical(c)
     field = ring.fraction_field()
     conv = (lambda v: v) if field == ring else ring.to_fraction
     delta_rows_field = [[conv(v) for v in row] for row in c.delta.rows]
@@ -377,13 +370,11 @@ def components(c: Coalgebra) -> ComponentDecomposition:
 
 def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
     """Oracle decomposition: iterate wedges of each group-like line."""
-    flag, report = is_pointed(c)
-    if not flag:
-        raise NotPointed(f"component decomposition needs a pointed coalgebra\n{report}")
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     if c.rank == 0:
         return ComponentDecomposition(c, ())
     parts = []
-    for g in _require_pure_coradical(c).vectors:
+    for g in gl.vectors:
         line = Lattice.from_rows(c.ring, c.rank, [list(g)])
         cur = line
         for _ in range(c.rank + 1):
@@ -427,8 +418,7 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
         raise AssertionError(f"coradical retraction failed validation: {bad}")
     if r * r != r:
         raise AssertionError("coradical retraction must be idempotent")
-    v0 = coradical_lattice(c)
-    if Lattice.from_rows(ring, n, r.rows) != v0:
+    if Lattice.from_rows(ring, n, r.rows) != decomposition.coradical():
         raise AssertionError("retraction image must be the coradical")
     for g, _ in decomposition.parts:
         if retraction.apply(list(g)) != list(g):

@@ -89,6 +89,28 @@ def rational_rank(rows):
     return rank
 
 
+def trace_form_gram(delta_rows, n):
+    """Gram matrix of the trace form of a dual algebra, in Fractions.
+
+    Entry (i, j) is tr(B_i B_j), with B_i the i-th n x n column block of
+    the comultiplication matrix, summed entry by entry over the
+    unscaled coefficients.  In characteristic zero its rank is the
+    dimension of the semisimple quotient.
+    """
+    blocks = [[[Fraction(row[i * n + b]) for b in range(n)] for row in delta_rows] for i in range(n)]
+    gram = []
+    for bi in blocks:
+        gram_row = []
+        for bj in blocks:
+            tr = Fraction(0)
+            for a in range(n):
+                for b in range(n):
+                    tr += bi[a][b] * bj[b][a]
+            gram_row.append(tr)
+        gram.append(gram_row)
+    return gram
+
+
 def nondegenerate_chain_complex(sset):
     """Boundary matrices on nondegenerate simplices, degenerate faces dropped.
 

@@ -1,16 +1,19 @@
 """Group-like computation, pointedness, retraction, functoriality."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from purecoalg import (
     CoalgebraMap,
+    Lattice,
     Matrix,
     NotGroupLike,
     TooLarge,
     UnsupportedRing,
     ZZ,
+    conjugate,
     counit_retraction,
     direct_sum,
     dual_of_algebra,
@@ -26,8 +29,12 @@ from purecoalg import (
     truncated_polynomial_algebra,
     validate_map,
 )
+from purecoalg import grouplike
 from purecoalg.corpus import generate_coalgebras
-from purecoalg.rings import QQ
+from purecoalg.rings import QQ, localized_integers
+from purecoalg.structure import ComponentDecomposition
+
+from oracles import rational_rank, trace_form_gram
 
 
 def dual_zxk(k, ring=ZZ):
@@ -199,3 +206,94 @@ def test_tensor_grouplikes_are_products():
             for h in group_likes(b).vectors:
                 expected.add(tuple(x * y for x in g for y in h))
         assert got == expected
+
+
+def _fraction_trace_rank(c):
+    return rational_rank(trace_form_gram(c.delta.rows, c.rank))
+
+
+def test_integral_trace_form_rank_matches_fraction_oracle():
+    for entry in generate_coalgebras(20240809, 200, max_rank=12):
+        c = entry.coalgebra
+        want = _fraction_trace_rank(c)
+        assert grouplike._trace_form_rank(c) == want
+        assert grouplike._trace_form_rank(_over_q(c)) == want
+    zs = localized_integers([2, 3])
+    fractional = 0
+    for entry in generate_coalgebras(41, 30, max_rank=8, ring=zs):
+        c = entry.coalgebra
+        # scaling a basis vector by the unit 1/6 puts denominators into Delta
+        w = Matrix(zs, [[Fraction(int(i == j), 6 if i == j == 0 else 1) for j in range(c.rank)]
+                        for i in range(c.rank)], c.rank)
+        twisted = conjugate(c, w)
+        fractional += any(v.denominator != 1 for row in twisted.delta.rows for v in row)
+        for d in (c, twisted):
+            assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
+    assert fractional >= 10
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_not_pointed_fires_from_every_structure_entry(ring):
+    from purecoalg import NotPointed, components, components_by_wedge, coradical_filtration, primitives
+
+    c = sqrt2_dual(ring)
+    for call in (coradical_filtration, components, components_by_wedge, lambda c: primitives(c, [1, 0])):
+        with pytest.raises(NotPointed, match="semisimple dimension over the fraction field: 2"):
+            call(c)
+
+
+def _count_character_searches(monkeypatch):
+    calls = []
+    original = grouplike._character_tuples
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(grouplike, "_character_tuples", counted)
+    return calls
+
+
+def test_structure_calls_run_one_character_search(monkeypatch):
+    from purecoalg import components, coradical_filtration, split_coradical
+
+    calls = _count_character_searches(monkeypatch)
+    entries = [e for e in generate_coalgebras(43, 20, max_rank=8) if e.grouplike_count >= 2]
+    assert entries
+    for entry in entries[:3]:
+        for call in (is_pointed, group_likes, coradical_filtration, components, split_coradical):
+            calls.clear()
+            call(entry.coalgebra)
+            assert len(calls) == 1, call.__name__
+
+
+def _refuse_candidates(monkeypatch):
+    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
+
+
+def _refuse_independence(monkeypatch):
+    monkeypatch.setattr(grouplike, "elementary_divisors", lambda mat: [])
+
+
+def _misplace_coradical(monkeypatch):
+    monkeypatch.setattr(
+        ComponentDecomposition, "coradical", lambda self: Lattice.zero(self.coalgebra.ring, self.coalgebra.rank)
+    )
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_refuse_candidates, "failed exact verification"),
+        (_refuse_independence, "independence certificate"),
+        (_misplace_coradical, "retraction image must be the coradical"),
+    ],
+    ids=["candidate", "independence", "retraction-image"],
+)
+def test_shared_path_checks_still_reject(monkeypatch, breakage, message):
+    from purecoalg import split_coradical
+
+    c = set_like(ZZ, ["a", "b"])
+    breakage(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        split_coradical(c)

@@ -180,3 +180,37 @@ def test_sset_chains_cli(tmp_path):
     assert code == 0 and "1, 2, 3" in text
     obj = json.load(open(out))
     assert obj["dimension"] == 2
+
+
+def _write(tmp_path, obj):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_cli_rejects_oversized_rank_before_allocating(tmp_path):
+    path = _write(tmp_path, {"ring": {"kind": "Z"}, "rank": 100000, "delta": [], "counit": []})
+    code, text = run_command(["check", path], "coalg")
+    assert code == 2 and f"exceeds the bound {sz.MAX_RANK}" in text
+    path = _write(tmp_path, {"ring": {"kind": "Z"}, "rank": 100000, "mult": [], "unit": []})
+    code, text = run_command(["check", path], "binomial")
+    assert code == 2 and f"exceeds the bound {sz.MAX_RANK}" in text
+
+
+def test_cli_rejects_duplicate_delta_triples(tmp_path):
+    obj = sz.coalgebra_to_obj(set_like(ZZ, ["a", "b"]))
+    obj["delta"].append(list(obj["delta"][0]))
+    code, text = run_command(["check", _write(tmp_path, obj)], "coalg")
+    assert code == 2 and "duplicate delta entry" in text
+
+
+def test_cli_rejects_boolean_indices(tmp_path):
+    obj = sz.coalgebra_to_obj(set_like(ZZ, ["a", "b"]))
+    assert obj["delta"][1] == [1, 1, 1, "1"]
+    obj["delta"][1] = [True, True, True, "1"]  # read by isinstance(True, int) as index 1
+    code, text = run_command(["check", _write(tmp_path, obj)], "coalg")
+    assert code == 2 and "not booleans" in text
+    obj = sz.coalgebra_to_obj(set_like(ZZ, ["a"]))
+    obj["rank"] = True
+    code, text = run_command(["check", _write(tmp_path, obj)], "coalg")
+    assert code == 2 and "not a boolean" in text

@@ -1,8 +1,10 @@
-"""Root extraction in the ground field, including the large-prime path."""
+"""Root extraction in the ground field, for small and large primes alike."""
 
+import itertools
 import random
 
 from purecoalg import ZZ, dual_of_algebra, group_likes, monogenic_algebra, prime_field
+from purecoalg import polyroots
 from purecoalg.polyroots import integer_roots, prime_field_roots
 
 
@@ -20,7 +22,7 @@ def test_prime_field_roots_small():
 
 
 def test_prime_field_roots_large_prime():
-    p = 10007  # above the exhaustive-scan bound
+    p = 10007  # a large prime: x^p - x is only ever reduced modulo f
     rng = random.Random(5)
     for _ in range(10):
         roots = sorted({rng.randrange(p) for _ in range(rng.randint(1, 4))})
@@ -29,6 +31,34 @@ def test_prime_field_roots_large_prime():
             coeffs = [a % p for a in _mul(coeffs, [1, -r], p)]
         got = prime_field_roots(coeffs, p)
         assert got == roots
+
+
+def test_prime_field_roots_match_evaluation_small_primes(monkeypatch):
+    # every polynomial of degree at most 4 over F_p (leading coefficient
+    # nonzero, repeated and zero roots included) against evaluation at
+    # every residue; p = 2 has (p - 1) // 2 = 0, so only a linear factor
+    # may reach the equal-degree splitting there
+    split = polyroots._split_linear
+
+    def guarded(f, p, rng):
+        assert p != 2 or len(f) <= 2, f
+        return split(f, p, rng)
+
+    monkeypatch.setattr(polyroots, "_split_linear", guarded)
+    for p in (2, 3, 5, 7):
+        for degree in range(5):
+            for lead in range(1, p):
+                for rest in itertools.product(range(p), repeat=degree):
+                    coeffs = [lead, *rest]
+                    want = [x for x in range(p) if _eval(coeffs, x, p) == 0]
+                    assert prime_field_roots(coeffs, p) == want, (p, coeffs)
+
+
+def _eval(coeffs, x, p):
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _mul(f, g, p):
