@@ -18,7 +18,7 @@ from .coalgebra import AlgebraPresentation
 from .errors import UnsupportedRing
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix
-from .rings import prime_field, reduce_mod_p
+from .rings import reduce_rows_mod_p
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -27,11 +27,9 @@ def algebra_mod_p(a: AlgebraPresentation, p: int) -> AlgebraPresentation:
     """Reduction A/pA as an algebra over F_p."""
     if a.ring.kind not in ("Z", "ZS"):
         raise UnsupportedRing("reduction mod p needs an algebra over Z or Z[S^-1]")
-    fp = prime_field(p)
-    ring = a.ring
-    mult = Matrix(fp, [[reduce_mod_p(ring, v, p) for v in row] for row in a.mult.rows], a.rank)
-    unit = [reduce_mod_p(ring, v, p) for v in a.unit]
-    return AlgebraPresentation(fp, a.rank, mult, unit, basis_names=a.basis_names)
+    mult = a.mult.reduce_mod(p)
+    unit = reduce_rows_mod_p(a.ring, [a.unit], p)[0]
+    return AlgebraPresentation(mult.ring, a.rank, mult, unit, basis_names=a.basis_names)
 
 
 def frobenius_matrix(ap: AlgebraPresentation) -> Matrix:

@@ -121,9 +121,6 @@ class Coalgebra:
             total %= self.ring.p
         return total
 
-    def full_lattice(self) -> Lattice:
-        return Lattice.full(self.ring, self.rank)
-
     # --- axioms ------------------------------------------------------------
     def validate(self) -> ValidationReport:
         return validate_coalgebra(self)
@@ -523,9 +520,6 @@ class CoalgebraMap:
         if self.codomain is not then.domain and self.codomain != then.domain:
             raise AmbientMismatch("composition needs matching middle coalgebra")
         return CoalgebraMap(self.domain, then.codomain, self.matrix * then.matrix)
-
-    def image_lattice(self) -> Lattice:
-        return Lattice.from_rows(self.domain.ring, self.codomain.rank, self.matrix.rows)
 
     def validate(self) -> ValidationReport:
         return validate_map(self)

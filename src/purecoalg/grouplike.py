@@ -4,13 +4,18 @@ A group-like element g satisfies Delta(g) = g (x) g and eps(g) = 1;
 group-likes of C correspond to characters of the dual algebra A = C^v,
 and characters are exactly the joint eigen-covectors of the commuting
 left-multiplication operators of A, with eigenvalue vector equal to the
-character values.  The search therefore splits the fraction-field space
-recursively into simultaneous eigenspaces, pursuing only eigenvalues in
-the ground field (no other eigenvalue can contribute), then keeps the
-candidates whose coordinates are integral and verifies the defining
-equations exactly.  Eigenvalues in F_p are the roots of the
-characteristic polynomial found by root finding for every prime; the
-exhaustive scan ``group_likes_bruteforce`` is an oracle for tests only.
+character values.  The search runs in integers for every ring: over Z,
+Q and Z[S^-1] the denominators of Delta are cleared by their lcm D
+(``cleared_delta``), and over F_p Delta is used as it is.  It splits
+Z^n (or F_p^n) recursively into the saturated lattices of simultaneous
+eigenspaces, pursuing only eigenvalues in the ground field (no other
+eigenvalue can contribute); an integer eigenvalue lam of the scaled
+operators is the character value lam / D.  The candidates whose
+coordinates lie in the ground ring are then verified exactly against
+the defining equations.  Eigenvalues are integer roots, or roots in
+F_p found by root finding for every prime, of characteristic
+polynomials; the exhaustive scan ``group_likes_bruteforce`` is an
+oracle for tests only.
 
 Pointedness is decided over the fraction field K: C is pointed iff the
 semisimple quotient of A (x) K has dimension equal to the number of
@@ -43,7 +48,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .lattice import Lattice
-from .matrix import Matrix, charpoly, elementary_divisors, hnf, hnf_basis
+from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis, left_kernel_rows
 from .polyroots import integer_roots, prime_field_roots
 from .rings import ZZ, Ring
 
@@ -100,79 +105,99 @@ def _is_group_like(c: Coalgebra, g) -> bool:
     return c.counit_of(g) == ring.one
 
 
-def _field_eigenvalues(mat: Matrix) -> list:
-    """Eigenvalues of a square matrix that lie in its own (field) ring."""
-    ring = mat.ring
-    d = mat.nrows
-    if d == 0:
-        return []
+def cleared_delta(c: Coalgebra):
+    """(base, D, rows): Delta with its denominators cleared, over Z or F_p.
+
+    Over Z, Q and Z[S^-1] the rows are D * Delta in integers, with D the
+    lcm of all denominators of Delta (1 over Z); over F_p they are Delta
+    itself with D = 1.  Every block of the result is integral, and its
+    eigenvalues are D times those of the block of Delta.
+    """
+    rows = c.delta.rows
+    if c.ring.kind == "Fp":
+        return c.ring, 1, rows
+    if c.ring.kind == "Z":
+        return ZZ, 1, rows
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    return ZZ, denom, [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
+
+
+def _restriction(space: Lattice, image: Matrix) -> Matrix:
+    """Coordinates of each image row in the Hermite basis of an invariant space."""
+    rows = []
+    for row in image.rows:
+        coords = space.solve(row)
+        if coords is None:
+            raise AssertionError("joint eigenspace lost invariance")
+        rows.append(coords)
+    return Matrix(space.ring, rows, space.rank)
+
+
+def _roots(coeffs, ring: Ring) -> list[int]:
+    """Roots in Z or F_p of a monic characteristic polynomial over that ring."""
     if ring.kind == "Fp":
-        return prime_field_roots(charpoly(mat), ring.p)
-    # rational case: scale to an integer matrix, take integer roots, scale back
-    denom = 1
-    for row in mat.rows:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    scaled = [[int(v * denom) for v in row] for row in mat.rows]
-    coeffs = charpoly(Matrix(ZZ, scaled, d))
-    return [Fraction(r, denom) for r in integer_roots(coeffs)]
+        return prime_field_roots(coeffs, ring.p)
+    return integer_roots(coeffs)
 
 
-def _character_tuples(delta_rows, n: int, field: Ring) -> list[tuple]:
-    """Joint eigen-covector eigenvalue tuples of the dual multiplications.
+def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
+    """Joint eigen-covector eigenvalue tuples of the integral dual multiplications.
 
-    The transposed left multiplication by the i-th dual basis vector is
-    the i-th n x n column block of the comultiplication matrix, which
-    keeps the recursion a matter of slicing.
+    ``ring`` is Z or F_p and ``delta_rows`` are integral over it.  The
+    transposed left multiplication by the i-th dual basis vector is the
+    i-th n x n column block, which keeps the recursion a matter of
+    slicing.  Each joint eigenspace is kept as the Hermite basis of its
+    saturated lattice; an integral block maps that lattice into itself,
+    so its restriction is an integer matrix found by back-substitution,
+    and its eigenvalues in the ring are roots of an integer (or mod p)
+    characteristic polynomial.
     """
     if n == 0:
         return []
-    spaces = [(Matrix.identity(field, n), ())]
+    spaces = [(Lattice.full(ring, n), ())]
     for i in range(n):
-        block = Matrix(field, [row[i * n : (i + 1) * n] for row in delta_rows], n)
+        block = Matrix(ring, [row[i * n : (i + 1) * n] for row in delta_rows], n)
         nxt = []
-        for basis, prefix in spaces:
-            bn = basis * block
-            pivots = basis.pivot_columns()
-            restriction = Matrix(field, [[row[pc] for pc in pivots] for row in bn.rows], basis.nrows)
-            if restriction * basis != bn:
-                raise AssertionError("joint eigenspace lost invariance")
-            for lam in _field_eigenvalues(restriction):
-                shifted = restriction - Matrix.identity(field, restriction.nrows).scale(lam)
-                h, u = hnf(shifted)
-                ker_rows = u.rows[h.nrows :]
+        for space, prefix in spaces:
+            restriction = _restriction(space, space.basis * block)
+            ident = Matrix.identity(ring, space.rank)
+            for lam in _roots(charpoly(restriction), ring):
+                ker_rows = left_kernel_rows(restriction - ident.scale(lam))
                 if not ker_rows:
                     continue
-                newbasis = hnf_basis(Matrix(field, ker_rows, restriction.nrows) * basis)
-                nxt.append((newbasis, prefix + (lam,)))
+                newbasis = hnf_basis(Matrix(ring, ker_rows, space.rank) * space.basis)
+                nxt.append((Lattice(ring, n, newbasis), prefix + (lam,)))
         spaces = nxt
         if not spaces:
             return []
     return [prefix for _, prefix in spaces]
 
 
-def _characters(c: Coalgebra):
-    """The fraction field of the ground ring and the character tuples over it."""
-    field = c.ring.fraction_field()
-    if field == c.ring:
-        delta_rows = c.delta.rows
-    else:
-        conv = c.ring.to_fraction
-        delta_rows = [[conv(v) for v in row] for row in c.delta.rows]
-    return field, _character_tuples(delta_rows, c.rank, field)
+def _characters(c: Coalgebra) -> list[tuple]:
+    """The fraction-field-valued characters of the dual algebra.
+
+    The search runs over Z on the cleared Delta (over F_p on Delta); an
+    eigenvalue lam of the scaled blocks is the character value lam / D.
+    """
+    base, denom, rows = cleared_delta(c)
+    tuples = _character_tuples(rows, c.rank, base)
+    if base.kind == "Fp":
+        return tuples
+    return [tuple(Fraction(lam, denom) for lam in t) for t in tuples]
 
 
-def _verified_group_likes(c: Coalgebra, field: Ring, tuples) -> list:
+def _in_ring(ring: Ring, values) -> bool:
+    return ring.kind == "Fp" or all(ring.contains_fraction(x) for x in values)
+
+
+def _verified_group_likes(c: Coalgebra, tuples) -> list:
     """The characters with coordinates in the ground ring, each reverified exactly."""
     ring = c.ring
     vectors = []
     for tup in tuples:
-        if field != ring:
-            if not all(ring.contains_fraction(x) for x in tup):
-                continue
-            cand = [ring.from_fraction(x) for x in tup]
-        else:
-            cand = list(tup)
+        if not _in_ring(ring, tup):
+            continue
+        cand = list(tup) if ring.kind == "Fp" else [ring.from_fraction(x) for x in tup]
         if not _is_group_like(c, cand):
             raise AssertionError("character candidate failed exact verification")
         vectors.append(tuple(cand))
@@ -183,12 +208,11 @@ def _verified_group_likes(c: Coalgebra, field: Ring, tuples) -> list:
 def group_likes(c: Coalgebra) -> GroupLikeSet:
     """All group-like elements, with certificates.
 
-    The eigen-covector recursion runs over the fraction field; a
-    candidate survives if every coordinate lies in the ground ring, and
-    each survivor is reverified exactly against the definition.
+    The eigen-covector recursion finds the characters over the fraction
+    field; a candidate survives if every coordinate lies in the ground
+    ring, and each survivor is reverified exactly against the definition.
     """
-    field, tuples = _characters(c)
-    return _certified(c, _verified_group_likes(c, field, tuples))
+    return _certified(c, _verified_group_likes(c, _characters(c)))
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -234,10 +258,7 @@ def _trace_form_rank(c: Coalgebra) -> int:
     triangle is computed.
     """
     n = c.rank
-    rows = c.delta.rows
-    if c.ring.kind != "Z":
-        denom = math.lcm(*(v.denominator for row in rows for v in row))
-        rows = [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
+    _, _, rows = cleared_delta(c)
     by_rows = [[v for row in rows for v in row[i * n : (i + 1) * n]] for i in range(n)]
     by_cols = [[rows[b][j * n + a] for a in range(n) for b in range(n)] for j in range(n)]
     gram = [[0] * n for _ in range(n)]
@@ -259,19 +280,17 @@ def _semisimple_dimension(c: Coalgebra) -> int:
     return _trace_form_rank(c)
 
 
-def _pointedness(c: Coalgebra, field: Ring, tuples) -> PointednessReport:
+def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
     """Pointedness from the characters: as many as the semisimple dimension, all integral."""
     semisimple_dim = _semisimple_dimension(c)
-    nonintegral = []
-    if field != c.ring:
-        nonintegral = [t for t in tuples if not all(c.ring.contains_fraction(x) for x in t)]
+    nonintegral = [t for t in tuples if not _in_ring(c.ring, t)]
     flag = semisimple_dim == len(tuples) and not nonintegral
     return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
 
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport)."""
-    report = _pointedness(c, *_characters(c))
+    report = _pointedness(c, _characters(c))
     return report.pointed, report
 
 
@@ -283,11 +302,11 @@ def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
     A coalgebra that is not pointed raises NotPointed with ``need`` and
     the report.
     """
-    field, tuples = _characters(c)
-    report = _pointedness(c, field, tuples)
+    tuples = _characters(c)
+    report = _pointedness(c, tuples)
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
-    return _certified(c, _verified_group_likes(c, field, tuples))
+    return _certified(c, _verified_group_likes(c, tuples))
 
 
 def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:

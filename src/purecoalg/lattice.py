@@ -52,9 +52,6 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.nrows
 
-    def is_full(self) -> bool:
-        return self.basis == Matrix.identity(self.ring, self.ambient_rank)
-
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)

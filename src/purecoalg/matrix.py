@@ -19,7 +19,7 @@ acceptable at desk scale.
 from __future__ import annotations
 
 from .errors import RingMismatch
-from .rings import QQ, Ring, prime_field, reduce_mod_p
+from .rings import QQ, Ring, prime_field, reduce_rows_mod_p
 
 
 class Matrix:
@@ -133,9 +133,6 @@ class Matrix:
             raise ValueError("column mismatch in vstack")
         return Matrix(self.ring, self.rows + other.rows, self.ncols)
 
-    def submatrix(self, r0, r1, c0, c1) -> "Matrix":
-        return Matrix(self.ring, [row[c0:c1] for row in self.rows[r0:r1]], c1 - c0)
-
     # --- ring changes ----------------------------------------------------
     def to_field(self) -> "Matrix":
         """Image in the fraction field (identity for Q and F_p)."""
@@ -146,9 +143,7 @@ class Matrix:
         return Matrix(field, [[conv(v) for v in row] for row in self.rows], self.ncols)
 
     def reduce_mod(self, p: int) -> "Matrix":
-        fp = prime_field(p)
-        ring = self.ring
-        return Matrix(fp, [[reduce_mod_p(ring, v, p) for v in row] for row in self.rows], self.ncols)
+        return Matrix(prime_field(p), reduce_rows_mod_p(self.ring, self.rows, p), self.ncols)
 
     # --- derived quantities ----------------------------------------------
     def rank(self) -> int:

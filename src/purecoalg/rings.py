@@ -456,11 +456,16 @@ def reduce_mod_p(ring: Ring, x, p: int) -> int:
     This is a ring homomorphism; it fails with PrimeInverted exactly
     when the denominator cannot be inverted mod p.
     """
+    return reduce_rows_mod_p(ring, [[x]], p)[0][0]
+
+
+def reduce_rows_mod_p(ring: Ring, rows, p: int) -> list[list[int]]:
+    """``reduce_mod_p`` on every entry of a list of rows, checking p once."""
     _check_user_prime(p)
     if ring == ZZ:
-        return x % p
+        return [[v % p for v in row] for row in rows]
     if isinstance(ring, LocalizedIntegerRing):
         if p in ring.inverted:
             raise PrimeInverted(f"{p} is inverted in {ring}")
-        return x.numerator * pow(x.denominator, -1, p) % p
+        return [[v.numerator * pow(v.denominator, -1, p) % p for v in row] for row in rows]
     raise UnsupportedRing(f"reduction mod p is not defined over {ring}")

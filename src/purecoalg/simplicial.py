@@ -33,7 +33,7 @@ from .errors import (
     RingMismatch,
     ValidationError,
 )
-from .grouplike import group_likes, pointed_group_likes
+from .grouplike import pointed_group_likes
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, elementary_divisors
 from .rings import Ring
@@ -444,6 +444,11 @@ def _vector_name(vector, coalgebra: Coalgebra) -> str:
 
 def gr_simplicial(c: SimplicialCoalgebra) -> FiniteSimplicialSet:
     """Levelwise group-likes with the induced structure maps."""
+    return _gr_simplicial(c)[0]
+
+
+def _gr_simplicial(c: SimplicialCoalgebra):
+    """``gr_simplicial`` with the group-likes and names of each level it found them by."""
     level_sets = []
     for n, level in enumerate(c.levels):
         level_sets.append(pointed_group_likes(level, f"level {n} is not pointed").vectors)
@@ -467,7 +472,7 @@ def gr_simplicial(c: SimplicialCoalgebra) -> FiniteSimplicialSet:
     degeneracies = {key: induce(mat, key[0], key[0] + 1) for key, mat in c.degeneracies.items()}
     out = FiniteSimplicialSet(c.dimension_bound, names, faces, degeneracies)
     out.require_valid()
-    return out
+    return out, level_sets, names
 
 
 def _apply_rows(mat: Matrix, vector, ring):
@@ -705,17 +710,15 @@ class SimplicialCoalgebraMap:
 def gr_simplicial_map(f: SimplicialCoalgebraMap) -> SimplicialMap:
     """Induced map of simplicial sets on levelwise group-likes."""
     f.require_valid()
-    dom = gr_simplicial(f.domain)
-    cod = gr_simplicial(f.codomain)
+    dom, dom_sets, dom_names = _gr_simplicial(f.domain)
+    cod, cod_sets, cod_names = _gr_simplicial(f.codomain)
     maps = []
     for n in range(f.domain.dimension_bound + 1):
-        dom_level = f.domain.levels[n]
-        cod_level = f.codomain.levels[n]
-        cod_lookup = {g: _vector_name(g, cod_level) for g in group_likes(cod_level).vectors}
+        cod_lookup = dict(zip(cod_sets[n], cod_names[n]))
         mapping = {}
-        for g in group_likes(dom_level).vectors:
+        for g, name in zip(dom_sets[n], dom_names[n]):
             img = tuple(_apply_rows(f.levels[n], list(g), f.domain.ring))
-            mapping[_vector_name(g, dom_level)] = cod_lookup[img]
+            mapping[name] = cod_lookup[img]
         maps.append(mapping)
     out = SimplicialMap(dom, cod, maps)
     out.require_valid()

@@ -9,9 +9,12 @@ Central objects:
   coalgebras;
 * the decomposition into irreducible components, computed two ways: the
   primary algorithm lifts the primitive idempotents of the semisimple
-  quotient of the dual algebra over the fraction field and carves out
-  the components with the dual action, while the oracle iterates wedges
-  of each group-like line until stabilization;
+  quotient of the dual algebra and carves out the components with the
+  dual action, while the oracle iterates wedges of each group-like line
+  until stabilization.  The lift runs in integers for every ring: over
+  Z, Q and Z[S^-1] on Delta with its denominators cleared, an idempotent
+  held as an integer vector over one common denominator, and over F_p
+  on Delta itself;
 * the natural retraction of C onto its coradical, given on each
   component by x -> eps(x) * g.
 
@@ -23,6 +26,7 @@ comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .coalgebra import (
@@ -42,9 +46,9 @@ from .errors import (
     RingMismatch,
     ValidationError,
 )
-from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
-from .lattice import Lattice, kernel_lattice, solve_in_rows
-from .matrix import Matrix, elementary_divisors
+from .grouplike import GroupLikeSet, cleared_delta, group_likes, pointed_group_likes
+from .lattice import Lattice, kernel_lattice
+from .matrix import Matrix, elementary_divisors, hnf
 
 
 class Filtration:
@@ -273,50 +277,61 @@ def primitives(c: Coalgebra, g) -> Lattice:
     return pr
 
 
-def _dual_action_matrix(c: Coalgebra, a, field) -> Matrix:
-    """Matrix of x -> (id (x) a) Delta(x) over the fraction field."""
-    n = c.rank
-    rows = []
-    for i in range(n):
-        drow = c.delta.rows[i]
-        row = []
-        for j in range(n):
-            acc = field.zero
-            base = j * n
-            for k in range(n):
-                v = drow[base + k]
-                if v:
-                    acc = acc + field_conv(c.ring, field, v) * a[k]
-            row.append(acc)
-        rows.append(row)
-    return Matrix(field, rows, n)
+def _content_free(vector, d: int, base):
+    """(E, d) for the element E / d with the common content divided out; mod p over F_p."""
+    if base.kind == "Fp":
+        return [v % base.p for v in vector], 1
+    g = math.gcd(d, *vector)
+    return [v // g for v in vector], d // g
 
 
-def field_conv(ring, field, v):
-    return v if field == ring else ring.to_fraction(v)
+def _dual_product(rows, x, y, base):
+    """Product of x and y in the dual algebra on the integral rows of Delta."""
+    outer = [a * b for a in x for b in y]
+    out = [sum(map(operator.mul, row, outer)) for row in rows]
+    return [v % base.p for v in out] if base.kind == "Fp" else out
 
 
-def _dual_multiply(delta_rows_field, n, field, x, y):
-    """Product in the dual algebra over the fraction field."""
-    acc = [field.zero] * n
-    for k in range(n):
-        row = delta_rows_field[k]
-        total = field.zero
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            base = i * n
-            for j in range(n):
-                yj = y[j]
-                if yj:
-                    v = row[base + j]
-                    if v:
-                        total = total + v * xi * yj
-        acc[k] = total
-    if field.kind == "Fp":
-        acc = [v % field.p for v in acc]
-    return acc
+def _dual_action(rows, n: int, e):
+    """Matrix of x -> (id (x) e) Delta(x) on the integral rows of Delta."""
+    return [[sum(map(operator.mul, row[j * n : (j + 1) * n], e)) for j in range(n)] for row in rows]
+
+
+def _lift_steps(n: int) -> int:
+    """Iterations of e <- 3e^2 - 2e^3 that reach past the nilpotency index n."""
+    return max(1, math.ceil(math.log2(max(2, n))) + 1)
+
+
+def _interpolating_elements(gl: GroupLikeSet, base):
+    """For each group-like g, (E, d) with E / d in the dual algebra taking 1 at g, 0 at the others.
+
+    The group-like rows are cleared of denominators by their lcm C, and
+    the columns of the resulting integer matrix M are the conditions.
+    One Hermite elimination U * M = [H; 0] serves every group-like: the
+    solution of y * H = C * e_g comes from one forward substitution on
+    the triangular H, and y * U is the interpolating element.
+    """
+    m = len(gl)
+    n = gl.coalgebra.rank
+    scale = math.lcm(*(x.denominator for g in gl for x in g))
+    vectors = [[x.numerator * (scale // x.denominator) for x in g] for g in gl]
+    h, u = hnf(Matrix(base, [[g[k] for g in vectors] for k in range(n)], m))
+    if h.nrows != m:
+        raise AssertionError("character interpolation must be solvable over the field")
+    out = []
+    for idx in range(m):
+        coeffs, q = [], 1
+        for j in range(m):
+            num = (scale * q if j == idx else 0) - sum(c * row[j] for c, row in zip(coeffs, h.rows))
+            piv = h.rows[j][j]
+            coeffs = [c * piv for c in coeffs] + [num]
+            q *= piv
+        e = [0] * n
+        for c, urow in zip(coeffs, u.rows):
+            if c:
+                e = [x + c * y for x, y in zip(e, urow)]
+        out.append(_content_free(e, q, base))
+    return out
 
 
 def components(c: Coalgebra) -> ComponentDecomposition:
@@ -326,44 +341,40 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     algebra over the fraction field is obtained by solving the character
     interpolation problem and lifting along the nilpotent radical with
     the iteration e <- 3e^2 - 2e^3; the component is the integral part
-    of the eigenspace of the dual action of e_g.
+    of the eigenspace of the dual action of e_g.  All of it runs in
+    integers: over Z, Q and Z[S^-1] on Delta cleared by the lcm D of its
+    denominators, with e held as an integer vector E over one common
+    denominator d, and over F_p on Delta itself with d = 1.
     """
     gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     n = c.rank
     ring = c.ring
     if n == 0:
         return ComponentDecomposition(c, ())
-    field = ring.fraction_field()
-    conv = (lambda v: v) if field == ring else ring.to_fraction
-    delta_rows_field = [[conv(v) for v in row] for row in c.delta.rows]
-    # characters as rows over the field
-    char_matrix = Matrix(field, [[conv(x) for x in g] for g in gl.vectors], n)
+    base, denom, rows = cleared_delta(c)
+    steps = _lift_steps(n)
     parts = []
-    steps = max(1, math.ceil(math.log2(max(2, n))) + 1)
-    for idx, g in enumerate(gl.vectors):
-        target = [field.one if t == idx else field.zero for t in range(len(gl))]
-        e = solve_in_rows(char_matrix.transpose(), target)
-        if e is None:
-            raise AssertionError("character interpolation must be solvable over the field")
-        for _ in range(steps):
-            e2 = _dual_multiply(delta_rows_field, n, field, e, e)
-            e3 = _dual_multiply(delta_rows_field, n, field, e2, e)
-            e = [3 * a - 2 * b for a, b in zip(e2, e3)]
-            if field.kind == "Fp":
-                e = [v % field.p for v in e]
-        if _dual_multiply(delta_rows_field, n, field, e, e) != e:
-            raise AssertionError("idempotent lifting did not converge")
-        act = _dual_action_matrix(c, e, field)
-        shifted = act - Matrix.identity(field, n)
-        if field == ring:
-            component = kernel_lattice(shifted)
+    for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, base)):
+        # e / d <- 3 (e / d)^2 - 2 (e / d)^3 until (e / d)^2 = e / d, where a
+        # product of x / a and y / b on the cleared rows is (x * y) / (D a b);
+        # the iteration fixes an idempotent, so stopping early changes nothing
+        for _ in range(steps + 1):
+            e2 = _dual_product(rows, e, e, base)
+            if e2 == [denom * d * v for v in e]:
+                break
+            e3 = _dual_product(rows, e2, e, base)
+            lifted = [3 * denom * d * a - 2 * b for a, b in zip(e2, e3)]
+            e, d = _content_free(lifted, denom**2 * d**3, base)
         else:
-            denom = 1
-            for row in shifted.rows:
-                for v in row:
-                    denom = denom * v.denominator // math.gcd(denom, v.denominator)
-            cleared = Matrix(ring, [[ring.normalize(v * denom) for v in row] for row in shifted.rows], n)
-            component = kernel_lattice(cleared)
+            raise AssertionError("idempotent lifting did not converge")
+        # act(e / d) - 1 is (act(E) - D d) / (D d) on the cleared rows
+        act = _dual_action(rows, n, e)
+        for i in range(n):
+            act[i][i] -= denom * d
+        component = kernel_lattice(Matrix(base, act, n))
+        if base != ring:
+            rows_over_ring = [list(map(ring.normalize, row)) for row in component.basis.rows]
+            component = Lattice.from_rows(ring, n, rows_over_ring)
         parts.append((tuple(g), component))
     return _validated_decomposition(c, parts)
 

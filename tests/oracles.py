@@ -2,13 +2,19 @@
 
 Everything here is deliberately written from scratch on plain ints so
 the dual-route checks stay honest: a naive Smith diagonalization, direct
-simplicial homology on nondegenerate simplices, and small brute-force
-helpers.  None of it imports the package's linear algebra.
+simplicial homology on nondegenerate simplices, the character search and
+idempotent lift over the fraction field in plain Fractions (or ints mod
+p), and small brute-force helpers.  None of it imports the package's
+linear algebra; the rational eigenvalues use the package's integer root
+finder, which ``test_polyroots`` checks on its own.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from purecoalg.polyroots import integer_roots
 
 
 def naive_smith_divisors(rows):
@@ -109,6 +115,171 @@ def trace_form_gram(delta_rows, n):
             gram_row.append(tr)
         gram.append(gram_row)
     return gram
+
+
+# --- linear algebra over Q (p is None) or F_p, on plain lists -------------
+
+
+def _conv(v, p):
+    return Fraction(v) if p is None else v % p
+
+
+def _red(v, p):
+    return v if p is None else v % p
+
+
+def _matmul(a, b, p):
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append([_red(v, p) for v in acc])
+    return out
+
+
+def rref(rows, p=None):
+    """Nonzero rows of the reduced row echelon form over Q (p None) or F_p."""
+    a = [[_conv(v, p) for v in r] for r in rows]
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col] if p is None else pow(a[r][col], -1, p)
+        a[r] = [_red(v * inv, p) for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                c = a[i][col]
+                a[i] = [_red(x - c * y, p) for x, y in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
+
+
+def _pivots(echelon):
+    return [next(j for j, v in enumerate(row) if v) for row in echelon]
+
+
+def _left_nullspace(rows, p):
+    """Basis of { x : x * A = 0 } for a square matrix A given by its rows."""
+    k = len(rows)
+    echelon = rref([list(col) for col in zip(*rows)], p)
+    pivots = _pivots(echelon)
+    basis = []
+    for free in range(k):
+        if free in pivots:
+            continue
+        x = [_conv(int(i == free), p) for i in range(k)]
+        for row, pc in zip(echelon, pivots):
+            x[pc] = _red(-row[free], p)
+        basis.append(x)
+    return basis
+
+
+def _charpoly(a, p):
+    """det(x I - A) of an integer matrix by Faddeev-LeVerrier, descending.
+
+    The divisions by 1, ..., n are exact over Z; mod p they need p > n.
+    """
+    n = len(a)
+    if p is not None and p <= n:
+        raise ValueError("Faddeev-LeVerrier divides by the degree")
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        am = _matmul(a, m, p)
+        m = [[_red(am[i][j] + (coeffs[-1] if i == j else 0), p) for j in range(n)] for i in range(n)]
+        trace = sum(row[i] for i, row in enumerate(_matmul(a, m, p)))
+        if p is None:
+            quotient, remainder = divmod(-trace, k)
+            assert remainder == 0
+            coeffs.append(quotient)
+        else:
+            coeffs.append(-trace * pow(k, -1, p) % p)
+    return coeffs
+
+
+def _eigenvalues(a, p):
+    """Eigenvalues in Q (p None) or F_p of a square matrix, ascending."""
+    if p is not None:
+        coeffs = _charpoly(a, p)
+        return [r for r in range(p) if _horner(coeffs, r) % p == 0]
+    scale = math.lcm(*(v.denominator for row in a for v in row))
+    coeffs = _charpoly([[int(v * scale) for v in row] for row in a], None)
+    return [Fraction(r, scale) for r in integer_roots(coeffs)]
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def character_tuples(delta_rows, n, p=None):
+    """Characters of the dual algebra, searched over the fraction field.
+
+    The joint eigenspaces of the column blocks of Delta are split
+    recursively in reduced echelon form over Q (or F_p); each surviving
+    branch is one character, given by its eigenvalue tuple.
+    """
+    delta = [[_conv(v, p) for v in row] for row in delta_rows]
+    spaces = [([[_conv(int(i == j), p) for j in range(n)] for i in range(n)], ())] if n else []
+    for i in range(n):
+        block = [row[i * n : (i + 1) * n] for row in delta]
+        nxt = []
+        for basis, prefix in spaces:
+            image = _matmul(basis, block, p)
+            restriction = [[row[pc] for pc in _pivots(basis)] for row in image]
+            if _matmul(restriction, basis, p) != image:
+                raise AssertionError("joint eigenspace lost invariance")
+            for lam in _eigenvalues(restriction, p):
+                shifted = [[_red(v - (lam if r == s else 0), p) for s, v in enumerate(row)]
+                           for r, row in enumerate(restriction)]
+                kernel = _left_nullspace(shifted, p)
+                if kernel:
+                    nxt.append((rref(_matmul(kernel, basis, p), p), prefix + (lam,)))
+        spaces = nxt
+    return [prefix for _, prefix in spaces]
+
+
+def _dual_multiply(delta, x, y, p):
+    outer = [a * b for a in x for b in y]
+    return [_red(sum(v * w for v, w in zip(row, outer) if v and w), p) for row in delta]
+
+
+def component_spans(delta_rows, n, group_likes, p=None):
+    """Reduced echelon span over Q (or F_p) of each group-like's component.
+
+    The primitive idempotent e of the dual algebra with e(g) = 1 and
+    e(h) = 0 at the other group-likes is found by interpolation and the
+    lifting e <- 3e^2 - 2e^3; the component is the 1-eigenspace of its
+    dual action x -> (id (x) e) Delta(x).
+    """
+    delta = [[_conv(v, p) for v in row] for row in delta_rows]
+    gs = [[_conv(x, p) for x in g] for g in group_likes]
+    steps = max(1, math.ceil(math.log2(max(2, n))) + 1)
+    out = []
+    for idx in range(len(gs)):
+        system = rref([g + [_conv(int(h == idx), p)] for h, g in enumerate(gs)], p)
+        if any(not any(row[:n]) for row in system):
+            raise AssertionError("character interpolation must be solvable over the field")
+        e = [_conv(0, p)] * n
+        for row, pc in zip(system, _pivots(system)):
+            e[pc] = row[n]
+        for _ in range(steps):
+            e2 = _dual_multiply(delta, e, e, p)
+            e3 = _dual_multiply(delta, e2, e, p)
+            e = [_red(3 * a - 2 * b, p) for a, b in zip(e2, e3)]
+        if _dual_multiply(delta, e, e, p) != e:
+            raise AssertionError("idempotent lifting did not converge")
+        shifted = [[_red(sum(v * w for v, w in zip(row[j * n : (j + 1) * n], e) if v and w) - (i == j), p)
+                    for j in range(n)] for i, row in enumerate(delta)]
+        out.append(rref(_left_nullspace(shifted, p), p))
+    return out
 
 
 def nondegenerate_chain_complex(sset):

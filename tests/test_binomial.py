@@ -5,8 +5,10 @@ import random
 import pytest
 
 from purecoalg import (
+    Matrix,
     PrimeInverted,
     UnsupportedRing,
+    ValidationError,
     ZZ,
     algebra_mod_p,
     binomial_check,
@@ -94,3 +96,20 @@ def test_unsupported_ring():
     f5 = prime_field(5)
     with pytest.raises(UnsupportedRing):
         nilradical_mod_p(truncated_polynomial_algebra(f5, 2), 5)
+
+
+@pytest.mark.parametrize("p, error", [(4, ValidationError), (1, ValidationError), (3, PrimeInverted)],
+                         ids=["composite", "one", "inverted"])
+def test_reductions_still_check_the_prime(p, error):
+    from purecoalg.rings import localized_integers
+
+    z3 = localized_integers([3])
+    with pytest.raises(error):
+        algebra_mod_p(truncated_polynomial_algebra(z3, 3), p)
+    with pytest.raises(error):
+        Matrix(z3, [[z3.one, z3.zero]], 2).reduce_mod(p)
+    if error is ValidationError:
+        with pytest.raises(error):
+            algebra_mod_p(truncated_polynomial_algebra(ZZ, 3), p)
+        with pytest.raises(error):
+            Matrix(ZZ, [[1, 2]], 2).reduce_mod(p)

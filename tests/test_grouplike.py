@@ -7,6 +7,7 @@ import pytest
 
 from purecoalg import (
     CoalgebraMap,
+    components,
     Lattice,
     Matrix,
     NotGroupLike,
@@ -34,6 +35,7 @@ from purecoalg.corpus import generate_coalgebras
 from purecoalg.rings import QQ, localized_integers
 from purecoalg.structure import ComponentDecomposition
 
+import oracles
 from oracles import rational_rank, trace_form_gram
 
 
@@ -212,24 +214,84 @@ def _fraction_trace_rank(c):
     return rational_rank(trace_form_gram(c.delta.rows, c.rank))
 
 
+def _zs_with_conjugates():
+    """30 Z[1/2,1/3] coalgebras, each followed by its conjugate by diag(1/6, 1, ...)."""
+    zs = localized_integers([2, 3])
+    out = []
+    for entry in generate_coalgebras(41, 30, max_rank=8, ring=zs):
+        c = entry.coalgebra
+        # scaling a basis vector by the unit 1/6 puts denominators into Delta
+        w = Matrix(zs, [[Fraction(int(i == j), 6 if i == j == 0 else 1) for j in range(c.rank)]
+                        for i in range(c.rank)], c.rank)
+        out += [c, conjugate(c, w)]
+    return out
+
+
 def test_integral_trace_form_rank_matches_fraction_oracle():
     for entry in generate_coalgebras(20240809, 200, max_rank=12):
         c = entry.coalgebra
         want = _fraction_trace_rank(c)
         assert grouplike._trace_form_rank(c) == want
         assert grouplike._trace_form_rank(_over_q(c)) == want
-    zs = localized_integers([2, 3])
-    fractional = 0
-    for entry in generate_coalgebras(41, 30, max_rank=8, ring=zs):
-        c = entry.coalgebra
-        # scaling a basis vector by the unit 1/6 puts denominators into Delta
-        w = Matrix(zs, [[Fraction(int(i == j), 6 if i == j == 0 else 1) for j in range(c.rank)]
-                        for i in range(c.rank)], c.rank)
-        twisted = conjugate(c, w)
-        fractional += any(v.denominator != 1 for row in twisted.delta.rows for v in row)
-        for d in (c, twisted):
-            assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
+    zs_corpus = _zs_with_conjugates()
+    fractional = sum(any(v.denominator != 1 for row in d.delta.rows for v in row) for d in zs_corpus)
+    for d in zs_corpus:
+        assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
     assert fractional >= 10
+
+
+def _assert_search_and_lift_match_oracles(c, twins=(), p=None):
+    """Character tuples and component spans of c (and of its twins over other rings) against the oracles."""
+    chars = sorted(oracles.character_tuples(c.delta.rows, c.rank, p))
+    decompositions = [components(d) for d in (c, *twins)]
+    gl = [g for g, _ in decompositions[0]]
+    spans = oracles.component_spans(c.delta.rows, c.rank, gl, p)
+    for d, decomposition in zip((c, *twins), decompositions):
+        assert sorted(grouplike._characters(d)) == chars
+        assert [oracles.rref(lat.basis.rows, p) for _, lat in decomposition] == spans
+
+
+def test_search_and_lift_match_fraction_oracles_over_z_and_q():
+    for entry in generate_coalgebras(20240809, 200, max_rank=12):
+        _assert_search_and_lift_match_oracles(entry.coalgebra, twins=(_over_q(entry.coalgebra),))
+
+
+def test_search_and_lift_match_fraction_oracles_with_denominators():
+    for d in _zs_with_conjugates():
+        _assert_search_and_lift_match_oracles(d)
+
+
+def test_search_and_lift_match_fraction_oracles_over_f101():
+    f101 = prime_field(101)
+    for entry in generate_coalgebras(47, 40, max_rank=8, ring=f101):
+        _assert_search_and_lift_match_oracles(entry.coalgebra, p=101)
+
+
+@pytest.mark.parametrize("ring", [ZZ, prime_field(7)], ids=["Z", "F7"])
+def test_noncommuting_blocks_lose_invariance(ring):
+    # block 0 is diag(0, 1) and block 1 swaps the two basis vectors, so the
+    # eigenline of block 0 for the eigenvalue 0 is not invariant under block 1
+    with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
+        grouplike._character_tuples([[0, 0, 0, 1], [0, 1, 1, 0]], 2, ring)
+
+
+def test_unlifted_idempotent_is_refused(monkeypatch):
+    from purecoalg import structure
+
+    c = generate_coalgebras(43, 20, max_rank=8)[9].coalgebra
+    monkeypatch.setattr(structure, "_lift_steps", lambda n: 0)
+    with pytest.raises(AssertionError, match="idempotent lifting did not converge"):
+        components(c)
+
+
+def test_unsolvable_interpolation_is_refused(monkeypatch):
+    from purecoalg import structure
+
+    c = set_like(ZZ, ["a", "b"])
+    collided = grouplike.GroupLikeSet(c, ((0, 1), (0, 1)), (1, 1), True)
+    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need: collided)
+    with pytest.raises(AssertionError, match="character interpolation must be solvable"):
+        components(c)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
@@ -265,6 +327,15 @@ def test_structure_calls_run_one_character_search(monkeypatch):
             calls.clear()
             call(entry.coalgebra)
             assert len(calls) == 1, call.__name__
+
+
+def test_gr_simplicial_map_runs_one_character_search_per_level(monkeypatch):
+    from purecoalg import chains_map, constant_map, gr_simplicial_map, standard_interval, standard_point
+
+    calls = _count_character_searches(monkeypatch)
+    f = chains_map(constant_map(standard_interval(2), standard_point(2), "pt"), ZZ)
+    gr_simplicial_map(f)
+    assert len(calls) == len(f.domain.levels) + len(f.codomain.levels) == 6
 
 
 def _refuse_candidates(monkeypatch):
