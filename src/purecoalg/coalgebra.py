@@ -9,11 +9,15 @@ isomorphism search is offered.
 
 Axiom checks (cocommutativity, coassociativity, counit laws) walk the
 nonzero structure constants directly instead of materializing the
-n^2 x n^3 Kronecker matrices the identities formally live in.
+n^2 x n^3 Kronecker matrices the identities formally live in.  Likewise
+a tensor in C (x) C is held as the n x n matrix X of its coefficients,
+and tensor-square conditions are products P^T X Q of small integer
+matrices (``delta_blocks``, ``sandwich``), never lattices in C (x) C.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -25,7 +29,7 @@ from .errors import (
 )
 from .lattice import Lattice, solve_in_rows
 from .matrix import Matrix
-from .rings import Ring
+from .rings import ZZ, Ring, cleared_row
 
 
 @dataclass
@@ -288,6 +292,12 @@ class AlgebraPresentation:
         return result
 
     def validate(self) -> ValidationReport:
+        """Check commutativity, associativity and the unit law.
+
+        Like ``validate_coalgebra``, the checks walk the nonzero
+        structure constants, and each failure names the first violating
+        index tuple in lexicographic order.
+        """
         n = self.rank
         ring = self.ring
         zero = ring.zero
@@ -307,27 +317,39 @@ class AlgebraPresentation:
                 break
         report.add("commutativity", not comm_loc, comm_loc)
 
+        # associativity: (e_i e_j) e_k = e_i (e_j e_k), summed over the nonzero
+        # structure constants; for each (i, j) every k is compared at once
         assoc_loc = ""
-        basis = [[ring.one if t == s else zero for t in range(n)] for s in range(n)]
+        items = [_row_items(row) for row in M]
         for i in range(n):
             for j in range(n):
-                ij = M[i * n + j]
+                lhs: dict[tuple[int, int], object] = {}
+                for m, v in items[i * n + j]:
+                    for k in range(n):
+                        for t, w in items[m * n + k]:
+                            lhs[(k, t)] = lhs.get((k, t), zero) + v * w
+                rhs: dict[tuple[int, int], object] = {}
                 for k in range(n):
-                    lhs = self.multiply(ij, basis[k])
-                    rhs = self.multiply(basis[i], M[j * n + k])
-                    if any(norm(a - b) for a, b in zip(lhs, rhs)):
-                        assoc_loc = f"(i,j,k)=({i},{j},{k})"
-                        break
-                if assoc_loc:
+                    for m, v in items[j * n + k]:
+                        for t, w in items[i * n + m]:
+                            rhs[(k, t)] = rhs.get((k, t), zero) + v * w
+                bad = [key[0] for key in lhs.keys() | rhs.keys()
+                       if norm(lhs.get(key, zero) - rhs.get(key, zero))]
+                if bad:
+                    assoc_loc = f"(i,j,k)=({i},{j},{min(bad)})"
                     break
             if assoc_loc:
                 break
         report.add("associativity", not assoc_loc, assoc_loc)
 
+        # unit law: 1 * e_i = e_i
         unit_loc = ""
         for i in range(n):
-            prod = self.multiply(self.unit, basis[i])
-            if any(norm(a - b) for a, b in zip(prod, basis[i])):
+            prod = [zero] * n
+            for m, u in _row_items(self.unit):
+                for t, w in items[m * n + i]:
+                    prod[t] += u * w
+            if any(norm(v - (ring.one if t == i else zero)) for t, v in enumerate(prod)):
                 unit_loc = f"basis {i}"
                 break
         report.add("unit law", not unit_loc, unit_loc)
@@ -586,26 +608,112 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
 # --- subcoalgebras --------------------------------------------------------------
 
 
-def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
-    """Whether Delta maps the lattice into its tensor square.
+def cleared_delta(c: Coalgebra):
+    """(base, D, rows): Delta with its denominators cleared, over Z or F_p.
 
-    The tensor square of the lattice inside C (x) C is the saturation of
-    the Kronecker lattice of its basis; for pure lattices the two agree
-    (the Kronecker product of pure lattices is pure), so the cheap
-    membership test settles the pure case and saturation only runs for
-    impure inputs such as scaled group-like lines.
+    Over Z, Q and Z[S^-1] the rows are D * Delta in integers, with D the
+    lcm of all denominators of Delta (1 over Z); over F_p they are Delta
+    itself with D = 1.  Every block of the result is integral, and its
+    eigenvalues are D times those of the block of Delta.
+    """
+    rows = c.delta.rows
+    if c.ring.kind == "Fp":
+        return c.ring, 1, rows
+    if c.ring.kind == "Z":
+        return ZZ, 1, rows
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    return ZZ, denom, [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
+
+
+def delta_blocks(c: Coalgebra, rows):
+    """Delta(x) for each row x, as the n x n integer matrix X with X[j][k] at e_j (x) e_k.
+
+    X is held by its nonzero rows, a dict j -> [(k, X[j][k]) nonzero].
+    Delta and x are cleared of denominators, so each X is Delta(x) times
+    one nonzero integer, and over F_p the entries are residues mod p.
+    Zero tests and kernels see no difference.
+    """
+    _, _, delta = cleared_delta(c)
+    n = c.rank
+    for x in rows:
+        acc = [0] * (n * n)
+        for a, drow in zip(cleared_row(c.ring, x), delta):
+            if a:
+                acc = [u + a * v for u, v in zip(acc, drow)]
+        yield tensor_block(acc, n, c.ring)
+
+
+def tensor_block(vector, n: int, ring: Ring):
+    """The n x n matrix of a tensor given in the row-major basis, as in ``delta_blocks``."""
+    if ring.kind == "Fp":
+        vector = [v % ring.p for v in vector]
+    block: dict[int, list] = {}
+    for jk, v in enumerate(vector):
+        if v:
+            j, k = divmod(jk, n)
+            block.setdefault(j, []).append((k, v))
+    return block
+
+
+def sandwich(left, block, right, n: int):
+    """The rows of left^T * X * right, for X a block from ``delta_blocks``.
+
+    left and right are n x m integer matrices as lists of rows, None
+    for the n x n identity.  This is the image of the tensor under
+    left (x) right, worked out on n x n blocks instead of through the
+    n^2-column Kronecker product.  With left None only the rows of X *
+    right that come from nonzero rows of X are returned, which is all a
+    zero test needs.
+    """
+    width = n if right is None else (len(right[0]) if right else 0)
+    image = {}
+    for j, entries in block.items():
+        row = [0] * width
+        if right is None:
+            for k, v in entries:
+                row[k] = v
+        else:
+            for k, v in entries:
+                row = [s + v * r for s, r in zip(row, right[k])]
+        image[j] = row
+    if left is None:
+        return list(image.values())
+    out = [[0] * width for _ in range(len(left[0]) if left else 0)]
+    for j, row in image.items():
+        for a, weight in enumerate(left[j]):
+            if weight:
+                out[a] = [s + weight * r for s, r in zip(out[a], row)]
+    return out
+
+
+def vanishes(rows, ring: Ring) -> bool:
+    """Whether every entry is zero, mod p over F_p."""
+    if ring.kind == "Fp":
+        p = ring.p
+        return not any(v % p for row in rows for v in row)
+    return not any(v for row in rows for v in row)
+
+
+def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
+    """Whether Delta maps the lattice into the tensor square of its saturation.
+
+    Let P be the integral projection whose kernel x * P = 0 is the
+    saturation V of the lattice and X the n x n matrix of Delta(x).
+    Splitting C = V + W shows V (x) V = {X : X P = 0 and P^T X = 0}, so
+    each basis row costs two products of n x n blocks and nothing is
+    built in C (x) C.  Saturation commutes with the square,
+    sat(L (x) L) = sat(L) (x) sat(L), so pure and impure lattices (a
+    scaled group-like line, say) take the same path.
     """
     if l.ambient_rank != c.rank:
         raise AmbientMismatch(f"lattice ambient {l.ambient_rank} vs coalgebra rank {c.rank}")
     if l.ring != c.ring:
         raise RingMismatch(f"{l.ring} vs {c.ring}")
-    square = l.kron_square()
-    if all(square.contains(c.comultiply(row)) for row in l.basis.rows):
-        return True
-    if l.is_pure()[0]:
-        return False
-    saturated = square.saturate()
-    return all(saturated.contains(c.comultiply(row)) for row in l.basis.rows)
+    proj, n = l.integral_projection(), c.rank
+    return all(
+        vanishes(sandwich(None, x, proj, n), c.ring) and vanishes(sandwich(proj, x, None, n), c.ring)
+        for x in delta_blocks(c, l.basis.rows)
+    )
 
 
 def purify_subcoalgebra(l: Lattice, c: Coalgebra) -> Lattice:

@@ -33,13 +33,12 @@ group-likes together.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial import frobenius_matrix, iterated_frobenius
-from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, validate_map
+from .coalgebra import Coalgebra, CoalgebraMap, cleared_delta, dual_algebra, validate_map
 from .errors import (
     NotGroupLike,
     NotGroupLikeImage,
@@ -103,23 +102,6 @@ def _is_group_like(c: Coalgebra, g) -> bool:
     if w != outer:
         return False
     return c.counit_of(g) == ring.one
-
-
-def cleared_delta(c: Coalgebra):
-    """(base, D, rows): Delta with its denominators cleared, over Z or F_p.
-
-    Over Z, Q and Z[S^-1] the rows are D * Delta in integers, with D the
-    lcm of all denominators of Delta (1 over Z); over F_p they are Delta
-    itself with D = 1.  Every block of the result is integral, and its
-    eigenvalues are D times those of the block of Delta.
-    """
-    rows = c.delta.rows
-    if c.ring.kind == "Fp":
-        return c.ring, 1, rows
-    if c.ring.kind == "Z":
-        return ZZ, 1, rows
-    denom = math.lcm(*(v.denominator for row in rows for v in row))
-    return ZZ, denom, [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
 
 
 def _restriction(space: Lattice, image: Matrix) -> Matrix:

@@ -4,7 +4,8 @@ A Lattice is a finitely generated submodule of the free module R^n,
 stored by its canonical Hermite basis, so lattice equality is equality
 of bases.  The operations here are the purity toolkit: saturation (the
 smallest pure overlattice), intersections, two cross-checked purity
-tests, membership with certificates, and Kronecker products under the
+tests, membership with certificates, quotient projections (the
+integral one cached per lattice), and Kronecker products under the
 fixed row-major basis ordering e_i (x) e_j -> i*n2 + j.
 
 Purity of N in R^n means r*N = r*R^n `intersect` N for every scalar r;
@@ -18,11 +19,11 @@ from __future__ import annotations
 from .errors import AmbientMismatch, NotPure, RingMismatch
 from .matrix import Matrix, elementary_divisors, hnf_basis, left_kernel_rows, snf
 from .numtheory import factorize
-from .rings import Ring
+from .rings import Ring, cleared_row
 
 
 class Lattice:
-    __slots__ = ("ring", "ambient_rank", "basis", "_kron_square", "_pivots")
+    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_projection")
 
     def __init__(self, ring: Ring, ambient_rank: int, basis: Matrix):
         if basis.ncols != ambient_rank:
@@ -30,8 +31,8 @@ class Lattice:
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.basis = basis
-        self._kron_square = None
         self._pivots = None
+        self._projection = None
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -193,11 +194,6 @@ class Lattice:
             hnf_basis(self.basis.kron(other.basis)),
         )
 
-    def kron_square(self) -> "Lattice":
-        if self._kron_square is None:
-            self._kron_square = self.kron(self)
-        return self._kron_square
-
     def reduce_mod(self, p: int) -> "Lattice":
         reduced = self.basis.reduce_mod(p)
         return Lattice.from_rows(reduced.ring, self.ambient_rank, reduced.rows)
@@ -223,6 +219,28 @@ class Lattice:
         vinv = v.inverse()
         section = Matrix(self.ring, vinv.rows[r:], n)
         return proj, section
+
+    def integral_projection(self) -> list:
+        """Rows of an integral n x (n - r) matrix P with x * P = 0 exactly on the saturation.
+
+        The last n - r columns of the column transform V of a Smith
+        decomposition B * V = U^-1 * [diag | 0] of the basis B kill the
+        basis, and V is invertible, so their kernel is the pure lattice
+        of rank r containing this one: its saturation.  Over Q and
+        Z[S^-1] each column is cleared of denominators (a column scalar
+        leaves the kernel alone); over F_p the entries are residues.
+        Computed once per lattice.
+        """
+        if self._projection is None:
+            n, r = self.ambient_rank, self.rank
+            if r == 0:
+                rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            else:
+                _, _, v = snf(self.basis)
+                cols = [cleared_row(self.ring, [row[j] for row in v.rows]) for j in range(r, n)]
+                rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
+            self._projection = rows
+        return self._projection
 
 
 def kernel_lattice(mat: Matrix) -> Lattice:

@@ -25,6 +25,7 @@ turns purity away from S into a denominator-free condition.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError, PrimeInverted, UnsupportedRing, ValidationError
@@ -469,3 +470,16 @@ def reduce_rows_mod_p(ring: Ring, rows, p: int) -> list[list[int]]:
             raise PrimeInverted(f"{p} is inverted in {ring}")
         return [[v.numerator * pow(v.denominator, -1, p) % p for v in row] for row in rows]
     raise UnsupportedRing(f"reduction mod p is not defined over {ring}")
+
+
+def cleared_row(ring: Ring, values) -> list:
+    """The values times the lcm of their denominators, as integers.
+
+    Over Z and F_p the values already are integers and come back as
+    they are.  Scaling a row by one nonzero integer changes no zero test
+    and no kernel, which is all the callers rely on.
+    """
+    if ring.kind in ("Z", "Fp"):
+        return list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values]

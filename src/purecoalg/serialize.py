@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import os
 
-from .coalgebra import AlgebraPresentation, Coalgebra, CoalgebraMap
-from .errors import ParseError, TooLarge, ValidationError
+from .coalgebra import AlgebraPresentation, Coalgebra
+from .errors import ParseError, TooLarge
 from .lattice import Lattice
 from .matrix import Matrix
 from .rings import Ring, ring_from_spec
@@ -265,10 +265,6 @@ def load_coalgebra(path: str) -> Coalgebra:
     return coalgebra_from_obj(load_json(path))
 
 
-def load_algebra(path: str) -> AlgebraPresentation:
-    return algebra_from_obj(load_json(path))
-
-
 def load_coalgebra_or_algebra(path: str):
     obj = load_json(path)
     if isinstance(obj, dict) and "mult" in obj:
@@ -282,31 +278,6 @@ def load_lattice(path: str, ring: Ring) -> Lattice:
 
 def load_sset(path: str) -> FiniteSimplicialSet:
     return sset_from_obj(load_json(path))
-
-
-def load_coalgebra_map(path: str) -> CoalgebraMap:
-    obj = load_json(path)
-    base = os.path.dirname(os.path.abspath(path))
-    dom_path = _expect(obj, "domain", str, "map")
-    cod_path = _expect(obj, "codomain", str, "map")
-    domain = load_coalgebra(os.path.join(base, dom_path))
-    codomain = load_coalgebra(os.path.join(base, cod_path))
-    matrix = matrix_from_obj(_expect(obj, "matrix", list, "map"), domain.ring, codomain.rank, "map matrix")
-    if matrix.nrows != domain.rank:
-        raise ParseError("map matrix must have one row per domain basis vector")
-    f = CoalgebraMap(domain, codomain, matrix)
-    bad = f.validate().first_failure()
-    if bad is not None:
-        raise ValidationError(f"coalgebra map axiom failed: {bad}")
-    return f
-
-
-def coalgebra_map_to_obj(f: CoalgebraMap, domain_path: str, codomain_path: str):
-    return {
-        "domain": domain_path,
-        "codomain": codomain_path,
-        "matrix": matrix_to_obj(f.matrix),
-    }
 
 
 def load_simplicial_map(path: str) -> SimplicialMap:
@@ -324,14 +295,3 @@ def load_simplicial_map(path: str) -> SimplicialMap:
     m = SimplicialMap(domain, codomain, maps)
     m.require_valid()
     return m
-
-
-def simplicial_map_to_obj(m: SimplicialMap, domain_path: str, codomain_path: str):
-    return {
-        "domain": domain_path,
-        "codomain": codomain_path,
-        "maps": [
-            {"n": n, "map": dict(sorted(m.maps[n].items()))}
-            for n in range(m.domain.dimension_bound + 1)
-        ],
-    }

@@ -550,6 +550,11 @@ def normalized_complex(c: SimplicialCoalgebra) -> ChainComplex:
     pure (it splits off), so the quotient is free with an integral
     projection and section, and the alternating face sum descends.
     """
+    return _normalized(c)[0]
+
+
+def _normalized(c: SimplicialCoalgebra):
+    """(complex, projections, sections): one Smith decomposition per level serves all three."""
     ring = c.ring
     d = c.dimension_bound
     projections = []
@@ -578,7 +583,7 @@ def normalized_complex(c: SimplicialCoalgebra) -> ChainComplex:
         boundaries[n] = sections[n] * total * projections[n - 1]
     cx = ChainComplex(ring, ranks, boundaries)
     cx.check_square_zero()
-    return cx
+    return cx, projections, sections
 
 
 def homology(c: SimplicialCoalgebra, top_degree: int) -> list[HomologyGroup]:
@@ -740,12 +745,10 @@ def mapping_cone(f: SimplicialCoalgebraMap) -> ChainComplex:
     """Cone of the induced map of normalized complexes."""
     f.require_valid()
     ring = f.domain.ring
-    cx_dom = normalized_complex(f.domain)
-    cx_cod = normalized_complex(f.codomain)
+    cx_dom, _, dom_sections = _normalized(f.domain)
+    cx_cod, cod_projections, _ = _normalized(f.codomain)
     d = f.domain.dimension_bound
     # induced normalized chain map
-    dom_sections = _normalized_sections(f.domain)
-    cod_projections = _normalized_projections(f.codomain)
     induced = {}
     for n in range(d + 1):
         induced[n] = dom_sections[n] * f.levels[n] * cod_projections[n]
@@ -770,30 +773,6 @@ def mapping_cone(f: SimplicialCoalgebraMap) -> ChainComplex:
     cone = ChainComplex(ring, ranks, boundaries)
     cone.check_square_zero()
     return cone
-
-
-def _normalized_sections(c: SimplicialCoalgebra):
-    out = []
-    for n, level in enumerate(c.levels):
-        rows = []
-        for j in range(n):
-            rows.extend(c.degeneracies[(n - 1, j)].rows)
-        degenerate = Lattice.from_rows(c.ring, level.rank, rows)
-        _, section = degenerate.complement_projection()
-        out.append(section)
-    return out
-
-
-def _normalized_projections(c: SimplicialCoalgebra):
-    out = []
-    for n, level in enumerate(c.levels):
-        rows = []
-        for j in range(n):
-            rows.extend(c.degeneracies[(n - 1, j)].rows)
-        degenerate = Lattice.from_rows(c.ring, level.rank, rows)
-        proj, _ = degenerate.complement_projection()
-        out.append(proj)
-    return out
 
 
 def is_weak_equivalence(f: SimplicialCoalgebraMap, top_degree: int) -> bool:

@@ -3,7 +3,9 @@
 Central objects:
 
 * the wedge D ^ F = kernel(C -> C (x) C -> C/D (x) C/F), computed from
-  the integral quotient projections that purity provides;
+  the integral quotient projections P_D, P_F that purity provides: row
+  i of its kernel matrix is P_D^T X_i P_F for the n x n matrix X_i of
+  Delta(e_i), worked out in integers (mod p over F_p);
 * the coradical filtration C_0 <= C_1 <= ... with C_0 the span of the
   group-likes and C_{n+1} = C_n ^ C_0, which is exhaustive for pointed
   coalgebras;
@@ -20,7 +22,9 @@ Central objects:
 
 Every Filtration is machine-checked at construction: stages must be
 pure subcoalgebra lattices, increase monotonically, and satisfy the
-comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.
+comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  The
+subcoalgebra and compatibility checks run on n x n blocks of Delta with
+the stages' quotient projections, never in the n^2-dimensional C (x) C.
 """
 
 from __future__ import annotations
@@ -32,9 +36,14 @@ from dataclasses import dataclass
 from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
+    cleared_delta,
+    delta_blocks,
     is_subcoalgebra,
+    sandwich,
     tensor,
+    tensor_block,
     validate_map,
+    vanishes,
 )
 from .errors import (
     AmbientMismatch,
@@ -46,7 +55,7 @@ from .errors import (
     RingMismatch,
     ValidationError,
 )
-from .grouplike import GroupLikeSet, cleared_delta, group_likes, pointed_group_likes
+from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, elementary_divisors, hnf
 
@@ -77,12 +86,22 @@ class Filtration:
         self._check_compatibility()
 
     def _check_compatibility(self):
+        """Delta(V_m) <= sum_i V_{m-i} (x) V_i at every stage m.
+
+        For nested pure stages that sum is the intersection over
+        a = -1, ..., m of {X : P_a^T X P_{m-1-a} = 0}, where P_a is the
+        integral projection with kernel V_a and P_{-1} the identity: in
+        a basis adapted to the flag both sides are spanned by the
+        e_s (x) e_t of total degree at most m.  Each basis row of V_m is
+        checked on the n x n matrix X of its Delta.
+        """
         c = self.coalgebra
-        for n, v in enumerate(self.stages):
-            target = _stage_tensor_sum(self.stages, n, n)
-            for row in v.basis.rows:
-                if not target.contains(c.comultiply(row)):
-                    raise ValidationError(f"Delta is not compatible with filtration stage {n}")
+        proj = [None] + [v.integral_projection() for v in self.stages]
+        for m, v in enumerate(self.stages):
+            for x in delta_blocks(c, v.basis.rows):
+                for a in range(-1, m + 1):
+                    if not vanishes(sandwich(proj[a + 1], x, proj[m - a], c.rank), c.ring):
+                        raise ValidationError(f"Delta is not compatible with filtration stage {m}")
 
     @property
     def length(self) -> int:
@@ -111,22 +130,6 @@ class Filtration:
             if not w.contains_lattice(self.stages[n]):
                 return False
         return True
-
-
-def _stage_tensor_sum(stages, a: int, n: int) -> Lattice:
-    """The lattice sum over i of V_{min(n-i, a)} (x) V_{min(i, a)}."""
-    seen = set()
-    rows = []
-    ring = stages[0].ring
-    ambient = stages[0].ambient_rank ** 2
-    for i in range(n + 1):
-        left = min(n - i, len(stages) - 1)
-        right = min(i, len(stages) - 1)
-        if (left, right) in seen:
-            continue
-        seen.add((left, right))
-        rows.extend(stages[left].basis.kron(stages[right].basis).rows)
-    return Lattice.from_rows(ring, ambient, rows)
 
 
 @dataclass
@@ -181,11 +184,22 @@ def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
     return decomposition
 
 
+def _integer_kernel(mat: Matrix, ring) -> Lattice:
+    """Kernel of a matrix over Z (or F_p), as a lattice over the ring: its span over Q or Z[S^-1]."""
+    out = kernel_lattice(mat)
+    if mat.ring == ring:
+        return out
+    return Lattice.from_rows(ring, mat.nrows, [list(map(ring.normalize, row)) for row in out.basis.rows])
+
+
 def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     """Wedge product: kernel of C -> C (x) C -> C/D (x) C/F.
 
     Both inputs must be pure subcoalgebra lattices; the quotient
-    projections are then integral matrices and the kernel is pure.
+    projections are then integral matrices and the kernel is pure.  The
+    kernel is taken in integers, of Delta * (P_D (x) P_F) with rows and
+    columns scaled by nonzero integers, and carried back to the ring;
+    the canonical Hermite basis makes it the same lattice.
     """
     for name, lat in (("first", d), ("second", f)):
         if lat.ambient_rank != c.rank:
@@ -195,10 +209,13 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
             raise NotPure(f"{name} wedge argument is impure (witness prime {witness})")
         if not is_subcoalgebra(lat, c):
             raise NotSubcoalgebra(f"{name} wedge argument is not a subcoalgebra")
-    proj_d, _ = d.complement_projection()
-    proj_f, _ = f.complement_projection()
-    composite = c.delta * proj_d.kron(proj_f)
-    out = kernel_lattice(composite)
+    base, _, delta = cleared_delta(c)
+    left, right = d.integral_projection(), f.integral_projection()
+    n = c.rank
+    # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
+    rows = [[v for row in sandwich(left, tensor_block(drow, n, base), right, n) for v in row] for drow in delta]
+    width = (n - d.rank) * (n - f.rank)
+    out = _integer_kernel(Matrix(base, rows, width), c.ring)
     if not (out.contains_lattice(d) and out.contains_lattice(f)):
         raise AssertionError("wedge must contain both arguments")
     return out
@@ -371,11 +388,7 @@ def components(c: Coalgebra) -> ComponentDecomposition:
         act = _dual_action(rows, n, e)
         for i in range(n):
             act[i][i] -= denom * d
-        component = kernel_lattice(Matrix(base, act, n))
-        if base != ring:
-            rows_over_ring = [list(map(ring.normalize, row)) for row in component.basis.rows]
-            component = Lattice.from_rows(ring, n, rows_over_ring)
-        parts.append((tuple(g), component))
+        parts.append((tuple(g), _integer_kernel(Matrix(base, act, n), ring)))
     return _validated_decomposition(c, parts)
 
 

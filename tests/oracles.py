@@ -7,6 +7,14 @@ idempotent lift over the fraction field in plain Fractions (or ints mod
 p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.
+
+The exception is the last section: the package's former tensor-square
+routines (subcoalgebra test, filtration compatibility, wedge), which
+work in the n^2-dimensional ambient space C (x) C through Kronecker
+products, Hermite forms and ``Lattice.solve``.  Their logic is kept unchanged
+so the n x n block versions can be compared with them bit for bit, and
+they use the package's ``Lattice`` and ``Matrix``, which
+``test_lattice`` and ``test_matrix`` check on their own.
 """
 
 from __future__ import annotations
@@ -362,3 +370,82 @@ def cone_is_acyclic(dom_sset, cod_sset, level_maps, top_degree):
         if dim - rank_in - rank_out != 0 or any(dv > 1 for dv in divs):
             return False
     return True
+
+
+def algebra_axiom_locations(mult_rows, unit, n, p=None):
+    """(commutativity, associativity, unit law) first-failure locations, "" when they hold.
+
+    The products are formed one triple at a time, as plain vector
+    products e_i * e_j = row i*n + j, and compared after reduction mod p
+    when p is given.
+    """
+    def red(v):
+        return v % p if p else v
+
+    def multiply(x, y):
+        acc = [0] * n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a and b:
+                    acc = [s + a * b * m for s, m in zip(acc, mult_rows[i * n + j])]
+        return acc
+
+    def differ(x, y):
+        return any(red(a - b) for a, b in zip(x, y))
+
+    basis = [[int(t == s) for t in range(n)] for s in range(n)]
+    comm = next((f"(i,j)=({i},{j})" for i in range(n) for j in range(i + 1, n)
+                 if differ(mult_rows[i * n + j], mult_rows[j * n + i])), "")
+    assoc = next((f"(i,j,k)=({i},{j},{k})" for i in range(n) for j in range(n) for k in range(n)
+                  if differ(multiply(mult_rows[i * n + j], basis[k]),
+                            multiply(basis[i], mult_rows[j * n + k]))), "")
+    unit_law = next((f"basis {i}" for i in range(n) if differ(multiply(unit, basis[i]), basis[i])), "")
+    return comm, assoc, unit_law
+
+
+# --- former n^2-ambient routines ---------------------------------------------
+
+
+def kron_is_subcoalgebra(lat, c):
+    """Delta(L) inside the saturation of the Kronecker lattice L (x) L."""
+    square = lat.kron(lat)
+    if all(square.contains(c.comultiply(row)) for row in lat.basis.rows):
+        return True
+    if lat.is_pure()[0]:
+        return False
+    saturated = square.saturate()
+    return all(saturated.contains(c.comultiply(row)) for row in lat.basis.rows)
+
+
+def stage_tensor_sum(stages, n):
+    """The lattice sum over i of V_{min(n-i, last)} (x) V_{min(i, last)}."""
+    from purecoalg import Lattice
+
+    seen = set()
+    rows = []
+    for i in range(n + 1):
+        left = min(n - i, len(stages) - 1)
+        right = min(i, len(stages) - 1)
+        if (left, right) in seen:
+            continue
+        seen.add((left, right))
+        rows.extend(stages[left].basis.kron(stages[right].basis).rows)
+    return Lattice.from_rows(stages[0].ring, stages[0].ambient_rank ** 2, rows)
+
+
+def kron_incompatible_stage(stages, c):
+    """First stage n with Delta(V_n) outside sum_i V_{n-i} (x) V_i, or None."""
+    for n, v in enumerate(stages):
+        target = stage_tensor_sum(stages, n)
+        if not all(target.contains(c.comultiply(row)) for row in v.basis.rows):
+            return n
+    return None
+
+
+def kron_wedge(d, f, c):
+    """Kernel of Delta * (P_D (x) P_F) for pure subcoalgebra lattices D and F."""
+    from purecoalg.lattice import kernel_lattice
+
+    proj_d, _ = d.complement_projection()
+    proj_f, _ = f.complement_projection()
+    return kernel_lattice(c.delta * proj_d.kron(proj_f))

@@ -187,6 +187,25 @@ def test_purify_subcoalgebra_examples():
         purify_subcoalgebra(Lattice.from_rows(ZZ, 2, [[0, 1]]), c)
 
 
+def test_impure_lattices_answer_through_their_saturation():
+    """The doubled lines above: Delta(L) lies in sat(L) (x) sat(L), as the Kronecker oracle says."""
+    from oracles import kron_is_subcoalgebra
+
+    ab = set_like(ZZ, ["a", "b"])
+    c = dual_zxk(2)
+    cases = [
+        (Lattice.from_rows(ZZ, 2, [[2, 0]]), ab, True),
+        (Lattice.from_rows(ZZ, 2, [[2, 0], [0, 1]]), c, True),
+        (Lattice.from_rows(ZZ, 2, [[2, 0]]), c, True),
+        (Lattice.from_rows(ZZ, 2, [[0, 2]]), c, False),
+        (Lattice.from_rows(ZZ, 2, [[2, 2]]), ab, False),
+    ]
+    for lat, coalgebra, want in cases:
+        assert not lat.is_pure()[0]
+        assert is_subcoalgebra(lat, coalgebra) == kron_is_subcoalgebra(lat, coalgebra) == want
+        assert is_subcoalgebra(lat.saturate(), coalgebra) == want
+
+
 def test_intersection_of_pure_subcoalgebras_is_subcoalgebra():
     rng = random.Random(71)
     for entry in generate_coalgebras(71, 12, max_rank=8):

@@ -13,6 +13,7 @@ from purecoalg import (
     ZZ,
     kernel_lattice,
     localized_integers,
+    prime_field,
 )
 from purecoalg.corpus import random_lattices, random_pure_lattices
 
@@ -140,3 +141,23 @@ def test_complement_projection_contract():
         assert (lat.basis * proj).is_zero()
         assert section * proj == Matrix.identity(ZZ, n - lat.rank)
         assert kernel_lattice(proj) == lat
+
+
+def test_integral_projection_kernel_is_the_saturation():
+    rng = random.Random(59)
+    zs = localized_integers([2, 3])
+    for ring in (ZZ, QQ, zs, prime_field(7)):
+        def entry():
+            v = rng.randint(-6, 6)
+            return ring.normalize(Fraction(v, rng.choice([1, 1, 2, 3])) if ring.kind in ("Q", "ZS") else v)
+
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            lat = Lattice.from_rows(ring, n, [[entry() for _ in range(n)] for _ in range(rng.randint(0, n))])
+            proj = lat.integral_projection()
+            assert proj is lat.integral_projection()  # computed once per lattice
+            assert all(isinstance(v, int) for row in proj for v in row)
+            width = n - lat.rank
+            assert len(proj) == n and all(len(row) == width for row in proj)
+            kernel = kernel_lattice(Matrix(ring, [[ring.normalize(v) for v in row] for row in proj], width))
+            assert kernel == lat.saturate()

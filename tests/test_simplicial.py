@@ -151,6 +151,25 @@ def test_cofibration_examples():
     assert is_cofibration(chains_map(vertex_inclusion, ZZ))
 
 
+def test_mapping_cone_runs_one_projection_per_level(monkeypatch):
+    """The cone reuses the projections and sections of the two normalized complexes."""
+    from purecoalg.lattice import Lattice
+
+    calls = []
+    original = Lattice.complement_projection
+
+    def counted(self):
+        calls.append(self.ambient_rank)
+        return original(self)
+
+    monkeypatch.setattr(Lattice, "complement_projection", counted)
+    pt = standard_point(2)
+    collapse = chains_map(constant_map(standard_interval(2), pt, "pt"), ZZ)
+    assert is_weak_equivalence(collapse, 1)
+    # three levels on each side, one Smith decomposition each
+    assert len(calls) == 6
+
+
 def test_weak_equivalence_degree_guard():
     s1 = standard_circle(2)
     ident = chains_map(identity_simplicial_map(s1), ZZ)

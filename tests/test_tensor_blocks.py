@@ -1,0 +1,252 @@
+"""Tensor-square checks on n x n blocks against the former n^2-ambient routines.
+
+The subcoalgebra test, the filtration compatibility check and the wedge
+work on the n x n matrix X of Delta(x) through products P^T X Q with the
+integral quotient projections of pure lattices.  ``oracles`` keeps the
+Kronecker-product versions they replaced; both must agree over Z, Q,
+Z[1/2,1/3] and F_101, on accepted inputs and on rejected stage lists.
+"""
+
+import importlib
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from purecoalg import (
+    Coalgebra,
+    Filtration,
+    Lattice,
+    Matrix,
+    NotSubcoalgebra,
+    QQ,
+    ValidationError,
+    WorkbenchError,
+    ZZ,
+    components,
+    conjugate,
+    coradical_filtration,
+    dual_algebra,
+    dual_of_algebra,
+    is_subcoalgebra,
+    prime_field,
+    truncated_polynomial_algebra,
+    wedge,
+)
+from purecoalg.corpus import generate_coalgebras
+from purecoalg.rings import localized_integers
+
+import oracles
+
+
+def _over_q(c):
+    delta = Matrix(QQ, [[Fraction(v) for v in row] for row in c.delta.rows], c.rank * c.rank)
+    return Coalgebra(QQ, c.rank, delta, [Fraction(v) for v in c.counit])
+
+
+def _scale_basis_vector(ring, n, k, unit):
+    return Matrix(ring, [[unit if i == j == k else ring.normalize(int(i == j)) for j in range(n)]
+                         for i in range(n)], n)
+
+
+def _has_denominators(c):
+    return any(v.denominator != 1 for row in c.delta.rows for v in row)
+
+
+def _corpora():
+    """(name, coalgebras) for Z, Q, Z[1/2,1/3] with denominators in Delta, and F_101."""
+    over_z = [e.coalgebra for e in generate_coalgebras(83, 14, max_rank=7)]
+    zs = localized_integers([2, 3])
+    over_zs = []
+    for entry in generate_coalgebras(89, 24, max_rank=7, ring=zs):
+        c = entry.coalgebra
+        if c.rank < 4:
+            continue
+        # scaling basis vector k by the unit 1/6 can put denominators into
+        # Delta; keep the first such conjugate that has them
+        twins = [conjugate(c, _scale_basis_vector(zs, c.rank, k, Fraction(1, 6))) for k in range(c.rank)]
+        over_zs += [c, max(twins, key=_has_denominators)]
+    f101 = [e.coalgebra for e in generate_coalgebras(97, 14, max_rank=7, ring=prime_field(101))]
+    return [("Z", over_z), ("Q", [_over_q(c) for c in over_z]), ("Z[1/2,1/3]", over_zs), ("F_101", f101)]
+
+
+CORPORA = _corpora()
+
+
+def _scaled(lat, k):
+    """The lattice spanned by k times the basis: impure over Z and Z[1/2,1/3] when k is a non-unit."""
+    return Lattice.from_rows(lat.ring, lat.ambient_rank, [[k * v for v in row] for row in lat.basis.rows])
+
+
+@pytest.mark.parametrize("name,corpus", CORPORA, ids=[name for name, _ in CORPORA])
+def test_blocks_match_kron_oracles_on_accepted_inputs(name, corpus):
+    rng = random.Random(101)
+    if name == "Z[1/2,1/3]":
+        assert sum(map(_has_denominators, corpus)) >= 5
+    for c in corpus:
+        filt = coradical_filtration(c)
+        v0 = filt.stages[0]
+        for lower, upper in zip(filt.stages, filt.stages[1:]):
+            # bit-identical wedge, entry for entry of the Hermite basis
+            want = oracles.kron_wedge(lower, v0, c).basis.rows
+            assert wedge(lower, v0, c).basis.rows == want == upper.basis.rows
+        assert oracles.kron_incompatible_stage(list(filt.stages), c) is None
+        lattices = list(filt.stages) + [lat for _, lat in components(c)]
+        lattices += [_scaled(lat, 5) for lat in lattices if lat.rank]
+        rows = [[c.ring.normalize(rng.randint(-2, 2)) for _ in range(c.rank)] for _ in range(2)]
+        random_lat = Lattice.from_rows(c.ring, c.rank, rows)
+        lattices += [random_lat, _scaled(random_lat, 5)]
+        for lat in lattices:
+            assert is_subcoalgebra(lat, c) == oracles.kron_is_subcoalgebra(lat, c)
+        parts = [lat for _, lat in components(c)]
+        if len(parts) >= 2:
+            assert wedge(parts[0], parts[1], c) == oracles.kron_wedge(parts[0], parts[1], c)
+
+
+def _verdict(c, stages):
+    """How Filtration(c, stages) ends: None when accepted, else (check, stage index)."""
+    try:
+        Filtration(c, stages)
+    except WorkbenchError as exc:
+        message = str(exc)
+        if message == "filtration stages must increase":
+            return ("increase", None)
+        index = int(message.split("stage ")[1].split()[0])
+        if "not pure" in message:
+            return ("pure", index)
+        if isinstance(exc, NotSubcoalgebra):
+            return ("subcoalgebra", index)
+        assert message == f"Delta is not compatible with filtration stage {index}"
+        return ("compatibility", index)
+    return None
+
+
+def _oracle_verdict(c, stages):
+    """The same verdict, with the subcoalgebra and compatibility checks done in C (x) C."""
+    for lower, upper in zip(stages, stages[1:]):
+        if not upper.contains_lattice(lower):
+            return ("increase", None)
+    for idx, v in enumerate(stages):
+        if not v.is_pure()[0]:
+            return ("pure", idx)
+        if not oracles.kron_is_subcoalgebra(v, c):
+            return ("subcoalgebra", idx)
+    index = oracles.kron_incompatible_stage(stages, c)
+    return None if index is None else ("compatibility", index)
+
+
+def _random_stage_lists(rng, c):
+    """Stage lists of every verdict: sub-flags of the coradical filtration, components, random lattices."""
+    filt = list(coradical_filtration(c).stages)
+    pool = filt + [lat for _, lat in components(c)]
+    for _ in range(6):
+        kept = sorted(rng.sample(range(len(filt)), rng.randint(1, len(filt))))
+        yield [filt[i] for i in kept]
+    for _ in range(3):
+        rows = [[c.ring.normalize(rng.randint(-3, 3)) for _ in range(c.rank)]
+                for _ in range(rng.randint(1, c.rank))]
+        random_lat = Lattice.from_rows(c.ring, c.rank, rows)
+        stages = [rng.choice(pool), random_lat, random_lat.saturate()]
+        yield sorted(stages[: rng.randint(1, 3)], key=lambda lat: lat.rank)
+    yield [filt[0], Lattice.full(c.ring, c.rank)]
+    yield [_scaled(filt[0], 5)] + filt[1:]
+
+
+@pytest.mark.parametrize("name,corpus", CORPORA, ids=[name for name, _ in CORPORA])
+def test_filtration_verdicts_match_kron_oracles_on_random_stage_lists(name, corpus):
+    rng = random.Random(103)
+    seen = set()
+    for c in corpus:
+        for stages in _random_stage_lists(rng, c):
+            got = _verdict(c, stages)
+            assert got == _oracle_verdict(c, stages)
+            seen.add(got[0] if got else "accepted")
+    assert {"accepted", "compatibility", "subcoalgebra"} <= seen
+    if name in ("Z", "Z[1/2,1/3]"):
+        assert "pure" in seen
+
+
+def dual_zxk(k):
+    return dual_of_algebra(truncated_polynomial_algebra(ZZ, k))
+
+
+def test_compatibility_and_subcoalgebra_rejections_fire():
+    c = dual_zxk(3)
+    v0 = Lattice.from_rows(ZZ, 3, [[1, 0, 0]])
+    # Delta(e2) has the term e1 (x) e1, outside V_1 (x) V_0 + V_0 (x) V_1
+    with pytest.raises(ValidationError, match="Delta is not compatible with filtration stage 1"):
+        Filtration(c, [v0, Lattice.full(ZZ, 3)])
+    assert oracles.kron_incompatible_stage([v0, Lattice.full(ZZ, 3)], c) == 1
+    # span(e0, e2) is pure but Delta(e2) needs e1 (x) e1
+    skip = Lattice.from_rows(ZZ, 3, [[1, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotSubcoalgebra, match="filtration stage 1 is not a subcoalgebra"):
+        Filtration(c, [v0, skip])
+    with pytest.raises(NotSubcoalgebra, match="filtration stage 0 is not a subcoalgebra"):
+        Filtration(c, [skip, Lattice.full(ZZ, 3)])
+    assert Filtration(c, [v0, Lattice.from_rows(ZZ, 3, [[1, 0, 0], [0, 1, 0]]), Lattice.full(ZZ, 3)])
+
+
+def test_algebra_validate_matches_per_triple_oracle():
+    rng = random.Random(107)
+    cases = []
+    for ring, p in ((ZZ, None), (prime_field(7), 7)):
+        for entry in generate_coalgebras(109, 6, max_rank=5, ring=ring):
+            cases.append((dual_algebra(entry.coalgebra), p))
+    for a, p in list(cases):
+        n = a.rank
+        for _ in range(3):
+            # perturb one structure constant, or the unit, and compare first failures
+            rows = [list(row) for row in a.mult.rows]
+            unit = list(a.unit)
+            if rng.random() < 0.25:
+                unit[rng.randrange(n)] += 1
+            else:
+                rows[rng.randrange(n * n)][rng.randrange(n)] += rng.choice([-1, 1, 2])
+            cases.append((type(a)(a.ring, n, Matrix(a.ring, rows, n), unit), p))
+    failures = 0
+    for a, p in cases:
+        report = a.validate()
+        got = tuple(check.location if not check.passed else "" for check in report.checks)
+        want = oracles.algebra_axiom_locations(a.mult.rows, a.unit, a.rank, p)
+        assert [check.name for check in report.checks] == ["commutativity", "associativity", "unit law"]
+        assert got == want
+        failures += not report.overall
+    assert failures >= 20
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_name_resolves():
+    """The benchmark's per-layer trace wraps these names with getattr; each must exist."""
+    tracer = _load_tracer()
+    for module_name, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"purecoalg.{module_name}")
+        for name in names:
+            owner_name, _, attr = name.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            assert callable(getattr(owner, attr)), f"{module_name}.{name}"
+
+
+def test_orientation_on_a_non_cocommutative_comultiplication():
+    """Delta(e2) = e0 (x) e2 + e2 (x) e1: the left and right factors are not interchangeable."""
+    delta = [[0] * 9 for _ in range(3)]
+    delta[0][0] = delta[1][4] = 1
+    delta[2][0 * 3 + 2] = delta[2][2 * 3 + 1] = 1
+    c = Coalgebra(ZZ, 3, Matrix(ZZ, delta, 9), [1, 1, 0])
+    d = Lattice.from_rows(ZZ, 3, [[1, 0, 0]])
+    f = Lattice.from_rows(ZZ, 3, [[0, 1, 0]])
+    assert wedge(d, f, c) == oracles.kron_wedge(d, f, c) == Lattice.full(ZZ, 3)
+    assert wedge(f, d, c) == oracles.kron_wedge(f, d, c) == d.add(f)
+    # Delta(e2) lies in C (x) span(e1, e2) but not in span(e1, e2) (x) C
+    right_only = Lattice.from_rows(ZZ, 3, [[0, 1, 0], [0, 0, 1]])
+    assert not is_subcoalgebra(right_only, c) and not oracles.kron_is_subcoalgebra(right_only, c)
+    left_only = Lattice.from_rows(ZZ, 3, [[1, 0, 0], [0, 0, 1]])
+    assert not is_subcoalgebra(left_only, c) and not oracles.kron_is_subcoalgebra(left_only, c)
