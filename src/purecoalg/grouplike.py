@@ -12,10 +12,17 @@ eigenspaces, pursuing only eigenvalues in the ground field (no other
 eigenvalue can contribute); an integer eigenvalue lam of the scaled
 operators is the character value lam / D.  The candidates whose
 coordinates lie in the ground ring are then verified exactly against
-the defining equations.  Eigenvalues are integer roots, or roots in
-F_p found by root finding for every prime, of characteristic
-polynomials; the exhaustive scan ``group_likes_bruteforce`` is an
-oracle for tests only.
+the defining equations, in integers like the search.  Eigenvalues are
+integer roots, or roots in F_p found by root finding for every prime,
+of characteristic polynomials; the exhaustive scan
+``group_likes_bruteforce`` is an oracle for tests only.
+
+A block that acts on an eigenspace as a scalar lam needs none of that:
+its characteristic polynomial is (x - lam)^r, lam is its only root, and
+the eigenspace comes back unchanged.  Each character's joint eigenspace
+is a line, so after the first few splits almost every block is such a
+scalar, and the search tests for it first, on the image of the Hermite
+basis, before it forms a characteristic polynomial.
 
 Pointedness is decided over the fraction field K: C is pointed iff the
 semisimple quotient of A (x) K has dimension equal to the number of
@@ -33,6 +40,7 @@ group-likes together.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,15 +100,30 @@ class PointednessReport:
         return "\n".join(lines)
 
 
-def _is_group_like(c: Coalgebra, g) -> bool:
+def _is_group_like(c: Coalgebra, g, cleared) -> bool:
+    """Whether Delta(g) = g (x) g and eps(g) = 1.
+
+    Over Z, Q and Z[S^-1] the comultiplication is compared in integers:
+    with g = a / d, d the lcm of the denominators, and the rows D * Delta
+    of ``cleared = cleared_delta(c)``, Delta(g) = g (x) g is
+    d * (D Delta)(a) = D * (a (x) a).  Over F_p it is compared on
+    residues and ``cleared`` is not read.
+    """
     ring = c.ring
-    n = c.rank
-    w = c.comultiply(g)
-    outer = [g[j] * g[k] for j in range(n) for k in range(n)]
     if ring.kind == "Fp":
-        outer = [v % ring.p for v in outer]
-    if w != outer:
-        return False
+        outer = [x * y % ring.p for x in g for y in g]
+        if c.comultiply(g) != outer:
+            return False
+    else:
+        _, denom, rows = cleared
+        d = math.lcm(*(x.denominator for x in g))
+        a = [x.numerator * (d // x.denominator) for x in g]
+        acc = [0] * (c.rank * c.rank)
+        for ai, row in zip(a, rows):
+            if ai:
+                acc = [u + ai * v for u, v in zip(acc, row)]
+        if [d * u for u in acc] != [denom * x * y for x in a for y in a]:
+            return False
     return c.counit_of(g) == ring.one
 
 
@@ -122,6 +145,23 @@ def _roots(coeffs, ring: Ring) -> list[int]:
     return integer_roots(coeffs)
 
 
+def _scalar(space: Lattice, image: Matrix):
+    """The lam with image = lam * (Hermite basis of the space), or None if there is none.
+
+    lam is read off the pivot of the first basis row, by exact division
+    over Z and with the inverse mod p over F_p.
+    """
+    first = space.basis.rows[0]
+    pivot = next(k for k, v in enumerate(first) if v)
+    if space.ring.kind == "Fp":
+        lam = image.rows[0][pivot] * pow(first[pivot], -1, space.ring.p) % space.ring.p
+    else:
+        lam, rem = divmod(image.rows[0][pivot], first[pivot])
+        if rem:
+            return None
+    return lam if image == space.basis.scale(lam) else None
+
+
 def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
     """Joint eigen-covector eigenvalue tuples of the integral dual multiplications.
 
@@ -133,6 +173,15 @@ def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
     so its restriction is an integer matrix found by back-substitution,
     and its eigenvalues in the ring are roots of an integer (or mod p)
     characteristic polynomial.
+
+    A block whose image of the Hermite basis is lam times that basis is
+    the scalar lam on the space, and the space passes on unchanged with
+    lam appended.  That is exactly what the general step would give: the
+    characteristic polynomial is (x - lam)^r with the single root lam,
+    the kernel of the zero matrix is the whole space and its Hermite
+    basis is the one it already has.  A block that maps the space out of
+    itself is never such a scalar, so it still reaches ``_restriction``
+    and its invariance check.
     """
     if n == 0:
         return []
@@ -141,7 +190,12 @@ def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
         block = Matrix(ring, [row[i * n : (i + 1) * n] for row in delta_rows], n)
         nxt = []
         for space, prefix in spaces:
-            restriction = _restriction(space, space.basis * block)
+            image = space.basis * block
+            lam = _scalar(space, image)
+            if lam is not None:
+                nxt.append((space, prefix + (lam,)))
+                continue
+            restriction = _restriction(space, image)
             ident = Matrix.identity(ring, space.rank)
             for lam in _roots(charpoly(restriction), ring):
                 ker_rows = left_kernel_rows(restriction - ident.scale(lam))
@@ -155,13 +209,13 @@ def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
     return [prefix for _, prefix in spaces]
 
 
-def _characters(c: Coalgebra) -> list[tuple]:
+def _characters(c: Coalgebra, cleared) -> list[tuple]:
     """The fraction-field-valued characters of the dual algebra.
 
     The search runs over Z on the cleared Delta (over F_p on Delta); an
     eigenvalue lam of the scaled blocks is the character value lam / D.
     """
-    base, denom, rows = cleared_delta(c)
+    base, denom, rows = cleared
     tuples = _character_tuples(rows, c.rank, base)
     if base.kind == "Fp":
         return tuples
@@ -172,7 +226,7 @@ def _in_ring(ring: Ring, values) -> bool:
     return ring.kind == "Fp" or all(ring.contains_fraction(x) for x in values)
 
 
-def _verified_group_likes(c: Coalgebra, tuples) -> list:
+def _verified_group_likes(c: Coalgebra, tuples, cleared) -> list:
     """The characters with coordinates in the ground ring, each reverified exactly."""
     ring = c.ring
     vectors = []
@@ -180,7 +234,7 @@ def _verified_group_likes(c: Coalgebra, tuples) -> list:
         if not _in_ring(ring, tup):
             continue
         cand = list(tup) if ring.kind == "Fp" else [ring.from_fraction(x) for x in tup]
-        if not _is_group_like(c, cand):
+        if not _is_group_like(c, cand, cleared):
             raise AssertionError("character candidate failed exact verification")
         vectors.append(tuple(cand))
     vectors.sort()
@@ -194,7 +248,8 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
     field; a candidate survives if every coordinate lies in the ground
     ring, and each survivor is reverified exactly against the definition.
     """
-    return _certified(c, _verified_group_likes(c, _characters(c)))
+    cleared = cleared_delta(c)
+    return _certified(c, _verified_group_likes(c, _characters(c, cleared), cleared))
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -223,15 +278,15 @@ def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
     n = c.rank
     if ring.p**n > BRUTE_FORCE_BOUND:
         raise TooLarge(f"{ring.p}^{n} exceeds the enumeration bound {BRUTE_FORCE_BOUND}")
-    vectors = [tuple(g) for g in itertools.product(range(ring.p), repeat=n) if _is_group_like(c, list(g))]
+    vectors = [tuple(g) for g in itertools.product(range(ring.p), repeat=n) if _is_group_like(c, list(g), None)]
     vectors.sort()
     return _certified(c, vectors)
 
 
-def _trace_form_rank(c: Coalgebra) -> int:
+def _trace_form_rank(c: Coalgebra, cleared) -> int:
     """Rank of the trace form (x, y) -> tr(L_x L_y) of the dual algebra.
 
-    Delta is first cleared of denominators by the lcm D of all of them,
+    Delta comes cleared of denominators by the lcm D of all of them,
     which scales the form by D^2 and keeps its rank, so the Gram matrix
     is integral.  With B_i the i-th n x n column block of Delta (the
     transposed multiplication by the i-th dual basis vector),
@@ -240,7 +295,7 @@ def _trace_form_rank(c: Coalgebra) -> int:
     triangle is computed.
     """
     n = c.rank
-    _, _, rows = cleared_delta(c)
+    _, _, rows = cleared
     by_rows = [[v for row in rows for v in row[i * n : (i + 1) * n]] for i in range(n)]
     by_cols = [[rows[b][j * n + a] for a in range(n) for b in range(n)] for j in range(n)]
     gram = [[0] * n for _ in range(n)]
@@ -251,7 +306,7 @@ def _trace_form_rank(c: Coalgebra) -> int:
     return hnf_basis(Matrix(ZZ, gram, n)).nrows
 
 
-def _semisimple_dimension(c: Coalgebra) -> int:
+def _semisimple_dimension(c: Coalgebra, cleared) -> int:
     """Dimension of the semisimple quotient of the dual algebra over the fraction field.
 
     The radical is the kernel of the iterated Frobenius in characteristic
@@ -259,12 +314,12 @@ def _semisimple_dimension(c: Coalgebra) -> int:
     """
     if c.ring.kind == "Fp":
         return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
-    return _trace_form_rank(c)
+    return _trace_form_rank(c, cleared)
 
 
-def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
+def _pointedness(c: Coalgebra, tuples, cleared) -> PointednessReport:
     """Pointedness from the characters: as many as the semisimple dimension, all integral."""
-    semisimple_dim = _semisimple_dimension(c)
+    semisimple_dim = _semisimple_dimension(c, cleared)
     nonintegral = [t for t in tuples if not _in_ring(c.ring, t)]
     flag = semisimple_dim == len(tuples) and not nonintegral
     return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
@@ -272,23 +327,25 @@ def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport)."""
-    report = _pointedness(c, _characters(c))
+    cleared = cleared_delta(c)
+    report = _pointedness(c, _characters(c, cleared), cleared)
     return report.pointed, report
 
 
-def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
+def pointed_group_likes(c: Coalgebra, need: str, cleared) -> GroupLikeSet:
     """Certified group-likes of a coalgebra that must be pointed.
 
     One character search serves both the pointedness decision and the
     group-likes, with every check of ``is_pointed`` and ``group_likes``.
-    A coalgebra that is not pointed raises NotPointed with ``need`` and
-    the report.
+    ``cleared`` is ``cleared_delta(c)``, which the caller passes on to
+    its own checks too.  A coalgebra that is not pointed raises
+    NotPointed with ``need`` and the report.
     """
-    tuples = _characters(c)
-    report = _pointedness(c, tuples)
+    tuples = _characters(c, cleared)
+    report = _pointedness(c, tuples, cleared)
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
-    return _certified(c, _verified_group_likes(c, tuples))
+    return _certified(c, _verified_group_likes(c, tuples, cleared))
 
 
 def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:

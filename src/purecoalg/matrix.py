@@ -18,6 +18,8 @@ acceptable at desk scale.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import RingMismatch
 from .rings import QQ, Ring, prime_field, reduce_rows_mod_p
 
@@ -483,10 +485,10 @@ def charpoly(mat: Matrix) -> list:
         Ablock = [row[:i] for row in M[:i]]
         toe = [one, -M[i][i]]
         v = Ccol
-        toe.append(-sum((r * c for r, c in zip(R, v)), zero))
+        toe.append(-sum(map(operator.mul, R, v)))
         for _ in range(i - 1):
-            v = [sum((row[k] * v[k] for k in range(i)), zero) for row in Ablock]
-            toe.append(-sum((r * c for r, c in zip(R, v)), zero))
+            v = [sum(map(operator.mul, row, v)) for row in Ablock]
+            toe.append(-sum(map(operator.mul, R, v)))
         new = []
         for k in range(i + 2):
             acc = zero

@@ -24,6 +24,7 @@ from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
     ValidationReport,
+    cleared_delta,
     set_like,
     validate_map,
 )
@@ -451,7 +452,7 @@ def _gr_simplicial(c: SimplicialCoalgebra):
     """``gr_simplicial`` with the group-likes and names of each level it found them by."""
     level_sets = []
     for n, level in enumerate(c.levels):
-        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed").vectors)
+        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed", cleared_delta(level)).vectors)
     names = [
         [_vector_name(g, level) for g in vectors]
         for vectors, level in zip(level_sets, c.levels)

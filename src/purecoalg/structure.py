@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
+    _is_subcoalgebra,
     cleared_delta,
     delta_blocks,
-    is_subcoalgebra,
     sandwich,
     tensor,
     tensor_block,
@@ -75,17 +75,18 @@ class Filtration:
         for lower, upper in zip(stages, stages[1:]):
             if not upper.contains_lattice(lower):
                 raise ValidationError("filtration stages must increase")
+        cleared = cleared_delta(coalgebra)
         for idx, v in enumerate(stages):
             flag, witness = v.is_pure()
             if not flag:
                 raise NotPure(f"filtration stage {idx} is not pure (witness prime {witness})")
-            if not is_subcoalgebra(v, coalgebra):
+            if not _is_subcoalgebra(v, coalgebra, cleared):
                 raise NotSubcoalgebra(f"filtration stage {idx} is not a subcoalgebra")
         self.coalgebra = coalgebra
         self.stages = tuple(stages)
-        self._check_compatibility()
+        self._check_compatibility(cleared)
 
-    def _check_compatibility(self):
+    def _check_compatibility(self, cleared):
         """Delta(V_m) <= sum_i V_{m-i} (x) V_i at every stage m.
 
         For nested pure stages that sum is the intersection over
@@ -98,7 +99,7 @@ class Filtration:
         c = self.coalgebra
         proj = [None] + [v.integral_projection() for v in self.stages]
         for m, v in enumerate(self.stages):
-            for x in delta_blocks(c, v.basis.rows):
+            for x in delta_blocks(c, cleared, v.basis.rows):
                 for a in range(-1, m + 1):
                     if not vanishes(sandwich(proj[a + 1], x, proj[m - a], c.rank), c.ring):
                         raise ValidationError(f"Delta is not compatible with filtration stage {m}")
@@ -125,8 +126,9 @@ class Filtration:
 
     def is_wedge_filtration(self) -> bool:
         """Whether V_n <= V_{n-1} ^ V_0 holds at every stage."""
+        cleared = cleared_delta(self.coalgebra)
         for n in range(1, len(self.stages)):
-            w = wedge(self.stages[n - 1], self.stages[0], self.coalgebra)
+            w = _wedge(self.stages[n - 1], self.stages[0], self.coalgebra, cleared)
             if not w.contains_lattice(self.stages[n]):
                 return False
         return True
@@ -156,14 +158,14 @@ class ComponentDecomposition:
         return Matrix(self.coalgebra.ring, rows, self.coalgebra.rank)
 
 
-def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
+def _validated_decomposition(c: Coalgebra, parts, cleared) -> ComponentDecomposition:
     parts = sorted(parts, key=lambda p: tuple(p[0]))
     gl = [tuple(g) for g, _ in parts]
     for idx, (g, lat) in enumerate(parts):
         flag, witness = lat.is_pure()
         if not flag:
             raise AssertionError(f"component {idx} is impure (witness {witness})")
-        if not is_subcoalgebra(lat, c):
+        if not _is_subcoalgebra(lat, c, cleared):
             raise AssertionError(f"component {idx} is not a subcoalgebra")
         if not lat.contains(list(g)):
             raise AssertionError(f"component {idx} misses its group-like")
@@ -201,15 +203,20 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     columns scaled by nonzero integers, and carried back to the ring;
     the canonical Hermite basis makes it the same lattice.
     """
+    return _wedge(d, f, c, cleared_delta(c))
+
+
+def _wedge(d: Lattice, f: Lattice, c: Coalgebra, cleared) -> Lattice:
+    """``wedge`` for a caller that holds ``cleared = cleared_delta(c)``."""
     for name, lat in (("first", d), ("second", f)):
         if lat.ambient_rank != c.rank:
             raise AmbientMismatch(f"{name} wedge argument has wrong ambient rank")
         flag, witness = lat.is_pure()
         if not flag:
             raise NotPure(f"{name} wedge argument is impure (witness prime {witness})")
-        if not is_subcoalgebra(lat, c):
+        if not _is_subcoalgebra(lat, c, cleared):
             raise NotSubcoalgebra(f"{name} wedge argument is not a subcoalgebra")
-    base, _, delta = cleared_delta(c)
+    base, _, delta = cleared
     left, right = d.integral_projection(), f.integral_projection()
     n = c.rank
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
@@ -250,12 +257,13 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     reach the full lattice, and a stall below full rank is reported as
     NotExhaustive (it would contradict pointedness).
     """
-    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
+    cleared = cleared_delta(c)
+    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra", cleared)).lattice()
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
             raise NotExhaustive("coradical filtration exceeded the rank bound")
-        nxt = wedge(stages[-1], v0, c)
+        nxt = _wedge(stages[-1], v0, c, cleared)
         if nxt == stages[-1]:
             raise NotExhaustive("coradical filtration stabilized below full rank")
         stages.append(nxt)
@@ -269,7 +277,8 @@ def primitives(c: Coalgebra, g) -> Lattice:
     with the group-like line they exhaust stage one of the coradical
     filtration, which is verified before returning.
     """
-    gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra")
+    cleared = cleared_delta(c)
+    gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra", cleared)
     if len(gl) != 1:
         raise NotIrreducible(f"expected a unique group-like, found {len(gl)}")
     if tuple(g) != gl.vectors[0]:
@@ -288,7 +297,7 @@ def primitives(c: Coalgebra, g) -> Lattice:
         rows.append(row)
     pr = kernel_lattice(Matrix(ring, rows, n * n))
     v0 = Lattice.from_rows(ring, n, [list(g)])
-    v1 = wedge(v0, v0, c)
+    v1 = _wedge(v0, v0, c, cleared)
     if v1.rank != v0.rank + pr.rank or v1 != v0.add(pr):
         raise AssertionError("stage one must split as coradical plus primitives")
     return pr
@@ -363,12 +372,13 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     denominators, with e held as an integer vector E over one common
     denominator d, and over F_p on Delta itself with d = 1.
     """
-    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
+    cleared = cleared_delta(c)
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra", cleared))
     n = c.rank
     ring = c.ring
     if n == 0:
         return ComponentDecomposition(c, ())
-    base, denom, rows = cleared_delta(c)
+    base, denom, rows = cleared
     steps = _lift_steps(n)
     parts = []
     for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, base)):
@@ -389,12 +399,13 @@ def components(c: Coalgebra) -> ComponentDecomposition:
         for i in range(n):
             act[i][i] -= denom * d
         parts.append((tuple(g), _integer_kernel(Matrix(base, act, n), ring)))
-    return _validated_decomposition(c, parts)
+    return _validated_decomposition(c, parts, cleared)
 
 
 def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
     """Oracle decomposition: iterate wedges of each group-like line."""
-    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
+    cleared = cleared_delta(c)
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra", cleared))
     if c.rank == 0:
         return ComponentDecomposition(c, ())
     parts = []
@@ -402,14 +413,14 @@ def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
         line = Lattice.from_rows(c.ring, c.rank, [list(g)])
         cur = line
         for _ in range(c.rank + 1):
-            nxt = wedge(cur, line, c)
+            nxt = _wedge(cur, line, c, cleared)
             if nxt == cur:
                 break
             cur = nxt
         else:
             raise NotExhaustive("wedge iteration failed to stabilize within the rank bound")
         parts.append((tuple(g), cur))
-    return _validated_decomposition(c, parts)
+    return _validated_decomposition(c, parts, cleared)
 
 
 def split_coradical(c: Coalgebra) -> CoalgebraMap:

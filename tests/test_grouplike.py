@@ -31,6 +31,7 @@ from purecoalg import (
     validate_map,
 )
 from purecoalg import grouplike
+from purecoalg.coalgebra import cleared_delta
 from purecoalg.corpus import generate_coalgebras
 from purecoalg.rings import QQ, localized_integers
 from purecoalg.structure import ComponentDecomposition
@@ -227,16 +228,39 @@ def _zs_with_conjugates():
     return out
 
 
+def test_integer_group_like_check_matches_the_definition():
+    # conjugating by diag(6, 1, ...) and diag(1/6, 1, ...) puts denominators
+    # into Delta and into the group-likes; the cleared integer test agrees with
+    # Delta(g) = g (x) g and eps(g) = 1 in Fractions, both ways
+    zs = localized_integers([2, 3])
+    checked = {True: 0, False: 0, "fractional": 0}
+    for entry in generate_coalgebras(41, 30, max_rank=8, ring=zs):
+        c = entry.coalgebra
+        for scale in (Fraction(6), Fraction(1, 6)):
+            w = Matrix(zs, [[scale if i == j == 0 else Fraction(int(i == j)) for j in range(c.rank)]
+                            for i in range(c.rank)], c.rank)
+            d = conjugate(c, w)
+            cleared = cleared_delta(d)
+            for g in group_likes(d).vectors:
+                checked["fractional"] += any(x.denominator != 1 for x in g)
+                for cand in (list(g), [2 * x for x in g], [x + Fraction(1, 6) for x in g]):
+                    want = d.comultiply(cand) == [x * y for x in cand for y in cand] and d.counit_of(cand) == 1
+                    assert grouplike._is_group_like(d, cand, cleared) == want
+                    checked[want] += 1
+    assert min(checked.values()) >= 30, checked
+
+
 def test_integral_trace_form_rank_matches_fraction_oracle():
     for entry in generate_coalgebras(20240809, 200, max_rank=12):
         c = entry.coalgebra
         want = _fraction_trace_rank(c)
-        assert grouplike._trace_form_rank(c) == want
-        assert grouplike._trace_form_rank(_over_q(c)) == want
+        assert grouplike._trace_form_rank(c, cleared_delta(c)) == want
+        cq = _over_q(c)
+        assert grouplike._trace_form_rank(cq, cleared_delta(cq)) == want
     zs_corpus = _zs_with_conjugates()
     fractional = sum(any(v.denominator != 1 for row in d.delta.rows for v in row) for d in zs_corpus)
     for d in zs_corpus:
-        assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
+        assert grouplike._trace_form_rank(d, cleared_delta(d)) == _fraction_trace_rank(d)
     assert fractional >= 10
 
 
@@ -247,7 +271,7 @@ def _assert_search_and_lift_match_oracles(c, twins=(), p=None):
     gl = [g for g, _ in decompositions[0]]
     spans = oracles.component_spans(c.delta.rows, c.rank, gl, p)
     for d, decomposition in zip((c, *twins), decompositions):
-        assert sorted(grouplike._characters(d)) == chars
+        assert sorted(grouplike._characters(d, cleared_delta(d))) == chars
         assert [oracles.rref(lat.basis.rows, p) for _, lat in decomposition] == spans
 
 
@@ -270,9 +294,32 @@ def test_search_and_lift_match_fraction_oracles_over_f101():
 @pytest.mark.parametrize("ring", [ZZ, prime_field(7)], ids=["Z", "F7"])
 def test_noncommuting_blocks_lose_invariance(ring):
     # block 0 is diag(0, 1) and block 1 swaps the two basis vectors, so the
-    # eigenline of block 0 for the eigenvalue 0 is not invariant under block 1
-    with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
-        grouplike._character_tuples([[0, 0, 0, 1], [0, 1, 1, 0]], 2, ring)
+    # eigenline of block 0 for the eigenvalue 0 is not invariant under block 1;
+    # then block 0 is diag(0, 0, 1) and block 1 sends e0 to e2, so the
+    # non-invariant block meets the rank-2 eigenspace span(e0, e1)
+    line = [[0, 0, 0, 1], [0, 1, 1, 0]]
+    plane = [[0, 0, 0, 0, 0, 1, 0, 0, 0], [0] * 9, [0, 0, 1, 0, 0, 0, 0, 0, 0]]
+    for rows in (line, plane):
+        with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
+            grouplike._character_tuples(rows, len(rows), ring)
+
+
+def test_scalar_blocks_skip_the_characteristic_polynomial(monkeypatch):
+    # on the set-like coalgebra of six points block i is the projection onto
+    # e_i: it splits one space of rank 6 - i into a line and the rest, and is
+    # a scalar on every line split off before it, so only the five splitting
+    # blocks (not 1 + 2 + ... + 6 = 21 block-space pairs) need charpoly
+    calls = []
+    original = grouplike.charpoly
+
+    def counted(mat):
+        calls.append(mat.nrows)
+        return original(mat)
+
+    monkeypatch.setattr(grouplike, "charpoly", counted)
+    c = set_like(ZZ, [f"s{i}" for i in range(6)])
+    assert len(group_likes(c)) == 6
+    assert calls == [6, 5, 4, 3, 2]
 
 
 def test_unlifted_idempotent_is_refused(monkeypatch):
@@ -289,7 +336,7 @@ def test_unsolvable_interpolation_is_refused(monkeypatch):
 
     c = set_like(ZZ, ["a", "b"])
     collided = grouplike.GroupLikeSet(c, ((0, 1), (0, 1)), (1, 1), True)
-    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need: collided)
+    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need, cleared: collided)
     with pytest.raises(AssertionError, match="character interpolation must be solvable"):
         components(c)
 
@@ -339,7 +386,7 @@ def test_gr_simplicial_map_runs_one_character_search_per_level(monkeypatch):
 
 
 def _refuse_candidates(monkeypatch):
-    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
+    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g, cleared: False)
 
 
 def _refuse_independence(monkeypatch):

@@ -1,6 +1,6 @@
 """Wedges, coradical filtrations, components, splitting, tensor filtrations."""
 
-from fractions import Fraction
+import random
 
 import pytest
 
@@ -34,6 +34,7 @@ from purecoalg import (
     wedge,
 )
 from purecoalg.corpus import generate_coalgebras, generate_maps
+from purecoalg.rings import localized_integers
 
 
 def dual_zxk(k, ring=ZZ):
@@ -232,13 +233,32 @@ def test_structure_theory_over_localized_integers():
     assert r.matrix * r.matrix == r.matrix
 
 
+def _integer_data_over(c, ring):
+    """The coalgebra with the same integer structure constants, read in another ring."""
+    delta = Matrix(ring, [[ring.normalize(v) for v in row] for row in c.delta.rows], c.rank * c.rank)
+    return Coalgebra(ring, c.rank, delta, [ring.normalize(v) for v in c.counit])
+
+
 def test_coradical_matches_rational_computation():
     for entry in generate_coalgebras(67, 12, max_rank=8):
         c = entry.coalgebra
-        cq = Coalgebra(
-            QQ,
-            c.rank,
-            Matrix(QQ, [[Fraction(v) for v in row] for row in c.delta.rows], c.rank**2),
-            [Fraction(v) for v in c.counit],
-        )
+        cq = _integer_data_over(c, QQ)
         assert coradical_filtration(c).stage_ranks == coradical_filtration(cq).stage_ranks
+
+
+def test_invariants_agree_over_z_q_and_localized_integers():
+    # the same integer data over Z, Q and Z[1/2,1/3]: a pointed integral
+    # coalgebra has the group-likes, coradical stage ranks and component
+    # ranks of its rationalization, and of every localization in between
+    corpus = generate_coalgebras(20240809, 200, max_rank=12)
+    zs = localized_integers([2, 3])
+    for entry in random.Random(2024).sample(corpus, 40):
+        invariants = []
+        for c in (entry.coalgebra, _integer_data_over(entry.coalgebra, QQ), _integer_data_over(entry.coalgebra, zs)):
+            invariants.append((
+                len(group_likes(c)),
+                coradical_filtration(c).stage_ranks,
+                sorted(lat.rank for _, lat in components(c)),
+            ))
+        want = (entry.grouplike_count, entry.coradical_ranks, sorted(entry.component_ranks))
+        assert invariants == [want] * 3, entry.recipe
