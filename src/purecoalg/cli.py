@@ -33,6 +33,7 @@ from .simplicial import (
     homology,
     is_cofibration,
     is_weak_equivalence,
+    require_degree,
 )
 from .structure import (
     components,
@@ -270,16 +271,7 @@ def _sset_parser():
 
 def _cmd_sset(args) -> tuple[int, str]:
     if args.verb == "validate":
-        obj = serialize.load_json(args.file)
-        from .simplicial import FiniteSimplicialSet
-
-        x = FiniteSimplicialSet(
-            obj["dimension"],
-            obj["levels"],
-            {(rec["n"], rec["i"]): rec["map"] for rec in obj["faces"]},
-            {(rec["n"], rec["j"]): rec["map"] for rec in obj["degeneracies"]},
-        )
-        report = x.validate()
+        report = serialize.sset_from_obj(serialize.load_json(args.file)).validate()
         return (_EXIT_OK if report.overall else _EXIT_FALSE), str(report)
     x = serialize.load_sset(args.file)
     ring = _ring_from_flag(args.ring)
@@ -291,6 +283,7 @@ def _cmd_sset(args) -> tuple[int, str]:
             lines.append(f"wrote {args.output}")
         return _EXIT_OK, "\n".join(lines)
     if args.verb == "homology":
+        require_degree(args.top_degree, x.dimension_bound)
         sc = chains_functor(x, ring)
         groups = homology(sc, args.top_degree)
         text = ", ".join(f"H{n}={g}" for n, g in enumerate(groups))
@@ -317,10 +310,12 @@ def _smap_parser():
 def _cmd_smap(args) -> tuple[int, str]:
     m = serialize.load_simplicial_map(args.file)
     ring = _ring_from_flag(args.ring)
-    f = chains_map(m, ring)
     if args.we:
         if args.top_degree is None:
             raise WorkbenchError("--we needs a degree bound -N")
+        require_degree(args.top_degree, m.domain.dimension_bound)
+    f = chains_map(m, ring)
+    if args.we:
         flag = is_weak_equivalence(f, args.top_degree)
         text = f"weak equivalence through degree {args.top_degree}: {'yes' if flag else 'no'}"
         return (_EXIT_OK if flag else _EXIT_FALSE), text

@@ -1,23 +1,29 @@
 """The coalgebra data model: structure constants, axioms, constructors.
 
-A Coalgebra of rank n stores its comultiplication as an n x n^2 matrix
-D (row i holds the coordinates of Delta(e_i) under the row-major basis
-e_j (x) e_k -> j*n + k) together with the counit vector.  Everything is
-basis-dependent by design: the statements this workbench checks are all
-witnessed by explicit matrices, so no basis-free representation or
-isomorphism search is offered.
+A Coalgebra of rank n holds Delta once, as one sparse integer block per
+basis element: ``blocks[i]`` is the n x n matrix X_i of D * Delta(e_i),
+whose entry X_i[j][k] is the coefficient of e_j (x) e_k, kept by its
+nonzero rows as a dict j -> ((k, X_i[j][k]), ...) with j and k
+ascending.  D
+(``denom``) is the lcm of the denominators of Delta, so D = 1 over Z
+and F_p, and over F_p the entries are residues mod p; equal coalgebras
+therefore have equal blocks.  The dense n x n^2 matrix of Delta (row i
+at e_j (x) e_k -> j*n + k) is only a view, ``delta``, built on demand.
+Everything is basis-dependent by design: the statements this workbench
+checks are all witnessed by explicit matrices, so no basis-free
+representation or isomorphism search is offered.
 
-Axiom checks (cocommutativity, coassociativity, counit laws) walk the
-nonzero structure constants directly instead of materializing the
-n^2 x n^3 Kronecker matrices the identities formally live in.  Likewise
-a tensor in C (x) C is held as the n x n matrix X of its coefficients,
-and tensor-square conditions are products P^T X Q of small integer
-matrices (``delta_blocks``, ``sandwich``), never lattices in C (x) C.
+Axiom checks, constructions and tensor-square conditions all walk the
+blocks.  A tensor in C (x) C is an n x n matrix, and tensor-square
+conditions are products P^T X Q of small integer matrices
+(``delta_blocks``, ``sandwich``), never lattices in C (x) C or the
+n^2 x n^3 Kronecker matrices the identities formally live in.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -27,9 +33,9 @@ from .errors import (
     RingMismatch,
     ValidationError,
 )
-from .lattice import Lattice, solve_in_rows
-from .matrix import Matrix
-from .rings import ZZ, Ring, cleared_row
+from .lattice import Lattice
+from .matrix import Matrix, snf
+from .rings import ZZ, Ring, cleared_rows
 
 
 @dataclass
@@ -67,37 +73,83 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _row_items(row):
-    return [(j, v) for j, v in enumerate(row) if v]
-
-
 class Coalgebra:
-    """Cocommutative coassociative coalgebra on a free module of finite rank."""
+    """Cocommutative coassociative coalgebra on a free module of finite rank.
 
-    __slots__ = ("ring", "rank", "delta", "counit", "basis_names")
+    The constructor takes Delta as the dense n x n^2 matrix and converts
+    it once to the stored blocks; ``delta`` rebuilds that matrix on
+    demand.
+    """
+
+    __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names")
 
     def __init__(self, ring: Ring, rank: int, delta: Matrix, counit, basis_names=None):
         if delta.nrows != rank or delta.ncols != rank * rank:
             raise ValidationError(f"delta must be {rank}x{rank * rank}, got {delta.nrows}x{delta.ncols}")
+        entries = [(i, *divmod(jk, rank), v) for i, row in enumerate(delta.rows) for jk, v in enumerate(row) if v]
+        self._store(ring, rank, *_cleared_entries(rank, entries), counit, basis_names)
+
+    def _store(self, ring, rank, scale, blocks, counit, names):
+        """Hold the blocks of scale * Delta in the stored form.
+
+        ``blocks[i]`` maps each row j of the integer matrix
+        scale * Delta(e_i) to its (k, v) pairs, k ascending.  Zeros are
+        dropped, residues taken mod p, and the common factor of scale and
+        the entries divided out, which leaves scale = D; each row becomes
+        a tuple of its pairs.
+        """
         if len(counit) != rank:
             raise ValidationError("counit length must equal the rank")
+        reduced = []
+        for block in blocks:
+            rows = {}
+            for j in sorted(block):
+                pairs = block[j]
+                values = [v for _, v in pairs]
+                residues = ring.reduce_row(values)
+                if residues is not values:
+                    pairs = [(k, v) for (k, _), v in zip(pairs, residues)]
+                entries = [pair for pair in pairs if pair[1]]
+                if entries:
+                    rows[j] = entries
+            reduced.append(rows)
+        g = math.gcd(scale, *(v for rows in reduced for e in rows.values() for _, v in e)) if scale != 1 else 1
+        if g != 1:
+            scale //= g
+            reduced = [{j: [(k, v // g) for k, v in e] for j, e in rows.items()} for rows in reduced]
+        # the blocks repeat their (k, v) entries a lot, so each distinct one is held once
+        shared: dict[tuple, tuple] = {}
+        stored = [{j: tuple(map(shared.setdefault, e, e)) for j, e in rows.items()} for rows in reduced]
         self.ring = ring
         self.rank = rank
-        self.delta = delta
+        self.denom = scale
+        self.blocks = stored
         self.counit = list(counit)
-        self.basis_names = tuple(basis_names) if basis_names is not None else None
+        self.basis_names = tuple(names) if names is not None else None
+
+    @property
+    def base(self) -> Ring:
+        """The ring the stored entries live in: F_p over F_p, Z otherwise."""
+        return self.ring if self.ring.kind == "Fp" else ZZ
+
+    @property
+    def delta(self) -> Matrix:
+        """Delta as the dense n x n^2 matrix, row i at e_j (x) e_k -> j*n + k; built on each access."""
+        rows = [self.comultiply(e) for e in Matrix.identity(self.ring, self.rank).rows]
+        return Matrix(self.ring, rows, self.rank * self.rank)
 
     def __eq__(self, other):
         return (
             isinstance(other, Coalgebra)
             and self.ring == other.ring
             and self.rank == other.rank
-            and self.delta == other.delta
+            and self.denom == other.denom
+            and self.blocks == other.blocks
             and self.counit == other.counit
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rank, self.delta, tuple(self.counit)))
+        return hash((self.ring, self.rank, self.denom, tuple(self.counit)))
 
     def __repr__(self):
         return f"Coalgebra({self.ring}, rank {self.rank})"
@@ -108,22 +160,16 @@ class Coalgebra:
     # --- evaluation ------------------------------------------------------
     def comultiply(self, vector):
         """Coordinates of Delta(x) in the row-major tensor basis."""
-        n2 = self.rank * self.rank
-        acc = [self.ring.zero] * n2
-        for c, row in zip(vector, self.delta.rows):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, row)]
-        if self.ring.kind == "Fp":
-            acc = [v % self.ring.p for v in acc]
-        return acc
+        acc = stored_coordinates(self, vector, self.ring.zero)
+        if self.denom != 1:
+            acc = [x / self.denom for x in acc]
+        return self.ring.reduce_row(acc)
 
     def counit_of(self, vector):
         total = self.ring.zero
         for c, e in zip(vector, self.counit):
             total = total + c * e
-        if self.ring.kind == "Fp":
-            total %= self.ring.p
-        return total
+        return self.ring.reduce_row([total])[0]
 
     # --- axioms ------------------------------------------------------------
     def validate(self) -> ValidationReport:
@@ -137,73 +183,97 @@ class Coalgebra:
         return self
 
 
+def stored_coordinates(c: Coalgebra, weights, zero=0) -> list:
+    """sum_i weights[i] * X_i in the row-major tensor basis: D * Delta(x) for x = weights, not reduced mod p."""
+    n = c.rank
+    acc = [zero] * (n * n)
+    for a, block in zip(weights, c.blocks):
+        if a:
+            for j, entries in block.items():
+                for k, v in entries:
+                    acc[j * n + k] += a * v
+    return acc
+
+
+def _cleared_entries(rank: int, entries):
+    """(D, blocks) for Delta given as (i, j, k, v) entries with v in the ring, D the lcm of the denominators."""
+    denom = math.lcm(*(v.denominator for *_, v in entries))
+    blocks = [{} for _ in range(rank)]
+    for i, j, k, v in entries:
+        blocks[i].setdefault(j, {})[k] = v.numerator * (denom // v.denominator)
+    return denom, [{j: sorted(row.items()) for j, row in block.items()} for block in blocks]
+
+
+def _built(ring: Ring, rank: int, scale: int, blocks, counit, names=None) -> Coalgebra:
+    """The coalgebra whose Delta(e_i) is blocks[i] / scale, in the shape ``Coalgebra._store`` takes."""
+    c = object.__new__(Coalgebra)
+    c._store(ring, rank, scale, blocks, counit, names)
+    return c
+
+
+def coalgebra_from_entries(ring: Ring, rank: int, entries, counit, basis_names=None) -> Coalgebra:
+    """The coalgebra with Delta(e_i) the sum of v * e_j (x) e_k over its (i, j, k, v) entries."""
+    return _built(ring, rank, *_cleared_entries(rank, list(entries)), counit, basis_names)
+
+
 def validate_coalgebra(c: Coalgebra) -> ValidationReport:
     """Check cocommutativity, coassociativity, and both counit laws.
 
-    Each failure is reported with the first violating index tuple; the
-    checks accumulate structure constants through dictionaries keyed by
-    basis indices, never forming the n^2 x n^3 identity matrices.
+    The checks run on the stored blocks X_i = D * Delta(e_i), which
+    scales both sides of every identity alike.  Each failure is reported
+    at the first basis index i that fails, and within it at the smallest
+    violating index tuple.
     """
     n = c.rank
     ring = c.ring
-    zero = ring.zero
     report = ValidationReport()
-    D = c.delta.rows
+    X = c.blocks
 
-    def norm(v):
-        return v % ring.p if ring.kind == "Fp" else v
-
-    # cocommutativity: d[i][(j,k)] == d[i][(k,j)]
+    # cocommutativity: every X_i is symmetric
     cocomm_loc = ""
-    for i in range(n):
-        row = D[i]
-        for j in range(n):
-            for k in range(j + 1, n):
-                if norm(row[j * n + k] - row[k * n + j]):
-                    cocomm_loc = f"(i,j,k)=({i},{j},{k})"
-                    break
-            if cocomm_loc:
-                break
-        if cocomm_loc:
+    for i, block in enumerate(X):
+        entries = {(j, k): v for j, row in block.items() for k, v in row}
+        bad = [(min(jk), max(jk)) for jk, v in entries.items() if v != entries.get(jk[::-1], 0)]
+        if bad:
+            cocomm_loc = "(i,j,k)=({},{},{})".format(i, *min(bad))
             break
     report.add("cocommutativity", not cocomm_loc, cocomm_loc)
 
-    # coassociativity: compare (Delta x id) Delta with (id x Delta) Delta
+    # coassociativity: (Delta x id) Delta = (id x Delta) Delta, at slot (a*n + b)*n + t
     coassoc_loc = ""
-    for i in range(n):
-        lhs: dict[tuple[int, int, int], object] = {}
-        rhs: dict[tuple[int, int, int], object] = {}
-        for jk, v in _row_items(D[i]):
-            j, k = divmod(jk, n)
-            for ab, w in _row_items(D[j]):
-                a, b = divmod(ab, n)
-                key = (a, b, k)
-                lhs[key] = norm(lhs.get(key, zero) + v * w)
-            for bk2, w in _row_items(D[k]):
-                b, k2 = divmod(bk2, n)
-                key = (j, b, k2)
-                rhs[key] = norm(rhs.get(key, zero) + v * w)
-        for key in set(lhs) | set(rhs):
-            if norm(lhs.get(key, zero) - rhs.get(key, zero)):
-                coassoc_loc = f"basis {i}, tensor slot {key}"
-                break
-        if coassoc_loc:
+    for i, block in enumerate(X):
+        diff: dict[int, object] = {}
+        for j, row in block.items():
+            for k, v in row:
+                for a, entries in X[j].items():
+                    for b, w in entries:
+                        key = (a * n + b) * n + k
+                        diff[key] = diff.get(key, 0) + v * w
+                for b, entries in X[k].items():
+                    for t, w in entries:
+                        key = (j * n + b) * n + t
+                        diff[key] = diff.get(key, 0) - v * w
+        keys = sorted(diff)
+        bad = [key for key, v in zip(keys, ring.reduce_row([diff[key] for key in keys])) if v]
+        if bad:
+            ab, t = divmod(bad[0], n)
+            coassoc_loc = f"basis {i}, tensor slot {(*divmod(ab, n), t)}"
             break
     report.add("coassociativity", not coassoc_loc, coassoc_loc)
 
     # counit laws: (eps x id) Delta = id = (id x eps) Delta
     left_loc = right_loc = ""
-    for i in range(n):
-        left = [zero] * n
-        right = [zero] * n
-        for jk, v in _row_items(D[i]):
-            j, k = divmod(jk, n)
-            left[k] = norm(left[k] + v * c.counit[j])
-            right[j] = norm(right[j] + v * c.counit[k])
-        expected = [ring.one if t == i else zero for t in range(n)]
-        if not left_loc and [norm(x) for x in left] != [norm(x) for x in expected]:
+    eps = c.counit
+    for i, block in enumerate(X):
+        left = [-c.denom if t == i else 0 for t in range(n)]
+        right = list(left)
+        for j, row in block.items():
+            for k, v in row:
+                left[k] += v * eps[j]
+                right[j] += v * eps[k]
+        if not left_loc and any(ring.reduce_row(left)):
             left_loc = f"basis {i}"
-        if not right_loc and [norm(x) for x in right] != [norm(x) for x in expected]:
+        if not right_loc and any(ring.reduce_row(right)):
             right_loc = f"basis {i}"
     report.add("counit law (left)", not left_loc, left_loc)
     report.add("counit law (right)", not right_loc, right_loc)
@@ -221,12 +291,7 @@ def set_like(ring: Ring, names) -> Coalgebra:
     """
     names = list(names)
     n = len(names)
-    rows = []
-    for i in range(n):
-        row = [ring.zero] * (n * n)
-        row[i * n + i] = ring.one
-        rows.append(row)
-    return Coalgebra(ring, n, Matrix(ring, rows, n * n), [ring.one] * n, basis_names=names)
+    return _built(ring, n, 1, [{i: [(i, 1)]} for i in range(n)], [ring.one] * n, names)
 
 
 class AlgebraPresentation:
@@ -275,9 +340,7 @@ class AlgebraPresentation:
                     continue
                 coeff = xi * yj
                 acc = [a + coeff * m for a, m in zip(acc, rows[i * n + j])]
-        if ring.kind == "Fp":
-            acc = [v % ring.p for v in acc]
-        return acc
+        return ring.reduce_row(acc)
 
     def power(self, x, e: int):
         """x**e by binary powering (e >= 1)."""
@@ -302,15 +365,11 @@ class AlgebraPresentation:
         ring = self.ring
         zero = ring.zero
         report = ValidationReport()
-
-        def norm(v):
-            return v % ring.p if ring.kind == "Fp" else v
-
         M = self.mult.rows
         comm_loc = ""
         for i in range(n):
             for j in range(i + 1, n):
-                if any(norm(a - b) for a, b in zip(M[i * n + j], M[j * n + i])):
+                if any(ring.reduce_row([a - b for a, b in zip(M[i * n + j], M[j * n + i])])):
                     comm_loc = f"(i,j)=({i},{j})"
                     break
             if comm_loc:
@@ -321,7 +380,7 @@ class AlgebraPresentation:
         # structure constants; for each (i, j) every k is compared at once, the
         # coefficient of e_t for a given k sitting at k * n + t of a flat list
         assoc_loc = ""
-        items = [_row_items(row) for row in M]
+        items = [[(t, v) for t, v in enumerate(row) if v] for row in M]
         for i in range(n):
             for j in range(n):
                 lhs = [0] * (n * n)
@@ -336,9 +395,7 @@ class AlgebraPresentation:
                     for m, v in items[j * n + k]:
                         for t, w in items[i * n + m]:
                             rhs[at + t] += v * w
-                if ring.kind == "Fp":
-                    lhs = [v % ring.p for v in lhs]
-                    rhs = [v % ring.p for v in rhs]
+                lhs, rhs = ring.reduce_row(lhs), ring.reduce_row(rhs)
                 if lhs != rhs:
                     bad = next(at for at, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                     assoc_loc = f"(i,j,k)=({i},{j},{bad // n})"
@@ -350,11 +407,11 @@ class AlgebraPresentation:
         # unit law: 1 * e_i = e_i
         unit_loc = ""
         for i in range(n):
-            prod = [zero] * n
-            for m, u in _row_items(self.unit):
-                for t, w in items[m * n + i]:
+            prod = [-ring.one if t == i else zero for t in range(n)]
+            for m, u in enumerate(self.unit):
+                for t, w in items[m * n + i] if u else ():
                     prod[t] += u * w
-            if any(norm(v - (ring.one if t == i else zero)) for t, v in enumerate(prod)):
+            if any(ring.reduce_row(prod)):
                 unit_loc = f"basis {i}"
                 break
         report.add("unit law", not unit_loc, unit_loc)
@@ -372,11 +429,12 @@ def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
     """Linear dual of a finite algebra: the comultiplication transposes
     the multiplication table and the counit evaluates at the unit."""
     a.require_valid()
-    delta = a.mult.transpose()
+    n = a.rank
+    entries = [(t, *divmod(ij, n), v) for ij, row in enumerate(a.mult.rows) for t, v in enumerate(row) if v]
     names = None
     if a.basis_names:
         names = [f"{s}*" for s in a.basis_names]
-    return Coalgebra(a.ring, a.rank, delta, a.unit, basis_names=names)
+    return coalgebra_from_entries(a.ring, n, entries, a.unit, basis_names=names)
 
 
 def dual_algebra(c: Coalgebra) -> AlgebraPresentation:
@@ -408,9 +466,7 @@ def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:
         top = prev[-1]
         if top:
             shifted = [s + top * r for s, r in zip(shifted, red)]
-        if ring.kind == "Fp":
-            shifted = [v % ring.p for v in shifted]
-        powers.append(shifted)
+        powers.append(ring.reduce_row(shifted))
     rows = [powers[i + j] for i in range(k) for j in range(k)]
     unit = powers[0]
     names = ["1"] + [f"x{e}" if e > 1 else "x" for e in range(1, k)]
@@ -434,35 +490,26 @@ def split_algebra(ring: Ring, m: int) -> AlgebraPresentation:
 
 
 def tensor(c: Coalgebra, d: Coalgebra) -> Coalgebra:
-    """Tensor product coalgebra with the row-major basis (a, b) -> a*n_d + b."""
+    """Tensor product coalgebra with the row-major basis (a, b) -> a*n_d + b.
+
+    The block of e_a (x) f_b is the Kronecker product of the blocks of
+    e_a and f_b, scaled by D_c * D_d.
+    """
     if c.ring != d.ring:
         raise RingMismatch(f"{c.ring} vs {d.ring}")
     ring = c.ring
-    nc, nd = c.rank, d.rank
-    n = nc * nd
-    rows = []
-    for a in range(nc):
-        crow = c.delta.rows[a]
-        citems = _row_items(crow)
-        for b in range(nd):
-            ditems = _row_items(d.delta.rows[b])
-            row = [ring.zero] * (n * n)
-            for jk, v in citems:
-                j, k = divmod(jk, nc)
-                for ef, w in ditems:
-                    e, f = divmod(ef, nd)
-                    col = (j * nd + e) * n + (k * nd + f)
-                    row[col] = row[col] + v * w
-            if ring.kind == "Fp":
-                row = [x % ring.p for x in row]
-            rows.append(row)
-    counit = [ec * ed for ec in c.counit for ed in d.counit]
-    if ring.kind == "Fp":
-        counit = [v % ring.p for v in counit]
+    nd = d.rank
+    blocks = [
+        {j * nd + e: [(k * nd + f, v * w) for k, v in xrow for f, w in yrow]
+         for j, xrow in x.items() for e, yrow in y.items()}
+        for x in c.blocks
+        for y in d.blocks
+    ]
+    counit = ring.reduce_row([ec * ed for ec in c.counit for ed in d.counit])
     names = None
     if c.basis_names and d.basis_names:
         names = [f"{s}(x){t}" for s in c.basis_names for t in d.basis_names]
-    out = Coalgebra(ring, n, Matrix(ring, rows, n * n), counit, basis_names=names)
+    out = _built(ring, c.rank * nd, c.denom * d.denom, blocks, counit, names)
     out.require_valid()
     return out
 
@@ -471,37 +518,54 @@ def direct_sum(c: Coalgebra, d: Coalgebra) -> Coalgebra:
     """Block-diagonal comultiplication, concatenated counits."""
     if c.ring != d.ring:
         raise RingMismatch(f"{c.ring} vs {d.ring}")
-    ring = c.ring
-    nc, nd = c.rank, d.rank
-    n = nc + nd
-    rows = []
-    for i in range(nc):
-        row = [ring.zero] * (n * n)
-        for jk, v in _row_items(c.delta.rows[i]):
-            j, k = divmod(jk, nc)
-            row[j * n + k] = v
-        rows.append(row)
-    for i in range(nd):
-        row = [ring.zero] * (n * n)
-        for jk, v in _row_items(d.delta.rows[i]):
-            j, k = divmod(jk, nd)
-            row[(nc + j) * n + (nc + k)] = v
-        rows.append(row)
-    counit = list(c.counit) + list(d.counit)
+    scale = math.lcm(c.denom, d.denom)
+
+    def shifted(x: Coalgebra, at: int):
+        m = scale // x.denom
+        return [{at + j: [(at + k, m * v) for k, v in e] for j, e in b.items()} for b in x.blocks]
+
     names = None
     if c.basis_names and d.basis_names:
         names = list(c.basis_names) + list(d.basis_names)
-    return Coalgebra(ring, n, Matrix(ring, rows, n * n), counit, basis_names=names)
+    blocks = shifted(c, 0) + shifted(d, c.rank)
+    return _built(c.ring, c.rank + d.rank, scale, blocks, list(c.counit) + list(d.counit), names)
+
+
+def _transported(c: Coalgebra, weights, section):
+    """(scale, blocks) of sum_r weights[i][r] * M^T X_r M for each row i, M the section.
+
+    Both matrices are cleared of denominators first, so the products
+    run in integers.  Each X_r with a nonzero weight is carried through
+    M once, while it is still sparse, and the weights then combine the
+    results.
+    """
+    e, weights = cleared_rows(weights)
+    f, section = cleared_rows(section)
+    m = len(section[0]) if section else 0
+    used = {r for row in weights for r, a in enumerate(row) if a}
+    moved = {r: sandwich(section, c.blocks[r], section, c.rank) for r in used}
+    blocks = []
+    for row in weights:
+        acc = [[0] * m for _ in range(m)]
+        for r, a in enumerate(row):
+            if a:
+                acc = [[x + a * y for x, y in zip(s, t)] for s, t in zip(acc, moved[r])]
+        blocks.append({j: [(k, v) for k, v in enumerate(accrow) if v] for j, accrow in enumerate(acc)})
+    return e * f * f * c.denom, blocks
 
 
 def conjugate(c: Coalgebra, w: Matrix) -> Coalgebra:
-    """Transport of structure along an invertible change of basis w."""
+    """Transport of structure along an invertible change of basis w.
+
+    Row i of w is the new basis vector e'_i, so Delta(e'_i) has the
+    matrix X'_i = sum_r w_ir W^-T X_r W^-1 in the new basis: n products
+    of n x n blocks, with no n^2 x n^2 Kronecker matrix.
+    """
     if w.nrows != c.rank or w.ncols != c.rank:
         raise AmbientMismatch("change of basis must be square of the coalgebra rank")
     winv = w.inverse()
-    delta = w * c.delta * winv.kron(winv)
-    counit = (w * Matrix(c.ring, [[e] for e in c.counit], 1)).rows
-    return Coalgebra(c.ring, c.rank, delta, [r[0] for r in counit])
+    counit = [c.counit_of(row) for row in w.rows]
+    return _built(c.ring, c.rank, *_transported(c, w.rows, winv.rows), counit)
 
 
 # --- morphisms ----------------------------------------------------------------
@@ -539,9 +603,7 @@ class CoalgebraMap:
         for c, row in zip(vector, self.matrix.rows):
             if c:
                 out = [x + c * y for x, y in zip(out, row)]
-        if self.domain.ring.kind == "Fp":
-            out = [v % self.domain.ring.p for v in out]
-        return out
+        return self.domain.ring.reduce_row(out)
 
     def compose(self, then: "CoalgebraMap") -> "CoalgebraMap":
         if self.codomain is not then.domain and self.codomain != then.domain:
@@ -564,48 +626,37 @@ def identity_map(c: Coalgebra) -> CoalgebraMap:
 
 
 def validate_map(f: CoalgebraMap) -> ValidationReport:
-    """Check the comultiplication square and the counit triangle."""
+    """Check the comultiplication square and the counit triangle.
+
+    With F = F' / E cleared of denominators, the square at e_i is
+    D_D * F'^T X_i F' = D_C * E * sum_m F'_im Y_m on the stored blocks
+    X of the domain and Y of the codomain, in integers (mod p over F_p).
+    A failure names the first basis index and its smallest tensor slot.
+    """
     ring = f.domain.ring
-    zero = ring.zero
-    nc = f.domain.rank
-    nd = f.codomain.rank
-    F = f.matrix.rows
+    nc, nd = f.domain.rank, f.codomain.rank
+    e, F = cleared_rows(f.matrix.rows)
+    lhs_scale, rhs_scale = f.codomain.denom, f.domain.denom * e
     report = ValidationReport()
 
-    def norm(v):
-        return v % ring.p if ring.kind == "Fp" else v
-
     square_loc = ""
-    for i in range(nc):
-        lhs: dict[tuple[int, int], object] = {}
-        for jk, v in _row_items(f.domain.delta.rows[i]):
-            j, k = divmod(jk, nc)
-            for a, fa in _row_items(F[j]):
-                for b, fb in _row_items(F[k]):
-                    key = (a, b)
-                    lhs[key] = norm(lhs.get(key, zero) + v * fa * fb)
-        rhs: dict[tuple[int, int], object] = {}
-        for m, fm in _row_items(F[i]):
-            for ab, w in _row_items(f.codomain.delta.rows[m]):
-                a, b = divmod(ab, nd)
-                key = (a, b)
-                rhs[key] = norm(rhs.get(key, zero) + fm * w)
-        for key in set(lhs) | set(rhs):
-            if norm(lhs.get(key, zero) - rhs.get(key, zero)):
-                square_loc = f"basis {i}, tensor slot {key}"
-                break
-        if square_loc:
+    for i, x in enumerate(f.domain.blocks):
+        diff = [[lhs_scale * v for v in row] for row in sandwich(F, x, F, nc)]
+        for m, a in enumerate(F[i]):
+            for j, entries in f.codomain.blocks[m].items() if a else ():
+                row = diff[j]
+                for k, v in entries:
+                    row[k] -= rhs_scale * a * v
+        bad = next((at for at, v in enumerate(ring.reduce_row([v for row in diff for v in row])) if v), None)
+        if bad is not None:
+            square_loc = f"basis {i}, tensor slot {divmod(bad, nd)}"
             break
     report.add("comultiplication square", not square_loc, square_loc)
 
-    tri_loc = ""
-    for i in range(nc):
-        total = zero
-        for m, fm in _row_items(F[i]):
-            total = total + fm * f.codomain.counit[m]
-        if norm(total - f.domain.counit[i]):
-            tri_loc = f"basis {i}"
-            break
+    triangle = [sum(map(operator.mul, row, f.codomain.counit), ring.zero) - eps
+                for row, eps in zip(f.matrix.rows, f.domain.counit)]
+    bad = next((i for i, v in enumerate(ring.reduce_row(triangle)) if v), None)
+    tri_loc = "" if bad is None else f"basis {bad}"
     report.add("counit triangle", not tri_loc, tri_loc)
     return report
 
@@ -613,52 +664,23 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
 # --- subcoalgebras --------------------------------------------------------------
 
 
-def cleared_delta(c: Coalgebra):
-    """(base, D, rows): Delta with its denominators cleared, over Z or F_p.
+def delta_blocks(c: Coalgebra, rows):
+    """Delta(x) for each row x, as an n x n integer block shaped like the stored ones, {j: [(k, v)]}.
 
-    Over Z, Q and Z[S^-1] the rows are D * Delta in integers, with D the
-    lcm of all denominators of Delta (1 over Z); over F_p they are Delta
-    itself with D = 1.  Every block of the result is integral, and its
-    eigenvalues are D times those of the block of Delta.
+    The block is the sum of the stored blocks weighted by x cleared of
+    denominators, so it is Delta(x) times one nonzero integer; over F_p
+    its entries are congruent mod p to those of Delta(x).  Zero tests
+    and kernels see no difference.
     """
-    rows = c.delta.rows
-    if c.ring.kind == "Fp":
-        return c.ring, 1, rows
-    if c.ring.kind == "Z":
-        return ZZ, 1, rows
-    denom = math.lcm(*(v.denominator for row in rows for v in row))
-    return ZZ, denom, [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
-
-
-def delta_blocks(c: Coalgebra, cleared, rows):
-    """Delta(x) for each row x, as the n x n integer matrix X with X[j][k] at e_j (x) e_k.
-
-    X is held by its nonzero rows, a dict j -> [(k, X[j][k]) nonzero].
-    Delta comes cleared of denominators (``cleared`` is
-    ``cleared_delta(c)``) and x is cleared too, so each X is Delta(x)
-    times one nonzero integer, and over F_p the entries are residues
-    mod p.  Zero tests and kernels see no difference.
-    """
-    _, _, delta = cleared
-    n = c.rank
     for x in rows:
-        acc = [0] * (n * n)
-        for a, drow in zip(cleared_row(c.ring, x), delta):
+        acc: dict[int, dict[int, int]] = {}
+        for a, block in zip(cleared_rows([x])[1][0], c.blocks):
             if a:
-                acc = [u + a * v for u, v in zip(acc, drow)]
-        yield tensor_block(acc, n, c.ring)
-
-
-def tensor_block(vector, n: int, ring: Ring):
-    """The n x n matrix of a tensor given in the row-major basis, as in ``delta_blocks``."""
-    if ring.kind == "Fp":
-        vector = [v % ring.p for v in vector]
-    block: dict[int, list] = {}
-    for jk, v in enumerate(vector):
-        if v:
-            j, k = divmod(jk, n)
-            block.setdefault(j, []).append((k, v))
-    return block
+                for j, entries in block.items():
+                    row = acc.setdefault(j, {})
+                    for k, v in entries:
+                        row[k] = row.get(k, 0) + a * v
+        yield {j: list(row.items()) for j, row in acc.items()}
 
 
 def sandwich(left, block, right, n: int):
@@ -694,10 +716,7 @@ def sandwich(left, block, right, n: int):
 
 def vanishes(rows, ring: Ring) -> bool:
     """Whether every entry is zero, mod p over F_p."""
-    if ring.kind == "Fp":
-        p = ring.p
-        return not any(v % p for row in rows for v in row)
-    return not any(v for row in rows for v in row)
+    return not any(v for row in rows for v in ring.reduce_row(row))
 
 
 def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
@@ -711,11 +730,6 @@ def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
     sat(L (x) L) = sat(L) (x) sat(L), so pure and impure lattices (a
     scaled group-like line, say) take the same path.
     """
-    return _is_subcoalgebra(l, c, cleared_delta(c))
-
-
-def _is_subcoalgebra(l: Lattice, c: Coalgebra, cleared) -> bool:
-    """``is_subcoalgebra`` for a caller that holds ``cleared = cleared_delta(c)``."""
     if l.ambient_rank != c.rank:
         raise AmbientMismatch(f"lattice ambient {l.ambient_rank} vs coalgebra rank {c.rank}")
     if l.ring != c.ring:
@@ -723,40 +737,46 @@ def _is_subcoalgebra(l: Lattice, c: Coalgebra, cleared) -> bool:
     proj, n = l.integral_projection(), c.rank
     return all(
         vanishes(sandwich(None, x, proj, n), c.ring) and vanishes(sandwich(proj, x, None, n), c.ring)
-        for x in delta_blocks(c, cleared, l.basis.rows)
+        for x in delta_blocks(c, l.basis.rows)
     )
 
 
 def purify_subcoalgebra(l: Lattice, c: Coalgebra) -> Lattice:
     """Saturation of a subcoalgebra lattice, which is again a subcoalgebra."""
-    cleared = cleared_delta(c)
-    if not _is_subcoalgebra(l, c, cleared):
+    if not is_subcoalgebra(l, c):
         raise NotSubcoalgebra("purification requires a subcoalgebra lattice")
     sat = l.saturate()
-    if not _is_subcoalgebra(sat, c, cleared):
+    if not is_subcoalgebra(sat, c):
         raise AssertionError("purification failed to stay a subcoalgebra")
     return sat
+
+
+def _section(l: Lattice) -> list:
+    """Rows of an n x r matrix T over the ring with B * T = I, B the basis of a pure lattice.
+
+    From a Smith decomposition u * B * v = diag(d): T is the first r
+    columns of v, times diag(d)^-1, times u.  Purity makes every d a unit.
+    """
+    divs, u, v = snf(l.basis)
+    ring = l.ring
+    scaled = [[ring.exact_div(x, d) for x, d in zip(row, divs)] for row in v.rows]
+    return (Matrix(ring, scaled, l.rank) * u).rows
 
 
 def restrict_to_subcoalgebra(l: Lattice, c: Coalgebra):
     """Coalgebra structure on a pure subcoalgebra lattice plus its inclusion.
 
-    The structure constants come from solving Delta(b_i) against the
-    product basis {b_j (x) b_k}; purity guarantees integral solutions.
+    With T an integral section of the basis B (B * T = I), Delta(b_i) =
+    B^T S_i B gives the structure constants S_i = T^T Delta(b_i) T on
+    n x n blocks; purity makes T integral.
     """
     flag, _ = l.is_pure()
     if not flag:
         raise NotSubcoalgebra("restriction requires a pure subcoalgebra lattice")
     if not is_subcoalgebra(l, c):
         raise NotSubcoalgebra("restriction requires a subcoalgebra lattice")
-    prod_basis = l.basis.kron(l.basis)
-    rows = []
-    for row in l.basis.rows:
-        coords = solve_in_rows(prod_basis, c.comultiply(row))
-        if coords is None:
-            raise AssertionError("subcoalgebra structure constants failed to solve")
-        rows.append(coords)
-    counit = [c.counit_of(row) for row in l.basis.rows]
-    sub = Coalgebra(c.ring, l.rank, Matrix(c.ring, rows, l.rank * l.rank), counit)
-    incl = CoalgebraMap(sub, c, Matrix(c.ring, l.basis.rows, c.rank))
+    basis = l.basis.rows
+    counit = [c.counit_of(row) for row in basis]
+    sub = _built(c.ring, l.rank, *_transported(c, basis, _section(l)), counit)
+    incl = CoalgebraMap(sub, c, Matrix(c.ring, basis, c.rank))
     return sub, incl

@@ -4,9 +4,9 @@ A group-like element g satisfies Delta(g) = g (x) g and eps(g) = 1;
 group-likes of C correspond to characters of the dual algebra A = C^v,
 and characters are exactly the joint eigen-covectors of the commuting
 left-multiplication operators of A, with eigenvalue vector equal to the
-character values.  The search runs in integers for every ring: over Z,
-Q and Z[S^-1] the denominators of Delta are cleared by their lcm D
-(``cleared_delta``), and over F_p Delta is used as it is.  It splits
+character values.  The search runs in integers for every ring, on the
+stored blocks of D * Delta (D the lcm of the denominators of Delta,
+1 over Z and F_p).  It splits
 Z^n (or F_p^n) recursively into the saturated lattices of simultaneous
 eigenspaces, pursuing only eigenvalues in the ground field (no other
 eigenvalue can contribute); an integer eigenvalue lam of the scaled
@@ -40,13 +40,11 @@ group-likes together.
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial import frobenius_matrix, iterated_frobenius
-from .coalgebra import Coalgebra, CoalgebraMap, cleared_delta, dual_algebra, validate_map
+from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
 from .errors import (
     NotGroupLike,
     NotGroupLikeImage,
@@ -57,7 +55,7 @@ from .errors import (
 from .lattice import Lattice
 from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis, left_kernel_rows
 from .polyroots import integer_roots, prime_field_roots
-from .rings import ZZ, Ring
+from .rings import ZZ, Ring, cleared_rows
 
 BRUTE_FORCE_BOUND = 10**7
 
@@ -100,31 +98,19 @@ class PointednessReport:
         return "\n".join(lines)
 
 
-def _is_group_like(c: Coalgebra, g, cleared) -> bool:
+def _is_group_like(c: Coalgebra, g) -> bool:
     """Whether Delta(g) = g (x) g and eps(g) = 1.
 
-    Over Z, Q and Z[S^-1] the comultiplication is compared in integers:
-    with g = a / d, d the lcm of the denominators, and the rows D * Delta
-    of ``cleared = cleared_delta(c)``, Delta(g) = g (x) g is
-    d * (D Delta)(a) = D * (a (x) a).  Over F_p it is compared on
-    residues and ``cleared`` is not read.
+    The comultiplication is compared in integers for every ring: with
+    g = a / d, d the lcm of the denominators (1 over Z and F_p), and the
+    stored blocks X_i of D * Delta(e_i), Delta(g) = g (x) g is
+    d * sum_i a_i X_i = D * (a (x) a), mod p over F_p.
     """
-    ring = c.ring
-    if ring.kind == "Fp":
-        outer = [x * y % ring.p for x in g for y in g]
-        if c.comultiply(g) != outer:
-            return False
-    else:
-        _, denom, rows = cleared
-        d = math.lcm(*(x.denominator for x in g))
-        a = [x.numerator * (d // x.denominator) for x in g]
-        acc = [0] * (c.rank * c.rank)
-        for ai, row in zip(a, rows):
-            if ai:
-                acc = [u + ai * v for u, v in zip(acc, row)]
-        if [d * u for u in acc] != [denom * x * y for x in a for y in a]:
-            return False
-    return c.counit_of(g) == ring.one
+    d, (a,) = cleared_rows([g])
+    lhs = c.ring.reduce_row([d * u for u in stored_coordinates(c, a)])
+    if lhs != c.ring.reduce_row([c.denom * x * y for x in a for y in a]):
+        return False
+    return c.counit_of(g) == c.ring.one
 
 
 def _restriction(space: Lattice, image: Matrix) -> Matrix:
@@ -162,13 +148,13 @@ def _scalar(space: Lattice, image: Matrix):
     return lam if image == space.basis.scale(lam) else None
 
 
-def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
+def _character_tuples(blocks, n: int, ring: Ring) -> list[tuple]:
     """Joint eigen-covector eigenvalue tuples of the integral dual multiplications.
 
-    ``ring`` is Z or F_p and ``delta_rows`` are integral over it.  The
-    transposed left multiplication by the i-th dual basis vector is the
-    i-th n x n column block, which keeps the recursion a matter of
-    slicing.  Each joint eigenspace is kept as the Hermite basis of its
+    ``ring`` is Z or F_p and ``blocks`` are stored blocks integral over
+    it.  The transposed left multiplication by the i-th dual basis
+    vector is the n x n matrix whose row r is row i of block r.  Each
+    joint eigenspace is kept as the Hermite basis of its
     saturated lattice; an integral block maps that lattice into itself,
     so its restriction is an integer matrix found by back-substitution,
     and its eigenvalues in the ring are roots of an integer (or mod p)
@@ -187,7 +173,11 @@ def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
         return []
     spaces = [(Lattice.full(ring, n), ())]
     for i in range(n):
-        block = Matrix(ring, [row[i * n : (i + 1) * n] for row in delta_rows], n)
+        rows = [[0] * n for _ in range(n)]
+        for row, x in zip(rows, blocks):
+            for k, v in x.get(i, ()):
+                row[k] = v
+        block = Matrix(ring, rows, n)
         nxt = []
         for space, prefix in spaces:
             image = space.basis * block
@@ -209,24 +199,23 @@ def _character_tuples(delta_rows, n: int, ring: Ring) -> list[tuple]:
     return [prefix for _, prefix in spaces]
 
 
-def _characters(c: Coalgebra, cleared) -> list[tuple]:
+def _characters(c: Coalgebra) -> list[tuple]:
     """The fraction-field-valued characters of the dual algebra.
 
-    The search runs over Z on the cleared Delta (over F_p on Delta); an
+    The search runs over Z (over F_p) on the stored blocks; an
     eigenvalue lam of the scaled blocks is the character value lam / D.
     """
-    base, denom, rows = cleared
-    tuples = _character_tuples(rows, c.rank, base)
-    if base.kind == "Fp":
+    tuples = _character_tuples(c.blocks, c.rank, c.base)
+    if c.ring.kind == "Fp":
         return tuples
-    return [tuple(Fraction(lam, denom) for lam in t) for t in tuples]
+    return [tuple(Fraction(lam, c.denom) for lam in t) for t in tuples]
 
 
 def _in_ring(ring: Ring, values) -> bool:
     return ring.kind == "Fp" or all(ring.contains_fraction(x) for x in values)
 
 
-def _verified_group_likes(c: Coalgebra, tuples, cleared) -> list:
+def _verified_group_likes(c: Coalgebra, tuples) -> list:
     """The characters with coordinates in the ground ring, each reverified exactly."""
     ring = c.ring
     vectors = []
@@ -234,7 +223,7 @@ def _verified_group_likes(c: Coalgebra, tuples, cleared) -> list:
         if not _in_ring(ring, tup):
             continue
         cand = list(tup) if ring.kind == "Fp" else [ring.from_fraction(x) for x in tup]
-        if not _is_group_like(c, cand, cleared):
+        if not _is_group_like(c, cand):
             raise AssertionError("character candidate failed exact verification")
         vectors.append(tuple(cand))
     vectors.sort()
@@ -248,8 +237,7 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
     field; a candidate survives if every coordinate lies in the ground
     ring, and each survivor is reverified exactly against the definition.
     """
-    cleared = cleared_delta(c)
-    return _certified(c, _verified_group_likes(c, _characters(c, cleared), cleared))
+    return _certified(c, _verified_group_likes(c, _characters(c)))
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -278,35 +266,38 @@ def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
     n = c.rank
     if ring.p**n > BRUTE_FORCE_BOUND:
         raise TooLarge(f"{ring.p}^{n} exceeds the enumeration bound {BRUTE_FORCE_BOUND}")
-    vectors = [tuple(g) for g in itertools.product(range(ring.p), repeat=n) if _is_group_like(c, list(g), None)]
+    vectors = [tuple(g) for g in itertools.product(range(ring.p), repeat=n) if _is_group_like(c, list(g))]
     vectors.sort()
     return _certified(c, vectors)
 
 
-def _trace_form_rank(c: Coalgebra, cleared) -> int:
+def _trace_form_rank(c: Coalgebra) -> int:
     """Rank of the trace form (x, y) -> tr(L_x L_y) of the dual algebra.
 
-    Delta comes cleared of denominators by the lcm D of all of them,
-    which scales the form by D^2 and keeps its rank, so the Gram matrix
-    is integral.  With B_i the i-th n x n column block of Delta (the
-    transposed multiplication by the i-th dual basis vector),
-    tr(B_i B_j) is the dot product of B_i flattened by rows with B_j
-    flattened by columns; the form is symmetric, so only the upper
-    triangle is computed.
+    The stored blocks X_a = D * Delta(e_a) scale the form by D^2, which
+    keeps its rank, so the Gram matrix is integral.  The transposed
+    multiplication by the i-th dual basis vector has row a equal to row
+    i of X_a, so tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a],
+    summed over the nonzero entries only.
     """
     n = c.rank
-    _, _, rows = cleared
-    by_rows = [[v for row in rows for v in row[i * n : (i + 1) * n]] for i in range(n)]
-    by_cols = [[rows[b][j * n + a] for a in range(n) for b in range(n)] for j in range(n)]
+    # column a of block b, as its nonzero (j, X_b[j][a])
+    columns = [[[] for _ in range(n)] for _ in range(n)]
+    for b, x in enumerate(c.blocks):
+        for j, entries in x.items():
+            for a, w in entries:
+                columns[b][a].append((j, w))
     gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        bi = by_rows[i]
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(map(operator.mul, bi, by_cols[j]))
+    for a, x in enumerate(c.blocks):
+        for i, entries in x.items():
+            row = gram[i]
+            for b, v in entries:
+                for j, w in columns[b][a]:
+                    row[j] += v * w
     return hnf_basis(Matrix(ZZ, gram, n)).nrows
 
 
-def _semisimple_dimension(c: Coalgebra, cleared) -> int:
+def _semisimple_dimension(c: Coalgebra) -> int:
     """Dimension of the semisimple quotient of the dual algebra over the fraction field.
 
     The radical is the kernel of the iterated Frobenius in characteristic
@@ -314,12 +305,12 @@ def _semisimple_dimension(c: Coalgebra, cleared) -> int:
     """
     if c.ring.kind == "Fp":
         return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
-    return _trace_form_rank(c, cleared)
+    return _trace_form_rank(c)
 
 
-def _pointedness(c: Coalgebra, tuples, cleared) -> PointednessReport:
+def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
     """Pointedness from the characters: as many as the semisimple dimension, all integral."""
-    semisimple_dim = _semisimple_dimension(c, cleared)
+    semisimple_dim = _semisimple_dimension(c)
     nonintegral = [t for t in tuples if not _in_ring(c.ring, t)]
     flag = semisimple_dim == len(tuples) and not nonintegral
     return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
@@ -327,25 +318,23 @@ def _pointedness(c: Coalgebra, tuples, cleared) -> PointednessReport:
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport)."""
-    cleared = cleared_delta(c)
-    report = _pointedness(c, _characters(c, cleared), cleared)
+    report = _pointedness(c, _characters(c))
     return report.pointed, report
 
 
-def pointed_group_likes(c: Coalgebra, need: str, cleared) -> GroupLikeSet:
+def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
     """Certified group-likes of a coalgebra that must be pointed.
 
     One character search serves both the pointedness decision and the
     group-likes, with every check of ``is_pointed`` and ``group_likes``.
-    ``cleared`` is ``cleared_delta(c)``, which the caller passes on to
-    its own checks too.  A coalgebra that is not pointed raises
-    NotPointed with ``need`` and the report.
+    A coalgebra that is not pointed raises NotPointed with ``need`` and
+    the report.
     """
-    tuples = _characters(c, cleared)
-    report = _pointedness(c, tuples, cleared)
+    tuples = _characters(c)
+    report = _pointedness(c, tuples)
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
-    return _certified(c, _verified_group_likes(c, tuples, cleared))
+    return _certified(c, _verified_group_likes(c, tuples))
 
 
 def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:
@@ -355,10 +344,7 @@ def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:
         raise NotGroupLike(f"{g} is not group-like in {c}")
     rows = []
     for e in c.counit:
-        row = [e * x for x in g]
-        if c.ring.kind == "Fp":
-            row = [v % c.ring.p for v in row]
-        rows.append(row)
+        rows.append(c.ring.reduce_row([e * x for x in g]))
     f = CoalgebraMap(c, c, Matrix(c.ring, rows, c.rank))
     bad = validate_map(f).first_failure()
     if bad is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import AmbientMismatch, NotPure, RingMismatch
 from .matrix import Matrix, elementary_divisors, hnf_basis, left_kernel_rows, snf
 from .numtheory import factorize
-from .rings import Ring, cleared_row
+from .rings import Ring, cleared_rows
 
 
 class Lattice:
@@ -99,9 +99,7 @@ class Lattice:
                 member = False
                 break
             coords.append(q)
-            v = [x - q * y for x, y in zip(v, row)]
-            if ring.kind == "Fp":
-                v = [x % ring.p for x in v]
+            v = ring.reduce_row([x - q * y for x, y in zip(v, row)])
         if member and any(v):
             member = False
         return coords if member else None
@@ -237,7 +235,7 @@ class Lattice:
                 rows = [[int(i == j) for j in range(n)] for i in range(n)]
             else:
                 _, _, v = snf(self.basis)
-                cols = [cleared_row(self.ring, [row[j] for row in v.rows]) for j in range(r, n)]
+                cols = [cleared_rows([[row[j] for row in v.rows]])[1][0] for j in range(r, n)]
                 rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
             self._projection = rows
         return self._projection
@@ -272,6 +270,4 @@ def solve_in_rows(mat: Matrix, vector):
     for c, urow in zip(coords, u.rows):
         if c:
             out = [x + c * y for x, y in zip(out, urow)]
-    if ring.kind == "Fp":
-        out = [v % ring.p for v in out]
-    return out
+    return ring.reduce_row(out)

@@ -95,10 +95,8 @@ class Matrix:
         return Matrix(self.ring, self._post_rows([[c * a for a in r] for r in self.rows]), self.ncols)
 
     def _post_rows(self, rows):
-        if self.ring.kind == "Fp":
-            p = self.ring.p
-            return [[v % p for v in r] for r in rows]
-        return rows
+        post = _post_fn(self.ring)
+        return [post(r) for r in rows] if post else rows
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
@@ -172,10 +170,8 @@ class Matrix:
 
 
 def _post_fn(ring: Ring):
-    if ring.kind == "Fp":
-        p = ring.p
-        return lambda row: [v % p for v in row]
-    return None
+    """The row reduction mod p over F_p, None elsewhere, so the kernels skip the call."""
+    return ring.reduce_row if ring.kind == "Fp" else None
 
 
 def _hnf_rows(ring: Ring, rows, ncols: int, track: bool):
@@ -497,7 +493,4 @@ def charpoly(mat: Matrix) -> list:
                 acc = acc + toe[k - j] * poly[j]
             new.append(acc)
         poly = new
-    if ring.kind == "Fp":
-        p = ring.p
-        poly = [c % p for c in poly]
-    return poly
+    return ring.reduce_row(poly)

@@ -82,6 +82,11 @@ class Ring:
     def is_zero(a) -> bool:
         return not a
 
+    @staticmethod
+    def reduce_row(row):
+        """Canonical residues of a row of elements: the row itself except over F_p."""
+        return row
+
     def exact_div(self, b, a):
         """b / a within the ring; raises ZeroDivisionError or ValueError."""
         q = self.try_exact_div(b, a)
@@ -265,6 +270,9 @@ class PrimeField(Ring):
 
     def neg(self, a):
         return -a % self.p
+
+    def reduce_row(self, row):
+        return [v % self.p for v in row]
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0
@@ -472,14 +480,11 @@ def reduce_rows_mod_p(ring: Ring, rows, p: int) -> list[list[int]]:
     raise UnsupportedRing(f"reduction mod p is not defined over {ring}")
 
 
-def cleared_row(ring: Ring, values) -> list:
-    """The values times the lcm of their denominators, as integers.
+def cleared_rows(rows):
+    """(d, d * rows) as ints, d the lcm of every denominator in the rows (1 over Z and F_p).
 
-    Over Z and F_p the values already are integers and come back as
-    they are.  Scaling a row by one nonzero integer changes no zero test
-    and no kernel, which is all the callers rely on.
+    Scaling by one nonzero integer changes no zero test and no kernel.
     """
-    if ring.kind in ("Z", "Fp"):
-        return list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values]
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 
-from .coalgebra import AlgebraPresentation, Coalgebra
+from .coalgebra import AlgebraPresentation, Coalgebra, coalgebra_from_entries
 from .errors import ParseError, TooLarge
 from .lattice import Lattice
 from .matrix import Matrix
@@ -24,9 +25,12 @@ from .simplicial import (
     SimplicialMap,
 )
 
-# A coalgebra or algebra of rank n is held as n^3 dense structure
-# constants; 144, the rank of the tensor square of a rank-12 corpus
-# coalgebra, keeps that below 3 million entries.
+# The largest rank a coalgebra or algebra file may declare, and the most
+# simplices a level of a simplicial set file may have (each level becomes
+# a coalgebra of that rank).  A coalgebra holds only its nonzero
+# structure constants, but an algebra, the dual algebra of a coalgebra
+# and its checks are n^3 dense; 144, the rank of the tensor square of a
+# rank-12 corpus coalgebra, keeps that below 3 million entries.
 MAX_RANK = 144
 
 
@@ -81,22 +85,16 @@ def lattice_from_obj(obj, ring: Ring) -> Lattice:
 # --- coalgebras and algebras ------------------------------------------------------
 
 
-def _sparse_to_obj(ring: Ring, mat: Matrix, n: int):
-    triples = []
-    for i, row in enumerate(mat.rows):
-        for jk, v in enumerate(row):
-            if v:
-                j, k = divmod(jk, n)
-                triples.append([i, j, k, ring.to_str(v)])
-    triples.sort(key=lambda t: (t[0], t[1], t[2]))
-    return triples
-
-
 def coalgebra_to_obj(c: Coalgebra):
     obj = {
         "ring": c.ring.to_spec(),
         "rank": c.rank,
-        "delta": _sparse_to_obj(c.ring, c.delta, c.rank),
+        "delta": [
+            [i, j, k, c.ring.to_str(Fraction(v, c.denom))]
+            for i, block in enumerate(c.blocks)
+            for j, entries in block.items()
+            for k, v in entries
+        ],
         "counit": [c.ring.to_str(v) for v in c.counit],
     }
     if c.basis_names is not None:
@@ -116,9 +114,9 @@ def _rank(obj, where: str) -> int:
     return n
 
 
-def _dense_triples(obj, key: str, ring: Ring, n: int, where: str) -> list:
-    """Sparse [i, j, k, coeff] triples as n^3 coefficients, flat at index (i*n + j)*n + k."""
-    flat = [ring.zero] * (n * n * n)
+def _triples(obj, key: str, ring: Ring, n: int, where: str) -> list:
+    """The sparse [i, j, k, coeff] entries as (i, j, k, coeff) with coeff in the ring, checked."""
+    out = []
     seen = set()
     for entry in _expect(obj, key, list, where):
         if not isinstance(entry, list) or len(entry) != 4:
@@ -131,15 +129,14 @@ def _dense_triples(obj, key: str, ring: Ring, n: int, where: str) -> list:
         if (i, j, k) in seen:
             raise ParseError(f"duplicate {key} entry for indices {[i, j, k]}")
         seen.add((i, j, k))
-        flat[(i * n + j) * n + k] = ring.parse(coeff) if isinstance(coeff, str) else ring.normalize(coeff)
-    return flat
+        out.append((i, j, k, ring.parse(coeff) if isinstance(coeff, str) else ring.normalize(coeff)))
+    return out
 
 
 def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
     ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
     n = _rank(obj, "coalgebra")
-    flat = _dense_triples(obj, "delta", ring, n, "coalgebra")
-    rows = [flat[i * n * n : (i + 1) * n * n] for i in range(n)]
+    entries = _triples(obj, "delta", ring, n, "coalgebra")
     counit_obj = _expect(obj, "counit", list, "coalgebra")
     if len(counit_obj) != n:
         raise ParseError("counit must have length equal to the rank")
@@ -147,7 +144,7 @@ def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
     names = obj.get("basis_names")
     if names is not None and (len(names) != n or any(not isinstance(s, str) for s in names)):
         raise ParseError("basis_names must list one string per basis vector")
-    c = Coalgebra(ring, n, Matrix(ring, rows, n * n), counit, basis_names=names)
+    c = coalgebra_from_entries(ring, n, entries, counit, basis_names=names)
     if validate:
         c.require_valid()
     return c
@@ -180,8 +177,9 @@ def _sparse_mult_to_obj(a: AlgebraPresentation):
 def algebra_from_obj(obj, validate: bool = True) -> AlgebraPresentation:
     ring = ring_from_spec(_expect(obj, "ring", dict, "algebra"))
     n = _rank(obj, "algebra")
-    flat = _dense_triples(obj, "mult", ring, n, "algebra")
-    rows = [flat[r * n : (r + 1) * n] for r in range(n * n)]
+    rows = [[ring.zero] * n for _ in range(n * n)]
+    for i, j, k, coeff in _triples(obj, "mult", ring, n, "algebra"):
+        rows[i * n + j][k] = coeff
     unit_obj = _expect(obj, "unit", list, "algebra")
     if len(unit_obj) != n:
         raise ParseError("unit must have length equal to the rank")
@@ -212,8 +210,14 @@ def sset_to_obj(x: FiniteSimplicialSet):
 
 
 def sset_from_obj(obj) -> FiniteSimplicialSet:
+    """The simplicial set of a parsed file, not yet checked against the simplicial identities."""
     d = _expect(obj, "dimension", int, "simplicial set")
     levels = _expect(obj, "levels", list, "simplicial set")
+    for n, level in enumerate(levels):
+        if not isinstance(level, list):
+            raise ParseError(f"level {n} of the simplicial set must be an array of names")
+        if len(level) > MAX_RANK:
+            raise TooLarge(f"simplicial set level {n} has {len(level)} simplices, above the bound {MAX_RANK}")
     faces = {}
     for rec in _expect(obj, "faces", list, "simplicial set"):
         faces[(int(_expect(rec, "n", int, "face record")), int(_expect(rec, "i", int, "face record")))] = dict(
@@ -224,9 +228,7 @@ def sset_from_obj(obj) -> FiniteSimplicialSet:
         degeneracies[
             (int(_expect(rec, "n", int, "degeneracy record")), int(_expect(rec, "j", int, "degeneracy record")))
         ] = dict(_expect(rec, "map", dict, "degeneracy record"))
-    x = FiniteSimplicialSet(d, levels, faces, degeneracies)
-    x.require_valid()
-    return x
+    return FiniteSimplicialSet(d, levels, faces, degeneracies)
 
 
 def scoalg_to_obj(c: SimplicialCoalgebra):
@@ -277,7 +279,7 @@ def load_lattice(path: str, ring: Ring) -> Lattice:
 
 
 def load_sset(path: str) -> FiniteSimplicialSet:
-    return sset_from_obj(load_json(path))
+    return sset_from_obj(load_json(path)).require_valid()
 
 
 def load_simplicial_map(path: str) -> SimplicialMap:

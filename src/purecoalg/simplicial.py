@@ -24,7 +24,6 @@ from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
     ValidationReport,
-    cleared_delta,
     set_like,
     validate_map,
 )
@@ -452,7 +451,7 @@ def _gr_simplicial(c: SimplicialCoalgebra):
     """``gr_simplicial`` with the group-likes and names of each level it found them by."""
     level_sets = []
     for n, level in enumerate(c.levels):
-        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed", cleared_delta(level)).vectors)
+        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed").vectors)
     names = [
         [_vector_name(g, level) for g in vectors]
         for vectors, level in zip(level_sets, c.levels)
@@ -481,9 +480,7 @@ def _apply_rows(mat: Matrix, vector, ring):
     for coeff, row in zip(vector, mat.rows):
         if coeff:
             out = [x + coeff * y for x, y in zip(out, row)]
-    if ring.kind == "Fp":
-        out = [v % ring.p for v in out]
-    return out
+    return ring.reduce_row(out)
 
 
 # --- chain complexes and homology ----------------------------------------------
@@ -587,12 +584,18 @@ def _normalized(c: SimplicialCoalgebra):
     return cx, projections, sections
 
 
+def require_degree(top_degree: int, dimension_bound: int):
+    """Refuse a degree the truncation cannot support: degree N needs dimension N + 1.
+
+    Callers check this before building any chains.
+    """
+    if top_degree > dimension_bound - 1:
+        raise DegreeTooHigh(f"degree {top_degree} needs truncation dimension at least {top_degree + 1}")
+
+
 def homology(c: SimplicialCoalgebra, top_degree: int) -> list[HomologyGroup]:
     """Integral homology of the normalized complex through top_degree."""
-    if top_degree > c.dimension_bound - 1:
-        raise DegreeTooHigh(
-            f"degree {top_degree} needs truncation dimension at least {top_degree + 1}"
-        )
+    require_degree(top_degree, c.dimension_bound)
     cx = normalized_complex(c)
     return [cx.homology(n) for n in range(top_degree + 1)]
 
@@ -782,10 +785,7 @@ def is_weak_equivalence(f: SimplicialCoalgebraMap, top_degree: int) -> bool:
     An abstract isomorphism of homology groups does not certify that the
     induced map is one; vanishing cone homology does.
     """
-    if top_degree > f.domain.dimension_bound - 1:
-        raise DegreeTooHigh(
-            f"degree {top_degree} needs truncation dimension at least {top_degree + 1}"
-        )
+    require_degree(top_degree, f.domain.dimension_bound)
     cone = mapping_cone(f)
     return all(cone.homology(n).is_trivial() for n in range(top_degree + 1))
 

@@ -13,10 +13,9 @@ Central objects:
   primary algorithm lifts the primitive idempotents of the semisimple
   quotient of the dual algebra and carves out the components with the
   dual action, while the oracle iterates wedges of each group-like line
-  until stabilization.  The lift runs in integers for every ring: over
-  Z, Q and Z[S^-1] on Delta with its denominators cleared, an idempotent
-  held as an integer vector over one common denominator, and over F_p
-  on Delta itself;
+  until stabilization.  The lift runs in integers for every ring, on
+  the stored blocks of D * Delta, with an idempotent held as an integer
+  vector over one common denominator (residues mod p over F_p);
 * the natural retraction of C onto its coradical, given on each
   component by x -> eps(x) * g.
 
@@ -30,18 +29,16 @@ the stages' quotient projections, never in the n^2-dimensional C (x) C.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
-    _is_subcoalgebra,
-    cleared_delta,
     delta_blocks,
+    is_subcoalgebra,
     sandwich,
+    stored_coordinates,
     tensor,
-    tensor_block,
     validate_map,
     vanishes,
 )
@@ -58,6 +55,7 @@ from .errors import (
 from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, elementary_divisors, hnf
+from .rings import ZZ, cleared_rows
 
 
 class Filtration:
@@ -75,18 +73,17 @@ class Filtration:
         for lower, upper in zip(stages, stages[1:]):
             if not upper.contains_lattice(lower):
                 raise ValidationError("filtration stages must increase")
-        cleared = cleared_delta(coalgebra)
         for idx, v in enumerate(stages):
             flag, witness = v.is_pure()
             if not flag:
                 raise NotPure(f"filtration stage {idx} is not pure (witness prime {witness})")
-            if not _is_subcoalgebra(v, coalgebra, cleared):
+            if not is_subcoalgebra(v, coalgebra):
                 raise NotSubcoalgebra(f"filtration stage {idx} is not a subcoalgebra")
         self.coalgebra = coalgebra
         self.stages = tuple(stages)
-        self._check_compatibility(cleared)
+        self._check_compatibility()
 
-    def _check_compatibility(self, cleared):
+    def _check_compatibility(self):
         """Delta(V_m) <= sum_i V_{m-i} (x) V_i at every stage m.
 
         For nested pure stages that sum is the intersection over
@@ -99,7 +96,7 @@ class Filtration:
         c = self.coalgebra
         proj = [None] + [v.integral_projection() for v in self.stages]
         for m, v in enumerate(self.stages):
-            for x in delta_blocks(c, cleared, v.basis.rows):
+            for x in delta_blocks(c, v.basis.rows):
                 for a in range(-1, m + 1):
                     if not vanishes(sandwich(proj[a + 1], x, proj[m - a], c.rank), c.ring):
                         raise ValidationError(f"Delta is not compatible with filtration stage {m}")
@@ -126,9 +123,8 @@ class Filtration:
 
     def is_wedge_filtration(self) -> bool:
         """Whether V_n <= V_{n-1} ^ V_0 holds at every stage."""
-        cleared = cleared_delta(self.coalgebra)
         for n in range(1, len(self.stages)):
-            w = _wedge(self.stages[n - 1], self.stages[0], self.coalgebra, cleared)
+            w = wedge(self.stages[n - 1], self.stages[0], self.coalgebra)
             if not w.contains_lattice(self.stages[n]):
                 return False
         return True
@@ -158,14 +154,14 @@ class ComponentDecomposition:
         return Matrix(self.coalgebra.ring, rows, self.coalgebra.rank)
 
 
-def _validated_decomposition(c: Coalgebra, parts, cleared) -> ComponentDecomposition:
+def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
     parts = sorted(parts, key=lambda p: tuple(p[0]))
     gl = [tuple(g) for g, _ in parts]
     for idx, (g, lat) in enumerate(parts):
         flag, witness = lat.is_pure()
         if not flag:
             raise AssertionError(f"component {idx} is impure (witness {witness})")
-        if not _is_subcoalgebra(lat, c, cleared):
+        if not is_subcoalgebra(lat, c):
             raise AssertionError(f"component {idx} is not a subcoalgebra")
         if not lat.contains(list(g)):
             raise AssertionError(f"component {idx} misses its group-like")
@@ -203,26 +199,20 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     columns scaled by nonzero integers, and carried back to the ring;
     the canonical Hermite basis makes it the same lattice.
     """
-    return _wedge(d, f, c, cleared_delta(c))
-
-
-def _wedge(d: Lattice, f: Lattice, c: Coalgebra, cleared) -> Lattice:
-    """``wedge`` for a caller that holds ``cleared = cleared_delta(c)``."""
     for name, lat in (("first", d), ("second", f)):
         if lat.ambient_rank != c.rank:
             raise AmbientMismatch(f"{name} wedge argument has wrong ambient rank")
         flag, witness = lat.is_pure()
         if not flag:
             raise NotPure(f"{name} wedge argument is impure (witness prime {witness})")
-        if not _is_subcoalgebra(lat, c, cleared):
+        if not is_subcoalgebra(lat, c):
             raise NotSubcoalgebra(f"{name} wedge argument is not a subcoalgebra")
-    base, _, delta = cleared
     left, right = d.integral_projection(), f.integral_projection()
     n = c.rank
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
-    rows = [[v for row in sandwich(left, tensor_block(drow, n, base), right, n) for v in row] for drow in delta]
+    rows = [[v for row in sandwich(left, x, right, n) for v in row] for x in c.blocks]
     width = (n - d.rank) * (n - f.rank)
-    out = _integer_kernel(Matrix(base, rows, width), c.ring)
+    out = _integer_kernel(Matrix(c.base, rows, width), c.ring)
     if not (out.contains_lattice(d) and out.contains_lattice(f)):
         raise AssertionError("wedge must contain both arguments")
     return out
@@ -257,13 +247,12 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     reach the full lattice, and a stall below full rank is reported as
     NotExhaustive (it would contradict pointedness).
     """
-    cleared = cleared_delta(c)
-    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra", cleared)).lattice()
+    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
             raise NotExhaustive("coradical filtration exceeded the rank bound")
-        nxt = _wedge(stages[-1], v0, c, cleared)
+        nxt = wedge(stages[-1], v0, c)
         if nxt == stages[-1]:
             raise NotExhaustive("coradical filtration stabilized below full rank")
         stages.append(nxt)
@@ -277,50 +266,49 @@ def primitives(c: Coalgebra, g) -> Lattice:
     with the group-like line they exhaust stage one of the coradical
     filtration, which is verified before returning.
     """
-    cleared = cleared_delta(c)
-    gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra", cleared)
+    gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra")
     if len(gl) != 1:
         raise NotIrreducible(f"expected a unique group-like, found {len(gl)}")
     if tuple(g) != gl.vectors[0]:
         raise NotGroupLike(f"{g} is not the group-like of this coalgebra")
-    ring = c.ring
     n = c.rank
-    rows = []
-    for i in range(n):
-        row = list(c.delta.rows[i])
+    # row i is D * d * (Delta(e_i) - g (x) e_i - e_i (x) g) for g = a / d, in integers
+    d, (a,) = cleared_rows([g])
+    rows = [[d * v for v in stored_coordinates(c, e)] for e in Matrix.identity(ZZ, n).rows]
+    for i, row in enumerate(rows):
         for j in range(n):
-            # subtract g (x) e_i and e_i (x) g
-            row[j * n + i] = row[j * n + i] - g[j]
-            row[i * n + j] = row[i * n + j] - g[j]
-        if ring.kind == "Fp":
-            row = [v % ring.p for v in row]
-        rows.append(row)
-    pr = kernel_lattice(Matrix(ring, rows, n * n))
-    v0 = Lattice.from_rows(ring, n, [list(g)])
-    v1 = _wedge(v0, v0, c, cleared)
+            row[j * n + i] -= c.denom * a[j]
+            row[i * n + j] -= c.denom * a[j]
+    pr = _integer_kernel(Matrix(c.base, rows, n * n), c.ring)
+    v0 = Lattice.from_rows(c.ring, n, [list(g)])
+    v1 = wedge(v0, v0, c)
     if v1.rank != v0.rank + pr.rank or v1 != v0.add(pr):
         raise AssertionError("stage one must split as coradical plus primitives")
     return pr
 
 
 def _content_free(vector, d: int, base):
-    """(E, d) for the element E / d with the common content divided out; mod p over F_p."""
-    if base.kind == "Fp":
-        return [v % base.p for v in vector], 1
+    """(E, d) for the element E / d with the common content divided out; mod p over F_p, where d is 1."""
     g = math.gcd(d, *vector)
-    return [v // g for v in vector], d // g
+    return base.reduce_row([v // g for v in vector]), d // g
 
 
-def _dual_product(rows, x, y, base):
-    """Product of x and y in the dual algebra on the integral rows of Delta."""
-    outer = [a * b for a in x for b in y]
-    out = [sum(map(operator.mul, row, outer)) for row in rows]
-    return [v % base.p for v in out] if base.kind == "Fp" else out
+def _dual_product(c: Coalgebra, x, y):
+    """Product of x and y in the dual algebra on the stored blocks: entry i is x^T X_i y."""
+    return c.ring.reduce_row(
+        [sum(x[j] * sum(v * y[k] for k, v in entries) for j, entries in block.items()) for block in c.blocks]
+    )
 
 
-def _dual_action(rows, n: int, e):
-    """Matrix of x -> (id (x) e) Delta(x) on the integral rows of Delta."""
-    return [[sum(map(operator.mul, row[j * n : (j + 1) * n], e)) for j in range(n)] for row in rows]
+def _dual_action(c: Coalgebra, e):
+    """Matrix of x -> (id (x) e) Delta(x) on the stored blocks: row i holds X_i e."""
+    act = []
+    for block in c.blocks:
+        row = [0] * c.rank
+        for j, entries in block.items():
+            row[j] = sum(v * e[k] for k, v in entries)
+        act.append(row)
+    return act
 
 
 def _lift_steps(n: int) -> int:
@@ -368,44 +356,40 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     interpolation problem and lifting along the nilpotent radical with
     the iteration e <- 3e^2 - 2e^3; the component is the integral part
     of the eigenspace of the dual action of e_g.  All of it runs in
-    integers: over Z, Q and Z[S^-1] on Delta cleared by the lcm D of its
-    denominators, with e held as an integer vector E over one common
-    denominator d, and over F_p on Delta itself with d = 1.
+    integers, on the stored blocks of D * Delta with e held as an integer
+    vector E over one common denominator d (d = 1 over F_p).
     """
-    cleared = cleared_delta(c)
-    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra", cleared))
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     n = c.rank
-    ring = c.ring
     if n == 0:
         return ComponentDecomposition(c, ())
-    base, denom, rows = cleared
+    base, denom = c.base, c.denom
     steps = _lift_steps(n)
     parts = []
     for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, base)):
         # e / d <- 3 (e / d)^2 - 2 (e / d)^3 until (e / d)^2 = e / d, where a
-        # product of x / a and y / b on the cleared rows is (x * y) / (D a b);
+        # product of x / a and y / b on the stored blocks is (x * y) / (D a b);
         # the iteration fixes an idempotent, so stopping early changes nothing
         for _ in range(steps + 1):
-            e2 = _dual_product(rows, e, e, base)
+            e2 = _dual_product(c, e, e)
             if e2 == [denom * d * v for v in e]:
                 break
-            e3 = _dual_product(rows, e2, e, base)
+            e3 = _dual_product(c, e2, e)
             lifted = [3 * denom * d * a - 2 * b for a, b in zip(e2, e3)]
             e, d = _content_free(lifted, denom**2 * d**3, base)
         else:
             raise AssertionError("idempotent lifting did not converge")
-        # act(e / d) - 1 is (act(E) - D d) / (D d) on the cleared rows
-        act = _dual_action(rows, n, e)
+        # act(e / d) - 1 is (act(E) - D d) / (D d) on the stored blocks
+        act = _dual_action(c, e)
         for i in range(n):
             act[i][i] -= denom * d
-        parts.append((tuple(g), _integer_kernel(Matrix(base, act, n), ring)))
-    return _validated_decomposition(c, parts, cleared)
+        parts.append((tuple(g), _integer_kernel(Matrix(base, act, n), c.ring)))
+    return _validated_decomposition(c, parts)
 
 
 def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
     """Oracle decomposition: iterate wedges of each group-like line."""
-    cleared = cleared_delta(c)
-    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra", cleared))
+    gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     if c.rank == 0:
         return ComponentDecomposition(c, ())
     parts = []
@@ -413,14 +397,14 @@ def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
         line = Lattice.from_rows(c.ring, c.rank, [list(g)])
         cur = line
         for _ in range(c.rank + 1):
-            nxt = _wedge(cur, line, c, cleared)
+            nxt = wedge(cur, line, c)
             if nxt == cur:
                 break
             cur = nxt
         else:
             raise NotExhaustive("wedge iteration failed to stabilize within the rank bound")
         parts.append((tuple(g), cur))
-    return _validated_decomposition(c, parts, cleared)
+    return _validated_decomposition(c, parts)
 
 
 def split_coradical(c: Coalgebra) -> CoalgebraMap:
@@ -441,10 +425,7 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
         for row in lat.basis.rows:
             basis_rows.append(row)
             eps = c.counit_of(row)
-            img = [eps * x for x in g]
-            if ring.kind == "Fp":
-                img = [v % ring.p for v in img]
-            image_rows.append(img)
+            image_rows.append(ring.reduce_row([eps * x for x in g]))
     w = Matrix(ring, basis_rows, n)
     r = w.inverse() * Matrix(ring, image_rows, n)
     retraction = CoalgebraMap(c, c, r)

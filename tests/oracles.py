@@ -8,13 +8,15 @@ p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.
 
-The exception is the last section: the package's former tensor-square
-routines (subcoalgebra test, filtration compatibility, wedge), which
-work in the n^2-dimensional ambient space C (x) C through Kronecker
-products, Hermite forms and ``Lattice.solve``.  Their logic is kept unchanged
-so the n x n block versions can be compared with them bit for bit, and
-they use the package's ``Lattice`` and ``Matrix``, which
-``test_lattice`` and ``test_matrix`` check on their own.
+The exceptions are the last two sections: the package's former
+tensor-square routines (subcoalgebra test, filtration compatibility,
+wedge), which work in the n^2-dimensional ambient space C (x) C through
+Kronecker products, Hermite forms and ``Lattice.solve``, and its former
+constructions on the dense n x n^2 matrix of Delta.  Their logic is kept
+unchanged so the block versions can be compared with them bit for bit,
+and they use the package's ``Lattice``, ``Matrix`` and dense
+``Coalgebra`` constructor, which ``test_lattice``, ``test_matrix`` and
+``test_coalgebra`` check on their own.
 """
 
 from __future__ import annotations
@@ -449,3 +451,147 @@ def kron_wedge(d, f, c):
     proj_d, _ = d.complement_projection()
     proj_f, _ = f.complement_projection()
     return kernel_lattice(c.delta * proj_d.kron(proj_f))
+
+
+# --- former dense-Delta constructions ------------------------------------------
+#
+# The package once stored Delta as the dense n x n^2 matrix and built every
+# coalgebra from such rows.  These are those constructions, kept unchanged
+# apart from taking Delta through the public ``delta`` view, so the block
+# versions can be compared with them entry for entry.
+
+
+def _post(ring, row):
+    return [v % ring.p for v in row] if ring.kind == "Fp" else row
+
+
+def _nonzero(row):
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def dense_set_like(ring, names):
+    from purecoalg import Coalgebra, Matrix
+
+    names = list(names)
+    n = len(names)
+    rows = []
+    for i in range(n):
+        row = [ring.zero] * (n * n)
+        row[i * n + i] = ring.one
+        rows.append(row)
+    return Coalgebra(ring, n, Matrix(ring, rows, n * n), [ring.one] * n, basis_names=names)
+
+
+def dense_dual_of_algebra(a):
+    from purecoalg import Coalgebra
+
+    names = [f"{s}*" for s in a.basis_names] if a.basis_names else None
+    return Coalgebra(a.ring, a.rank, a.mult.transpose(), a.unit, basis_names=names)
+
+
+def dense_tensor(c, d):
+    from purecoalg import Coalgebra, Matrix
+
+    ring = c.ring
+    nc, nd = c.rank, d.rank
+    n = nc * nd
+    c_rows, d_rows = c.delta.rows, d.delta.rows
+    rows = []
+    for a in range(nc):
+        citems = _nonzero(c_rows[a])
+        for b in range(nd):
+            ditems = _nonzero(d_rows[b])
+            row = [ring.zero] * (n * n)
+            for jk, v in citems:
+                j, k = divmod(jk, nc)
+                for ef, w in ditems:
+                    e, f = divmod(ef, nd)
+                    col = (j * nd + e) * n + (k * nd + f)
+                    row[col] = row[col] + v * w
+            rows.append(_post(ring, row))
+    counit = _post(ring, [ec * ed for ec in c.counit for ed in d.counit])
+    names = None
+    if c.basis_names and d.basis_names:
+        names = [f"{s}(x){t}" for s in c.basis_names for t in d.basis_names]
+    return Coalgebra(ring, n, Matrix(ring, rows, n * n), counit, basis_names=names)
+
+
+def dense_direct_sum(c, d):
+    from purecoalg import Coalgebra, Matrix
+
+    ring = c.ring
+    nc, nd = c.rank, d.rank
+    n = nc + nd
+    rows = []
+    for src, size, at in ((c, nc, 0), (d, nd, nc)):
+        for drow in src.delta.rows:
+            row = [ring.zero] * (n * n)
+            for jk, v in _nonzero(drow):
+                j, k = divmod(jk, size)
+                row[(at + j) * n + (at + k)] = v
+            rows.append(row)
+    names = None
+    if c.basis_names and d.basis_names:
+        names = list(c.basis_names) + list(d.basis_names)
+    return Coalgebra(ring, n, Matrix(ring, rows, n * n), list(c.counit) + list(d.counit), basis_names=names)
+
+
+def dense_conjugate(c, w):
+    from purecoalg import Coalgebra, Matrix
+
+    winv = w.inverse()
+    delta = w * c.delta * winv.kron(winv)
+    counit = (w * Matrix(c.ring, [[e] for e in c.counit], 1)).rows
+    return Coalgebra(c.ring, c.rank, delta, [r[0] for r in counit])
+
+
+def dense_restrict(lat, c):
+    """Structure constants of a pure subcoalgebra lattice, solved against the product basis b_j (x) b_k."""
+    from purecoalg import Coalgebra, Matrix, solve_in_rows
+
+    prod_basis = lat.basis.kron(lat.basis)
+    rows = [solve_in_rows(prod_basis, c.comultiply(row)) for row in lat.basis.rows]
+    counit = [c.counit_of(row) for row in lat.basis.rows]
+    return Coalgebra(c.ring, lat.rank, Matrix(c.ring, rows, lat.rank * lat.rank), counit)
+
+
+def coalgebra_axiom_locations(delta_rows, counit, n, p=None):
+    """(cocommutativity, coassociativity, left counit, right counit) first-failure locations.
+
+    Each coefficient of both sides is formed on its own from the dense
+    rows, entry (i, j*n + k) the coefficient of e_j (x) e_k in Delta(e_i),
+    and the first failing basis index is reported with its smallest slot;
+    "" when the law holds.
+    """
+    def red(v):
+        return v % p if p else v
+
+    def d(i, j, k):
+        return delta_rows[i][j * n + k]
+
+    idx = range(n)
+    cocomm = next((f"(i,j,k)=({i},{j},{k})" for i in idx for j in idx for k in range(j + 1, n)
+                   if red(d(i, j, k) - d(i, k, j))), "")
+    coassoc = next((f"basis {i}, tensor slot {(a, b, t)}" for i in idx for a in idx for b in idx for t in idx
+                    if red(sum(d(i, j, t) * d(j, a, b) for j in idx) - sum(d(i, a, k) * d(k, b, t) for k in idx))),
+                   "")
+    left = next((f"basis {i}" for i in idx for t in idx
+                 if red(sum(d(i, j, t) * counit[j] for j in idx) - (i == t))), "")
+    right = next((f"basis {i}" for i in idx for t in idx
+                  if red(sum(d(i, t, k) * counit[k] for k in idx) - (i == t))), "")
+    return cocomm, coassoc, left, right
+
+
+def map_axiom_locations(f, p=None):
+    """(comultiplication square, counit triangle) first-failure locations of a map, from dense rows."""
+    def red(v):
+        return v % p if p else v
+
+    nc, nd = f.domain.rank, f.codomain.rank
+    dom, cod, F = f.domain.delta.rows, f.codomain.delta.rows, f.matrix.rows
+    square = next((f"basis {i}, tensor slot {(a, b)}" for i in range(nc) for a in range(nd) for b in range(nd)
+                   if red(sum(dom[i][j * nc + k] * F[j][a] * F[k][b] for j in range(nc) for k in range(nc))
+                          - sum(F[i][m] * cod[m][a * nd + b] for m in range(nd)))), "")
+    triangle = next((f"basis {i}" for i in range(nc)
+                     if red(sum(F[i][m] * f.codomain.counit[m] for m in range(nd)) - f.domain.counit[i])), "")
+    return square, triangle

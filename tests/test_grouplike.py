@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from purecoalg import (
+    Coalgebra,
     CoalgebraMap,
     components,
     Lattice,
@@ -31,7 +32,6 @@ from purecoalg import (
     validate_map,
 )
 from purecoalg import grouplike
-from purecoalg.coalgebra import cleared_delta
 from purecoalg.corpus import generate_coalgebras
 from purecoalg.rings import QQ, localized_integers
 from purecoalg.structure import ComponentDecomposition
@@ -240,12 +240,11 @@ def test_integer_group_like_check_matches_the_definition():
             w = Matrix(zs, [[scale if i == j == 0 else Fraction(int(i == j)) for j in range(c.rank)]
                             for i in range(c.rank)], c.rank)
             d = conjugate(c, w)
-            cleared = cleared_delta(d)
             for g in group_likes(d).vectors:
                 checked["fractional"] += any(x.denominator != 1 for x in g)
                 for cand in (list(g), [2 * x for x in g], [x + Fraction(1, 6) for x in g]):
                     want = d.comultiply(cand) == [x * y for x in cand for y in cand] and d.counit_of(cand) == 1
-                    assert grouplike._is_group_like(d, cand, cleared) == want
+                    assert grouplike._is_group_like(d, cand) == want
                     checked[want] += 1
     assert min(checked.values()) >= 30, checked
 
@@ -254,13 +253,13 @@ def test_integral_trace_form_rank_matches_fraction_oracle():
     for entry in generate_coalgebras(20240809, 200, max_rank=12):
         c = entry.coalgebra
         want = _fraction_trace_rank(c)
-        assert grouplike._trace_form_rank(c, cleared_delta(c)) == want
+        assert grouplike._trace_form_rank(c) == want
         cq = _over_q(c)
-        assert grouplike._trace_form_rank(cq, cleared_delta(cq)) == want
+        assert grouplike._trace_form_rank(cq) == want
     zs_corpus = _zs_with_conjugates()
     fractional = sum(any(v.denominator != 1 for row in d.delta.rows for v in row) for d in zs_corpus)
     for d in zs_corpus:
-        assert grouplike._trace_form_rank(d, cleared_delta(d)) == _fraction_trace_rank(d)
+        assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
     assert fractional >= 10
 
 
@@ -271,7 +270,7 @@ def _assert_search_and_lift_match_oracles(c, twins=(), p=None):
     gl = [g for g, _ in decompositions[0]]
     spans = oracles.component_spans(c.delta.rows, c.rank, gl, p)
     for d, decomposition in zip((c, *twins), decompositions):
-        assert sorted(grouplike._characters(d, cleared_delta(d))) == chars
+        assert sorted(grouplike._characters(d)) == chars
         assert [oracles.rref(lat.basis.rows, p) for _, lat in decomposition] == spans
 
 
@@ -300,8 +299,10 @@ def test_noncommuting_blocks_lose_invariance(ring):
     line = [[0, 0, 0, 1], [0, 1, 1, 0]]
     plane = [[0, 0, 0, 0, 0, 1, 0, 0, 0], [0] * 9, [0, 0, 1, 0, 0, 0, 0, 0, 0]]
     for rows in (line, plane):
+        n = len(rows)
+        blocks = Coalgebra(ring, n, Matrix(ring, rows, n * n), [0] * n).blocks
         with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
-            grouplike._character_tuples(rows, len(rows), ring)
+            grouplike._character_tuples(blocks, n, ring)
 
 
 def test_scalar_blocks_skip_the_characteristic_polynomial(monkeypatch):
@@ -336,7 +337,7 @@ def test_unsolvable_interpolation_is_refused(monkeypatch):
 
     c = set_like(ZZ, ["a", "b"])
     collided = grouplike.GroupLikeSet(c, ((0, 1), (0, 1)), (1, 1), True)
-    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need, cleared: collided)
+    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need: collided)
     with pytest.raises(AssertionError, match="character interpolation must be solvable"):
         components(c)
 
@@ -386,7 +387,7 @@ def test_gr_simplicial_map_runs_one_character_search_per_level(monkeypatch):
 
 
 def _refuse_candidates(monkeypatch):
-    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g, cleared: False)
+    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
 
 
 def _refuse_independence(monkeypatch):

@@ -214,3 +214,43 @@ def test_cli_rejects_boolean_indices(tmp_path):
     obj["rank"] = True
     code, text = run_command(["check", _write(tmp_path, obj)], "coalg")
     assert code == 2 and "not a boolean" in text
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["homology", "-N", "1"]], ids=["validate", "homology"])
+def test_sset_verbs_report_malformed_files_alike(tmp_path, verb):
+    good = sz.load_json(data("circle.json"))
+    no_dimension = {key: value for key, value in good.items() if key != "dimension"}
+    no_face_index = dict(good, faces=[{key: value for key, value in rec.items() if key != "i"}
+                                      for rec in good["faces"]])
+    for obj, message in ((no_dimension, "error: missing field 'dimension' in simplicial set"),
+                         (no_face_index, "error: missing field 'i' in face record")):
+        code, text = run_command([verb[0], _write(tmp_path, obj), *verb[1:]], "sset")
+        assert (code, text) == (2, message)
+
+
+def test_sset_rejects_an_oversized_level_fast(tmp_path):
+    import time
+
+    points = [f"p{i}" for i in range(10000)]
+    path = _write(tmp_path, {"dimension": 0, "levels": [points], "faces": [], "degeneracies": []})
+    for argv in (["homology", path, "-N", "5"], ["validate", path], ["chains", path]):
+        start = time.perf_counter()
+        code, text = run_command(argv, "sset")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == f"error: simplicial set level 0 has 10000 simplices, above the bound {sz.MAX_RANK}"
+    path = _write(tmp_path, {"dimension": 0, "levels": [points[: sz.MAX_RANK]], "faces": [], "degeneracies": []})
+    assert run_command(["validate", path], "sset")[0] == 0
+
+
+def test_degrees_are_checked_before_building_chains(monkeypatch):
+    from purecoalg import cli
+
+    def refuse(*args):
+        raise AssertionError("chains built before the degree check")
+
+    monkeypatch.setattr(cli, "chains_functor", refuse)
+    monkeypatch.setattr(cli, "chains_map", refuse)
+    code, text = run_command(["homology", data("circle.json"), "-N", "2"], "sset")
+    assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
+    code, text = run_command(["check", data("interval-collapse.json"), "--we", "-N", "2"], "smap")
+    assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
