@@ -537,20 +537,22 @@ def _transported(c: Coalgebra, weights, section):
     Both matrices are cleared of denominators first, so the products
     run in integers.  Each X_r with a nonzero weight is carried through
     M once, while it is still sparse, and the weights then combine the
-    results.
+    nonzero rows of the results.
     """
     e, weights = cleared_rows(weights)
     f, section = cleared_rows(section)
-    m = len(section[0]) if section else 0
     used = {r for row in weights for r, a in enumerate(row) if a}
-    moved = {r: sandwich(section, c.blocks[r], section, c.rank) for r in used}
+    moved = {r: [(j, row) for j, row in enumerate(sandwich(section, c.blocks[r], section, c.rank)) if any(row)]
+             for r in used}
     blocks = []
     for row in weights:
-        acc = [[0] * m for _ in range(m)]
+        acc = {}
         for r, a in enumerate(row):
             if a:
-                acc = [[x + a * y for x, y in zip(s, t)] for s, t in zip(acc, moved[r])]
-        blocks.append({j: [(k, v) for k, v in enumerate(accrow) if v] for j, accrow in enumerate(acc)})
+                for j, image in moved[r]:
+                    have = acc.get(j)
+                    acc[j] = [a * y for y in image] if have is None else [x + a * y for x, y in zip(have, image)]
+        blocks.append({j: [(k, v) for k, v in enumerate(acc[j]) if v] for j in sorted(acc)})
     return e * f * f * c.denom, blocks
 
 

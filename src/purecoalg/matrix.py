@@ -40,14 +40,24 @@ class Matrix:
 
     # --- constructors -------------------------------------------------
     @classmethod
+    def _owning(cls, ring: Ring, rows: list, ncols: int) -> "Matrix":
+        """A matrix on rows just built by the caller, each a fresh list of length ncols, taken without a copy."""
+        mat = object.__new__(cls)
+        mat.ring = ring
+        mat.rows = rows
+        mat.nrows = len(rows)
+        mat.ncols = ncols
+        return mat
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls._owning(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, ring: Ring, m: int, n: int) -> "Matrix":
         zero = ring.zero
-        return cls(ring, [[zero] * n for _ in range(m)], n)
+        return cls._owning(ring, [[zero] * n for _ in range(m)], n)
 
     # --- basic queries -------------------------------------------------
     def __eq__(self, other):
@@ -79,20 +89,20 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
         rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return Matrix(self.ring, self._post_rows(rows), self.ncols)
+        return Matrix._owning(self.ring, self._post_rows(rows), self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix subtraction")
         rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return Matrix(self.ring, self._post_rows(rows), self.ncols)
+        return Matrix._owning(self.ring, self._post_rows(rows), self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self._post_rows([[-a for a in r] for r in self.rows]), self.ncols)
+        return Matrix._owning(self.ring, self._post_rows([[-a for a in r] for r in self.rows]), self.ncols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.ring, self._post_rows([[c * a for a in r] for r in self.rows]), self.ncols)
+        return Matrix._owning(self.ring, self._post_rows([[c * a for a in r] for r in self.rows]), self.ncols)
 
     def _post_rows(self, rows):
         post = _post_fn(self.ring)
@@ -112,11 +122,11 @@ class Matrix:
                     brow = brows[j]
                     acc = [x + a * y for x, y in zip(acc, brow)]
             out.append(acc)
-        return Matrix(self.ring, self._post_rows(out), other.ncols)
+        return Matrix._owning(self.ring, self._post_rows(out), other.ncols)
 
     def transpose(self) -> "Matrix":
         rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.ring, rows, self.nrows)
+        return Matrix._owning(self.ring, rows, self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product with the row-major basis convention e_i (x) e_j -> i*n2 + j."""
@@ -125,7 +135,7 @@ class Matrix:
         for arow in self.rows:
             for brow in other.rows:
                 rows.append([a * b for a in arow for b in brow])
-        return Matrix(self.ring, self._post_rows(rows), self.ncols * other.ncols)
+        return Matrix._owning(self.ring, self._post_rows(rows), self.ncols * other.ncols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
@@ -279,15 +289,15 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
     row spaces (as sublattices) is equality of Hermite forms.
     """
     A, U, r = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=True)
-    h = Matrix(mat.ring, A[:r], mat.ncols)
-    u = Matrix(mat.ring, U, mat.nrows)
+    h = Matrix._owning(mat.ring, A[:r], mat.ncols)
+    u = Matrix._owning(mat.ring, U, mat.nrows)
     return h, u
 
 
 def hnf_basis(mat: Matrix) -> Matrix:
     """Hermite form only, skipping the transform bookkeeping."""
     A, _, r = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=False)
-    return Matrix(mat.ring, A[:r], mat.ncols)
+    return Matrix._owning(mat.ring, A[:r], mat.ncols)
 
 
 def left_kernel_rows(mat: Matrix) -> list[list]:
@@ -307,8 +317,8 @@ def snf(mat: Matrix) -> tuple[list, Matrix, Matrix]:
     divs, u_rows, v_rows = _snf_rows(mat.ring, mat.rows, mat.ncols, track=True)
     return (
         divs,
-        Matrix(mat.ring, u_rows, mat.nrows),
-        Matrix(mat.ring, v_rows, mat.ncols),
+        Matrix._owning(mat.ring, u_rows, mat.nrows),
+        Matrix._owning(mat.ring, v_rows, mat.ncols),
     )
 
 

@@ -21,9 +21,14 @@ Central objects:
 
 Every Filtration is machine-checked at construction: stages must be
 pure subcoalgebra lattices, increase monotonically, and satisfy the
-comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  The
-subcoalgebra and compatibility checks run on n x n blocks of Delta with
-the stages' quotient projections, never in the n^2-dimensional C (x) C.
+comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  Every
+component decomposition is checked too: pure parts whose stacked bases
+form a unimodular basis of C, each a subcoalgebra holding its own
+group-like and no other.  Both read the subcoalgebra, compatibility and
+membership conditions off the support of Delta in one basis adapted to
+the flag or to the direct sum (``_adapted_support``): Delta is carried
+into that basis once, in integers, and only which coefficients are
+nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
 """
 
 from __future__ import annotations
@@ -34,13 +39,12 @@ from dataclasses import dataclass
 from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
-    delta_blocks,
+    _transported,
     is_subcoalgebra,
     sandwich,
     stored_coordinates,
     tensor,
     validate_map,
-    vanishes,
 )
 from .errors import (
     AmbientMismatch,
@@ -59,7 +63,22 @@ from .rings import ZZ, cleared_rows
 
 
 class Filtration:
-    """Increasing chain of pure subcoalgebra lattices compatible with Delta."""
+    """Increasing chain of pure subcoalgebra lattices compatible with Delta.
+
+    Construction validates the chain, stage by stage: the stages must
+    increase, each must be pure and a subcoalgebra, and then
+    Delta(V_m) <= sum_i V_{m-i} (x) V_i must hold at every stage m.  All
+    of it but the increase and purity tests is read off one matrix: Delta
+    in a basis t_0, t_1, ... adapted to the flag, where the first rank V_m
+    rows span V_m.  Let deg r be the first stage holding t_r.  Over the
+    fraction field V_m (x) V_m is spanned by the t_s (x) t_t with s and t
+    of degree at most m, and the sum by those of total degree at most m,
+    and purity makes both statements integral.  So a nonzero coefficient
+    of t_s (x) t_t in Delta(t_r) with max(deg s, deg t) > deg r means
+    stage deg r is not a subcoalgebra, and one with
+    deg s + deg t > deg r that it is not compatible; the smallest such
+    stage is reported.
+    """
 
     __slots__ = ("coalgebra", "stages")
 
@@ -73,33 +92,30 @@ class Filtration:
         for lower, upper in zip(stages, stages[1:]):
             if not upper.contains_lattice(lower):
                 raise ValidationError("filtration stages must increase")
+        impure = None
         for idx, v in enumerate(stages):
             flag, witness = v.is_pure()
             if not flag:
-                raise NotPure(f"filtration stage {idx} is not pure (witness prime {witness})")
-            if not is_subcoalgebra(v, coalgebra):
-                raise NotSubcoalgebra(f"filtration stage {idx} is not a subcoalgebra")
+                impure = NotPure(f"filtration stage {idx} is not pure (witness prime {witness})")
+                break
+        # the checks run on the pure prefix; a subcoalgebra failure below
+        # the first impure stage is reported ahead of it
+        prefix = stages[: idx if impure else len(stages)]
+        incompatible = None
+        if prefix and prefix[-1].rank:
+            rows, deg = _flag_basis(coalgebra, prefix)
+            for r, pairs in enumerate(_adapted_support(coalgebra, rows, prefix[-1].rank)[1]):
+                for s, t in pairs:
+                    if max(deg[s], deg[t]) > deg[r]:
+                        raise NotSubcoalgebra(f"filtration stage {deg[r]} is not a subcoalgebra")
+                    if incompatible is None and deg[s] + deg[t] > deg[r]:
+                        incompatible = deg[r]
+        if impure:
+            raise impure
+        if incompatible is not None:
+            raise ValidationError(f"Delta is not compatible with filtration stage {incompatible}")
         self.coalgebra = coalgebra
         self.stages = tuple(stages)
-        self._check_compatibility()
-
-    def _check_compatibility(self):
-        """Delta(V_m) <= sum_i V_{m-i} (x) V_i at every stage m.
-
-        For nested pure stages that sum is the intersection over
-        a = -1, ..., m of {X : P_a^T X P_{m-1-a} = 0}, where P_a is the
-        integral projection with kernel V_a and P_{-1} the identity: in
-        a basis adapted to the flag both sides are spanned by the
-        e_s (x) e_t of total degree at most m.  Each basis row of V_m is
-        checked on the n x n matrix X of its Delta.
-        """
-        c = self.coalgebra
-        proj = [None] + [v.integral_projection() for v in self.stages]
-        for m, v in enumerate(self.stages):
-            for x in delta_blocks(c, v.basis.rows):
-                for a in range(-1, m + 1):
-                    if not vanishes(sandwich(proj[a + 1], x, proj[m - a], c.rank), c.ring):
-                        raise ValidationError(f"Delta is not compatible with filtration stage {m}")
 
     @property
     def length(self) -> int:
@@ -130,6 +146,82 @@ class Filtration:
         return True
 
 
+def _scaled_inverse(rows, base) -> list:
+    """Rows of d * T^-1 for a square integer T invertible over the fraction field, d a nonzero integer.
+
+    Over F_p the entries are residues and d = 1.  Over Z, with U * T = H
+    the Hermite form (upper triangular), d = det H makes d * H^-1
+    integral, so back substitution in H * Z = d * U divides exactly and
+    Z = d * T^-1 comes out fraction-free.
+    """
+    n = len(rows)
+    if base.kind == "Fp":
+        return Matrix(base, rows, n).inverse().rows
+    h, u = hnf(Matrix(base, rows, n))
+    h = h.rows
+    d = math.prod(h[i][i] for i in range(n))
+    out = [None] * n
+    for i in reversed(range(n)):
+        acc = [d * x for x in u.rows[i]]
+        for j in range(i + 1, n):
+            if h[i][j]:
+                acc = [x - h[i][j] * y for x, y in zip(acc, out[j])]
+        out[i] = [x // h[i][i] for x in acc]
+    return out
+
+
+def _adapted_support(c: Coalgebra, rows, checked: int):
+    """(section, support) for Delta in the basis t_0, ..., t_{n-1} given by the rows.
+
+    The rows T need only be invertible over the fraction field.  Each is
+    cleared of denominators (a row scalar changes no support), the
+    section S = d * T^-1 is computed fraction-free, and one
+    ``_transported`` gives X'_r = S^T X(t_r) S, the coefficients of
+    Delta(t_r) on the t_a (x) t_b up to one nonzero scalar.  support[r]
+    lists the (a, b) whose coefficient is nonzero (mod p over F_p), for
+    the first ``checked`` rows.  x * S holds the t-coordinates of x.
+    """
+    base = c.base
+    ints = [cleared_rows([row])[1][0] for row in rows]
+    section = _scaled_inverse(ints, base)
+    _, blocks = _transported(c, ints[:checked], section)
+    reduce = base.reduce_row
+    support = []
+    for block in blocks:
+        pairs = []
+        for a, entries in block.items():
+            values = reduce([v for _, v in entries])
+            pairs.extend((a, b) for (b, _), v in zip(entries, values) if v)
+        support.append(pairs)
+    return section, support
+
+
+def _flag_basis(c: Coalgebra, stages):
+    """(rows, degrees): integer rows T adapted to a flag of pure lattices, invertible over the fraction field.
+
+    The rows of degree m lift a basis of V_m / V_{m-1}: the image of the
+    basis B_m under the integral projection P_{m-1} (kernel V_{m-1}) is
+    brought to Hermite form U * B_m * P_{m-1} = [H; 0], and the first
+    rank H rows of U * B_m are the lifts.  Unit vectors off the pivot
+    columns of the last stage complete the rows, with degree len(stages).
+    """
+    base, n = c.base, c.rank
+    rows, degrees = [], []
+    for m, v in enumerate(stages):
+        if v.rank == len(rows):
+            continue
+        basis = Matrix(base, cleared_rows(v.basis.rows)[1], n)
+        if rows:
+            proj = Matrix(base, stages[m - 1].integral_projection(), n - len(rows))
+            h, u = hnf(basis * proj)
+            basis = Matrix(base, u.rows[: h.nrows], basis.nrows) * basis
+        rows += basis.rows
+        degrees += [m] * basis.nrows
+    pivots = set(stages[-1].basis.pivot_columns())
+    rows += [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
+    return rows, degrees + [len(stages)] * (n - len(degrees))
+
+
 @dataclass
 class ComponentDecomposition:
     """Pairs (group-like, component lattice) witnessing C as a direct sum."""
@@ -155,30 +247,44 @@ class ComponentDecomposition:
 
 
 def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
+    """The decomposition, once every component is checked pure and the sum direct and unimodular.
+
+    The stacked component bases then form a basis t of C, and Delta in
+    that basis decides the rest: component idx is a subcoalgebra when
+    Delta of each of its rows has support inside idx x idx, and a
+    group-like lies in component idx when its t-coordinates do.
+    """
     parts = sorted(parts, key=lambda p: tuple(p[0]))
-    gl = [tuple(g) for g, _ in parts]
     for idx, (g, lat) in enumerate(parts):
         flag, witness = lat.is_pure()
         if not flag:
             raise AssertionError(f"component {idx} is impure (witness {witness})")
-        if not is_subcoalgebra(lat, c):
-            raise AssertionError(f"component {idx} is not a subcoalgebra")
-        if not lat.contains(list(g)):
-            raise AssertionError(f"component {idx} misses its group-like")
-        for h in gl:
-            if h != tuple(g) and lat.contains(list(h)):
-                raise AssertionError(f"component {idx} contains a second group-like")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i][1].intersect(parts[j][1]).rank != 0:
-                raise AssertionError("components intersect nontrivially")
     decomposition = ComponentDecomposition(c, tuple((tuple(g), lat) for g, lat in parts))
     stacked = decomposition.stacked_basis()
+    divs = elementary_divisors(stacked)
+    # each Hermite basis is independent, so a dependent stack means some
+    # component meets the sum of the others
+    if len(divs) != stacked.nrows:
+        raise AssertionError("components intersect nontrivially")
     if stacked.nrows != c.rank:
         raise AssertionError("components do not fill the coalgebra")
-    divs = elementary_divisors(stacked)
-    if len(divs) != c.rank or not all(c.ring.is_unit(d) for d in divs):
+    if not all(c.ring.is_unit(d) for d in divs):
         raise AssertionError("stacked component basis is not unimodular")
+    owner = [idx for idx, (_, lat) in enumerate(parts) for _ in range(lat.rank)]
+    section, support = _adapted_support(c, stacked.rows, c.rank)
+    leaky = {owner[r] for r, pairs in enumerate(support)
+             if any({owner[a], owner[b]} != {owner[r]} for a, b in pairs)}
+    # homes[j]: the components that the t-coordinates of the j-th group-like touch
+    _, gs = cleared_rows([g for g, _ in parts])
+    coords = Matrix(c.base, gs, c.rank) * Matrix(c.base, section, c.rank)
+    homes = [{owner[a] for a, v in enumerate(row) if v} for row in coords.rows]
+    for idx in range(len(parts)):
+        if idx in leaky:
+            raise AssertionError(f"component {idx} is not a subcoalgebra")
+        if not homes[idx] <= {idx}:
+            raise AssertionError(f"component {idx} misses its group-like")
+        if any(home <= {idx} for j, home in enumerate(homes) if j != idx):
+            raise AssertionError(f"component {idx} contains a second group-like")
     return decomposition
 
 
@@ -443,10 +549,13 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
 
 
 def check_splitting_naturality(f: CoalgebraMap) -> bool:
-    """Whether the coradical retractions commute with the map."""
+    """Whether the coradical retractions commute with the map.
+
+    An endomorphism (codomain equal to domain) needs only one retraction.
+    """
     f.require_valid()
     r_dom = split_coradical(f.domain)
-    r_cod = split_coradical(f.codomain)
+    r_cod = r_dom if f.codomain == f.domain else split_coradical(f.codomain)
     return r_dom.matrix * f.matrix == f.matrix * r_cod.matrix
 
 

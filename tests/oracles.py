@@ -8,15 +8,17 @@ p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.
 
-The exceptions are the last two sections: the package's former
+The exceptions are the last three sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
 wedge), which work in the n^2-dimensional ambient space C (x) C through
-Kronecker products, Hermite forms and ``Lattice.solve``, and its former
-constructions on the dense n x n^2 matrix of Delta.  Their logic is kept
-unchanged so the block versions can be compared with them bit for bit,
-and they use the package's ``Lattice``, ``Matrix`` and dense
-``Coalgebra`` constructor, which ``test_lattice``, ``test_matrix`` and
-``test_coalgebra`` check on their own.
+Kronecker products, Hermite forms and ``Lattice.solve``; its former
+stage-by-stage and part-by-part validation of filtrations and component
+decompositions on n x n blocks of Delta; and its former constructions
+on the dense n x n^2 matrix of Delta.  Their logic is kept unchanged so
+the current versions can be compared with them bit for bit, and they
+use the package's ``Lattice``, ``Matrix``, block products and dense
+``Coalgebra`` constructor, which ``test_lattice``, ``test_matrix``,
+``test_tensor_blocks`` and ``test_coalgebra`` check on their own.
 """
 
 from __future__ import annotations
@@ -451,6 +453,73 @@ def kron_wedge(d, f, c):
     proj_d, _ = d.complement_projection()
     proj_f, _ = f.complement_projection()
     return kernel_lattice(c.delta * proj_d.kron(proj_f))
+
+
+# --- former block-product validation ------------------------------------------
+#
+# Filtration and component validation once ran stage by stage and part by
+# part on n x n blocks of Delta: a subcoalgebra test per stage or part, the
+# m + 2 products P_a^T X P_{m-1-a} per basis row of stage m, and membership
+# and intersection tests for the components.  They are kept here unchanged
+# so the adapted-basis support checks can be compared with them.
+
+
+def block_incompatible_stage(stages, c):
+    """First stage m with some P_a^T X P_{m-1-a} nonzero on a basis row of V_m, or None.
+
+    P_a is the integral projection with kernel V_a and P_{-1} the
+    identity; the stages must be pure and nested.
+    """
+    from purecoalg.coalgebra import delta_blocks, sandwich, vanishes
+
+    proj = [None] + [v.integral_projection() for v in stages]
+    for m, v in enumerate(stages):
+        for x in delta_blocks(c, v.basis.rows):
+            for a in range(-1, m + 1):
+                if not vanishes(sandwich(proj[a + 1], x, proj[m - a], c.rank), c.ring):
+                    return m
+    return None
+
+
+def decomposition_failure(c, parts):
+    """The first failing check on (group-like, component) parts, as its message, or None.
+
+    The checks and their order are the package's: purity of each part;
+    then the stacked bases, which must have an independent sum, fill the
+    coalgebra and be unimodular; then per part the subcoalgebra test,
+    its own group-like, and no second group-like.  Independence is
+    tested with ``Lattice.intersect``, part by part against the sum of
+    the others (for two parts, the pairwise intersection).
+    """
+    from purecoalg import Lattice, Matrix, elementary_divisors, is_subcoalgebra
+
+    parts = sorted(parts, key=lambda p: tuple(p[0]))
+    for idx, (_, lat) in enumerate(parts):
+        flag, witness = lat.is_pure()
+        if not flag:
+            return f"component {idx} is impure (witness {witness})"
+    for idx, (_, lat) in enumerate(parts):
+        others = Lattice.zero(c.ring, c.rank)
+        for j, (_, other) in enumerate(parts):
+            if j != idx:
+                others = others.add(other)
+        if lat.intersect(others).rank != 0:
+            return "components intersect nontrivially"
+    stacked = [row for _, lat in parts for row in lat.basis.rows]
+    if len(stacked) != c.rank:
+        return "components do not fill the coalgebra"
+    divs = elementary_divisors(Matrix(c.ring, stacked, c.rank))
+    if len(divs) != c.rank or not all(c.ring.is_unit(d) for d in divs):
+        return "stacked component basis is not unimodular"
+    for idx, (g, lat) in enumerate(parts):
+        if not is_subcoalgebra(lat, c):
+            return f"component {idx} is not a subcoalgebra"
+        if not lat.contains(list(g)):
+            return f"component {idx} misses its group-like"
+        for h, _ in parts:
+            if tuple(h) != tuple(g) and lat.contains(list(h)):
+                return f"component {idx} contains a second group-like"
+    return None
 
 
 # --- former dense-Delta constructions ------------------------------------------

@@ -113,3 +113,20 @@ def test_charpoly_berkowitz():
             acc = acc + power.scale(c)
             power = power * mat
         assert acc.is_zero()
+
+
+def test_arithmetic_results_share_no_rows_with_their_operands():
+    """Results own the rows they were built on, so writing into one leaves the operands alone."""
+    for ring, a_rows, b_rows in ((ZZ, [[1, 2], [3, 4]], [[0, 1], [1, 1]]),
+                                 (prime_field(7), [[1, 6], [3, 4]], [[5, 1], [1, 2]]),
+                                 (QQ, [[Fraction(1, 2), 2], [3, 4]], [[0, 1], [1, Fraction(2, 3)]])):
+        a, b = _mat(a_rows, ring), _mat(b_rows, ring)
+        results = [a + b, a - b, -a, a.scale(ring.normalize(2)), a * b, a.transpose(), a.kron(b),
+                   Matrix.identity(ring, 2), Matrix.zeros(ring, 2, 2), hnf(a)[0], hnf(a)[1], snf(a)[1]]
+        for out in results:
+            assert all(len(row) == out.ncols for row in out.rows) and len(out.rows) == out.nrows
+            for row in out.rows:
+                row[0] = ring.normalize(5)
+        assert a.rows == a_rows and b.rows == b_rows
+        ident = Matrix.identity(ring, 2)
+        assert ident.rows == [[ring.one, ring.zero], [ring.zero, ring.one]]

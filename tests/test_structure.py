@@ -151,6 +151,22 @@ def test_splitting_naturality_on_corpus_maps():
         assert check_splitting_naturality(record.map), record.kind
 
 
+def test_splitting_naturality_splits_an_endomorphism_once(monkeypatch):
+    from purecoalg import structure
+
+    real = structure.split_coradical
+    calls = []
+    monkeypatch.setattr(structure, "split_coradical", lambda c: calls.append(c) or real(c))
+    kinds = set()
+    for record in generate_maps(43, 40, max_rank=8):
+        calls.clear()
+        assert check_splitting_naturality(record.map), record.kind
+        endo = record.map.codomain == record.map.domain
+        assert len(calls) == (1 if endo else 2), record.kind
+        kinds.add((record.kind, endo))
+    assert ("identity", True) in kinds and any(not endo for _, endo in kinds)
+
+
 def test_tensor_filtration_examples():
     c2 = dual_zxk(2)
     filt = coradical_filtration(c2)

@@ -1,10 +1,13 @@
 """Tensor-square checks on n x n blocks against the former n^2-ambient routines.
 
-The subcoalgebra test, the filtration compatibility check and the wedge
-work on the n x n matrix X of Delta(x) through products P^T X Q with the
-integral quotient projections of pure lattices.  ``oracles`` keeps the
-Kronecker-product versions they replaced; both must agree over Z, Q,
-Z[1/2,1/3] and F_101, on accepted inputs and on rejected stage lists.
+The subcoalgebra test and the wedge work on the n x n matrix X of
+Delta(x) through products P^T X Q with the integral quotient projections
+of pure lattices; filtrations and component decompositions are validated
+on the support of Delta in a basis adapted to them.  ``oracles`` keeps
+the Kronecker-product versions and the former stage-by-stage and
+part-by-part block checks they replaced; all must agree over Z, Q,
+Z[1/2,1/3] and F_101, on accepted inputs and on rejected stage lists and
+decompositions.
 """
 
 import importlib
@@ -37,6 +40,7 @@ from purecoalg import (
 )
 from purecoalg.corpus import generate_coalgebras
 from purecoalg.rings import localized_integers
+from purecoalg.structure import _validated_decomposition
 
 import oracles
 
@@ -166,6 +170,151 @@ def test_filtration_verdicts_match_kron_oracles_on_random_stage_lists(name, corp
     assert {"accepted", "compatibility", "subcoalgebra"} <= seen
     if name in ("Z", "Z[1/2,1/3]"):
         assert "pure" in seen
+
+
+def _block_oracle_verdict(c, stages):
+    """The same verdict from the former block checks: per-stage subcoalgebra tests, m + 2 products per row."""
+    for lower, upper in zip(stages, stages[1:]):
+        if not upper.contains_lattice(lower):
+            return ("increase", None)
+    for idx, v in enumerate(stages):
+        if not v.is_pure()[0]:
+            return ("pure", idx)
+        if not is_subcoalgebra(v, c):
+            return ("subcoalgebra", idx)
+    index = oracles.block_incompatible_stage(stages, c)
+    return None if index is None else ("compatibility", index)
+
+
+def _message(c, stages):
+    try:
+        Filtration(c, stages)
+    except WorkbenchError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name,corpus", CORPORA, ids=[name for name, _ in CORPORA])
+def test_filtration_verdicts_match_block_oracle_on_random_stage_lists(name, corpus):
+    rng = random.Random(113)
+    seen = set()
+    for c in corpus:
+        for stages in _random_stage_lists(rng, c):
+            got = _verdict(c, stages)
+            assert got == _block_oracle_verdict(c, stages)
+            seen.add(got[0] if got else "accepted")
+            message = _message(c, stages)
+            if got and got[0] == "subcoalgebra":
+                assert message == f"filtration stage {got[1]} is not a subcoalgebra"
+            elif got and got[0] == "compatibility":
+                assert message == f"Delta is not compatible with filtration stage {got[1]}"
+    assert {"accepted", "compatibility", "subcoalgebra"} <= seen
+
+
+def _decomposition_failure(c, parts):
+    try:
+        _validated_decomposition(c, parts)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_parts(rng, c, parts):
+    """The decomposition itself and variants that break each of its checks."""
+    ring, n = c.ring, c.rank
+    gs = [g for g, _ in parts]
+    lats = [lat for _, lat in parts]
+    yield parts
+    yield [(gs[0], _scaled(lats[0], 5))] + parts[1:]
+    j = rng.randrange(len(parts))
+    rows = [[ring.normalize(rng.randint(-2, 2)) for _ in range(n)] for _ in range(lats[j].rank)]
+    yield parts[:j] + [(gs[j], Lattice.from_rows(ring, n, rows).saturate())] + parts[j + 1:]
+    if len(parts) < 2:
+        return
+    rest = parts[2:]
+    both = lats[0].add(lats[1])
+    yield parts[1:]
+    yield [(gs[0], both), (gs[1], lats[1])] + rest
+    yield [(gs[0], both), (gs[1], Lattice.zero(ring, n))] + rest
+    yield [(gs[0], lats[1]), (gs[1], lats[0])] + rest
+    a, b = lats[0].basis.rows[0], lats[1].basis.rows[0]
+    for k in (1, 5):
+        # b -> k * b + a: an elementary change for k = 1, index 5 over Z otherwise
+        sheared = Lattice.from_rows(ring, n, [[k * y + x for x, y in zip(a, b)]] + lats[1].basis.rows[1:])
+        yield [(gs[0], lats[0]), (gs[1], sheared)] + rest
+
+
+DECOMPOSITION_MESSAGES = {
+    "impure": "component 0 is impure",
+    "subcoalgebra": "is not a subcoalgebra",
+    "misses": "misses its group-like",
+    "second": "contains a second group-like",
+    "intersect": "components intersect nontrivially",
+    "fill": "components do not fill the coalgebra",
+    "unimodular": "stacked component basis is not unimodular",
+}
+
+
+@pytest.mark.parametrize("name,corpus", CORPORA, ids=[name for name, _ in CORPORA])
+def test_decomposition_verdicts_match_per_part_oracle(name, corpus):
+    rng = random.Random(127)
+    seen = set()
+    for c in corpus:
+        parts = list(components(c).parts)
+        if not parts:
+            continue
+        for perturbed in _perturbed_parts(rng, c, parts):
+            got = _decomposition_failure(c, perturbed)
+            assert got == oracles.decomposition_failure(c, perturbed)
+            seen.update(kind for kind, text in DECOMPOSITION_MESSAGES.items() if got and text in got)
+            seen.add("accepted" if got is None else "rejected")
+    want = {"accepted", "subcoalgebra", "misses", "second", "intersect", "fill"}
+    if name in ("Z", "Z[1/2,1/3]"):
+        want |= {"impure", "unimodular"}
+    assert want <= seen
+
+
+def test_filtration_and_components_skip_the_per_stage_and_per_part_checks(monkeypatch):
+    """Validation runs no subcoalgebra test, no stage sandwich and no intersection, and moves each block once."""
+    from purecoalg import coalgebra, structure
+
+    cases = [(c, list(coradical_filtration(c).stages)) for _, corpus in CORPORA for c in corpus[:4]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during validation")
+
+    moved = []
+    real_sandwich = coalgebra.sandwich
+    monkeypatch.setattr(structure, "sandwich", refuse)
+    monkeypatch.setattr(structure, "is_subcoalgebra", refuse)
+    monkeypatch.setattr(Lattice, "intersect", refuse)
+    monkeypatch.setattr(coalgebra, "sandwich", lambda *args: moved.append(1) or real_sandwich(*args))
+    for c, stages in cases:
+        moved.clear()
+        assert Filtration(c, stages).stages == tuple(stages)
+        assert len(moved) <= c.rank
+        moved.clear()
+        components(c)
+        assert len(moved) <= c.rank
+
+
+def test_filtration_of_a_twisted_rank_40_tensor():
+    # dual(Z[x]/x^5) (x) dual(Z[x]/x^8) in a seeded unimodular basis: the
+    # graded ranks are the convolution of 1^5 and 1^8
+    from purecoalg import tensor
+    from purecoalg.corpus import random_unimodular
+
+    product = tensor(dual_of_algebra(truncated_polynomial_algebra(ZZ, 5)),
+                     dual_of_algebra(truncated_polynomial_algebra(ZZ, 8)))
+    c = conjugate(product, random_unimodular(random.Random(131), ZZ, 40))
+    filt = coradical_filtration(c)
+    assert filt.stage_ranks == (1, 3, 6, 10, 15, 20, 25, 30, 34, 37, 39, 40)
+    stages = list(filt.stages)
+    # stage 2 left out: Delta of stage 3 needs V_1 (x) V_1, which stage 2 no longer bounds
+    skipped = stages[:2] + stages[3:]
+    assert oracles.block_incompatible_stage(skipped, c) == 2
+    with pytest.raises(ValidationError, match="Delta is not compatible with filtration stage 2$"):
+        Filtration(c, skipped)
 
 
 def dual_zxk(k):
