@@ -6,16 +6,29 @@ and characters are exactly the joint eigen-covectors of the commuting
 left-multiplication operators of A, with eigenvalue vector equal to the
 character values.  The search runs in integers for every ring, on the
 stored blocks of D * Delta (D the lcm of the denominators of Delta,
-1 over Z and F_p).  It splits
-Z^n (or F_p^n) recursively into the saturated lattices of simultaneous
-eigenspaces, pursuing only eigenvalues in the ground field (no other
-eigenvalue can contribute); an integer eigenvalue lam of the scaled
-operators is the character value lam / D.  The candidates whose
-coordinates lie in the ground ring are then verified exactly against
-the defining equations, in integers like the search.  Eigenvalues are
-integer roots, or roots in F_p found by root finding for every prime,
-of characteristic polynomials; the exhaustive scan
-``group_likes_bruteforce`` is an oracle for tests only.
+1 over Z and F_p).  It splits a saturated lattice recursively into the
+saturated lattices of simultaneous eigenspaces, pursuing only
+eigenvalues in the ground field (no other eigenvalue can contribute);
+an integer eigenvalue lam of the scaled operators is the character
+value lam / D.  The candidates whose coordinates lie in the ground ring
+are then verified exactly against the defining equations, in integers
+like the search.  Eigenvalues are integer roots, or roots in F_p found
+by root finding for every prime, of characteristic polynomials; the
+exhaustive scan ``group_likes_bruteforce`` is an oracle for tests only.
+
+The search starts not in Z^n (or F_p^n) but in rad(A)^perp, the
+coradical of C (x) K over the fraction field K, met with the stored
+lattice.  Every character kills rad(A), so every joint eigen-covector
+lies there, and rad(A) is an ideal, so the lattice is invariant under
+every operator: the joint eigenspaces, and the order in which the
+search emits them, are those of a search started in Z^n.  Its rank is
+the semisimple dimension of A, the group-like count for a pointed C,
+so the first characteristic polynomials are that small.  The radical
+is the trace-form kernel in characteristic zero (Dickson's criterion)
+and the kernel of the iterated Frobenius in characteristic p (A is
+commutative, so rad(A) is its nilradical).  The trace form is built
+over Z: clearing the denominators of Delta scales it by a square and
+keeps its kernel.
 
 A block that acts on an eigenspace as a scalar lam needs none of that:
 its characteristic polynomial is (x - lam)^r, lam is its only root, and
@@ -24,17 +37,13 @@ is a line, so after the first few splits almost every block is such a
 scalar, and the search tests for it first, on the image of the Hermite
 basis, before it forms a characteristic polynomial.
 
-Pointedness is decided over the fraction field K: C is pointed iff the
-semisimple quotient of A (x) K has dimension equal to the number of
-K-valued characters (so C (x) K is pointed) and every group-like of
-C (x) K already has coordinates in R.  The radical is the trace-form
-kernel in characteristic zero and the iterated Frobenius kernel in
-characteristic p.  The trace form is built over Z: clearing the
-denominators of Delta scales it by a square and keeps its rank.
-
-A caller that needs both answers uses ``pointed_group_likes``, which
-runs the character search once for the pointedness decision and the
-group-likes together.
+Pointedness is decided over K: C is pointed iff the semisimple quotient
+of A (x) K has dimension equal to the number of K-valued characters (so
+C (x) K is pointed) and every group-like of C (x) K already has
+coordinates in R.  One lattice gives both that dimension and the start
+of the search, so each public call builds it once.  A caller that needs
+both answers uses ``pointed_group_likes``, which runs the character
+search once for the pointedness decision and the group-likes together.
 """
 
 from __future__ import annotations
@@ -131,81 +140,90 @@ def _roots(coeffs, ring: Ring) -> list[int]:
     return integer_roots(coeffs)
 
 
-def _scalar(space: Lattice, image: Matrix):
-    """The lam with image = lam * (Hermite basis of the space), or None if there is none.
+def _image(row, op, ring: Ring) -> list:
+    """row * B for the operator B held as ``op``, its nonzero rows (r, ((k, v), ...))."""
+    acc = [0] * len(row)
+    for r, entries in op:
+        a = row[r]
+        if a:
+            for k, v in entries:
+                acc[k] += a * v
+    return ring.reduce_row(acc)
 
-    lam is read off the pivot of the first basis row, by exact division
-    over Z and with the inverse mod p over F_p.
+
+def _eigenspaces(space: Lattice, op, ring: Ring) -> list[tuple]:
+    """(lam, eigenspace) for each eigenvalue lam in the ring of one operator on an invariant space.
+
+    The images of the Hermite basis rows are formed one at a time, and
+    while each is lam times its row (lam read off the first pivot, which
+    is 1 over F_p) the operator may be the scalar lam: then the space
+    passes on unchanged, which is what the general step gives for
+    charpoly (x - lam)^r.  Otherwise the whole image is restricted to
+    the space, with its invariance check, and split by the roots of the
+    restriction's characteristic polynomial.
     """
-    first = space.basis.rows[0]
+    basis = space.basis.rows
+    first = basis[0]
     pivot = next(k for k, v in enumerate(first) if v)
-    if space.ring.kind == "Fp":
-        lam = image.rows[0][pivot] * pow(first[pivot], -1, space.ring.p) % space.ring.p
+    images = []
+    lam = None
+    for row in basis:
+        image = _image(row, op, ring)
+        images.append(image)
+        if lam is None:
+            lam, rem = divmod(image[pivot], first[pivot])
+            if rem:
+                break
+        if image != ring.reduce_row([lam * x for x in row]):
+            break
     else:
-        lam, rem = divmod(image.rows[0][pivot], first[pivot])
-        if rem:
-            return None
-    return lam if image == space.basis.scale(lam) else None
+        return [(lam, space)]
+    images += [_image(row, op, ring) for row in basis[len(images):]]
+    restriction = _restriction(space, Matrix(ring, images, space.ambient_rank))
+    ident = Matrix.identity(ring, space.rank)
+    out = []
+    for lam in _roots(charpoly(restriction), ring):
+        ker_rows = left_kernel_rows(restriction - ident.scale(lam))
+        if ker_rows:
+            newbasis = hnf_basis(Matrix(ring, ker_rows, space.rank) * space.basis)
+            out.append((lam, Lattice(ring, space.ambient_rank, newbasis)))
+    return out
 
 
-def _character_tuples(blocks, n: int, ring: Ring) -> list[tuple]:
-    """Joint eigen-covector eigenvalue tuples of the integral dual multiplications.
+def _character_tuples(blocks, start: Lattice) -> list[tuple]:
+    """Joint eigen-covector eigenvalue tuples of the integral dual multiplications, in ascending order.
 
-    ``ring`` is Z or F_p and ``blocks`` are stored blocks integral over
-    it.  The transposed left multiplication by the i-th dual basis
-    vector is the n x n matrix whose row r is row i of block r.  Each
-    joint eigenspace is kept as the Hermite basis of its
-    saturated lattice; an integral block maps that lattice into itself,
-    so its restriction is an integer matrix found by back-substitution,
-    and its eigenvalues in the ring are roots of an integer (or mod p)
-    characteristic polynomial.
-
-    A block whose image of the Hermite basis is lam times that basis is
-    the scalar lam on the space, and the space passes on unchanged with
-    lam appended.  That is exactly what the general step would give: the
-    characteristic polynomial is (x - lam)^r with the single root lam,
-    the kernel of the zero matrix is the whole space and its Hermite
-    basis is the one it already has.  A block that maps the space out of
-    itself is never such a scalar, so it still reaches ``_restriction``
-    and its invariance check.
+    ``blocks`` are stored blocks integral over ``start.ring`` (Z or
+    F_p), and ``start`` is a saturated lattice that every operator keeps
+    and that holds every joint eigen-covector (``_coradical_span``).
+    The transposed left multiplication by the i-th dual basis vector has
+    row r equal to row i of block r; it is held as those nonzero rows,
+    read off the blocks once.  Each joint eigenspace is kept as the
+    Hermite basis of its saturated lattice, and an integral operator's
+    restriction to it is an integer (or mod p) matrix.
     """
-    if n == 0:
+    if start.rank == 0:
         return []
-    spaces = [(Lattice.full(ring, n), ())]
-    for i in range(n):
-        rows = [[0] * n for _ in range(n)]
-        for row, x in zip(rows, blocks):
-            for k, v in x.get(i, ()):
-                row[k] = v
-        block = Matrix(ring, rows, n)
-        nxt = []
-        for space, prefix in spaces:
-            image = space.basis * block
-            lam = _scalar(space, image)
-            if lam is not None:
-                nxt.append((space, prefix + (lam,)))
-                continue
-            restriction = _restriction(space, image)
-            ident = Matrix.identity(ring, space.rank)
-            for lam in _roots(charpoly(restriction), ring):
-                ker_rows = left_kernel_rows(restriction - ident.scale(lam))
-                if not ker_rows:
-                    continue
-                newbasis = hnf_basis(Matrix(ring, ker_rows, space.rank) * space.basis)
-                nxt.append((Lattice(ring, n, newbasis), prefix + (lam,)))
-        spaces = nxt
+    ring = start.ring
+    ops = [[] for _ in range(start.ambient_rank)]
+    for r, x in enumerate(blocks):
+        for i, entries in x.items():
+            ops[i].append((r, entries))
+    spaces = [(start, ())]
+    for op in ops:
+        spaces = [(sub, prefix + (lam,)) for space, prefix in spaces for lam, sub in _eigenspaces(space, op, ring)]
         if not spaces:
             return []
     return [prefix for _, prefix in spaces]
 
 
-def _characters(c: Coalgebra) -> list[tuple]:
-    """The fraction-field-valued characters of the dual algebra.
+def _characters(c: Coalgebra, start: Lattice) -> list[tuple]:
+    """The fraction-field-valued characters of the dual algebra, searched for inside ``start``.
 
     The search runs over Z (over F_p) on the stored blocks; an
     eigenvalue lam of the scaled blocks is the character value lam / D.
     """
-    tuples = _character_tuples(c.blocks, c.rank, c.base)
+    tuples = _character_tuples(c.blocks, start)
     if c.ring.kind == "Fp":
         return tuples
     return [tuple(Fraction(lam, c.denom) for lam in t) for t in tuples]
@@ -237,7 +255,7 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
     field; a candidate survives if every coordinate lies in the ground
     ring, and each survivor is reverified exactly against the definition.
     """
-    return _certified(c, _verified_group_likes(c, _characters(c)))
+    return _certified(c, _verified_group_likes(c, _characters(c, _coradical_span(c))))
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -271,16 +289,24 @@ def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
     return _certified(c, vectors)
 
 
-def _trace_form_rank(c: Coalgebra) -> int:
-    """Rank of the trace form (x, y) -> tr(L_x L_y) of the dual algebra.
+def _coradical_span(c: Coalgebra) -> Lattice:
+    """rad(A)^perp in Z^n (in F_p^n), A the dual algebra over the fraction field.
 
-    The stored blocks X_a = D * Delta(e_a) scale the form by D^2, which
-    keeps its rank, so the Gram matrix is integral.  The transposed
-    multiplication by the i-th dual basis vector has row a equal to row
-    i of X_a, so tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a],
-    summed over the nonzero entries only.
+    Its rank is the dimension of the semisimple quotient of A.  In
+    characteristic zero rad(A) is the kernel of the trace form
+    (x, y) -> tr(L_x L_y), whose Gram matrix is symmetric, so the
+    lattice is the saturated row space of that matrix.  The stored blocks
+    X_a = D * Delta(e_a) scale the form by D^2, which keeps its kernel,
+    so the Gram matrix is integral.  The transposed multiplication by the
+    i-th dual basis vector has row a equal to row i of X_a, so
+    tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a], summed over the
+    nonzero entries only.  Over F_p, rad(A) is the kernel of the iterated
+    Frobenius matrix M (x -> x * M), so the lattice is the row space of
+    the transpose of M.
     """
     n = c.rank
+    if c.ring.kind == "Fp":
+        return Lattice.from_rows(c.base, n, iterated_frobenius(frobenius_matrix(dual_algebra(c))).transpose().rows)
     # column a of block b, as its nonzero (j, X_b[j][a])
     columns = [[[] for _ in range(n)] for _ in range(n)]
     for b, x in enumerate(c.blocks):
@@ -294,23 +320,11 @@ def _trace_form_rank(c: Coalgebra) -> int:
             for b, v in entries:
                 for j, w in columns[b][a]:
                     row[j] += v * w
-    return hnf_basis(Matrix(ZZ, gram, n)).nrows
+    return Lattice.from_rows(ZZ, n, gram).saturate()
 
 
-def _semisimple_dimension(c: Coalgebra) -> int:
-    """Dimension of the semisimple quotient of the dual algebra over the fraction field.
-
-    The radical is the kernel of the iterated Frobenius in characteristic
-    p and of the trace form in characteristic zero.
-    """
-    if c.ring.kind == "Fp":
-        return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
-    return _trace_form_rank(c)
-
-
-def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
+def _pointedness(c: Coalgebra, semisimple_dim: int, tuples) -> PointednessReport:
     """Pointedness from the characters: as many as the semisimple dimension, all integral."""
-    semisimple_dim = _semisimple_dimension(c)
     nonintegral = [t for t in tuples if not _in_ring(c.ring, t)]
     flag = semisimple_dim == len(tuples) and not nonintegral
     return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
@@ -318,20 +332,23 @@ def _pointedness(c: Coalgebra, tuples) -> PointednessReport:
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport)."""
-    report = _pointedness(c, _characters(c))
+    start = _coradical_span(c)
+    report = _pointedness(c, start.rank, _characters(c, start))
     return report.pointed, report
 
 
 def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
     """Certified group-likes of a coalgebra that must be pointed.
 
-    One character search serves both the pointedness decision and the
-    group-likes, with every check of ``is_pointed`` and ``group_likes``.
-    A coalgebra that is not pointed raises NotPointed with ``need`` and
-    the report.
+    One coradical span gives both the semisimple dimension and the start
+    of the one character search, which serves both the pointedness
+    decision and the group-likes, with every check of ``is_pointed`` and
+    ``group_likes``.  A coalgebra that is not pointed raises NotPointed
+    with ``need`` and the report.
     """
-    tuples = _characters(c)
-    report = _pointedness(c, tuples)
+    start = _coradical_span(c)
+    tuples = _characters(c, start)
+    report = _pointedness(c, start.rank, tuples)
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
     return _certified(c, _verified_group_likes(c, tuples))

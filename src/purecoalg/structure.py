@@ -313,6 +313,11 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
             raise NotPure(f"{name} wedge argument is impure (witness prime {witness})")
         if not is_subcoalgebra(lat, c):
             raise NotSubcoalgebra(f"{name} wedge argument is not a subcoalgebra")
+    return _unchecked_wedge(d, f, c)
+
+
+def _unchecked_wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
+    """The wedge of two lattices already known to be pure subcoalgebras, unchecked."""
     left, right = d.integral_projection(), f.integral_projection()
     n = c.rank
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
@@ -351,14 +356,19 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
 
     V_0 is the group-like span and V_{n+1} = V_n ^ V_0; the chain must
     reach the full lattice, and a stall below full rank is reported as
-    NotExhaustive (it would contradict pointedness).
+    NotExhaustive (it would contradict pointedness).  V_0 is pure and is
+    checked once to be a subcoalgebra; the wedge of two pure
+    subcoalgebras is again one, so the stages skip ``wedge``'s argument
+    checks, and the Filtration then validates every stage.
     """
     v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
+    if not is_subcoalgebra(v0, c):
+        raise AssertionError("the group-like span must be a subcoalgebra")
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
             raise NotExhaustive("coradical filtration exceeded the rank bound")
-        nxt = wedge(stages[-1], v0, c)
+        nxt = _unchecked_wedge(stages[-1], v0, c)
         if nxt == stages[-1]:
             raise NotExhaustive("coradical filtration stabilized below full rank")
         stages.append(nxt)

@@ -9,6 +9,7 @@ from purecoalg import (
     Coalgebra,
     CoalgebraMap,
     components,
+    coradical_lattice,
     Lattice,
     Matrix,
     NotGroupLike,
@@ -253,13 +254,13 @@ def test_integral_trace_form_rank_matches_fraction_oracle():
     for entry in generate_coalgebras(20240809, 200, max_rank=12):
         c = entry.coalgebra
         want = _fraction_trace_rank(c)
-        assert grouplike._trace_form_rank(c) == want
+        assert grouplike._coradical_span(c).rank == want
         cq = _over_q(c)
-        assert grouplike._trace_form_rank(cq) == want
+        assert grouplike._coradical_span(cq).rank == want
     zs_corpus = _zs_with_conjugates()
     fractional = sum(any(v.denominator != 1 for row in d.delta.rows for v in row) for d in zs_corpus)
     for d in zs_corpus:
-        assert grouplike._trace_form_rank(d) == _fraction_trace_rank(d)
+        assert grouplike._coradical_span(d).rank == _fraction_trace_rank(d)
     assert fractional >= 10
 
 
@@ -270,7 +271,7 @@ def _assert_search_and_lift_match_oracles(c, twins=(), p=None):
     gl = [g for g, _ in decompositions[0]]
     spans = oracles.component_spans(c.delta.rows, c.rank, gl, p)
     for d, decomposition in zip((c, *twins), decompositions):
-        assert sorted(grouplike._characters(d)) == chars
+        assert sorted(grouplike._characters(d, grouplike._coradical_span(d))) == chars
         assert [oracles.rref(lat.basis.rows, p) for _, lat in decomposition] == spans
 
 
@@ -302,7 +303,94 @@ def test_noncommuting_blocks_lose_invariance(ring):
         n = len(rows)
         blocks = Coalgebra(ring, n, Matrix(ring, rows, n * n), [0] * n).blocks
         with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
-            grouplike._character_tuples(blocks, n, ring)
+            grouplike._character_tuples(blocks, Lattice.full(ring, n))
+
+
+@pytest.mark.parametrize("ring", [ZZ, prime_field(7)], ids=["Z", "F7"])
+def test_start_that_is_not_invariant_loses_invariance(ring):
+    # block 0 of two set-like points projects onto e0, which sends the
+    # line of e0 + e1 out of itself
+    c = set_like(ring, ["a", "b"])
+    start = Lattice.from_rows(ring, 2, [[1, 1]])
+    with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
+        grouplike._character_tuples(c.blocks, start)
+
+
+def _frobenius_rank(c):
+    from purecoalg import dual_algebra
+    from purecoalg.binomial import frobenius_matrix, iterated_frobenius
+
+    return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
+
+
+def _f101_corpus():
+    return [e.coalgebra for e in generate_coalgebras(47, 40, max_rank=8, ring=prime_field(101))]
+
+
+def test_coradical_span_over_z_is_the_group_like_span():
+    # for a pointed C with a pure group-like span, rad(A)^perp over Q is
+    # spanned by the group-likes, and both lattices are saturated
+    compared = 0
+    for entry in generate_coalgebras(20240809, 200, max_rank=12):
+        c = entry.coalgebra
+        if is_pointed(c)[0] and group_likes(c).pure:
+            assert grouplike._coradical_span(c) == coradical_lattice(c)
+            compared += 1
+    assert compared == 200
+
+
+def test_coradical_span_holds_every_group_like():
+    from purecoalg.rings import cleared_rows
+
+    z_corpus = [e.coalgebra for e in generate_coalgebras(20240809, 200, max_rank=12)]
+    f101_corpus = _f101_corpus()
+    for c in [_over_q(c) for c in z_corpus] + _zs_with_conjugates() + f101_corpus:
+        span = grouplike._coradical_span(c)
+        gl = group_likes(c)
+        assert span.rank == len(gl)
+        for g in gl:
+            assert span.contains(cleared_rows([g])[1][0])
+    for c in f101_corpus:
+        assert grouplike._coradical_span(c).rank == _frobenius_rank(c)
+    # not pointed: Q(sqrt 2) and F_25 are simple of dimension 2 with no
+    # ground-field character
+    for c in (sqrt2_dual(ZZ), sqrt2_dual(QQ)):
+        assert grouplike._coradical_span(c).rank == _fraction_trace_rank(c) == 2
+        assert len(group_likes(c)) == 0
+    f5 = sqrt2_dual(prime_field(5))
+    assert grouplike._coradical_span(f5).rank == _frobenius_rank(f5) == 2
+    assert len(group_likes(f5)) == 0
+
+
+def test_search_from_the_coradical_span_matches_the_full_search():
+    z_corpus = [e.coalgebra for e in generate_coalgebras(20240809, 200, max_rank=12)]
+    corpus = z_corpus + [_over_q(c) for c in z_corpus] + _zs_with_conjugates() + _f101_corpus()
+    for c in corpus:
+        full = grouplike._character_tuples(c.blocks, Lattice.full(c.base, c.rank))
+        assert grouplike._character_tuples(c.blocks, grouplike._coradical_span(c)) == full
+
+
+def test_characteristic_polynomials_stay_within_the_group_like_count(monkeypatch):
+    # the search starts in a lattice of rank the semisimple dimension,
+    # which is the group-like count for a pointed C, not in Z^12
+    sizes = []
+    original = grouplike.charpoly
+
+    def counted(mat):
+        sizes.append(mat.nrows)
+        return original(mat)
+
+    monkeypatch.setattr(grouplike, "charpoly", counted)
+    split = 0
+    for entry in generate_coalgebras(20240809, 200, max_rank=12):
+        c = entry.coalgebra
+        if c.rank != 12 or not is_pointed(c)[0]:
+            continue
+        sizes.clear()
+        count = len(group_likes(c))
+        assert all(size <= count for size in sizes)
+        split += bool(sizes)
+    assert split >= 30
 
 
 def test_scalar_blocks_skip_the_characteristic_polynomial(monkeypatch):

@@ -68,6 +68,36 @@ def test_wedge_preconditions():
         wedge(not_sub, Lattice.full(ZZ, 2), c)
 
 
+def test_coradical_filtration_checks_the_coradical_once(monkeypatch):
+    # the stages come from unchecked wedges of pure subcoalgebras, the
+    # same lattices the checked public wedge gives
+    from purecoalg import structure
+
+    calls = []
+    original = structure.is_subcoalgebra
+
+    def counted(lat, c):
+        calls.append(lat.rank)
+        return original(lat, c)
+
+    monkeypatch.setattr(structure, "is_subcoalgebra", counted)
+    lengths = set()
+    for entry in generate_coalgebras(43, 20, max_rank=8):
+        c = entry.coalgebra
+        calls.clear()
+        filt = coradical_filtration(c)
+        assert len(calls) <= 1
+        stages = [filt.stages[0]]
+        while len(stages) < filt.length:
+            stages.append(wedge(stages[-1], stages[0], c))
+        assert tuple(stages) == filt.stages
+        lengths.add(filt.length)
+    assert max(lengths) >= 3
+    monkeypatch.setattr(structure, "is_subcoalgebra", lambda lat, c: False)
+    with pytest.raises(AssertionError, match="the group-like span must be a subcoalgebra"):
+        coradical_filtration(dual_zxk(3))
+
+
 def test_coradical_filtration_examples():
     assert coradical_filtration(set_like(ZZ, ["a", "b", "c"])).stage_ranks == (3,)
     assert coradical_filtration(dual_zxk(3)).stage_ranks == (1, 2, 3)
