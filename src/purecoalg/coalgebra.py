@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     AmbientMismatch,
@@ -81,7 +82,7 @@ class Coalgebra:
     demand.
     """
 
-    __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names")
+    __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit")
 
     def __init__(self, ring: Ring, rank: int, delta: Matrix, counit, basis_names=None):
         if delta.nrows != rank or delta.ncols != rank * rank:
@@ -125,6 +126,7 @@ class Coalgebra:
         self.denom = scale
         self.blocks = stored
         self.counit = list(counit)
+        self._cleared_counit = ring.cleared([self.counit])
         self.basis_names = tuple(names) if names is not None else None
 
     @property
@@ -166,10 +168,12 @@ class Coalgebra:
         return self.ring.reduce_row(acc)
 
     def counit_of(self, vector):
-        total = self.ring.zero
-        for c, e in zip(vector, self.counit):
-            total = total + c * e
-        return self.ring.reduce_row([total])[0]
+        """eps(x); over Q and Z[S^-1] one integer dot product of x and the counit, each cleared."""
+        if self._cleared_counit is None:
+            return self.ring.reduce_row([sum(map(operator.mul, vector, self.counit), self.ring.zero)])[0]
+        (e,), (counit,) = self._cleared_counit
+        (d,), (x,) = self.ring.cleared([vector])
+        return Fraction(sum(map(operator.mul, x, counit)), d * e)
 
     # --- axioms ------------------------------------------------------------
     def validate(self) -> ValidationReport:
@@ -298,10 +302,12 @@ class AlgebraPresentation:
     """Commutative associative unital algebra on a free module of finite rank.
 
     The multiplication tensor is an n^2 x n matrix: row (i, j) holds the
-    coordinates of e_i * e_j.
+    coordinates of e_i * e_j.  Its nonzero (t, v) per row are held once,
+    at construction, and products, powers and the axiom checks walk
+    those.
     """
 
-    __slots__ = ("ring", "rank", "mult", "unit", "basis_names")
+    __slots__ = ("ring", "rank", "mult", "unit", "basis_names", "_items")
 
     def __init__(self, ring: Ring, rank: int, mult: Matrix, unit, basis_names=None):
         if mult.nrows != rank * rank or mult.ncols != rank:
@@ -313,6 +319,7 @@ class AlgebraPresentation:
         self.mult = mult
         self.unit = list(unit)
         self.basis_names = tuple(basis_names) if basis_names is not None else None
+        self._items = [[(t, v) for t, v in enumerate(row) if v] for row in mult.rows]
 
     def __eq__(self, other):
         return (
@@ -327,20 +334,19 @@ class AlgebraPresentation:
         return f"AlgebraPresentation({self.ring}, rank {self.rank})"
 
     def multiply(self, x, y):
-        """Product of two coordinate vectors."""
+        """Product of two coordinate vectors, over the nonzero structure constants."""
         n = self.rank
-        ring = self.ring
-        acc = [ring.zero] * n
-        rows = self.mult.rows
+        acc = [self.ring.zero] * n
+        items = self._items
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                acc = [a + coeff * m for a, m in zip(acc, rows[i * n + j])]
-        return ring.reduce_row(acc)
+            if xi:
+                at = i * n
+                for j, yj in ys:
+                    coeff = xi * yj
+                    for t, v in items[at + j]:
+                        acc[t] += coeff * v
+        return self.ring.reduce_row(acc)
 
     def power(self, x, e: int):
         """x**e by binary powering (e >= 1)."""
@@ -380,7 +386,7 @@ class AlgebraPresentation:
         # structure constants; for each (i, j) every k is compared at once, the
         # coefficient of e_t for a given k sitting at k * n + t of a flat list
         assoc_loc = ""
-        items = [[(t, v) for t, v in enumerate(row) if v] for row in M]
+        items = self._items
         for i in range(n):
             for j in range(n):
                 lhs = [0] * (n * n)
@@ -601,11 +607,7 @@ class CoalgebraMap:
         return f"CoalgebraMap({self.domain.rank} -> {self.codomain.rank} over {self.domain.ring})"
 
     def apply(self, vector):
-        out = [self.domain.ring.zero] * self.codomain.rank
-        for c, row in zip(vector, self.matrix.rows):
-            if c:
-                out = [x + c * y for x, y in zip(out, row)]
-        return self.domain.ring.reduce_row(out)
+        return (Matrix(self.domain.ring, [vector], self.domain.rank) * self.matrix).rows[0]
 
     def compose(self, then: "CoalgebraMap") -> "CoalgebraMap":
         if self.codomain is not then.domain and self.codomain != then.domain:
@@ -655,8 +657,7 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
             break
     report.add("comultiplication square", not square_loc, square_loc)
 
-    triangle = [sum(map(operator.mul, row, f.codomain.counit), ring.zero) - eps
-                for row, eps in zip(f.matrix.rows, f.domain.counit)]
+    triangle = [f.codomain.counit_of(row) - eps for row, eps in zip(f.matrix.rows, f.domain.counit)]
     bad = next((i for i, v in enumerate(ring.reduce_row(triangle)) if v), None)
     tri_loc = "" if bad is None else f"basis {bad}"
     report.add("counit triangle", not tri_loc, tri_loc)

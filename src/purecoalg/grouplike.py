@@ -24,11 +24,13 @@ every operator: the joint eigenspaces, and the order in which the
 search emits them, are those of a search started in Z^n.  Its rank is
 the semisimple dimension of A, the group-like count for a pointed C,
 so the first characteristic polynomials are that small.  The radical
-is the trace-form kernel in characteristic zero (Dickson's criterion)
-and the kernel of the iterated Frobenius in characteristic p (A is
-commutative, so rad(A) is its nilradical).  The trace form is built
-over Z: clearing the denominators of Delta scales it by a square and
-keeps its kernel.
+is the trace-form kernel in characteristic zero and in characteristic
+p > rank (Dickson's criterion), so every ring but a small prime field
+takes the row space of one integer trace Gram matrix, mod p over F_p.
+For p <= rank the trace form can degenerate, and rad(A), the nilradical
+of the commutative A, is the kernel of the iterated Frobenius.  The
+trace form is built over Z: clearing the denominators of Delta scales
+it by a square and keeps its kernel.
 
 A block that acts on an eigenspace as a scalar lam needs none of that:
 its characteristic polynomial is (x - lam)^r, lam is its only root, and
@@ -64,7 +66,7 @@ from .errors import (
 from .lattice import Lattice
 from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis, left_kernel_rows
 from .polyroots import integer_roots, prime_field_roots
-from .rings import ZZ, Ring, cleared_rows
+from .rings import Ring, cleared_rows
 
 BRUTE_FORCE_BOUND = 10**7
 
@@ -292,20 +294,26 @@ def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
 def _coradical_span(c: Coalgebra) -> Lattice:
     """rad(A)^perp in Z^n (in F_p^n), A the dual algebra over the fraction field.
 
-    Its rank is the dimension of the semisimple quotient of A.  In
-    characteristic zero rad(A) is the kernel of the trace form
-    (x, y) -> tr(L_x L_y), whose Gram matrix is symmetric, so the
-    lattice is the saturated row space of that matrix.  The stored blocks
-    X_a = D * Delta(e_a) scale the form by D^2, which keeps its kernel,
-    so the Gram matrix is integral.  The transposed multiplication by the
-    i-th dual basis vector has row a equal to row i of X_a, so
+    Its rank is the dimension of the semisimple quotient of A.  rad(A) is
+    the kernel of the trace form (x, y) -> tr(L_x L_y) in characteristic
+    zero, and in characteristic p > n = rank A too (Dickson's criterion):
+    A is commutative, the trace form vanishes on rad(A), and on a local
+    factor of length m with residue field K it is m times the trace form
+    of K, which is nondegenerate, with m <= n < p a unit.  The Gram
+    matrix is symmetric, so the lattice is the saturated row space of
+    that matrix (mod p over F_p).  The stored blocks X_a = D * Delta(e_a)
+    scale the form by D^2, which keeps its kernel, so the Gram matrix is
+    integral.  The transposed multiplication by the i-th dual basis
+    vector has row a equal to row i of X_a, so
     tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a], summed over the
-    nonzero entries only.  Over F_p, rad(A) is the kernel of the iterated
-    Frobenius matrix M (x -> x * M), so the lattice is the row space of
-    the transpose of M.
+    nonzero entries only.  For p <= n the trace form can degenerate (it
+    is 0 on the dual of F_p[x]/(x^p), which has one character), and
+    rad(A), the nilradical, is the kernel of the iterated Frobenius
+    matrix M (x -> x * M): the lattice is the row space of the transpose
+    of M.
     """
     n = c.rank
-    if c.ring.kind == "Fp":
+    if c.ring.kind == "Fp" and c.ring.p <= n:
         return Lattice.from_rows(c.base, n, iterated_frobenius(frobenius_matrix(dual_algebra(c))).transpose().rows)
     # column a of block b, as its nonzero (j, X_b[j][a])
     columns = [[[] for _ in range(n)] for _ in range(n)]
@@ -320,7 +328,7 @@ def _coradical_span(c: Coalgebra) -> Lattice:
             for b, v in entries:
                 for j, w in columns[b][a]:
                     row[j] += v * w
-    return Lattice.from_rows(ZZ, n, gram).saturate()
+    return Lattice.from_rows(c.base, n, gram).saturate()
 
 
 def _pointedness(c: Coalgebra, semisimple_dim: int, tuples) -> PointednessReport:

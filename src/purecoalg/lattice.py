@@ -12,18 +12,29 @@ Purity of N in R^n means r*N = r*R^n `intersect` N for every scalar r;
 over the supported rings that is exactly "all elementary divisors of a
 basis are units", and equivalently "reduction mod p stays injective at
 every prime p".  Both characterizations are computed and compared.
+
+Over Q and Z[S^-1] a lattice keeps, next to its canonical basis, a
+cleared integer copy: each basis row times the lcm of its denominators,
+a unit of the ring.  Membership, coordinates, the Smith test of purity
+and the integral projection all work on that copy in integers; a
+coordinate becomes a Fraction only when it is returned.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import AmbientMismatch, NotPure, RingMismatch
 from .matrix import Matrix, elementary_divisors, hnf_basis, left_kernel_rows, snf
 from .numtheory import factorize
-from .rings import Ring, cleared_rows
+from .rings import ZZ, Ring
+
+_UNSET = object()
 
 
 class Lattice:
-    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_projection")
+    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_projection")
 
     def __init__(self, ring: Ring, ambient_rank: int, basis: Matrix):
         if basis.ncols != ambient_rank:
@@ -32,6 +43,7 @@ class Lattice:
         self.ambient_rank = ambient_rank
         self.basis = basis
         self._pivots = None
+        self._cleared = _UNSET
         self._projection = None
 
     # --- constructors -------------------------------------------------
@@ -74,6 +86,22 @@ class Lattice:
             raise AmbientMismatch(f"ambient ranks {self.ambient_rank} vs {other.ambient_rank}")
 
     # --- membership ------------------------------------------------------
+    def _integral(self):
+        """``ring.cleared`` of the basis, built once: (scales, integer rows) over Q and Z[S^-1], None over Z and F_p."""
+        if self._cleared is _UNSET:
+            self._cleared = self.ring.cleared(self.basis.rows)
+        return self._cleared
+
+    def _integer_basis(self) -> Matrix:
+        """The basis, cleared over Q and Z[S^-1] to an integer matrix with the same row module."""
+        integral = self._integral()
+        return self.basis if integral is None else Matrix(ZZ, integral[1], self.ambient_rank)
+
+    def _pivot_columns(self) -> list[int]:
+        if self._pivots is None:
+            self._pivots = self.basis.pivot_columns()
+        return self._pivots
+
     def solve(self, vector):
         """Coordinates of the vector in the Hermite basis, or None.
 
@@ -84,32 +112,65 @@ class Lattice:
         if len(vector) != self.ambient_rank:
             raise AmbientMismatch(f"vector of length {len(vector)} in ambient rank {self.ambient_rank}")
         ring = self.ring
+        if self._integral() is not None:
+            (scale,), (ints,) = ring.cleared([vector])
+            return self._walk(ints, scale, True)
         v = list(vector)
         coords = []
-        member = True
-        if self._pivots is None:
-            self._pivots = self.basis.pivot_columns()
-        for row, pc in zip(self.basis.rows, self._pivots):
+        for row, pc in zip(self.basis.rows, self._pivot_columns()):
             c = v[pc]
             if not c:
                 coords.append(ring.zero)
                 continue
             q = ring.try_exact_div(c, row[pc])
             if q is None:
-                member = False
-                break
+                return None
             coords.append(q)
             v = ring.reduce_row([x - q * y for x, y in zip(v, row)])
-        if member and any(v):
-            member = False
-        return coords if member else None
+        return None if any(v) else coords
+
+    def _walk(self, v, denom: int, coords: bool):
+        """``solve`` of v / denom over Q or Z[S^-1], for an integer row v and a positive integer denom.
+
+        With basis row k equal to N_k / d_k and pivot P = N_k[pc], the
+        coordinate of the remainder w / denom is w[pc] * d_k / (denom * P),
+        which must lie in the ring; the remainder then becomes
+        (P * w - w[pc] * N_k) / (denom * P), with the gcd of P and w[pc]
+        divided out.  Only the coordinates are Fractions, and only when
+        ``coords`` is set; otherwise a member gives [].
+        """
+        ring = self.ring
+        scales, ints = self._integral()
+        out = []
+        for d, row, pc in zip(scales, ints, self._pivot_columns()):
+            c = v[pc]
+            if not c:
+                if coords:
+                    out.append(ring.zero)
+                continue
+            p = row[pc]
+            num, den = c * d, denom * p
+            g = math.gcd(num, den)
+            if not ring.is_unit(den // g):
+                return None
+            if coords:
+                out.append(Fraction(num // g, den // g))
+            g = math.gcd(p, c)
+            p, c = p // g, c // g
+            v = [p * x - c * y for x, y in zip(v, row)]
+            denom *= p
+        return None if any(v) else out
 
     def contains(self, vector) -> bool:
         return self.solve(vector) is not None
 
     def contains_lattice(self, other: "Lattice") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis.rows)
+        integral = other._integral()
+        if integral is None:
+            return all(self.contains(row) for row in other.basis.rows)
+        # each row of other is its cleared row times a unit
+        return all(self._walk(row, 1, False) is not None for row in integral[1])
 
     # --- lattice algebra ---------------------------------------------------
     def add(self, other: "Lattice") -> "Lattice":
@@ -163,17 +224,20 @@ class Lattice:
         """
         if self.ring.is_field or self.rank == 0:
             return True, None
-        divs = elementary_divisors(self.basis)
-        unit_ok = all(self.ring.is_unit(d) for d in divs)
+        ring = self.ring
+        # over Z[S^-1] the test reads: the divisors of the cleared basis are S-smooth
+        basis = self._integer_basis()
+        divs = elementary_divisors(basis)
+        unit_ok = all(ring.is_unit(d) for d in divs)
         primes: set[int] = set()
         for d in divs:
-            n = int(self.ring.to_fraction(d))
-            if abs(n) != 1:
-                primes.update(factorize(abs(n)))
+            n = int(ring.canonicalize_unit(d)[1])
+            if n != 1:
+                primes.update(factorize(n))
         witness = None
         mod_ok = True
         for p in sorted(primes):
-            reduced = self.basis.reduce_mod(p)
+            reduced = basis.reduce_mod(p)
             if reduced.rank() < self.rank:
                 mod_ok = False
                 witness = p
@@ -225,18 +289,17 @@ class Lattice:
         decomposition B * V = U^-1 * [diag | 0] of the basis B kill the
         basis, and V is invertible, so their kernel is the pure lattice
         of rank r containing this one: its saturation.  Over Q and
-        Z[S^-1] each column is cleared of denominators (a column scalar
-        leaves the kernel alone); over F_p the entries are residues.
-        Computed once per lattice.
+        Z[S^-1] B is the cleared integer basis, which spans the same
+        module, and V is an integer matrix; over F_p the entries are
+        residues.  Computed once per lattice.
         """
         if self._projection is None:
             n, r = self.ambient_rank, self.rank
             if r == 0:
                 rows = [[int(i == j) for j in range(n)] for i in range(n)]
             else:
-                _, _, v = snf(self.basis)
-                cols = [cleared_rows([[row[j] for row in v.rows]])[1][0] for j in range(r, n)]
-                rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
+                _, _, v = snf(self._integer_basis())
+                rows = [row[r:] for row in v.rows]
             self._projection = rows
         return self._projection
 

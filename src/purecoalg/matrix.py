@@ -10,6 +10,17 @@ field), entries above a pivot are canonical residues, and zero rows are
 trimmed.  Two row-equivalent matrices therefore have equal Hermite
 forms, which is what makes lattice equality a bitwise comparison.
 
+One elimination kernel runs over Z and over F_p.  Over Q and Z[S^-1]
+each row is first cleared by the lcm of its denominators, a unit of the
+ring, so the row module does not change; the integer kernel runs once
+on the cleared rows, and one boundary pass turns its result into the
+canonical form over the ring: each pivot (or Smith divisor) becomes its
+canonical associate, and the entries above each pivot are reduced to
+canonical residues, in pivot order.  That pass works on integer rows
+over one denominator per row, so Fractions are formed only for the
+entries it returns, never inside the O(n^3) loops.  The integer
+transforms carry the row scales and the unit factors of the pivots.
+
 Entries are arbitrary precision, so no overflow policy is needed; the
 elimination kernel favors the exact-division fast path and falls back
 to a 2x2 unimodular gcd transform, which keeps intermediate swell
@@ -18,10 +29,12 @@ acceptable at desk scale.
 
 from __future__ import annotations
 
+import math
 import operator
+from fractions import Fraction
 
 from .errors import RingMismatch
-from .rings import QQ, Ring, prime_field, reduce_rows_mod_p
+from .rings import ZZ, Ring, prime_field, reduce_rows_mod_p
 
 
 class Matrix:
@@ -109,19 +122,29 @@ class Matrix:
         return [post(r) for r in rows] if post else rows
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Product; over Q and Z[S^-1] in integers, on the rows of self and of other cleared."""
         self._same_ring(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = self.ring.zero
-        brows = other.rows
+        cleared = self.ring.cleared(self.rows)
+        arows, brows, zero = self.rows, other.rows, self.ring.zero
+        if cleared is not None:
+            # row i is (N_i / a_i) * (M / L), M the rows of other over one common denominator L
+            scales, arows = cleared
+            bscales, brows = self.ring.cleared(other.rows)
+            common = math.lcm(*bscales)
+            brows = [row if b == common else [x * (common // b) for x in row] for row, b in zip(brows, bscales)]
+            zero = 0
         out = []
-        for arow in self.rows:
+        for arow in arows:
             acc = [zero] * other.ncols
             for j, a in enumerate(arow):
                 if a:
                     brow = brows[j]
                     acc = [x + a * y for x, y in zip(acc, brow)]
             out.append(acc)
+        if cleared is not None:
+            out = [_fractions(row, a * common) for row, a in zip(out, scales)]
         return Matrix._owning(self.ring, self._post_rows(out), other.ncols)
 
     def transpose(self) -> "Matrix":
@@ -184,8 +207,8 @@ def _post_fn(ring: Ring):
     return ring.reduce_row if ring.kind == "Fp" else None
 
 
-def _hnf_rows(ring: Ring, rows, ncols: int, track: bool):
-    """Shared elimination kernel.
+def _elim(ring: Ring, rows, ncols: int, track: bool):
+    """The elimination kernel, over Z or F_p.
 
     Returns (reduced rows, transform rows or None, rank).  The reduced
     rows hold the canonical Hermite form on top and exact zero rows
@@ -280,6 +303,97 @@ def _hnf_rows(ring: Ring, rows, ncols: int, track: bool):
     return A, U, r
 
 
+def _kernel_input(ring: Ring, rows):
+    """(kernel ring, kernel rows, row scales): Z on the cleared rows over Q and Z[S^-1], else the rows themselves and None."""
+    cleared = ring.cleared(rows)
+    if cleared is None:
+        return ring, rows, None
+    scales, ints = cleared
+    return ZZ, ints, scales
+
+
+def _scaled_columns(rows, scales):
+    """rows * diag(scales): a transform of the cleared rows made a transform of the rows."""
+    return [[x * s for x, s in zip(row, scales)] for row in rows]
+
+
+_ZERO = Fraction(0)
+
+
+def _fractions(row, d: int) -> list:
+    """The ring row row / d, for an integer row and a positive integer d; zeros share one Fraction."""
+    if d == 1:
+        return [Fraction(x) if x else _ZERO for x in row]
+    return [Fraction(x, d) if x else _ZERO for x in row]
+
+
+def _boundary(ring: Ring, A, U) -> list[int]:
+    """Integer Hermite rows made the canonical Hermite form over Q or Z[S^-1], in place.
+
+    Returns one positive integer d_k per row, and row k of the form is
+    A[k] / d_k (U[k] / d_k for the transform, when U is given).  In pivot
+    order, the integer pivot p of row k becomes its canonical associate
+    c (d_k = p / c, a unit), and every row i above it is reduced by the
+    q with b - q * c the canonical residue of its entry b in that column:
+    in integers, row i becomes (p * A[i] - t * A[k]) / (d_i * p) with
+    t = d_i * (b - residue), and the common content is divided out.
+    """
+    dens = [1] * len(A)
+    for k, row in enumerate(A):
+        pc = next(j for j, v in enumerate(row) if v)
+        p = row[pc]
+        c = int(ring.canonicalize_unit(p)[1])
+        dens[k] = p // c
+        for i in range(k):
+            b = A[i][pc]
+            if not b:
+                continue
+            d = dens[i]
+            t = b - b * pow(d, -1, c) % c * d if c != 1 else b
+            if not t:
+                continue
+            A[i] = [p * x - t * y for x, y in zip(A[i], row)]
+            if U is not None:
+                U[i] = [p * x - t * y for x, y in zip(U[i], U[k])]
+            d *= p
+            g = math.gcd(d, *A[i], *(U[i] if U is not None else ()))
+            if g != 1:
+                A[i] = [x // g for x in A[i]]
+                if U is not None:
+                    U[i] = [x // g for x in U[i]]
+            dens[i] = d // g
+    return dens
+
+
+def _hnf_rows(ring: Ring, rows, ncols: int, track: bool):
+    """(Hermite rows, transform rows or None, rank) over the ring.
+
+    The transform U is square and invertible over the ring, with U * rows
+    equal to the Hermite rows on top and zero below.
+    """
+    base, ints, scales = _kernel_input(ring, rows)
+    A, U, r = _elim(base, ints, ncols, track)
+    if scales is None:
+        return A[:r], U, r
+    A = A[:r]
+    if track:
+        U = _scaled_columns(U, scales)
+    dens = _boundary(ring, A, U)
+    if track:
+        U = [_fractions(row, d) for row, d in zip(U, dens)] + [_fractions(row, 1) for row in U[r:]]
+    return [_fractions(row, d) for row, d in zip(A, dens)], U, r
+
+
+def from_integer_hermite(ring: Ring, rows, ncols: int) -> Matrix:
+    """The canonical Hermite form over Q or Z[S^-1] of integer rows already in Hermite form over Z.
+
+    This is the boundary pass alone.
+    """
+    A = [list(row) for row in rows]
+    dens = _boundary(ring, A, None)
+    return Matrix._owning(ring, [_fractions(row, d) for row, d in zip(A, dens)], ncols)
+
+
 def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
     """Canonical row Hermite normal form.
 
@@ -288,23 +402,31 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
     and h is the canonical representative of the row space: equality of
     row spaces (as sublattices) is equality of Hermite forms.
     """
-    A, U, r = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=True)
-    h = Matrix._owning(mat.ring, A[:r], mat.ncols)
-    u = Matrix._owning(mat.ring, U, mat.nrows)
-    return h, u
+    h, U, _ = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=True)
+    return Matrix._owning(mat.ring, h, mat.ncols), Matrix._owning(mat.ring, U, mat.nrows)
 
 
 def hnf_basis(mat: Matrix) -> Matrix:
     """Hermite form only, skipping the transform bookkeeping."""
-    A, _, r = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=False)
-    return Matrix._owning(mat.ring, A[:r], mat.ncols)
+    h, _, _ = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=False)
+    return Matrix._owning(mat.ring, h, mat.ncols)
 
 
 def left_kernel_rows(mat: Matrix) -> list[list]:
-    """Basis rows of { x : x * mat = 0 }, already saturated."""
-    A, U, r = _hnf_rows(mat.ring, mat.rows, mat.ncols, track=True)
-    ker, _, k = _hnf_rows(mat.ring, U[r:], mat.nrows, track=False)
-    return ker[:k]
+    """Basis rows of { x : x * mat = 0 }, already saturated, in Hermite form.
+
+    Over Q and Z[S^-1] the kernel of the rows is the kernel of the
+    cleared rows times the row scales, taken and brought to Hermite form
+    in integers before the boundary pass.
+    """
+    ring = mat.ring
+    base, ints, scales = _kernel_input(ring, mat.rows)
+    _, U, r = _elim(base, ints, mat.ncols, track=True)
+    kernel = U[r:] if scales is None else _scaled_columns(U[r:], scales)
+    ker, _, k = _elim(base, kernel, mat.nrows, track=False)
+    if scales is None:
+        return ker[:k]
+    return from_integer_hermite(ring, ker[:k], mat.nrows).rows
 
 
 def snf(mat: Matrix) -> tuple[list, Matrix, Matrix]:
@@ -312,7 +434,8 @@ def snf(mat: Matrix) -> tuple[list, Matrix, Matrix]:
 
     The divisors are canonical associates forming a divisibility chain
     d1 | d2 | ...; over Z[S^-1] all inverted primes are stripped so
-    units have unit divisors, and over a field every divisor is 1.
+    units have unit divisors, and over a field every divisor is 1.  Over
+    Q and Z[S^-1], v is the integer column transform of the cleared rows.
     """
     divs, u_rows, v_rows = _snf_rows(mat.ring, mat.rows, mat.ncols, track=True)
     return (
@@ -329,6 +452,28 @@ def elementary_divisors(mat: Matrix) -> list:
 
 
 def _snf_rows(ring: Ring, rows, ncols: int, track: bool):
+    """(canonical divisors, U, V) over the ring; over Q and Z[S^-1] from the integer Smith form of the cleared rows.
+
+    With U_Z * (D * rows) * V = diag(e) over Z, D the row scales, the
+    divisor e_k has canonical associate c_k = u_k * e_k, and U is
+    diag(u) * U_Z * D.
+    """
+    base, ints, scales = _kernel_input(ring, rows)
+    divs, U, V = _snf_elim(base, ints, ncols, track)
+    if scales is None:
+        return divs, U, V
+    canon = [ring.canonicalize_unit(e)[1] for e in divs]
+    if track:
+        U = _scaled_columns(U, scales)
+        U = [[Fraction(x * c.numerator, e) for x in row] for row, c, e in zip(U, canon, divs)] + [
+            _fractions(row, 1) for row in U[len(divs):]
+        ]
+        V = [_fractions(row, 1) for row in V]
+    return canon, U, V
+
+
+def _snf_elim(ring: Ring, rows, ncols: int, track: bool):
+    """The Smith elimination kernel, over Z or F_p."""
     A = [list(r) for r in rows]
     m = len(A)
     n = ncols

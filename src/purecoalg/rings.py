@@ -6,7 +6,7 @@ inverted primes.  Elements are plain Python values: ints for Z and F_p,
 ``fractions.Fraction`` for Q and Z[S^-1].  The ring object carries the
 operations whose meaning depends on the ring.
 
-The normal-form kernels need slightly more than ring arithmetic:
+The normal forms need slightly more than ring arithmetic:
 
 * ``gcdex(a, b)`` returns ``(g, s, t)`` with ``g = s*a + t*b`` where g
   is the canonical generator of the ideal (a, b): positive for Z, a
@@ -16,20 +16,34 @@ The normal-form kernels need slightly more than ring arithmetic:
 * ``mod_reduce(a, m)`` returns ``(q, r)`` with ``a = q*m + r`` and r the
   canonical residue modulo a canonical m; this is what makes Hermite
   forms bit-reproducible.
+* ``cleared(rows)`` returns, over Q and Z[S^-1], one scale per row and
+  the integer rows it clears: the scale is the lcm of the row's
+  denominators, a unit of the ring, so the row module does not change.
+  Over Z and F_p it returns None: the rows already are the integers (or
+  residues) that the elimination kernel works on.
 
-Over Z[S^-1] every element factors as unit times a nonnegative integer
-prime to S (its "S-free part"); gcds, canonical associates, and
-residues are all computed through that decomposition, which is what
-turns purity away from S into a denominator-free condition.
+Q and Z[S^-1] eliminate over Z on cleared rows (see ``matrix``); only
+the canonical associates and residues of the result are formed in the
+ring, through ``canonicalize_unit`` and the integer residues modulo a
+canonical pivot.  Over Z[S^-1] every element factors as unit times a
+nonnegative integer prime to S (its "S-free part"); gcds, canonical
+associates, and residues are all computed through that decomposition,
+which is what turns purity away from S into a denominator-free
+condition.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ParseError, PrimeInverted, UnsupportedRing, ValidationError
 from .numtheory import USER_PRIME_BOUND, is_prime, xgcd
+
+
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
 
 
 def _check_user_prime(p: int) -> int:
@@ -86,6 +100,11 @@ class Ring:
     def reduce_row(row):
         """Canonical residues of a row of elements: the row itself except over F_p."""
         return row
+
+    @staticmethod
+    def cleared(rows):
+        """(scales, integer rows) over Q and Z[S^-1]; None over Z and F_p, whose rows are already integral."""
+        return None
 
     def exact_div(self, b, a):
         """b / a within the ring; raises ZeroDivisionError or ValueError."""
@@ -178,7 +197,27 @@ class IntegerRing(Ring):
             raise ParseError(f"{s!r} is not an integer over Z") from None
 
 
-class RationalRing(Ring):
+class _SubringOfQ(Ring):
+    """Q and Z[S^-1]: Fraction elements whose denominators are units."""
+
+    @staticmethod
+    def cleared(rows):
+        """(scales, integer rows): scales[i] * rows[i], with scales[i] the lcm of the row's denominators.
+
+        Each scale is a unit of the ring, so the rows span the same module
+        as their cleared images.
+        """
+        scales, ints = [], []
+        for row in rows:
+            dens = list(map(_DENOMINATOR, row))
+            d = math.lcm(*dens)
+            nums = map(_NUMERATOR, row)
+            scales.append(d)
+            ints.append(list(nums) if d == 1 else [x * (d // e) for x, e in zip(nums, dens)])
+        return scales, ints
+
+
+class RationalRing(_SubringOfQ):
     kind = "Q"
     is_field = True
     zero = Fraction(0)
@@ -323,7 +362,7 @@ class PrimeField(Ring):
             raise ParseError(f"{s!r} is not an element of {self}") from None
 
 
-class LocalizedIntegerRing(Ring):
+class LocalizedIntegerRing(_SubringOfQ):
     """Z with a finite set of primes inverted.
 
     Elements are fractions whose denominator factors over the inverted
@@ -337,10 +376,11 @@ class LocalizedIntegerRing(Ring):
     one = Fraction(1)
 
     def __init__(self, inverted_primes):
-        primes = sorted(set(inverted_primes))
+        given = list(inverted_primes)
+        primes = sorted(set(given))
         for p in primes:
             _check_user_prime(p)
-        if len(primes) != len(list(inverted_primes)):
+        if len(primes) != len(given):
             raise ValidationError("inverted primes must be pairwise distinct")
         self.inverted = tuple(primes)
 
@@ -376,8 +416,8 @@ class LocalizedIntegerRing(Ring):
     def canonicalize_unit(self, a):
         if a == 0:
             return Fraction(1), Fraction(0)
-        c = Fraction(self._s_free(a.numerator))
-        return c / a, c
+        c = self._s_free(a.numerator)
+        return Fraction(c * a.denominator, a.numerator), Fraction(c)
 
     def gcdex(self, a, b):
         if a == 0 and b == 0:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
-from .matrix import Matrix, elementary_divisors, hnf
+from .matrix import Matrix, elementary_divisors, from_integer_hermite, hnf
 from .rings import ZZ, cleared_rows
 
 
@@ -289,11 +289,15 @@ def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
 
 
 def _integer_kernel(mat: Matrix, ring) -> Lattice:
-    """Kernel of a matrix over Z (or F_p), as a lattice over the ring: its span over Q or Z[S^-1]."""
+    """Kernel of a matrix over Z (or F_p), as a lattice over the ring: its span over Q or Z[S^-1].
+
+    The integer Hermite rows of the kernel go straight to the boundary
+    pass that makes them the canonical basis over the ring.
+    """
     out = kernel_lattice(mat)
     if mat.ring == ring:
         return out
-    return Lattice.from_rows(ring, mat.nrows, [list(map(ring.normalize, row)) for row in out.basis.rows])
+    return Lattice(ring, mat.nrows, from_integer_hermite(ring, out.basis.rows, mat.nrows))
 
 
 def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:

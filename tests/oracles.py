@@ -8,17 +8,19 @@ p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.
 
-The exceptions are the last three sections: the package's former
+The exceptions are the last four sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
 wedge), which work in the n^2-dimensional ambient space C (x) C through
 Kronecker products, Hermite forms and ``Lattice.solve``; its former
 stage-by-stage and part-by-part validation of filtrations and component
-decompositions on n x n blocks of Delta; and its former constructions
-on the dense n x n^2 matrix of Delta.  Their logic is kept unchanged so
-the current versions can be compared with them bit for bit, and they
-use the package's ``Lattice``, ``Matrix``, block products and dense
-``Coalgebra`` constructor, which ``test_lattice``, ``test_matrix``,
-``test_tensor_blocks`` and ``test_coalgebra`` check on their own.
+decompositions on n x n blocks of Delta; its former constructions on
+the dense n x n^2 matrix of Delta; and its former Hermite, Smith and
+membership kernels on each ring's own Fraction arithmetic.  Their logic
+is kept unchanged so the current versions can be compared with them
+bit for bit, and they use the package's ``Lattice``, ``Matrix``, block
+products, dense ``Coalgebra`` constructor and ring methods, which
+``test_lattice``, ``test_matrix``, ``test_tensor_blocks``,
+``test_coalgebra`` and ``test_rings`` check on their own.
 """
 
 from __future__ import annotations
@@ -664,3 +666,277 @@ def map_axiom_locations(f, p=None):
     triangle = next((f"basis {i}" for i in range(nc)
                      if red(sum(F[i][m] * f.codomain.counit[m] for m in range(nd)) - f.domain.counit[i])), "")
     return square, triangle
+
+
+# --- former Fraction kernels ---------------------------------------------------
+#
+# Hermite and Smith elimination and lattice membership once ran on each
+# ring's own arithmetic: Fractions with ``gcdex``, ``try_exact_div`` and
+# ``mod_reduce`` over Q and Z[S^-1].  They are kept here unchanged so the
+# integer kernels with their boundary pass can be compared with them.
+
+
+def fraction_hnf_rows(ring, rows, ncols: int, track: bool):
+    """The former elimination kernel, on the ring's own arithmetic (Fractions over Q and Z[S^-1]).
+
+    Returns (reduced rows, transform rows or None, rank).  The reduced
+    rows hold the canonical Hermite form on top and exact zero rows
+    below; when ``track`` is set, the returned transform U is a square
+    matrix, invertible over the ring, with U * input = reduced.
+    """
+    A = [list(r) for r in rows]
+    m = len(A)
+    post = ring.reduce_row if ring.kind == "Fp" else None
+    if post:
+        A = [post(r) for r in A]
+    U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
+    one = ring.one
+    try_div = ring.try_exact_div
+    gcdex = ring.gcdex
+    exact_div = ring.exact_div
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if A[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            if track:
+                U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, m):
+            b = A[i][c]
+            if not b:
+                continue
+            a = A[r][c]
+            q = try_div(b, a)
+            if q is not None:
+                Ar, Ai = A[r], A[i]
+                Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
+                if post:
+                    A[i] = post(Ai)
+                if track:
+                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                    if post:
+                        U[i] = post(U[i])
+            else:
+                g, s, t = gcdex(a, b)
+                af = exact_div(a, g)
+                bf = exact_div(b, g)
+                Ar, Ai = A[r], A[i]
+                tail_r = [s * x + t * y for x, y in zip(Ar[c:], Ai[c:])]
+                tail_i = [af * y - bf * x for x, y in zip(Ar[c:], Ai[c:])]
+                Ar[c:] = tail_r
+                Ai[c:] = tail_i
+                if post:
+                    A[r] = post(Ar)
+                    A[i] = post(Ai)
+                if track:
+                    Ur, Ui = U[r], U[i]
+                    new_r = [s * x + t * y for x, y in zip(Ur, Ui)]
+                    new_i = [af * y - bf * x for x, y in zip(Ur, Ui)]
+                    U[r] = post(new_r) if post else new_r
+                    U[i] = post(new_i) if post else new_i
+        # normalize the pivot to its canonical associate
+        u_, _canon = ring.canonicalize_unit(A[r][c])
+        if u_ != one:
+            A[r] = [u_ * x for x in A[r]]
+            if post:
+                A[r] = post(A[r])
+            if track:
+                U[r] = [u_ * x for x in U[r]]
+                if post:
+                    U[r] = post(U[r])
+        # reduce entries above the pivot to canonical residues
+        a = A[r][c]
+        for i in range(r):
+            b = A[i][c]
+            if not b:
+                continue
+            q, _ = ring.mod_reduce(b, a)
+            if q:
+                Ai, Ar = A[i], A[r]
+                Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
+                if post:
+                    A[i] = post(Ai)
+                if track:
+                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                    if post:
+                        U[i] = post(U[i])
+        r += 1
+        if r == m:
+            break
+    return A, U, r
+
+
+def fraction_snf_rows(ring, rows, ncols: int, track: bool):
+    """The former Smith kernel, on the ring's own arithmetic: (divisors, U, V)."""
+    A = [list(r) for r in rows]
+    m = len(A)
+    n = ncols
+    post = ring.reduce_row if ring.kind == "Fp" else None
+    if post:
+        A = [post(r) for r in A]
+    U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
+    V = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)] if track else None
+    try_div = ring.try_exact_div
+    gcdex = ring.gcdex
+    exact_div = ring.exact_div
+
+    def row_combine(r, i, c):
+        """Clear A[i][c] against pivot A[r][c] via a unimodular row pair."""
+        a, b = A[r][c], A[i][c]
+        q = try_div(b, a)
+        if q is not None:
+            A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+            if post:
+                A[i] = post(A[i])
+            if track:
+                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                if post:
+                    U[i] = post(U[i])
+            return
+        g, s, t = gcdex(a, b)
+        af, bf = exact_div(a, g), exact_div(b, g)
+        Ar, Ai = A[r], A[i]
+        A[r] = [s * x + t * y for x, y in zip(Ar, Ai)]
+        A[i] = [af * y - bf * x for x, y in zip(Ar, Ai)]
+        if post:
+            A[r], A[i] = post(A[r]), post(A[i])
+        if track:
+            Ur, Ui = U[r], U[i]
+            U[r] = [s * x + t * y for x, y in zip(Ur, Ui)]
+            U[i] = [af * y - bf * x for x, y in zip(Ur, Ui)]
+            if post:
+                U[r], U[i] = post(U[r]), post(U[i])
+
+    def col_combine(c, j, r):
+        """Clear A[r][j] against pivot A[r][c] via a unimodular column pair."""
+        a, b = A[r][c], A[r][j]
+        q = try_div(b, a)
+        if q is not None:
+            for row in A:
+                row[j] = row[j] - q * row[c]
+            if track:
+                for row in V:
+                    row[j] = row[j] - q * row[c]
+        else:
+            g, s, t = gcdex(a, b)
+            af, bf = exact_div(a, g), exact_div(b, g)
+            for row in A:
+                x, y = row[c], row[j]
+                row[c] = s * x + t * y
+                row[j] = af * y - bf * x
+            if track:
+                for row in V:
+                    x, y = row[c], row[j]
+                    row[c] = s * x + t * y
+                    row[j] = af * y - bf * x
+        if post:
+            for idx in range(m):
+                A[idx] = post(A[idx])
+            if track:
+                for idx in range(n):
+                    V[idx] = post(V[idx])
+
+    t_idx = 0
+    while True:
+        # locate a pivot in the unfinished block
+        piv = None
+        for i in range(t_idx, m):
+            for j in range(t_idx, n):
+                if A[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != t_idx:
+            A[t_idx], A[i] = A[i], A[t_idx]
+            if track:
+                U[t_idx], U[i] = U[i], U[t_idx]
+        if j != t_idx:
+            for row in A:
+                row[t_idx], row[j] = row[j], row[t_idx]
+            if track:
+                for row in V:
+                    row[t_idx], row[j] = row[j], row[t_idx]
+        while True:
+            for i in range(t_idx + 1, m):
+                if A[i][t_idx]:
+                    row_combine(t_idx, i, t_idx)
+            dirty = False
+            for j in range(t_idx + 1, n):
+                if A[t_idx][j]:
+                    col_combine(t_idx, j, t_idx)
+                    dirty = True
+            if dirty:
+                # column work may reintroduce entries below the pivot
+                if any(A[i][t_idx] for i in range(t_idx + 1, m)):
+                    continue
+            # force the divisibility chain: pivot must divide the rest
+            a = A[t_idx][t_idx]
+            offender = None
+            for i in range(t_idx + 1, m):
+                row = A[i]
+                for j in range(t_idx + 1, n):
+                    if row[j] and try_div(row[j], a) is None:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            A[t_idx] = [x + y for x, y in zip(A[t_idx], A[offender])]
+            if post:
+                A[t_idx] = post(A[t_idx])
+            if track:
+                U[t_idx] = [x + y for x, y in zip(U[t_idx], U[offender])]
+                if post:
+                    U[t_idx] = post(U[t_idx])
+        u_, _ = ring.canonicalize_unit(A[t_idx][t_idx])
+        if u_ != ring.one:
+            A[t_idx] = [u_ * x for x in A[t_idx]]
+            if post:
+                A[t_idx] = post(A[t_idx])
+            if track:
+                U[t_idx] = [u_ * x for x in U[t_idx]]
+                if post:
+                    U[t_idx] = post(U[t_idx])
+        t_idx += 1
+        if t_idx == m or t_idx == n:
+            break
+    divisors = [A[i][i] for i in range(min(m, n)) if i < t_idx and A[i][i]]
+    return divisors, U, V
+
+
+def fraction_solve(lattice, vector):
+    """The former ``Lattice.solve``: coordinates in the Hermite basis by the ring's own division, or None.
+
+    Walking the pivots in order keeps earlier pivot columns intact,
+    so a single pass decides membership and produces the coefficient
+    vector at the same time.
+    """
+    ring = lattice.ring
+    v = list(vector)
+    coords = []
+    member = True
+    for row, pc in zip(lattice.basis.rows, lattice.basis.pivot_columns()):
+        c = v[pc]
+        if not c:
+            coords.append(ring.zero)
+            continue
+        q = ring.try_exact_div(c, row[pc])
+        if q is None:
+            member = False
+            break
+        coords.append(q)
+        v = ring.reduce_row([x - q * y for x, y in zip(v, row)])
+    if member and any(v):
+        member = False
+    return coords if member else None

@@ -362,6 +362,45 @@ def test_coradical_span_holds_every_group_like():
     assert len(group_likes(f5)) == 0
 
 
+def _frobenius_lattice(c):
+    from purecoalg import dual_algebra
+    from purecoalg.binomial import frobenius_matrix, iterated_frobenius
+
+    return Lattice.from_rows(c.base, c.rank, iterated_frobenius(frobenius_matrix(dual_algebra(c))).transpose().rows)
+
+
+def test_trace_span_is_the_frobenius_span_when_p_exceeds_the_rank():
+    # Dickson's criterion: for p > rank the trace form's kernel is rad(A),
+    # the kernel of the iterated Frobenius, so both give the same lattice
+    compared = 0
+    corpora = [
+        generate_coalgebras(47, 40, max_rank=8, ring=prime_field(101)),
+        generate_coalgebras(53, 40, max_rank=8, ring=prime_field(1000003)),
+        generate_coalgebras(59, 60, max_rank=12, ring=prime_field(13)),
+    ]
+    for entries in corpora:
+        for entry in entries:
+            c = entry.coalgebra
+            if c.rank < c.ring.p:
+                assert grouplike._coradical_span(c) == _frobenius_lattice(c), entry.recipe
+                compared += 1
+    assert compared >= 130
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_small_prime_keeps_the_frobenius_span(p):
+    # the dual of F_p[x]/(x^p) has rank p, a zero trace Gram matrix and one
+    # group-like, so the trace span would find none
+    fp = prime_field(p)
+    c = dual_zxk(p, fp)
+    assert c.rank == p
+    assert all(v % p == 0 for row in trace_form_gram(c.delta.rows, p) for v in row)
+    assert len(group_likes(c)) == 1
+    pointed, report = is_pointed(c)
+    assert pointed and report.character_count == 1
+    assert grouplike._coradical_span(c) == _frobenius_lattice(c)
+
+
 def test_search_from_the_coradical_span_matches_the_full_search():
     z_corpus = [e.coalgebra for e in generate_coalgebras(20240809, 200, max_rank=12)]
     corpus = z_corpus + [_over_q(c) for c in z_corpus] + _zs_with_conjugates() + _f101_corpus()

@@ -80,6 +80,14 @@ def test_gcdex_contract():
                 assert canon == g
 
 
+def test_localized_integers_accepts_any_iterable():
+    want = localized_integers([2, 3])
+    assert localized_integers(p for p in [3, 2]) == want
+    assert localized_integers(iter((2, 3))) == want
+    with pytest.raises(ValidationError):
+        localized_integers(p for p in [2, 3, 2])
+
+
 def test_prime_validation():
     with pytest.raises(ValidationError):
         prime_field(6)

@@ -34,7 +34,7 @@ from purecoalg import (
     wedge,
 )
 from purecoalg.corpus import generate_coalgebras, generate_maps
-from purecoalg.rings import localized_integers
+from purecoalg.rings import localized_integers, prime_field
 
 
 def dual_zxk(k, ring=ZZ):
@@ -296,15 +296,18 @@ def test_invariants_agree_over_z_q_and_localized_integers():
     # the same integer data over Z, Q and Z[1/2,1/3]: a pointed integral
     # coalgebra has the group-likes, coradical stage ranks and component
     # ranks of its rationalization, and of every localization in between
+    # and of its reduction mod a large prime that divides no divisor of the data
     corpus = generate_coalgebras(20240809, 200, max_rank=12)
     zs = localized_integers([2, 3])
+    fp = prime_field(1000003)
     for entry in random.Random(2024).sample(corpus, 40):
         invariants = []
-        for c in (entry.coalgebra, _integer_data_over(entry.coalgebra, QQ), _integer_data_over(entry.coalgebra, zs)):
+        rings = (QQ, zs, fp)
+        for c in (entry.coalgebra, *(_integer_data_over(entry.coalgebra, ring) for ring in rings)):
             invariants.append((
                 len(group_likes(c)),
                 coradical_filtration(c).stage_ranks,
                 sorted(lat.rank for _, lat in components(c)),
             ))
         want = (entry.grouplike_count, entry.coradical_ranks, sorted(entry.component_ranks))
-        assert invariants == [want] * 3, entry.recipe
+        assert invariants == [want] * 4, entry.recipe
