@@ -49,6 +49,7 @@ from .errors import (
     NotPointed,
     NotPure,
     NotSubcoalgebra,
+    OutputError,
     ParseError,
     PrimeInverted,
     RingMismatch,

@@ -2,12 +2,19 @@
 
 A torsion-free ring is binomial when, at every rational prime p, the
 reduction A/pA is reduced and all of its residue fields are F_p.  Both
-conditions are decidable by linear algebra over F_p: the nilradical is
-the kernel of an iterated Frobenius, and a finite reduced commutative
-F_p-algebra is a product of copies of F_p exactly when the Frobenius is
-the identity on it.  The property quantifies over all primes; this
-module checks a finite list and reports verdicts per tested prime, never
-claiming the unqualified property.
+conditions are read off the Frobenius F (x -> x^p, an F_p-linear map)
+of A/pA and its powers.  Let n be the rank and k the least integer
+with p^k >= n.  A nilpotent x has x^n = 0, and the Frobenius is
+injective on a reduced algebra, so ker F^k is the nilradical: the
+nilradical has rank n - rank(F^k), and A/pA is reduced exactly when
+rank(F^k) = n.  A finite reduced commutative F_p-algebra is a product
+of copies of F_p exactly when its Frobenius is the identity, so all
+residue fields of A/pA are F_p exactly when F - 1 maps A/pA into
+ker F^k, that is when F^{k+1} = F^k.  F is built at each prime from the
+nonzero structure constants the presentation holds, reduced mod p, so
+no dense multiplication table is formed.  The property quantifies over
+all primes; this module checks a finite list and reports verdicts per
+tested prime, never claiming the unqualified property.
 """
 
 from __future__ import annotations
@@ -18,30 +25,88 @@ from .coalgebra import AlgebraPresentation
 from .errors import UnsupportedRing
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix
-from .rings import reduce_rows_mod_p
+from .rings import prime_field, reduce_rows_mod_p
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def algebra_mod_p(a: AlgebraPresentation, p: int) -> AlgebraPresentation:
-    """Reduction A/pA as an algebra over F_p."""
+def _flat_constants(a: AlgebraPresentation):
+    """(positions, values): the nonzero structure constants of A, numbered in one flat list.
+
+    ``positions[i * n + j]`` lists (t, m) for each nonzero coefficient
+    values[m] of e_t in e_i * e_j.  Reducing mod p changes only values.
+    """
+    positions = []
+    values = []
+    for row in a.constants:
+        positions.append([(t, len(values) + m) for m, (t, _) in enumerate(row)])
+        values += [v for _, v in row]
+    return positions, values
+
+
+def _values_mod_p(a: AlgebraPresentation, p: int, values) -> list[list]:
+    """[unit, values] of A/pA, for the values of ``_flat_constants``, reduced by one ``reduce_rows_mod_p`` call.
+
+    The ring is checked first, then that call checks that p is a prime
+    below 2**64 and that the ring does not invert it.
+    """
     if a.ring.kind not in ("Z", "ZS"):
         raise UnsupportedRing("reduction mod p needs an algebra over Z or Z[S^-1]")
-    mult = a.mult.reduce_mod(p)
-    unit = reduce_rows_mod_p(a.ring, [a.unit], p)[0]
-    return AlgebraPresentation(mult.ring, a.rank, mult, unit, basis_names=a.basis_names)
+    return reduce_rows_mod_p(a.ring, [a.unit, values], p)
+
+
+def algebra_mod_p(a: AlgebraPresentation, p: int) -> AlgebraPresentation:
+    """Reduction A/pA as an algebra over F_p."""
+    positions, values = _flat_constants(a)
+    unit, values = _values_mod_p(a, p, values)
+    n = a.rank
+    rows = [[0] * n for _ in range(n * n)]
+    for row, entries in zip(rows, positions):
+        for t, m in entries:
+            row[t] = values[m]
+    ring = prime_field(p)
+    return AlgebraPresentation(ring, n, Matrix(ring, rows, n), unit, basis_names=a.basis_names)
+
+
+def _frobenius(positions, values, n: int, p: int) -> Matrix:
+    """Matrix of x -> x^p on the F_p-algebra with these structure constants (rows are e_i^p).
+
+    The constants are ``_flat_constants`` with residues mod p as values.
+    Each e_i^p is taken by left-to-right binary powering: square, then
+    multiply by e_i on a one bit, which walks only the products with e_i.
+    """
+
+    def times(x, y):
+        acc = [0] * n
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if xi:
+                at = i * n
+                for j, yj in ys:
+                    coeff = xi * yj
+                    for t, m in positions[at + j]:
+                        acc[t] += coeff * values[m]
+        return [v % p for v in acc]
+
+    bits = bin(p)[3:]
+    rows = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        x = e
+        for bit in bits:
+            x = times(x, x)
+            if bit == "1":
+                x = times(x, e)
+        rows.append(x)
+    return Matrix(prime_field(p), rows, n)
 
 
 def frobenius_matrix(ap: AlgebraPresentation) -> Matrix:
     """Matrix of x -> x^p on an F_p-algebra (rows are e_i^p)."""
     if ap.ring.kind != "Fp":
         raise UnsupportedRing("the Frobenius matrix needs a prime-field algebra")
-    p = ap.ring.p
-    rows = []
-    for i in range(ap.rank):
-        e = [ap.ring.one if t == i else ap.ring.zero for t in range(ap.rank)]
-        rows.append(ap.power(e, p))
-    return Matrix(ap.ring, rows, ap.rank)
+    return _frobenius(*_flat_constants(ap), ap.rank, ap.ring.p)
 
 
 def iterated_frobenius(fro: Matrix) -> Matrix:
@@ -63,10 +128,11 @@ def iterated_frobenius(fro: Matrix) -> Matrix:
 def nilradical_mod_p(a: AlgebraPresentation, p: int) -> Lattice:
     """Nilradical of A/pA: the kernel of Frobenius iterated past the rank."""
     a.require_valid()
-    ap = algebra_mod_p(a, p)
-    if ap.rank == 0:
-        return Lattice.zero(ap.ring, 0)
-    return kernel_lattice(iterated_frobenius(frobenius_matrix(ap)))
+    positions, values = _flat_constants(a)
+    _, values = _values_mod_p(a, p, values)
+    if a.rank == 0:
+        return Lattice.zero(prime_field(p), 0)
+    return kernel_lattice(iterated_frobenius(_frobenius(positions, values, a.rank, p)))
 
 
 @dataclass
@@ -109,23 +175,23 @@ class BinomialReport:
 def binomial_check(a: AlgebraPresentation, primes=DEFAULT_PRIMES) -> BinomialReport:
     """Test the two binomial conditions at every prime in the list.
 
-    Condition one at p is emptiness of the nilradical of A/pA; condition
-    two asks that the Frobenius equal the identity on the reduced
-    quotient, which characterizes products of copies of F_p without
-    enumerating maximal ideals.
+    With F the Frobenius of A/pA and F^k its power past the rank,
+    condition one at p is rank(F^k) = n (the nilradical ker F^k is
+    zero), and condition two is F^{k+1} = F^k (the Frobenius is the
+    identity on the reduced quotient), which characterizes products of
+    copies of F_p without enumerating maximal ideals.
     """
     a.require_valid()
+    n = a.rank
+    positions, integral = _flat_constants(a)
     results = []
     for p in primes:
-        ap = algebra_mod_p(a, p)
-        if ap.rank == 0:
+        _, values = _values_mod_p(a, p, integral)
+        if n == 0:
             results.append(BinomialPrimeResult(p, True, True, 0))
             continue
-        fro = frobenius_matrix(ap)
-        nil = kernel_lattice(iterated_frobenius(fro))
-        reduced = nil.rank == 0
-        proj, section = nil.complement_projection()
-        quotient_frobenius = section * fro * proj
-        residue_ok = quotient_frobenius == Matrix.identity(ap.ring, proj.ncols)
-        results.append(BinomialPrimeResult(p, reduced, residue_ok, nil.rank))
+        fro = _frobenius(positions, values, n, p)
+        power = iterated_frobenius(fro)
+        nil_rank = n - power.rank()
+        results.append(BinomialPrimeResult(p, nil_rank == 0, power * fro == power, nil_rank))
     return BinomialReport(tuple(primes), tuple(results))

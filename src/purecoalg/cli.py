@@ -4,7 +4,9 @@ Every command maps to exactly one library operation, produces a
 deterministic plain-text report (identical invocations give identical
 bytes), and exits with: 0 for success or a true property, 1 for a false
 property, 2 for invalid input, 3 for an unsupported ring/operation
-combination.  Errors never escape as tracebacks.
+combination, 4 for an internal failure (a failed invariant or any
+exception that is not a ``WorkbenchError``, reported as "internal
+error: ...").  Errors never escape as tracebacks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .coalgebra import (
     purify_subcoalgebra,
     tensor,
 )
-from .errors import UnsupportedRing, ValidationError, WorkbenchError
+from .errors import OutputError, ParseError, UnsupportedRing, ValidationError, WorkbenchError
 from .grouplike import group_likes, is_pointed
 from .rings import ZZ
 from .simplicial import (
@@ -48,6 +50,7 @@ _EXIT_OK = 0
 _EXIT_FALSE = 1
 _EXIT_INVALID = 2
 _EXIT_UNSUPPORTED = 3
+_EXIT_INTERNAL = 4
 
 
 def _ring_from_flag(text: str):
@@ -58,16 +61,18 @@ def _ring_from_flag(text: str):
         from .rings import QQ
 
         return QQ
-    if text.startswith("F"):
-        from .rings import prime_field
-
-        return prime_field(int(text[1:]))
     if text.startswith("Z["):
         # Refused with the message the flag has always given: its parser once
         # handed the ring a one-shot generator.  perfbench/cli_pins.json pins
         # this exit 2, so accepting the flag waits for re-pinned hashes.
         raise ValidationError("inverted primes must be pairwise distinct")
-    raise WorkbenchError(f"unknown ring flag {text!r} (use Z, Q, Fp as F7, or Z[2,3])")
+    try:
+        p = int(text[1:] if text.startswith("F") else "")
+    except ValueError:
+        raise ParseError(f"unknown ring flag {text!r} (use Z, Q, Fp as F7, or Z[2,3])") from None
+    from .rings import prime_field
+
+    return prime_field(p)
 
 
 def _vec_str(ring, vector) -> str:
@@ -234,6 +239,17 @@ def _binomial_parser():
     return parser
 
 
+def _prime_list(text: str, source: str) -> tuple:
+    """The comma separated integers of a prime list; binomial_check then checks that each is prime."""
+    primes = []
+    for token in text.split(","):
+        try:
+            primes.append(int(token))
+        except ValueError:
+            raise ParseError(f"{source} entry {token!r} is not an integer") from None
+    return tuple(primes)
+
+
 def _cmd_binomial(args) -> tuple[int, str]:
     thing = serialize.load_coalgebra_or_algebra(args.file)
     if isinstance(thing, Coalgebra):
@@ -241,9 +257,9 @@ def _cmd_binomial(args) -> tuple[int, str]:
     else:
         algebra = thing
     if args.primes:
-        primes = tuple(int(p) for p in args.primes.split(","))
+        primes = _prime_list(args.primes, "--primes")
     elif os.environ.get("COALG_PRIMES"):
-        primes = tuple(int(p) for p in os.environ["COALG_PRIMES"].split(","))
+        primes = _prime_list(os.environ["COALG_PRIMES"], "COALG_PRIMES")
     else:
         primes = DEFAULT_PRIMES
     report = binomial_check(algebra, primes)
@@ -339,7 +355,10 @@ def _corpus_parser():
 
 def _cmd_corpus(args) -> tuple[int, str]:
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot create {args.out}: {exc}") from None
     entries = corpus_mod.generate_coalgebras(args.seed, args.count, max_rank=args.max_rank)
     lines = [f"generated {len(entries)} coalgebras (seed {args.seed})"]
     manifest = []
@@ -395,8 +414,8 @@ def run_command(argv, prog: str = "coalg") -> tuple[int, str]:
         return _EXIT_UNSUPPORTED, f"error: {exc}"
     except WorkbenchError as exc:
         return _EXIT_INVALID, f"error: {exc}"
-    except Exception as exc:  # never crash: surface as invalid input
-        return _EXIT_INVALID, f"internal error: {exc!r}"
+    except Exception as exc:  # never crash; anything else is a failure of the program, not of the input
+        return _EXIT_INTERNAL, f"internal error: {exc!r}"
 
 
 def _main(prog: str) -> int:

@@ -303,11 +303,12 @@ class AlgebraPresentation:
 
     The multiplication tensor is an n^2 x n matrix: row (i, j) holds the
     coordinates of e_i * e_j.  Its nonzero (t, v) per row are held once,
-    at construction, and products, powers and the axiom checks walk
+    at construction, as ``constants[i * n + j]``, and products, powers,
+    the axiom checks and the Frobenius of each reduction mod p walk
     those.
     """
 
-    __slots__ = ("ring", "rank", "mult", "unit", "basis_names", "_items")
+    __slots__ = ("ring", "rank", "mult", "unit", "basis_names", "constants")
 
     def __init__(self, ring: Ring, rank: int, mult: Matrix, unit, basis_names=None):
         if mult.nrows != rank * rank or mult.ncols != rank:
@@ -319,7 +320,7 @@ class AlgebraPresentation:
         self.mult = mult
         self.unit = list(unit)
         self.basis_names = tuple(basis_names) if basis_names is not None else None
-        self._items = [[(t, v) for t, v in enumerate(row) if v] for row in mult.rows]
+        self.constants = [[(t, v) for t, v in enumerate(row) if v] for row in mult.rows]
 
     def __eq__(self, other):
         return (
@@ -337,14 +338,14 @@ class AlgebraPresentation:
         """Product of two coordinate vectors, over the nonzero structure constants."""
         n = self.rank
         acc = [self.ring.zero] * n
-        items = self._items
+        constants = self.constants
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if xi:
                 at = i * n
                 for j, yj in ys:
                     coeff = xi * yj
-                    for t, v in items[at + j]:
+                    for t, v in constants[at + j]:
                         acc[t] += coeff * v
         return self.ring.reduce_row(acc)
 
@@ -386,7 +387,7 @@ class AlgebraPresentation:
         # structure constants; for each (i, j) every k is compared at once, the
         # coefficient of e_t for a given k sitting at k * n + t of a flat list
         assoc_loc = ""
-        items = self._items
+        items = self.constants
         for i in range(n):
             for j in range(n):
                 lhs = [0] * (n * n)

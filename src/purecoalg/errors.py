@@ -14,6 +14,10 @@ class ParseError(WorkbenchError):
     """Malformed file or element string."""
 
 
+class OutputError(WorkbenchError):
+    """An output file or directory cannot be written."""
+
+
 class ValidationError(WorkbenchError):
     """Structural axiom violated (coalgebra, algebra, map, or simplicial set)."""
 

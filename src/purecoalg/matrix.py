@@ -167,20 +167,13 @@ class Matrix:
         return Matrix(self.ring, self.rows + other.rows, self.ncols)
 
     # --- ring changes ----------------------------------------------------
-    def to_field(self) -> "Matrix":
-        """Image in the fraction field (identity for Q and F_p)."""
-        field = self.ring.fraction_field()
-        if field == self.ring:
-            return self
-        conv = self.ring.to_fraction
-        return Matrix(field, [[conv(v) for v in row] for row in self.rows], self.ncols)
-
     def reduce_mod(self, p: int) -> "Matrix":
         return Matrix(prime_field(p), reduce_rows_mod_p(self.ring, self.rows, p), self.ncols)
 
     # --- derived quantities ----------------------------------------------
     def rank(self) -> int:
-        return hnf_basis(self.to_field()).nrows
+        """Rank over the fraction field, which over a PID is the rank of the Hermite form in the ring."""
+        return hnf_basis(self).nrows
 
     def inverse(self) -> "Matrix":
         """Inverse of a matrix that is invertible over its own ring."""

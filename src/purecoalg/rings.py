@@ -126,9 +126,6 @@ class Ring:
         return str(int(a) if isinstance(a, Fraction) else a)
 
     # --- fraction-field embedding ------------------------------------
-    def fraction_field(self) -> "Ring":
-        return QQ
-
     @staticmethod
     def to_fraction(a) -> Fraction:
         return Fraction(a)
@@ -264,9 +261,6 @@ class RationalRing(_SubringOfQ):
             return a
         raise ValidationError(f"{a!r} is not a rational")
 
-    def fraction_field(self):
-        return self
-
     def contains_fraction(self, q):
         return True
 
@@ -345,9 +339,6 @@ class PrimeField(Ring):
         if isinstance(a, bool) or not isinstance(a, int):
             raise ValidationError(f"{a!r} is not an element of {self}")
         return a % self.p
-
-    def fraction_field(self):
-        return self
 
     def to_fraction(self, a):
         raise UnsupportedRing("prime fields do not embed in Q")

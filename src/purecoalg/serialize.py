@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from .coalgebra import AlgebraPresentation, Coalgebra, coalgebra_from_entries
-from .errors import ParseError, TooLarge
+from .errors import OutputError, ParseError, TooLarge
 from .lattice import Lattice
 from .matrix import Matrix
 from .rings import Ring, ring_from_spec
@@ -43,6 +43,8 @@ def _loads(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _expect(obj, key, kind, where):
@@ -259,8 +261,11 @@ def load_json(path: str):
 
 
 def save_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
 
 
 def load_coalgebra(path: str) -> Coalgebra:

@@ -8,17 +8,19 @@ p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.
 
-The exceptions are the last four sections: the package's former
+The exceptions are the last five sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
 wedge), which work in the n^2-dimensional ambient space C (x) C through
 Kronecker products, Hermite forms and ``Lattice.solve``; its former
 stage-by-stage and part-by-part validation of filtrations and component
 decompositions on n x n blocks of Delta; its former constructions on
-the dense n x n^2 matrix of Delta; and its former Hermite, Smith and
-membership kernels on each ring's own Fraction arithmetic.  Their logic
+the dense n x n^2 matrix of Delta; its former Hermite, Smith and
+membership kernels on each ring's own Fraction arithmetic; and its
+former per-prime binomial test on the quotient by the nilradical.  Their logic
 is kept unchanged so the current versions can be compared with them
 bit for bit, and they use the package's ``Lattice``, ``Matrix``, block
-products, dense ``Coalgebra`` constructor and ring methods, which
+products, dense ``Coalgebra`` constructor, algebra products and ring
+methods, which
 ``test_lattice``, ``test_matrix``, ``test_tensor_blocks``,
 ``test_coalgebra`` and ``test_rings`` check on their own.
 """
@@ -940,3 +942,31 @@ def fraction_solve(lattice, vector):
     if member and any(v):
         member = False
     return coords if member else None
+
+
+# --- former per-prime binomial test ----------------------------------------------
+#
+# At each prime the binomial check once reduced the dense multiplication
+# table mod p, took the nilradical as the kernel lattice of the iterated
+# Frobenius, and asked that the Frobenius induced on the quotient by it,
+# section * F * projection, be the identity.
+
+
+def quotient_frobenius_report(a, primes):
+    """The former ``binomial_check`` body after ``require_valid``: a ``BinomialReport`` of the same primes."""
+    from purecoalg import Matrix, kernel_lattice
+    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, algebra_mod_p, iterated_frobenius
+
+    results = []
+    for p in primes:
+        ap = algebra_mod_p(a, p)
+        if ap.rank == 0:
+            results.append(BinomialPrimeResult(p, True, True, 0))
+            continue
+        basis = [[ap.ring.one if t == i else ap.ring.zero for t in range(ap.rank)] for i in range(ap.rank)]
+        fro = Matrix(ap.ring, [ap.power(e, p) for e in basis], ap.rank)
+        nil = kernel_lattice(iterated_frobenius(fro))
+        proj, section = nil.complement_projection()
+        residue_ok = section * fro * proj == Matrix.identity(ap.ring, proj.ncols)
+        results.append(BinomialPrimeResult(p, nil.rank == 0, residue_ok, nil.rank))
+    return BinomialReport(tuple(primes), tuple(results))

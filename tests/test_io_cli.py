@@ -254,3 +254,50 @@ def test_degrees_are_checked_before_building_chains(monkeypatch):
     assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
     code, text = run_command(["check", data("interval-collapse.json"), "--we", "-N", "2"], "smap")
     assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
+
+
+@pytest.mark.parametrize("argv, prog, env, message", [
+    (["check", data("zxz-algebra.json"), "--primes", "2,x"], "binomial", None,
+     "error: --primes entry 'x' is not an integer"),
+    (["check", data("zxz-algebra.json"), "--primes", "2,,3"], "binomial", None,
+     "error: --primes entry '' is not an integer"),
+    (["check", data("zxz-algebra.json")], "binomial", "2,x",
+     "error: COALG_PRIMES entry 'x' is not an integer"),
+    (["chains", data("circle.json"), "--ring", "F7x"], "sset", None,
+     "error: unknown ring flag 'F7x' (use Z, Q, Fp as F7, or Z[2,3])"),
+], ids=["primes-letter", "primes-empty", "env-primes-letter", "ring-flag"])
+def test_cli_names_a_bad_prime_list_or_ring_flag(monkeypatch, argv, prog, env, message):
+    if env is not None:
+        monkeypatch.setenv("COALG_PRIMES", env)
+    assert run_command(argv, prog) == (2, message)
+
+
+def test_cli_names_an_output_path_it_cannot_write(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, text = run_command(["tensor", data("zx2-dual.json"), data("zx2-dual.json"), "-o", str(out)], "coalg")
+    assert code == 2 and text.startswith(f"error: cannot write {out}: ")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, text = run_command(["generate", "--seed", "5", "--count", "1", "--out", str(blocker / "corp")], "corpus")
+    assert code == 2 and text.startswith(f"error: cannot create {blocker / 'corp'}: ")
+
+
+@pytest.mark.parametrize("error", [AssertionError("invariant broke"), ValueError("bad shape")],
+                         ids=["assertion", "value"])
+def test_internal_failures_exit_4(monkeypatch, error):
+    from purecoalg import cli
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "group_likes", fail)
+    code, text = run_command(["grouplikes", data("setlike2.json")], "coalg")
+    assert (code, text) == (4, f"internal error: {error!r}")
+    code, text = run_command(["grouplikes", data("no-such-file.json")], "coalg")
+    assert code == 2 and text.startswith("error: cannot read ")
+
+
+def test_deeply_nested_json_is_invalid_input(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run_command(["check", str(path)], "coalg") == (2, "error: invalid JSON: nested too deeply")
