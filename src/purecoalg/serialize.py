@@ -135,6 +135,14 @@ def _triples(obj, key: str, ring: Ring, n: int, where: str) -> list:
     return out
 
 
+def _basis_names(obj, n: int):
+    names = obj.get("basis_names")
+    if names is not None and (not isinstance(names, list) or len(names) != n
+                              or any(not isinstance(s, str) for s in names)):
+        raise ParseError("basis_names must list one string per basis vector")
+    return names
+
+
 def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
     ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
     n = _rank(obj, "coalgebra")
@@ -143,9 +151,7 @@ def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
     if len(counit_obj) != n:
         raise ParseError("counit must have length equal to the rank")
     counit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in counit_obj]
-    names = obj.get("basis_names")
-    if names is not None and (len(names) != n or any(not isinstance(s, str) for s in names)):
-        raise ParseError("basis_names must list one string per basis vector")
+    names = _basis_names(obj, n)
     c = coalgebra_from_entries(ring, n, entries, counit, basis_names=names)
     if validate:
         c.require_valid()
@@ -186,7 +192,7 @@ def algebra_from_obj(obj, validate: bool = True) -> AlgebraPresentation:
     if len(unit_obj) != n:
         raise ParseError("unit must have length equal to the rank")
     unit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in unit_obj]
-    names = obj.get("basis_names")
+    names = _basis_names(obj, n)
     a = AlgebraPresentation(ring, n, Matrix(ring, rows, n), unit, basis_names=names)
     if validate:
         a.require_valid()
@@ -211,25 +217,32 @@ def sset_to_obj(x: FiniteSimplicialSet):
     }
 
 
+def _name_map(rec, where):
+    mapping = _expect(rec, "map", dict, where)
+    if any(isinstance(v, (list, dict)) for v in mapping.values()):
+        raise ParseError(f"the map of a {where} must send names to names")
+    return dict(mapping)
+
+
 def sset_from_obj(obj) -> FiniteSimplicialSet:
     """The simplicial set of a parsed file, not yet checked against the simplicial identities."""
     d = _expect(obj, "dimension", int, "simplicial set")
     levels = _expect(obj, "levels", list, "simplicial set")
     for n, level in enumerate(levels):
-        if not isinstance(level, list):
+        if not isinstance(level, list) or any(isinstance(s, (list, dict)) for s in level):
             raise ParseError(f"level {n} of the simplicial set must be an array of names")
         if len(level) > MAX_RANK:
             raise TooLarge(f"simplicial set level {n} has {len(level)} simplices, above the bound {MAX_RANK}")
     faces = {}
     for rec in _expect(obj, "faces", list, "simplicial set"):
-        faces[(int(_expect(rec, "n", int, "face record")), int(_expect(rec, "i", int, "face record")))] = dict(
-            _expect(rec, "map", dict, "face record")
+        faces[(int(_expect(rec, "n", int, "face record")), int(_expect(rec, "i", int, "face record")))] = _name_map(
+            rec, "face record"
         )
     degeneracies = {}
     for rec in _expect(obj, "degeneracies", list, "simplicial set"):
         degeneracies[
             (int(_expect(rec, "n", int, "degeneracy record")), int(_expect(rec, "j", int, "degeneracy record")))
-        ] = dict(_expect(rec, "map", dict, "degeneracy record"))
+        ] = _name_map(rec, "degeneracy record")
     return FiniteSimplicialSet(d, levels, faces, degeneracies)
 
 

@@ -301,3 +301,20 @@ def test_deeply_nested_json_is_invalid_input(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
     assert run_command(["check", str(path)], "coalg") == (2, "error: invalid JSON: nested too deeply")
+
+
+def test_malformed_names_are_invalid_input(tmp_path):
+    coalgebra = sz.load_json(data("zx3-dual.json"))
+    algebra = sz.load_json(data("zxz-algebra.json"))
+    circle = sz.load_json(data("circle.json"))
+    nested_level = dict(circle, levels=[[["v"]]] + circle["levels"][1:])
+    list_image = dict(circle, faces=[dict(circle["faces"][0], map={k: [v] for k, v in circle["faces"][0]["map"].items()})]
+                      + circle["faces"][1:])
+    for argv, prog, obj, message in (
+        (["check"], "coalg", dict(coalgebra, basis_names=3), "error: basis_names must list one string per basis vector"),
+        (["check"], "binomial", dict(algebra, basis_names="ab"), "error: basis_names must list one string per basis vector"),
+        (["validate"], "sset", nested_level, "error: level 0 of the simplicial set must be an array of names"),
+        (["homology", "-N", "1"], "sset", list_image, "error: the map of a face record must send names to names"),
+    ):
+        path = _write(tmp_path, obj)
+        assert run_command([argv[0], path, *argv[1:]], prog) == (2, message)
