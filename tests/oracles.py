@@ -380,6 +380,163 @@ def cone_is_acyclic(dom_sset, cod_sset, level_maps, top_degree):
     return True
 
 
+def simplicial_failure_locations(obj):
+    """(check name, first-failure location) pairs of a simplicial validator, "" where the check holds.
+
+    ``obj`` is a simplicial set, a simplicial coalgebra over Z, or a map
+    of either.  Every simplicial identity (May, Def. 1.1) is written out
+    as the formula it is and evaluated one simplex at a time on the
+    name dicts, or one identity at a time on plain integer matrix
+    products; levels and levelwise maps of coalgebras go through
+    ``coalgebra_axiom_locations`` and ``map_axiom_locations``.
+    """
+    if hasattr(obj, "maps"):
+        return _sset_map_locations(obj)
+    if hasattr(obj, "domain"):
+        return _scoalg_map_locations(obj)
+    if hasattr(obj, "ring"):
+        return _scoalg_locations(obj)
+    return _sset_locations(obj)
+
+
+def _sset_locations(x):
+    d, X = x.dimension_bound, x.levels
+
+    def face(n, i, s):
+        return x.faces[(n, i)][s]
+
+    def degen(n, j, s):
+        return x.degeneracies[(n, j)][s]
+
+    out = [("level names distinct", next((f"level {n}" for n, level in enumerate(X) if len(set(level)) != len(level)), ""))]
+    total = ""
+    for n in range(1, d + 1):
+        for i in range(n + 1):
+            if (n, i) not in x.faces:
+                total = total or f"missing face d_{i} on level {n}"
+            for s in X[n] if (n, i) in x.faces else ():
+                if s not in x.faces[(n, i)] or face(n, i, s) not in X[n - 1]:
+                    total = total or f"face d_{i} at {s!r} (level {n})"
+    for n in range(d):
+        for j in range(n + 1):
+            if (n, j) not in x.degeneracies:
+                total = total or f"missing degeneracy s_{j} on level {n}"
+            for s in X[n] if (n, j) in x.degeneracies else ():
+                if s not in x.degeneracies[(n, j)] or degen(n, j, s) not in X[n + 1]:
+                    total = total or f"degeneracy s_{j} at {s!r} (level {n})"
+    out.append(("structure maps total", total))
+    if total:
+        return out
+    out.append(("face-face identities", next(
+        (f"d_{i} d_{j} at {s!r} (level {n})" for n in range(2, d + 1) for j in range(n + 1) for i in range(j)
+         for s in X[n] if face(n - 1, i, face(n, j, s)) != face(n - 1, j - 1, face(n, i, s))), "")))
+    out.append(("degeneracy-degeneracy identities", next(
+        (f"s_{i} s_{j} at {s!r} (level {n})" for n in range(d - 1) for j in range(n + 1) for i in range(j + 1)
+         for s in X[n] if degen(n + 1, i, degen(n, j, s)) != degen(n + 1, j + 1, degen(n, i, s))), "")))
+
+    def face_of_degeneracy(n, i, j, s):
+        if i in (j, j + 1):
+            return s
+        if i < j:
+            return degen(n - 1, j - 1, face(n, i, s))
+        return degen(n - 1, j, face(n, i - 1, s))
+
+    out.append(("face-degeneracy identities", next(
+        (f"d_{i} s_{j} at {s!r} (level {n})" for n in range(d) for j in range(n + 1) for i in range(n + 2)
+         for s in X[n] if face(n + 1, i, degen(n, j, s)) != face_of_degeneracy(n, i, j, s)), "")))
+    return out
+
+
+def _int_product(a, b):
+    return [[sum(u * v for u, v in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _first_axiom_failure(names, locations):
+    return next((f"{name}: FAIL at {loc}" for name, loc in zip(names, locations) if loc), "")
+
+
+_COALGEBRA_CHECKS = ("cocommutativity", "coassociativity", "counit law (left)", "counit law (right)")
+_MAP_CHECKS = ("comultiplication square", "counit triangle")
+
+
+class _LevelMap:
+    def __init__(self, domain, codomain, matrix):
+        self.domain, self.codomain, self.matrix = domain, codomain, matrix
+
+
+def _map_failure(domain, codomain, matrix):
+    return _first_axiom_failure(_MAP_CHECKS, map_axiom_locations(_LevelMap(domain, codomain, matrix)))
+
+
+def _scoalg_locations(c):
+    d, F, S = c.dimension_bound, c.faces, c.degeneracies
+    levels = next((f"level {n}: {bad}" for n, level in enumerate(c.levels)
+                   for bad in [_first_axiom_failure(_COALGEBRA_CHECKS, coalgebra_axiom_locations(
+                       level.delta.rows, level.counit, level.rank))] if bad), "")
+    maps = next((f"face d_{i} on level {n}: {bad}" for (n, i), mat in sorted(F.items())
+                 for bad in [_map_failure(c.levels[n], c.levels[n - 1], mat)] if bad), "")
+    maps = maps or next((f"degeneracy s_{j} on level {n}: {bad}" for (n, j), mat in sorted(S.items())
+                         for bad in [_map_failure(c.levels[n], c.levels[n + 1], mat)] if bad), "")
+
+    def path(*steps):
+        out = steps[0].rows
+        for mat in steps[1:]:
+            out = _int_product(out, mat.rows)
+        return out
+
+    def face_of_degeneracy(n, i, j):
+        if i in (j, j + 1):
+            rank = c.levels[n].rank
+            return [[int(a == b) for b in range(rank)] for a in range(rank)]
+        if i < j:
+            return path(F[(n, i)], S[(n - 1, j - 1)])
+        return path(F[(n, i - 1)], S[(n - 1, j)])
+
+    identities = next(
+        (f"d_{i} d_{j} on level {n}" for n in range(2, d + 1) for j in range(n + 1) for i in range(j)
+         if path(F[(n, j)], F[(n - 1, i)]) != path(F[(n, i)], F[(n - 1, j - 1)])), "")
+    identities = identities or next(
+        (f"s_{i} s_{j} on level {n}" for n in range(d - 1) for j in range(n + 1) for i in range(j + 1)
+         if path(S[(n, j)], S[(n + 1, i)]) != path(S[(n, i)], S[(n + 1, j + 1)])), "")
+    identities = identities or next(
+        (f"d_{i} s_{j} on level {n}" for n in range(d) for j in range(n + 1) for i in range(n + 2)
+         if path(S[(n, j)], F[(n + 1, i)]) != face_of_degeneracy(n, i, j)), "")
+    return [("levels are coalgebras", levels), ("structure maps are coalgebra maps", maps),
+            ("simplicial identities", identities)]
+
+
+def _sset_map_locations(m):
+    dom, cod, maps = m.domain, m.codomain, m.maps
+    total = next((f"level {n} at {s!r}" for n, level in enumerate(dom.levels) for s in level
+                  if s not in maps[n] or maps[n][s] not in cod.levels[n]), "")
+    out = [("levelwise totality", total)]
+    if total:
+        return out
+    square = next((f"face d_{i} at {s!r} (level {n})" for (n, i), fmap in dom.faces.items() for s in dom.levels[n]
+                   if maps[n - 1][fmap[s]] != cod.faces[(n, i)][maps[n][s]]), "")
+    square = square or next(
+        (f"degeneracy s_{j} at {s!r} (level {n})" for (n, j), smap in dom.degeneracies.items() for s in dom.levels[n]
+         if maps[n + 1][smap[s]] != cod.degeneracies[(n, j)][maps[n][s]]), "")
+    return out + [("commutes with structure maps", square)]
+
+
+def _scoalg_map_locations(f):
+    dom, cod, levels = f.domain, f.codomain, f.levels
+    bad = next((f"level {n}: {bad}" for n, mat in enumerate(levels)
+                for bad in [_map_failure(dom.levels[n], cod.levels[n], mat)] if bad), "")
+    out = [("levelwise coalgebra maps", bad)]
+    if bad:
+        return out
+    square = next((f"face d_{i} on level {n}" for (n, i), mat in dom.faces.items()
+                   if _int_product(mat.rows, levels[n - 1].rows) != _int_product(levels[n].rows, cod.faces[(n, i)].rows)),
+                  "")
+    square = square or next(
+        (f"degeneracy s_{j} on level {n}" for (n, j), mat in dom.degeneracies.items()
+         if _int_product(mat.rows, levels[n + 1].rows) != _int_product(levels[n].rows, cod.degeneracies[(n, j)].rows)),
+        "")
+    return out + [("simplicial naturality", square)]
+
+
 def algebra_axiom_locations(mult_rows, unit, n, p=None):
     """(commutativity, associativity, unit law) first-failure locations, "" when they hold.
 

@@ -1,11 +1,17 @@
 """Simplicial sets, chains, normalized homology, the two predicates."""
 
+import random
+
 import pytest
 
 from purecoalg import (
+    Coalgebra,
     DegreeTooHigh,
+    FiniteSimplicialSet,
     Matrix,
+    SimplicialCoalgebra,
     SimplicialCoalgebraMap,
+    SimplicialMap,
     ZZ,
     chains_functor,
     chains_map,
@@ -26,7 +32,7 @@ from purecoalg import (
     validate_sset,
 )
 
-from oracles import direct_homology
+from oracles import direct_homology, simplicial_failure_locations
 
 
 CORPUS = {
@@ -182,3 +188,138 @@ def test_builder_rejects_bad_cells():
 
     with pytest.raises(ValidationError):
         simplicial_set_from_cells(2, [["v"], [("e", [((), "v")])]])
+
+
+# --- every validator report against the identity oracle ------------------------
+
+
+def _copy_sset(x):
+    return FiniteSimplicialSet(
+        x.dimension_bound, x.levels, {k: dict(v) for k, v in x.faces.items()},
+        {k: dict(v) for k, v in x.degeneracies.items()},
+    )
+
+
+def _mutate_sset(rng, x):
+    """One to three random edits of names, entries and keys of a copy of x."""
+    x = _copy_sset(x)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            level = x.levels[rng.randrange(len(x.levels))]
+            level.append(rng.choice(level))
+            continue
+        table = rng.choice([x.faces, x.degeneracies])
+        key = rng.choice(sorted(table))
+        target = x.levels[key[0] - 1 if table is x.faces else key[0] + 1]
+        mapping = table[key]
+        if not mapping:
+            continue
+        s = rng.choice(sorted(mapping))
+        if kind == 1:
+            del table[key]
+        elif kind == 2:
+            del mapping[s]
+        elif kind == 3:
+            mapping[s] = "ghost"
+        elif kind == 4:
+            mapping[s] = rng.choice(target)
+        else:
+            t = rng.choice(sorted(mapping))
+            mapping[s], mapping[t] = mapping[t], mapping[s]
+    return x
+
+
+def _perturbed(rng, mat, ring):
+    rows = [list(row) for row in mat.rows]
+    r = rng.randrange(len(rows))
+    if rng.random() < 0.5:
+        rows[r][rng.randrange(mat.ncols)] += rng.choice([-1, 1, 2])
+    else:
+        rows[r] = list(rows[rng.randrange(len(rows))])
+    return Matrix(ring, rows, mat.ncols)
+
+
+def _mutate_scoalg(rng, c):
+    levels, faces, degeneracies = list(c.levels), dict(c.faces), dict(c.degeneracies)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            n = rng.randrange(len(levels))
+            level = levels[n]
+            rows = [list(row) for row in level.delta.rows]
+            counit = list(level.counit)
+            if rng.random() < 0.5:
+                rows[rng.randrange(level.rank)][rng.randrange(level.rank ** 2)] += 1
+            else:
+                counit[rng.randrange(level.rank)] += 1
+            levels[n] = Coalgebra(c.ring, level.rank, Matrix(c.ring, rows, level.rank ** 2), counit)
+        else:
+            table = faces if kind == 1 else degeneracies
+            key = rng.choice(sorted(table))
+            table[key] = _perturbed(rng, table[key], c.ring)
+    return SimplicialCoalgebra(c.ring, levels, faces, degeneracies)
+
+
+def _mutate_smap(rng, m):
+    maps = [dict(level) for level in m.maps]
+    n = rng.randrange(len(maps))
+    s = rng.choice(sorted(maps[n]))
+    kind = rng.randrange(3)
+    if kind == 0:
+        del maps[n][s]
+    elif kind == 1:
+        maps[n][s] = "ghost"
+    else:
+        maps[n][s] = rng.choice(m.codomain.levels[n])
+    return SimplicialMap(m.domain, m.codomain, maps)
+
+
+def _mutate_scoalg_map(rng, f):
+    levels = list(f.levels)
+    n = rng.randrange(len(levels))
+    levels[n] = _perturbed(rng, levels[n], f.domain.ring)
+    return SimplicialCoalgebraMap(f.domain, f.codomain, levels)
+
+
+def _checks(report):
+    return [(check.name, check.passed, check.location) for check in report.checks]
+
+
+def _oracle_checks(obj):
+    return [(name, not loc, loc) for name, loc in simplicial_failure_locations(obj)]
+
+
+def test_validators_match_the_identity_oracle():
+    """Seeded edits of the standard sets, their chains and self-maps; each report equals the oracle's."""
+    rng = random.Random(1109)
+    failed = set()
+
+    def compare(obj):
+        got = _checks(obj.validate())
+        assert got == _oracle_checks(obj), obj
+        failed.update(name for name, passed, _ in got if not passed)
+
+    for name, x in CORPUS.items():
+        compare(x)
+        for _ in range(150):
+            compare(_mutate_sset(rng, x))
+        sc = chains_functor(x, ZZ)
+        compare(sc)
+        for _ in range(40):
+            compare(_mutate_scoalg(rng, sc))
+        for m in [identity_simplicial_map(x)] + [constant_map(x, x, v) for v in x.levels[0]]:
+            compare(m)
+            for _ in range(30):
+                compare(_mutate_smap(rng, m))
+            f = chains_map(m, ZZ)
+            compare(f)
+            for _ in range(15):
+                compare(_mutate_scoalg_map(rng, f))
+    assert failed == {
+        "level names distinct", "structure maps total", "face-face identities",
+        "degeneracy-degeneracy identities", "face-degeneracy identities",
+        "levels are coalgebras", "structure maps are coalgebra maps", "simplicial identities",
+        "levelwise totality", "commutes with structure maps",
+        "levelwise coalgebra maps", "simplicial naturality",
+    }
