@@ -68,6 +68,13 @@ class ValidationReport:
                 return c
         return None
 
+    def require(self, checked, prefix: str, error=ValidationError):
+        """checked itself when every check passed; otherwise raise error naming the first failure after prefix."""
+        bad = self.first_failure()
+        if bad is not None:
+            raise error(f"{prefix}: {bad}")
+        return checked
+
     def __str__(self):
         lines = [str(c) for c in self.checks]
         lines.append(f"overall: {'pass' if self.overall else 'FAIL'}")
@@ -180,11 +187,7 @@ class Coalgebra:
         return validate_coalgebra(self)
 
     def require_valid(self):
-        report = self.validate()
-        bad = report.first_failure()
-        if bad is not None:
-            raise ValidationError(f"coalgebra axiom failed: {bad}")
-        return self
+        return self.validate().require(self, "coalgebra axiom failed")
 
 
 def stored_coordinates(c: Coalgebra, weights, zero=0) -> list:
@@ -425,11 +428,7 @@ class AlgebraPresentation:
         return report
 
     def require_valid(self):
-        report = self.validate()
-        bad = report.first_failure()
-        if bad is not None:
-            raise InvalidAlgebra(f"algebra axiom failed: {bad}")
-        return self
+        return self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
 
 
 def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
@@ -619,11 +618,7 @@ class CoalgebraMap:
         return validate_map(self)
 
     def require_valid(self):
-        report = self.validate()
-        bad = report.first_failure()
-        if bad is not None:
-            raise ValidationError(f"coalgebra map axiom failed: {bad}")
-        return self
+        return self.validate().require(self, "coalgebra map axiom failed")
 
 
 def identity_map(c: Coalgebra) -> CoalgebraMap:

@@ -77,26 +77,6 @@ class Ring:
 
     # --- arithmetic shared by int/Fraction representations ----------
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return not a
-
-    @staticmethod
     def reduce_row(row):
         """Canonical residues of a row of elements: the row itself except over F_p."""
         return row
@@ -292,26 +272,11 @@ class PrimeField(Ring):
     def to_spec(self):
         return {"kind": "Fp", "p": self.p}
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def reduce_row(self, row):
         return [v % self.p for v in row]
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
 
     def try_exact_div(self, b, a):
         if a % self.p == 0:

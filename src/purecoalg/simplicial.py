@@ -1,8 +1,12 @@
 """Truncated simplicial sets, simplicial coalgebras, chains, homology.
 
 Simplicial sets are stored through a fixed truncation dimension with
-explicit degeneracies; every simplicial identity that fits inside the
-truncation is checked.  Linearization produces simplicial coalgebras
+explicit degeneracies.  One table lists every simplicial identity that
+fits inside the truncation, and one walk lists the faces and
+degeneracies; the validators of simplicial sets, simplicial coalgebras
+and their maps all read these two, on name dicts or on matrices, and a
+face or degeneracy recorded outside the truncation is refused.
+Linearization produces simplicial coalgebras
 whose levels are set-like, and homology goes through the normalized
 chain complex on nondegenerate simplices: the degenerate part of each
 level is a direct summand, so the quotient is free and the boundary
@@ -36,7 +40,7 @@ from .errors import (
 from .grouplike import pointed_group_likes
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, elementary_divisors
-from .rings import Ring
+from .rings import ZZ, Ring
 
 
 class FiniteSimplicialSet:
@@ -62,122 +66,119 @@ class FiniteSimplicialSet:
         return validate_sset(self)
 
     def require_valid(self):
-        report = self.validate()
-        bad = report.first_failure()
-        if bad is not None:
-            raise ValidationError(f"simplicial identity failed: {bad}")
-        return self
+        return self.validate().require(self, "simplicial identity failed")
 
 
-def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
-    """Check totality of the structure maps and every in-range identity."""
-    report = ValidationReport()
-    d = x.dimension_bound
+# --- the identity table -------------------------------------------------------
+#
+# A path is a tuple of (table, key) steps, table "faces" or "degeneracies",
+# applied to a simplex left to right (so a product of row-vector matrices
+# in the same order); the empty path is the identity.  Labels are format
+# strings, filled in only for a failure.
 
-    names = [set(level) for level in x.levels]
-    dup_loc = ""
-    for n, level in enumerate(x.levels):
-        if len(set(level)) != len(level):
-            dup_loc = f"level {n}"
-            break
-    report.add("level names distinct", not dup_loc, dup_loc)
+_FACE_FACE = ("face-face identities", "d_{} d_{}")
+_DEGENERACY_DEGENERACY = ("degeneracy-degeneracy identities", "s_{} s_{}")
+_FACE_DEGENERACY = ("face-degeneracy identities", "d_{} s_{}")
 
-    total_loc = ""
-    for n in range(1, d + 1):
-        for i in range(n + 1):
-            fmap = x.faces.get((n, i))
-            if fmap is None:
-                total_loc = f"missing face d_{i} on level {n}"
-                break
-            for s in x.levels[n]:
-                if s not in fmap or fmap[s] not in names[n - 1]:
-                    total_loc = f"face d_{i} at {s!r} (level {n})"
-                    break
-            if total_loc:
-                break
-        if total_loc:
-            break
-    if not total_loc:
-        for n in range(d):
-            for j in range(n + 1):
-                smap = x.degeneracies.get((n, j))
-                if smap is None:
-                    total_loc = f"missing degeneracy s_{j} on level {n}"
-                    break
-                for s in x.levels[n]:
-                    if s not in smap or smap[s] not in names[n + 1]:
-                        total_loc = f"degeneracy s_{j} at {s!r} (level {n})"
-                        break
-                if total_loc:
-                    break
-            if total_loc:
-                break
-    report.add("structure maps total", not total_loc, total_loc)
-    if total_loc:
-        return report
 
-    loc = ""
+def _simplicial_identities(d: int):
+    """Each identity of a d-truncation once, as (family, i, j, level n, lhs path, rhs path).
+
+    d_i d_j = d_{j-1} d_i for i < j, s_i s_j = s_{j+1} s_i for i <= j, and
+    d_i s_j = s_{j-1} d_i, the identity, or s_j d_{i-1} as i < j,
+    i in {j, j+1}, or i > j+1 (May, Simplicial Objects, Def. 1.1), on
+    the simplices of level n.  At n = 0 every i is j or j + 1.
+    """
+    d_ = [[("faces", (n, i)) for i in range(n + 1)] for n in range(d + 1)]
+    s_ = [[("degeneracies", (n, j)) for j in range(n + 1)] for n in range(d + 1)]
     for n in range(2, d + 1):
         for j in range(n + 1):
             for i in range(j):
-                for s in x.levels[n]:
-                    lhs = x.faces[(n - 1, i)][x.faces[(n, j)][s]]
-                    rhs = x.faces[(n - 1, j - 1)][x.faces[(n, i)][s]]
-                    if lhs != rhs:
-                        loc = f"d_{i} d_{j} at {s!r} (level {n})"
-                        break
-                if loc:
-                    break
-            if loc:
-                break
-        if loc:
-            break
-    report.add("face-face identities", not loc, loc)
-
-    loc = ""
+                yield _FACE_FACE, i, j, n, (d_[n][j], d_[n - 1][i]), (d_[n][i], d_[n - 1][j - 1])
     for n in range(d - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                for s in x.levels[n]:
-                    lhs = x.degeneracies[(n + 1, i)][x.degeneracies[(n, j)][s]]
-                    rhs = x.degeneracies[(n + 1, j + 1)][x.degeneracies[(n, i)][s]]
-                    if lhs != rhs:
-                        loc = f"s_{i} s_{j} at {s!r} (level {n})"
-                        break
-                if loc:
-                    break
-            if loc:
-                break
-        if loc:
-            break
-    report.add("degeneracy-degeneracy identities", not loc, loc)
-
-    loc = ""
+                yield _DEGENERACY_DEGENERACY, i, j, n, (s_[n][j], s_[n + 1][i]), (s_[n][i], s_[n + 1][j + 1])
     for n in range(d):
         for j in range(n + 1):
             for i in range(n + 2):
-                for s in x.levels[n]:
-                    img = x.faces[(n + 1, i)][x.degeneracies[(n, j)][s]]
-                    if i == j or i == j + 1:
-                        expected = s
-                    elif i < j:
-                        if n == 0:
-                            continue
-                        expected = x.degeneracies[(n - 1, j - 1)][x.faces[(n, i)][s]]
-                    else:
-                        if n == 0:
-                            continue
-                        expected = x.degeneracies[(n - 1, j)][x.faces[(n, i - 1)][s]]
-                    if img != expected:
-                        loc = f"d_{i} s_{j} at {s!r} (level {n})"
-                        break
-                if loc:
-                    break
-            if loc:
-                break
-        if loc:
+                if i < j:
+                    rhs = (d_[n][i], s_[n - 1][j - 1])
+                elif i > j + 1:
+                    rhs = (d_[n][i - 1], s_[n - 1][j])
+                else:
+                    rhs = ()
+                yield _FACE_DEGENERACY, i, j, n, (s_[n][j], d_[n + 1][i]), rhs
+
+
+def _structure_maps(face_keys, degeneracy_keys):
+    """Each face, then each degeneracy, in the given key order: (table, (n, k), target level, label)."""
+    for n, i in face_keys:
+        yield "faces", (n, i), n - 1, "face d_{}"
+    for n, j in degeneracy_keys:
+        yield "degeneracies", (n, j), n + 1, "degeneracy s_{}"
+
+
+def _truncation_maps(d: int):
+    """The structure maps a d-truncation has, faces (n, i) for 1 <= n <= d and degeneracies (n, j) for n < d."""
+    return _structure_maps(
+        [(n, i) for n in range(1, d + 1) for i in range(n + 1)], [(n, j) for n in range(d) for j in range(n + 1)]
+    )
+
+
+def _images(x, first_images, path, n: int) -> list:
+    """The level-n simplices carried along a path: its first map's images, then each later map."""
+    if not path:
+        return x.levels[n]
+    out = first_images[path[0]]
+    for table, key in path[1:]:
+        out = list(map(getattr(x, table)[key].__getitem__, out))
+    return out
+
+
+def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
+    """Check totality of the structure maps and every in-range identity.
+
+    A face or degeneracy outside the truncation fails totality too.
+    """
+    report = ValidationReport()
+    names = [set(level) for level in x.levels]
+    loc = next((f"level {n}" for n, level in enumerate(x.levels) if len(names[n]) != len(level)), "")
+    report.add("level names distinct", not loc, loc)
+
+    maps = list(_truncation_maps(x.dimension_bound))
+    first_images = {}
+    loc = ""
+    for table, (n, k), target, label in maps:
+        mapping = getattr(x, table).get((n, k))
+        if mapping is None:
+            loc = f"missing {label.format(k)} on level {n}"
             break
-    report.add("face-degeneracy identities", not loc, loc)
+        images = first_images[(table, (n, k))] = list(map(mapping.get, x.levels[n]))
+        if None in images or not names[target].issuperset(images):  # None: a missing simplex, or a name
+            bad = [s for s in x.levels[n] if s not in mapping or mapping[s] not in names[target]]
+            if bad:
+                loc = f"{label.format(k)} at {bad[0]!r} (level {n})"
+                break
+    if not loc and len(x.faces) + len(x.degeneracies) > len(maps):
+        known = set(first_images)
+        loc = next((f"unexpected {label.format(k)} on level {n}"
+                    for table, (n, k), _, label in _structure_maps(x.faces, x.degeneracies)
+                    if (table, (n, k)) not in known), "")
+    report.add("structure maps total", not loc, loc)
+    if loc:
+        return report
+
+    locs = dict.fromkeys((_FACE_FACE, _DEGENERACY_DEGENERACY, _FACE_DEGENERACY), "")
+    for family, i, j, n, lhs, rhs in _simplicial_identities(x.dimension_bound):
+        if locs[family]:
+            continue
+        left, right = _images(x, first_images, lhs, n), _images(x, first_images, rhs, n)
+        if left != right:
+            s = next(s for s, a, b in zip(x.levels[n], left, right) if a != b)
+            locs[family] = f"{family[1].format(i, j)} at {s!r} (level {n})"
+    for (name, _), loc in locs.items():
+        report.add(name, not loc, loc)
     return report
 
 
@@ -326,87 +327,46 @@ class SimplicialCoalgebra:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        d = self.dimension_bound
-        loc = ""
-        for n, level in enumerate(self.levels):
-            bad = level.validate().first_failure()
-            if bad is not None:
-                loc = f"level {n}: {bad}"
-                break
+        loc = next((f"level {n}: {bad}" for n, level in enumerate(self.levels)
+                    if (bad := level.validate().first_failure())), "")
         report.add("levels are coalgebras", not loc, loc)
 
-        loc = ""
-        for (n, i), mat in sorted(self.faces.items()):
-            f = CoalgebraMap(self.levels[n], self.levels[n - 1], mat)
-            bad = validate_map(f).first_failure()
-            if bad is not None:
-                loc = f"face d_{i} on level {n}: {bad}"
-                break
-        if not loc:
-            for (n, j), mat in sorted(self.degeneracies.items()):
-                f = CoalgebraMap(self.levels[n], self.levels[n + 1], mat)
-                bad = validate_map(f).first_failure()
-                if bad is not None:
-                    loc = f"degeneracy s_{j} on level {n}: {bad}"
-                    break
+        maps = _structure_maps(sorted(self.faces), sorted(self.degeneracies))
+        loc = next((f"{label.format(k)} on level {n}: {bad}" for table, (n, k), target, label in maps
+                    if (bad := _map_failure(self.levels[n], self.levels[target], getattr(self, table)[(n, k)]))),
+                   "")
         report.add("structure maps are coalgebra maps", not loc, loc)
 
-        loc = ""
-        for n in range(2, d + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.faces[(n, j)] * self.faces[(n - 1, i)]
-                    rhs = self.faces[(n, i)] * self.faces[(n - 1, j - 1)]
-                    if lhs != rhs:
-                        loc = f"d_{i} d_{j} on level {n}"
-                        break
-                if loc:
-                    break
-            if loc:
-                break
-        if not loc:
-            for n in range(d - 1):
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        lhs = self.degeneracies[(n, j)] * self.degeneracies[(n + 1, i)]
-                        rhs = self.degeneracies[(n, i)] * self.degeneracies[(n + 1, j + 1)]
-                        if lhs != rhs:
-                            loc = f"s_{i} s_{j} on level {n}"
-                            break
-                    if loc:
-                        break
-                if loc:
-                    break
-        if not loc:
-            for n in range(d):
-                for j in range(n + 1):
-                    for i in range(n + 2):
-                        prod = self.degeneracies[(n, j)] * self.faces[(n + 1, i)]
-                        if i == j or i == j + 1:
-                            expected = Matrix.identity(self.ring, self.levels[n].rank)
-                        elif i < j:
-                            if n == 0:
-                                continue
-                            expected = self.faces[(n, i)] * self.degeneracies[(n - 1, j - 1)]
-                        else:
-                            if n == 0:
-                                continue
-                            expected = self.faces[(n, i - 1)] * self.degeneracies[(n - 1, j)]
-                        if prod != expected:
-                            loc = f"d_{i} s_{j} on level {n}"
-                            break
-                    if loc:
-                        break
-                if loc:
-                    break
+        loc = next((f"{family[1].format(i, j)} on level {n}"
+                    for family, i, j, n, lhs, rhs in _simplicial_identities(self.dimension_bound)
+                    if self._product(lhs, n) != self._product(rhs, n)), "")
         report.add("simplicial identities", not loc, loc)
         return report
 
+    def _product(self, path, n: int) -> Matrix:
+        """The matrix of a path on level n, starting at its first factor."""
+        if not path:
+            return Matrix.identity(self.ring, self.levels[n].rank)
+        out = getattr(self, path[0][0])[path[0][1]]
+        for table, key in path[1:]:
+            out = out * getattr(self, table)[key]
+        return out
+
     def require_valid(self):
-        bad = self.validate().first_failure()
-        if bad is not None:
-            raise ValidationError(f"simplicial coalgebra check failed: {bad}")
-        return self
+        return self.validate().require(self, "simplicial coalgebra check failed")
+
+
+def _map_failure(domain: Coalgebra, codomain: Coalgebra, mat: Matrix):
+    """The first failed axiom of the coalgebra map given by mat, None when it is one."""
+    return validate_map(CoalgebraMap(domain, codomain, mat)).first_failure()
+
+
+def _converted(x, convert):
+    """The faces and degeneracies dicts of x with each map replaced by convert(map, its level, its target level)."""
+    tables = {"faces": {}, "degeneracies": {}}
+    for table, (n, k), target, _ in _structure_maps(x.faces, x.degeneracies):
+        tables[table][(n, k)] = convert(getattr(x, table)[(n, k)], n, target)
+    return tables["faces"], tables["degeneracies"]
 
 
 def _map_matrix(ring, mapping, dom_names, cod_names) -> Matrix:
@@ -423,14 +383,8 @@ def chains_functor(x: FiniteSimplicialSet, ring: Ring) -> SimplicialCoalgebra:
     """Levelwise linearization: set-like coalgebras and linearized maps."""
     x.require_valid()
     levels = [set_like(ring, level) for level in x.levels]
-    faces = {
-        key: _map_matrix(ring, mapping, x.levels[key[0]], x.levels[key[0] - 1])
-        for key, mapping in x.faces.items()
-    }
-    degeneracies = {
-        key: _map_matrix(ring, mapping, x.levels[key[0]], x.levels[key[0] + 1])
-        for key, mapping in x.degeneracies.items()
-    }
+    faces, degeneracies = _converted(
+        x, lambda mapping, n, target: _map_matrix(ring, mapping, x.levels[n], x.levels[target]))
     return SimplicialCoalgebra(ring, levels, faces, degeneracies)
 
 
@@ -448,31 +402,19 @@ def gr_simplicial(c: SimplicialCoalgebra) -> FiniteSimplicialSet:
 
 
 def _gr_simplicial(c: SimplicialCoalgebra):
-    """``gr_simplicial`` with the group-likes and names of each level it found them by."""
-    level_sets = []
-    for n, level in enumerate(c.levels):
-        level_sets.append(pointed_group_likes(level, f"level {n} is not pointed").vectors)
-    names = [
-        [_vector_name(g, level) for g in vectors]
-        for vectors, level in zip(level_sets, c.levels)
-    ]
-    lookup = [
-        {g: name for g, name in zip(vectors, lnames)}
-        for vectors, lnames in zip(level_sets, names)
-    ]
-
-    def induce(mat, n, target_level):
-        mapping = {}
-        for g, name in zip(level_sets[n], names[n]):
-            img = tuple(_apply_rows(mat, list(g), c.ring))
-            mapping[name] = lookup[target_level][img]
-        return mapping
-
-    faces = {key: induce(mat, key[0], key[0] - 1) for key, mat in c.faces.items()}
-    degeneracies = {key: induce(mat, key[0], key[0] + 1) for key, mat in c.degeneracies.items()}
-    out = FiniteSimplicialSet(c.dimension_bound, names, faces, degeneracies)
+    """``gr_simplicial`` with the group-likes of each level, in the order of the level's names."""
+    level_sets = [pointed_group_likes(level, f"level {n} is not pointed").vectors for n, level in enumerate(c.levels)]
+    names = [[_vector_name(g, level) for g in vectors] for vectors, level in zip(level_sets, c.levels)]
+    lookup = [dict(zip(vectors, level_names)) for vectors, level_names in zip(level_sets, names)]
+    out = FiniteSimplicialSet(c.dimension_bound, names, *_converted(
+        c, lambda mat, n, target: _induced(mat, level_sets[n], names[n], lookup[target], c.ring)))
     out.require_valid()
-    return out, level_sets, names
+    return out, level_sets
+
+
+def _induced(mat: Matrix, vectors, names, lookup, ring) -> dict:
+    """Each name to the name, under lookup, of the image under mat of its group-like."""
+    return {name: lookup[tuple(_apply_rows(mat, list(g), ring))] for g, name in zip(vectors, names)}
 
 
 def _apply_rows(mat: Matrix, vector, ring):
@@ -488,8 +430,11 @@ def _apply_rows(mat: Matrix, vector, ring):
 
 @dataclass
 class HomologyGroup:
+    """Free rank and torsion of a homology group; the free part prints as the coefficient ring."""
+
     betti: int
     torsion: tuple
+    ring: Ring = ZZ
 
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
@@ -497,9 +442,9 @@ class HomologyGroup:
     def __str__(self):
         parts = []
         if self.betti == 1:
-            parts.append("Z")
+            parts.append(f"{self.ring}")
         elif self.betti > 1:
-            parts.append(f"Z^{self.betti}")
+            parts.append(f"{self.ring}^{self.betti}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
@@ -538,7 +483,7 @@ class ChainComplex:
         for dv in divs:
             if not self.ring.is_unit(dv):
                 torsion.append(int(self.ring.to_fraction(dv)))
-        return HomologyGroup(cycles.rank - len(divs), tuple(torsion))
+        return HomologyGroup(cycles.rank - len(divs), tuple(torsion), self.ring)
 
 
 def normalized_complex(c: SimplicialCoalgebra) -> ChainComplex:
@@ -617,42 +562,25 @@ class SimplicialMap:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        loc = ""
-        for n, level in enumerate(self.domain.levels):
-            mapping = self.maps[n]
-            for s in level:
-                if s not in mapping or mapping[s] not in self.codomain.levels[n]:
-                    loc = f"level {n} at {s!r}"
-                    break
-            if loc:
-                break
+        dom, cod, maps = self.domain, self.codomain, self.maps
+        loc = next((f"level {n} at {s!r}" for n, level in enumerate(dom.levels) for s in level
+                    if s not in maps[n] or maps[n][s] not in cod.levels[n]), "")
         report.add("levelwise totality", not loc, loc)
         if loc:
             return report
         loc = ""
-        for (n, i), fmap in self.domain.faces.items():
-            for s in self.domain.levels[n]:
-                if self.maps[n - 1][fmap[s]] != self.codomain.faces[(n, i)][self.maps[n][s]]:
-                    loc = f"face d_{i} at {s!r} (level {n})"
-                    break
-            if loc:
+        for table, (n, k), target, label in _structure_maps(dom.faces, dom.degeneracies):
+            before, after = getattr(dom, table)[(n, k)], getattr(cod, table)[(n, k)]
+            source, image = maps[n], maps[target]
+            bad = [s for s in dom.levels[n] if image[before[s]] != after[source[s]]]
+            if bad:
+                loc = f"{label.format(k)} at {bad[0]!r} (level {n})"
                 break
-        if not loc:
-            for (n, j), smap in self.domain.degeneracies.items():
-                for s in self.domain.levels[n]:
-                    if self.maps[n + 1][smap[s]] != self.codomain.degeneracies[(n, j)][self.maps[n][s]]:
-                        loc = f"degeneracy s_{j} at {s!r} (level {n})"
-                        break
-                if loc:
-                    break
         report.add("commutes with structure maps", not loc, loc)
         return report
 
     def require_valid(self):
-        bad = self.validate().first_failure()
-        if bad is not None:
-            raise ValidationError(f"simplicial map check failed: {bad}")
-        return self
+        return self.validate().require(self, "simplicial map check failed")
 
 
 def constant_map(x: FiniteSimplicialSet, target: FiniteSimplicialSet, vertex: str) -> SimplicialMap:
@@ -686,49 +614,29 @@ class SimplicialCoalgebraMap:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        loc = ""
-        for n, mat in enumerate(self.levels):
-            f = CoalgebraMap(self.domain.levels[n], self.codomain.levels[n], mat)
-            bad = validate_map(f).first_failure()
-            if bad is not None:
-                loc = f"level {n}: {bad}"
-                break
+        dom, cod, levels = self.domain, self.codomain, self.levels
+        loc = next((f"level {n}: {bad}" for n, mat in enumerate(levels)
+                    if (bad := _map_failure(dom.levels[n], cod.levels[n], mat))), "")
         report.add("levelwise coalgebra maps", not loc, loc)
         if loc:
             return report
-        loc = ""
-        for (n, i), mat in self.domain.faces.items():
-            if mat * self.levels[n - 1] != self.levels[n] * self.codomain.faces[(n, i)]:
-                loc = f"face d_{i} on level {n}"
-                break
-        if not loc:
-            for (n, j), mat in self.domain.degeneracies.items():
-                if mat * self.levels[n + 1] != self.levels[n] * self.codomain.degeneracies[(n, j)]:
-                    loc = f"degeneracy s_{j} on level {n}"
-                    break
+        loc = next((f"{label.format(k)} on level {n}"
+                    for table, (n, k), target, label in _structure_maps(dom.faces, dom.degeneracies)
+                    if getattr(dom, table)[(n, k)] * levels[target] != levels[n] * getattr(cod, table)[(n, k)]), "")
         report.add("simplicial naturality", not loc, loc)
         return report
 
     def require_valid(self):
-        bad = self.validate().first_failure()
-        if bad is not None:
-            raise ValidationError(f"simplicial coalgebra map check failed: {bad}")
-        return self
+        return self.validate().require(self, "simplicial coalgebra map check failed")
 
 
 def gr_simplicial_map(f: SimplicialCoalgebraMap) -> SimplicialMap:
     """Induced map of simplicial sets on levelwise group-likes."""
     f.require_valid()
-    dom, dom_sets, dom_names = _gr_simplicial(f.domain)
-    cod, cod_sets, cod_names = _gr_simplicial(f.codomain)
-    maps = []
-    for n in range(f.domain.dimension_bound + 1):
-        cod_lookup = dict(zip(cod_sets[n], cod_names[n]))
-        mapping = {}
-        for g, name in zip(dom_sets[n], dom_names[n]):
-            img = tuple(_apply_rows(f.levels[n], list(g), f.domain.ring))
-            mapping[name] = cod_lookup[img]
-        maps.append(mapping)
+    dom, dom_sets = _gr_simplicial(f.domain)
+    cod, cod_sets = _gr_simplicial(f.codomain)
+    maps = [_induced(f.levels[n], dom_sets[n], dom.levels[n], dict(zip(cod_sets[n], cod.levels[n])), f.domain.ring)
+            for n in range(f.domain.dimension_bound + 1)]
     out = SimplicialMap(dom, cod, maps)
     out.require_valid()
     return out

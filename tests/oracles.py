@@ -408,7 +408,8 @@ def _sset_locations(x):
     def degen(n, j, s):
         return x.degeneracies[(n, j)][s]
 
-    out = [("level names distinct", next((f"level {n}" for n, level in enumerate(X) if len(set(level)) != len(level)), ""))]
+    dup = next((f"level {n}" for n, level in enumerate(X) if len(set(level)) != len(level)), "")
+    out = [("level names distinct", dup)]
     total = ""
     for n in range(1, d + 1):
         for i in range(n + 1):
@@ -424,6 +425,12 @@ def _sset_locations(x):
             for s in X[n] if (n, j) in x.degeneracies else ():
                 if s not in x.degeneracies[(n, j)] or degen(n, j, s) not in X[n + 1]:
                     total = total or f"degeneracy s_{j} at {s!r} (level {n})"
+    # a d-truncation has faces d_i: X_n -> X_{n-1} for 0 <= i <= n <= d, n >= 1, and degeneracies
+    # s_j: X_n -> X_{n+1} for 0 <= j <= n < d; a map recorded under any other key is no structure map
+    total = total or next((f"unexpected face d_{i} on level {n}" for n, i in x.faces
+                           if not (0 <= i <= n and 1 <= n <= d)), "")
+    total = total or next((f"unexpected degeneracy s_{j} on level {n}" for n, j in x.degeneracies
+                           if not 0 <= j <= n < d), "")
     out.append(("structure maps total", total))
     if total:
         return out
@@ -527,13 +534,14 @@ def _scoalg_map_locations(f):
     out = [("levelwise coalgebra maps", bad)]
     if bad:
         return out
+
+    def commutes(mat, n, target, cod_mat):
+        return _int_product(mat.rows, levels[target].rows) == _int_product(levels[n].rows, cod_mat.rows)
+
     square = next((f"face d_{i} on level {n}" for (n, i), mat in dom.faces.items()
-                   if _int_product(mat.rows, levels[n - 1].rows) != _int_product(levels[n].rows, cod.faces[(n, i)].rows)),
-                  "")
-    square = square or next(
-        (f"degeneracy s_{j} on level {n}" for (n, j), mat in dom.degeneracies.items()
-         if _int_product(mat.rows, levels[n + 1].rows) != _int_product(levels[n].rows, cod.degeneracies[(n, j)].rows)),
-        "")
+                   if not commutes(mat, n, n - 1, cod.faces[(n, i)])), "")
+    square = square or next((f"degeneracy s_{j} on level {n}" for (n, j), mat in dom.degeneracies.items()
+                             if not commutes(mat, n, n + 1, cod.degeneracies[(n, j)])), "")
     return out + [("simplicial naturality", square)]
 
 

@@ -318,3 +318,73 @@ def test_malformed_names_are_invalid_input(tmp_path):
     ):
         path = _write(tmp_path, obj)
         assert run_command([argv[0], path, *argv[1:]], prog) == (2, message)
+
+
+def _write_named(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("table,record,where", [
+    ("faces", {"n": 7, "i": 0, "map": {}}, "unexpected face d_0 on level 7"),
+    ("faces", {"n": 0, "i": 0, "map": {}}, "unexpected face d_0 on level 0"),
+    ("faces", {"n": 1, "i": 5, "map": {"e": "a"}}, "unexpected face d_5 on level 1"),
+    ("degeneracies", {"n": 2, "j": 0, "map": {"s0(e)": "s0(e)"}}, "unexpected degeneracy s_0 on level 2"),
+])
+def test_sset_verbs_refuse_records_outside_the_truncation(tmp_path, table, record, where):
+    obj = sz.load_json(data("interval.json"))
+    obj[table].append(record)
+    path = _write_named(tmp_path, "interval.json", obj)
+    report = f"level names distinct: pass\nstructure maps total: FAIL at {where}\noverall: FAIL"
+    assert run_command(["validate", path], "sset") == (1, report)
+    error = f"error: simplicial identity failed: structure maps total: FAIL at {where}"
+    assert run_command(["chains", path], "sset") == (2, error)
+    assert run_command(["homology", path, "-N", "1"], "sset") == (2, error)
+    collapse = dict(sz.load_json(data("interval-collapse.json")), codomain=data("point.json"))
+    assert run_command(["check", _write_named(tmp_path, "collapse.json", collapse), "--cof"], "smap") == (2, error)
+
+
+def test_sset_verbs_report_a_failed_identity(tmp_path):
+    obj = sz.load_json(data("interval.json"))
+    obj["faces"][0]["map"]["e"] = "a"
+    path = _write_named(tmp_path, "interval.json", obj)
+    assert run_command(["validate", path], "sset") == (1, "\n".join([
+        "level names distinct: pass",
+        "structure maps total: pass",
+        "face-face identities: FAIL at d_0 d_1 at 's1(e)' (level 2)",
+        "degeneracy-degeneracy identities: pass",
+        "face-degeneracy identities: FAIL at d_0 s_1 at 'e' (level 1)",
+        "overall: FAIL",
+    ]))
+    assert run_command(["chains", path], "sset") == (
+        2, "error: simplicial identity failed: face-face identities: FAIL at d_0 d_1 at 's1(e)' (level 2)")
+    obj["levels"][0].append("a")
+    del obj["faces"][1]
+    assert run_command(["validate", _write_named(tmp_path, "interval.json", obj)], "sset") == (1, "\n".join([
+        "level names distinct: FAIL at level 0",
+        "structure maps total: FAIL at missing face d_1 on level 1",
+        "overall: FAIL",
+    ]))
+
+
+@pytest.mark.parametrize("level,edit,message", [
+    (1, {"e": "s0(a)"}, "commutes with structure maps: FAIL at face d_0 at 'e' (level 1)"),
+    (0, {"b": "a"}, "commutes with structure maps: FAIL at face d_0 at 's0(b)' (level 1)"),
+    (2, {"s1(e)": "ghost"}, "levelwise totality: FAIL at level 2 at 's1(e)'"),
+])
+def test_smap_check_refuses_a_map_that_is_not_simplicial(tmp_path, level, edit, message):
+    interval = sz.load_json(data("interval.json"))
+    maps = [{"n": n, "map": {s: s for s in names}} for n, names in enumerate(interval["levels"])]
+    maps[level]["map"].update(edit)
+    path = _write_named(tmp_path, "self.json", {"domain": data("interval.json"), "codomain": data("interval.json"),
+                                                 "maps": maps})
+    for flags in (["--cof"], ["--we", "-N", "1"]):
+        assert run_command(["check", path, *flags], "smap") == (2, f"error: simplicial map check failed: {message}")
+
+
+def test_homology_names_the_coefficient_ring():
+    for ring, text in (("Z", "H0=Z, H1=Z/2, H2=0"), ("F2", "H0=F2, H1=F2, H2=F2"), ("Q", "H0=Q, H1=0, H2=0"),
+                       ("F7", "H0=F7, H1=0, H2=0")):
+        assert run_command(["homology", data("rp2.json"), "-N", "2", "--ring", ring], "sset") == (0, text)
+    assert run_command(["homology", data("circle.json"), "-N", "1", "--ring", "Q"], "sset") == (0, "H0=Q, H1=Q")

@@ -193,16 +193,24 @@ def test_builder_rejects_bad_cells():
 # --- every validator report against the identity oracle ------------------------
 
 
-def _copy_sset(x):
-    return FiniteSimplicialSet(
-        x.dimension_bound, x.levels, {k: dict(v) for k, v in x.faces.items()},
-        {k: dict(v) for k, v in x.degeneracies.items()},
-    )
+def _shuffled(rng, table):
+    """table with its keys in a random order: validators walk sorted keys or dict order, as documented."""
+    keys = sorted(table)
+    rng.shuffle(keys)
+    return {key: table[key] for key in keys}
+
+
+def _copy_sset(x, rng=None):
+    faces = {k: dict(v) for k, v in x.faces.items()}
+    degeneracies = {k: dict(v) for k, v in x.degeneracies.items()}
+    if rng is not None:
+        faces, degeneracies = _shuffled(rng, faces), _shuffled(rng, degeneracies)
+    return FiniteSimplicialSet(x.dimension_bound, x.levels, faces, degeneracies)
 
 
 def _mutate_sset(rng, x):
     """One to three random edits of names, entries and keys of a copy of x."""
-    x = _copy_sset(x)
+    x = _copy_sset(x, rng)
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(6)
         if kind == 0:
@@ -227,6 +235,12 @@ def _mutate_sset(rng, x):
         else:
             t = rng.choice(sorted(mapping))
             mapping[s], mapping[t] = mapping[t], mapping[s]
+    if rng.random() < 0.2:
+        # a record outside the truncation: past its top, at an index above n, or a face of a vertex
+        d = x.dimension_bound
+        table, key = rng.choice([(x.faces, (d + 1, 0)), (x.faces, (1, rng.randint(2, 5))), (x.faces, (0, 0)),
+                                 (x.degeneracies, (d, 0)), (x.degeneracies, (0, rng.randint(1, 3)))])
+        table[key] = {}
     return x
 
 
@@ -241,7 +255,7 @@ def _perturbed(rng, mat, ring):
 
 
 def _mutate_scoalg(rng, c):
-    levels, faces, degeneracies = list(c.levels), dict(c.faces), dict(c.degeneracies)
+    levels, faces, degeneracies = list(c.levels), _shuffled(rng, c.faces), _shuffled(rng, c.degeneracies)
     for _ in range(rng.randint(1, 2)):
         kind = rng.randrange(3)
         if kind == 0:
@@ -294,11 +308,13 @@ def test_validators_match_the_identity_oracle():
     """Seeded edits of the standard sets, their chains and self-maps; each report equals the oracle's."""
     rng = random.Random(1109)
     failed = set()
+    outside = []
 
     def compare(obj):
         got = _checks(obj.validate())
         assert got == _oracle_checks(obj), obj
         failed.update(name for name, passed, _ in got if not passed)
+        outside.extend(loc for _, _, loc in got if loc.startswith("unexpected"))
 
     for name, x in CORPUS.items():
         compare(x)
@@ -308,7 +324,8 @@ def test_validators_match_the_identity_oracle():
         compare(sc)
         for _ in range(40):
             compare(_mutate_scoalg(rng, sc))
-        for m in [identity_simplicial_map(x)] + [constant_map(x, x, v) for v in x.levels[0]]:
+        shuffled = SimplicialMap(_copy_sset(x, rng), x, [{s: s for s in level} for level in x.levels])
+        for m in [identity_simplicial_map(x), shuffled] + [constant_map(x, x, v) for v in x.levels[0]]:
             compare(m)
             for _ in range(30):
                 compare(_mutate_smap(rng, m))
@@ -323,3 +340,4 @@ def test_validators_match_the_identity_oracle():
         "levelwise totality", "commutes with structure maps",
         "levelwise coalgebra maps", "simplicial naturality",
     }
+    assert {loc.split()[1] for loc in outside} == {"face", "degeneracy"}
