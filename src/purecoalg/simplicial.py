@@ -126,13 +126,13 @@ def _truncation_maps(d: int):
     )
 
 
-def _images(x, first_images, path, n: int) -> list:
-    """The level-n simplices carried along a path: its first map's images, then each later map."""
+def _images(steps, path, level: list) -> list:
+    """The simplices of a level carried along a path: the stored images under its first map, then each later map."""
     if not path:
-        return x.levels[n]
-    out = first_images[path[0]]
-    for table, key in path[1:]:
-        out = list(map(getattr(x, table)[key].__getitem__, out))
+        return level
+    out = steps[path[0]][1]
+    for step in path[1:]:
+        out = list(map(steps[step][0], out))
     return out
 
 
@@ -147,21 +147,22 @@ def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
     report.add("level names distinct", not loc, loc)
 
     maps = list(_truncation_maps(x.dimension_bound))
-    first_images = {}
+    steps = {}  # (table, key) -> (lookup in the map, images of the level under it)
     loc = ""
     for table, (n, k), target, label in maps:
         mapping = getattr(x, table).get((n, k))
         if mapping is None:
             loc = f"missing {label.format(k)} on level {n}"
             break
-        images = first_images[(table, (n, k))] = list(map(mapping.get, x.levels[n]))
+        images = list(map(mapping.get, x.levels[n]))
+        steps[(table, (n, k))] = (mapping.__getitem__, images)
         if None in images or not names[target].issuperset(images):  # None: a missing simplex, or a name
             bad = [s for s in x.levels[n] if s not in mapping or mapping[s] not in names[target]]
             if bad:
                 loc = f"{label.format(k)} at {bad[0]!r} (level {n})"
                 break
     if not loc and len(x.faces) + len(x.degeneracies) > len(maps):
-        known = set(first_images)
+        known = set(steps)
         loc = next((f"unexpected {label.format(k)} on level {n}"
                     for table, (n, k), _, label in _structure_maps(x.faces, x.degeneracies)
                     if (table, (n, k)) not in known), "")
@@ -173,7 +174,7 @@ def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
     for family, i, j, n, lhs, rhs in _simplicial_identities(x.dimension_bound):
         if locs[family]:
             continue
-        left, right = _images(x, first_images, lhs, n), _images(x, first_images, rhs, n)
+        left, right = _images(steps, lhs, x.levels[n]), _images(steps, rhs, x.levels[n])
         if left != right:
             s = next(s for s, a, b in zip(x.levels[n], left, right) if a != b)
             locs[family] = f"{family[1].format(i, j)} at {s!r} (level {n})"

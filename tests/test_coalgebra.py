@@ -5,12 +5,15 @@ import random
 import pytest
 
 from purecoalg import (
+    AlgebraPresentation,
     Coalgebra,
     CoalgebraMap,
+    InvalidAlgebra,
     Lattice,
     Matrix,
     NotSubcoalgebra,
     RingMismatch,
+    ValidationError,
     ZZ,
     conjugate,
     direct_sum,
@@ -52,6 +55,21 @@ def test_validate_reports_first_violation():
     bad = report.first_failure()
     assert bad.name == "cocommutativity"
     assert "(1,0,1)" in bad.location or "(1, 0, 1)" in bad.location.replace(" ", "")
+
+
+def test_require_valid_names_the_first_failure():
+    c = dual_zxk(2)
+    a = truncated_polynomial_algebra(ZZ, 2)
+    f = identity_map(c)
+    assert c.require_valid() is c and a.require_valid() is a and f.require_valid() is f
+    for broken, error, prefix in (
+        (Coalgebra(ZZ, 2, c.delta, [1, 1]), ValidationError, "coalgebra axiom failed"),
+        (AlgebraPresentation(ZZ, 2, a.mult, [0, 1]), InvalidAlgebra, "algebra axiom failed"),
+        (CoalgebraMap(c, c, Matrix.identity(ZZ, 2).scale(2)), ValidationError, "coalgebra map axiom failed"),
+    ):
+        with pytest.raises(error) as info:
+            broken.require_valid()
+        assert str(info.value) == f"{prefix}: {broken.validate().first_failure()}"
 
 
 def test_dual_of_sqrt2_algebra():

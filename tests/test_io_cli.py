@@ -182,8 +182,8 @@ def test_sset_chains_cli(tmp_path):
     assert obj["dimension"] == 2
 
 
-def _write(tmp_path, obj):
-    path = tmp_path / "hostile.json"
+def _write(tmp_path, obj, name="hostile.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -320,12 +320,6 @@ def test_malformed_names_are_invalid_input(tmp_path):
         assert run_command([argv[0], path, *argv[1:]], prog) == (2, message)
 
 
-def _write_named(tmp_path, name, obj):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
 @pytest.mark.parametrize("table,record,where", [
     ("faces", {"n": 7, "i": 0, "map": {}}, "unexpected face d_0 on level 7"),
     ("faces", {"n": 0, "i": 0, "map": {}}, "unexpected face d_0 on level 0"),
@@ -335,20 +329,20 @@ def _write_named(tmp_path, name, obj):
 def test_sset_verbs_refuse_records_outside_the_truncation(tmp_path, table, record, where):
     obj = sz.load_json(data("interval.json"))
     obj[table].append(record)
-    path = _write_named(tmp_path, "interval.json", obj)
+    path = _write(tmp_path, obj, "interval.json")
     report = f"level names distinct: pass\nstructure maps total: FAIL at {where}\noverall: FAIL"
     assert run_command(["validate", path], "sset") == (1, report)
     error = f"error: simplicial identity failed: structure maps total: FAIL at {where}"
     assert run_command(["chains", path], "sset") == (2, error)
     assert run_command(["homology", path, "-N", "1"], "sset") == (2, error)
     collapse = dict(sz.load_json(data("interval-collapse.json")), codomain=data("point.json"))
-    assert run_command(["check", _write_named(tmp_path, "collapse.json", collapse), "--cof"], "smap") == (2, error)
+    assert run_command(["check", _write(tmp_path, collapse, "collapse.json"), "--cof"], "smap") == (2, error)
 
 
 def test_sset_verbs_report_a_failed_identity(tmp_path):
     obj = sz.load_json(data("interval.json"))
     obj["faces"][0]["map"]["e"] = "a"
-    path = _write_named(tmp_path, "interval.json", obj)
+    path = _write(tmp_path, obj, "interval.json")
     assert run_command(["validate", path], "sset") == (1, "\n".join([
         "level names distinct: pass",
         "structure maps total: pass",
@@ -361,7 +355,7 @@ def test_sset_verbs_report_a_failed_identity(tmp_path):
         2, "error: simplicial identity failed: face-face identities: FAIL at d_0 d_1 at 's1(e)' (level 2)")
     obj["levels"][0].append("a")
     del obj["faces"][1]
-    assert run_command(["validate", _write_named(tmp_path, "interval.json", obj)], "sset") == (1, "\n".join([
+    assert run_command(["validate", _write(tmp_path, obj, "interval.json")], "sset") == (1, "\n".join([
         "level names distinct: FAIL at level 0",
         "structure maps total: FAIL at missing face d_1 on level 1",
         "overall: FAIL",
@@ -377,8 +371,8 @@ def test_smap_check_refuses_a_map_that_is_not_simplicial(tmp_path, level, edit, 
     interval = sz.load_json(data("interval.json"))
     maps = [{"n": n, "map": {s: s for s in names}} for n, names in enumerate(interval["levels"])]
     maps[level]["map"].update(edit)
-    path = _write_named(tmp_path, "self.json", {"domain": data("interval.json"), "codomain": data("interval.json"),
-                                                 "maps": maps})
+    path = _write(tmp_path, {"domain": data("interval.json"), "codomain": data("interval.json"), "maps": maps},
+                  "self.json")
     for flags in (["--cof"], ["--we", "-N", "1"]):
         assert run_command(["check", path, *flags], "smap") == (2, f"error: simplicial map check failed: {message}")
 

@@ -12,6 +12,7 @@ from purecoalg import (
     SimplicialCoalgebra,
     SimplicialCoalgebraMap,
     SimplicialMap,
+    ValidationError,
     ZZ,
     chains_functor,
     chains_map,
@@ -184,8 +185,6 @@ def test_weak_equivalence_degree_guard():
 
 
 def test_builder_rejects_bad_cells():
-    from purecoalg import ValidationError
-
     with pytest.raises(ValidationError):
         simplicial_set_from_cells(2, [["v"], [("e", [((), "v")])]])
 
@@ -296,6 +295,14 @@ def _mutate_scoalg_map(rng, f):
     return SimplicialCoalgebraMap(f.domain, f.codomain, levels)
 
 
+_REFUSALS = {
+    FiniteSimplicialSet: "simplicial identity failed",
+    SimplicialCoalgebra: "simplicial coalgebra check failed",
+    SimplicialMap: "simplicial map check failed",
+    SimplicialCoalgebraMap: "simplicial coalgebra map check failed",
+}
+
+
 def _checks(report):
     return [(check.name, check.passed, check.location) for check in report.checks]
 
@@ -311,8 +318,15 @@ def test_validators_match_the_identity_oracle():
     outside = []
 
     def compare(obj):
-        got = _checks(obj.validate())
+        report = obj.validate()
+        got = _checks(report)
         assert got == _oracle_checks(obj), obj
+        if report.overall:
+            assert obj.require_valid() is obj
+        else:
+            with pytest.raises(ValidationError) as info:
+                obj.require_valid()
+            assert str(info.value) == f"{_REFUSALS[type(obj)]}: {report.first_failure()}"
         failed.update(name for name, passed, _ in got if not passed)
         outside.extend(loc for _, _, loc in got if loc.startswith("unexpected"))
 
