@@ -146,10 +146,9 @@ def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
     loc = next((f"level {n}" for n, level in enumerate(x.levels) if len(names[n]) != len(level)), "")
     report.add("level names distinct", not loc, loc)
 
-    maps = list(_truncation_maps(x.dimension_bound))
     steps = {}  # (table, key) -> (lookup in the map, images of the level under it)
     loc = ""
-    for table, (n, k), target, label in maps:
+    for table, (n, k), target, label in _truncation_maps(x.dimension_bound):
         mapping = getattr(x, table).get((n, k))
         if mapping is None:
             loc = f"missing {label.format(k)} on level {n}"
@@ -161,11 +160,10 @@ def validate_sset(x: FiniteSimplicialSet) -> ValidationReport:
             if bad:
                 loc = f"{label.format(k)} at {bad[0]!r} (level {n})"
                 break
-    if not loc and len(x.faces) + len(x.degeneracies) > len(maps):
-        known = set(steps)
+    if not loc and len(x.faces) + len(x.degeneracies) > len(steps):
         loc = next((f"unexpected {label.format(k)} on level {n}"
                     for table, (n, k), _, label in _structure_maps(x.faces, x.degeneracies)
-                    if (table, (n, k)) not in known), "")
+                    if (table, (n, k)) not in steps), "")
     report.add("structure maps total", not loc, loc)
     if loc:
         return report
