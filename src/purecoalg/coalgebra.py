@@ -86,10 +86,17 @@ class Coalgebra:
 
     The constructor takes Delta as the dense n x n^2 matrix and converts
     it once to the stored blocks; ``delta`` rebuilds that matrix on
-    demand.
+    demand.  A coalgebra is immutable by convention: nothing assigns to
+    it after ``_store``, so it can hold the invariants derived from it.
+    ``_derived`` holds each of them once it has been computed and
+    checked: "search", the semisimple dimension and the characters from
+    one character search (``grouplike``); "group_likes", the certified
+    GroupLikeSet; "components", the validated ComponentDecomposition
+    (``structure.components``).  A call that raises stores nothing, and
+    equality and hashing ignore the slot.
     """
 
-    __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit")
+    __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit", "_derived")
 
     def __init__(self, ring: Ring, rank: int, delta: Matrix, counit, basis_names=None):
         if delta.nrows != rank or delta.ncols != rank * rank:
@@ -135,6 +142,7 @@ class Coalgebra:
         self.counit = list(counit)
         self._cleared_counit = ring.cleared([self.counit])
         self.basis_names = tuple(names) if names is not None else None
+        self._derived = {}
 
     @property
     def base(self) -> Ring:

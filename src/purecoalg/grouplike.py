@@ -43,9 +43,13 @@ Pointedness is decided over K: C is pointed iff the semisimple quotient
 of A (x) K has dimension equal to the number of K-valued characters (so
 C (x) K is pointed) and every group-like of C (x) K already has
 coordinates in R.  One lattice gives both that dimension and the start
-of the search, so each public call builds it once.  A caller that needs
-both answers uses ``pointed_group_likes``, which runs the character
-search once for the pointedness decision and the group-likes together.
+of the search.  Both are derived once per coalgebra: the semisimple
+dimension and the characters are held on the Coalgebra after its first
+search, and the certified group-likes after their first verification,
+so ``is_pointed``, ``group_likes``, ``pointed_group_likes`` and every
+structure call on one object share one search, and each check runs once
+for the object it guards.  A search or a check that raises holds
+nothing, so it raises again on the next call.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from .rings import Ring, cleared_rows
 BRUTE_FORCE_BOUND = 10**7
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupLikeSet:
     """The group-likes of a coalgebra plus independence and purity certificates."""
 
@@ -250,6 +254,23 @@ def _verified_group_likes(c: Coalgebra, tuples) -> list:
     return vectors
 
 
+def _search(c: Coalgebra) -> tuple:
+    """(semisimple dimension, characters) of c: one coradical span and one search, held on c."""
+    found = c._derived.get("search")
+    if found is None:
+        start = _coradical_span(c)
+        found = c._derived["search"] = (start.rank, tuple(_characters(c, start)))
+    return found
+
+
+def _group_like_set(c: Coalgebra) -> GroupLikeSet:
+    """The certified group-likes of c, verified and certified once and held on c."""
+    gl = c._derived.get("group_likes")
+    if gl is None:
+        gl = c._derived["group_likes"] = _certified(c, _verified_group_likes(c, _search(c)[1]))
+    return gl
+
+
 def group_likes(c: Coalgebra) -> GroupLikeSet:
     """All group-like elements, with certificates.
 
@@ -257,7 +278,7 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
     field; a candidate survives if every coordinate lies in the ground
     ring, and each survivor is reverified exactly against the definition.
     """
-    return _certified(c, _verified_group_likes(c, _characters(c, _coradical_span(c))))
+    return _group_like_set(c)
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
@@ -339,27 +360,23 @@ def _pointedness(c: Coalgebra, semisimple_dim: int, tuples) -> PointednessReport
 
 
 def is_pointed(c: Coalgebra):
-    """Decide pointedness; returns (flag, PointednessReport)."""
-    start = _coradical_span(c)
-    report = _pointedness(c, start.rank, _characters(c, start))
+    """Decide pointedness; returns (flag, PointednessReport).  Nothing is certified."""
+    report = _pointedness(c, *_search(c))
     return report.pointed, report
 
 
 def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
     """Certified group-likes of a coalgebra that must be pointed.
 
-    One coradical span gives both the semisimple dimension and the start
-    of the one character search, which serves both the pointedness
-    decision and the group-likes, with every check of ``is_pointed`` and
+    The one character search of c serves both the pointedness decision
+    and the group-likes, with every check of ``is_pointed`` and
     ``group_likes``.  A coalgebra that is not pointed raises NotPointed
     with ``need`` and the report.
     """
-    start = _coradical_span(c)
-    tuples = _characters(c, start)
-    report = _pointedness(c, start.rank, tuples)
+    report = _pointedness(c, *_search(c))
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
-    return _certified(c, _verified_group_likes(c, tuples))
+    return _group_like_set(c)
 
 
 def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:

@@ -24,7 +24,10 @@ pure subcoalgebra lattices, increase monotonically, and satisfy the
 comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  Every
 component decomposition is checked too: pure parts whose stacked bases
 form a unimodular basis of C, each a subcoalgebra holding its own
-group-like and no other.  Both read the subcoalgebra, compatibility and
+group-like and no other.  ``components`` checks its decomposition once
+per coalgebra and holds it there, for ``split_coradical`` and
+``check_splitting_naturality`` to reuse; a retraction is built and
+checked on every call.  Both read the subcoalgebra, compatibility and
 membership conditions off the support of Delta in one basis adapted to
 the flag or to the direct sum (``_adapted_support``): Delta is carried
 into that basis once, in integers, and only which coefficients are
@@ -222,7 +225,7 @@ def _flag_basis(c: Coalgebra, stages):
     return rows, degrees + [len(stages)] * (n - len(degrees))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentDecomposition:
     """Pairs (group-like, component lattice) witnessing C as a direct sum."""
 
@@ -468,6 +471,24 @@ def _interpolating_elements(gl: GroupLikeSet, base):
     return out
 
 
+def _lifted_idempotent(c: Coalgebra, e, d: int):
+    """(E, d) for the idempotent that e / d lifts to along the nilpotent radical of the dual algebra.
+
+    e / d <- 3 (e / d)^2 - 2 (e / d)^3 until (e / d)^2 = e / d, where a
+    product of x / a and y / b on the stored blocks is (x * y) / (D a b);
+    the iteration fixes an idempotent, so stopping early changes nothing.
+    """
+    denom = c.denom
+    for _ in range(_lift_steps(c.rank) + 1):
+        e2 = _dual_product(c, e, e)
+        if e2 == [denom * d * v for v in e]:
+            return e, d
+        e3 = _dual_product(c, e2, e)
+        lifted = [3 * denom * d * a - 2 * b for a, b in zip(e2, e3)]
+        e, d = _content_free(lifted, denom**2 * d**3, c.base)
+    raise AssertionError("idempotent lifting did not converge")
+
+
 def components(c: Coalgebra) -> ComponentDecomposition:
     """Decomposition of a pointed coalgebra into irreducible components.
 
@@ -477,34 +498,27 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     the iteration e <- 3e^2 - 2e^3; the component is the integral part
     of the eigenspace of the dual action of e_g.  All of it runs in
     integers, on the stored blocks of D * Delta with e held as an integer
-    vector E over one common denominator d (d = 1 over F_p).
+    vector E over one common denominator d (d = 1 over F_p).  The
+    validated decomposition is held on c, so the lift and the validation
+    run once per coalgebra; a refusal holds nothing.
     """
+    held = c._derived.get("components")
+    if held is not None:
+        return held
     gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     n = c.rank
     if n == 0:
         return ComponentDecomposition(c, ())
-    base, denom = c.base, c.denom
-    steps = _lift_steps(n)
     parts = []
-    for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, base)):
-        # e / d <- 3 (e / d)^2 - 2 (e / d)^3 until (e / d)^2 = e / d, where a
-        # product of x / a and y / b on the stored blocks is (x * y) / (D a b);
-        # the iteration fixes an idempotent, so stopping early changes nothing
-        for _ in range(steps + 1):
-            e2 = _dual_product(c, e, e)
-            if e2 == [denom * d * v for v in e]:
-                break
-            e3 = _dual_product(c, e2, e)
-            lifted = [3 * denom * d * a - 2 * b for a, b in zip(e2, e3)]
-            e, d = _content_free(lifted, denom**2 * d**3, base)
-        else:
-            raise AssertionError("idempotent lifting did not converge")
+    for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, c.base)):
+        e, d = _lifted_idempotent(c, e, d)
         # act(e / d) - 1 is (act(E) - D d) / (D d) on the stored blocks
         act = _dual_action(c, e)
         for i in range(n):
-            act[i][i] -= denom * d
-        parts.append((tuple(g), _integer_kernel(Matrix(base, act, n), c.ring)))
-    return _validated_decomposition(c, parts)
+            act[i][i] -= c.denom * d
+        parts.append((tuple(g), _integer_kernel(Matrix(c.base, act, n), c.ring)))
+    decomposition = c._derived["components"] = _validated_decomposition(c, parts)
+    return decomposition
 
 
 def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
@@ -532,7 +546,10 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
 
     On each irreducible component the retraction is x -> eps(x) * g;
     the component decomposition glues these into one idempotent
-    coalgebra endomorphism with image the group-like span.
+    coalgebra endomorphism with image the group-like span.  The
+    decomposition is the one ``components`` holds on c; the retraction
+    is checked as a coalgebra map, an idempotent and a projection onto
+    the coradical on every call.
     """
     decomposition = components(c)
     ring = c.ring

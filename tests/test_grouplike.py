@@ -423,10 +423,15 @@ def test_characteristic_polynomials_stay_within_the_group_like_count(monkeypatch
     split = 0
     for entry in generate_coalgebras(20240809, 200, max_rank=12):
         c = entry.coalgebra
-        if c.rank != 12 or not is_pointed(c)[0]:
+        if c.rank != 12:
             continue
+        # the first call on c runs its one search; sizes holds all of it
         sizes.clear()
+        pointed, report = is_pointed(c)
+        if not pointed:
+            continue
         count = len(group_likes(c))
+        assert count == report.character_count
         assert all(size <= count for size in sizes)
         split += bool(sizes)
     assert split >= 30
@@ -492,15 +497,37 @@ def _count_character_searches(monkeypatch):
 
 
 def test_structure_calls_run_one_character_search(monkeypatch):
+    # the five calls of a structure item share one search and one lift per
+    # group-like on each object; an equal coalgebra built separately runs its own
     from purecoalg import components, coradical_filtration, split_coradical
+    from purecoalg import structure
 
     calls = _count_character_searches(monkeypatch)
+    lifts = []
+    original = structure._lifted_idempotent
+
+    def lifted(c, e, d):
+        lifts.append(c)
+        return original(c, e, d)
+
+    monkeypatch.setattr(structure, "_lifted_idempotent", lifted)
     entries = [e for e in generate_coalgebras(43, 20, max_rank=8) if e.grouplike_count >= 2]
     assert entries
     for entry in entries[:3]:
+        c = entry.coalgebra
+        twin = Coalgebra(c.ring, c.rank, c.delta, c.counit)
+        assert twin == c and twin is not c
+        for obj in (c, twin):
+            calls.clear()
+            lifts.clear()
+            for call in (is_pointed, group_likes, coradical_filtration, components, split_coradical):
+                call(obj)
+                assert len(calls) == 1, call.__name__
+            assert len(lifts) == entry.grouplike_count and all(x is obj for x in lifts)
+        # and each call alone, on an object nothing has searched, runs exactly one
         for call in (is_pointed, group_likes, coradical_filtration, components, split_coradical):
             calls.clear()
-            call(entry.coalgebra)
+            call(Coalgebra(c.ring, c.rank, c.delta, c.counit))
             assert len(calls) == 1, call.__name__
 
 

@@ -12,6 +12,7 @@ from purecoalg import (
     monogenic_algebra,
     set_like,
     standard_circle,
+    standard_point,
     truncated_polynomial_algebra,
 )
 from purecoalg import serialize as sz
@@ -240,6 +241,23 @@ def test_sset_rejects_an_oversized_level_fast(tmp_path):
         assert code == 2 and text == f"error: simplicial set level 0 has 10000 simplices, above the bound {sz.MAX_RANK}"
     path = _write(tmp_path, {"dimension": 0, "levels": [points[: sz.MAX_RANK]], "faces": [], "degeneracies": []})
     assert run_command(["validate", path], "sset")[0] == 0
+
+
+def test_sset_rejects_an_oversized_dimension_before_reading_levels(tmp_path):
+    import time
+
+    bound = sz.MAX_DIMENSION
+    over = _write(tmp_path, sz.sset_to_obj(standard_point(bound + 1)), "over.json")
+    huge = _write(tmp_path, {"dimension": 10**6, "levels": None, "faces": [], "degeneracies": []}, "huge.json")
+    for path, d in ((over, bound + 1), (huge, 10**6)):
+        for argv in (["validate", path], ["chains", path], ["homology", path, "-N", "1"]):
+            code, text = run_command(argv, "sset")
+            assert (code, text) == (2, f"error: simplicial set dimension {d} exceeds the bound {bound}")
+    # a one-vertex set at the bound passes well inside a second
+    at = _write(tmp_path, sz.sset_to_obj(standard_point(bound)), "at.json")
+    start = time.perf_counter()
+    assert run_command(["validate", at], "sset")[0] == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_degrees_are_checked_before_building_chains(monkeypatch):
