@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import AlgebraPresentation
+from .coalgebra import AlgebraPresentation, algebra_from_entries
 from .errors import UnsupportedRing
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix
@@ -60,12 +60,8 @@ def algebra_mod_p(a: AlgebraPresentation, p: int) -> AlgebraPresentation:
     positions, values = _flat_constants(a)
     unit, values = _values_mod_p(a, p, values)
     n = a.rank
-    rows = [[0] * n for _ in range(n * n)]
-    for row, entries in zip(rows, positions):
-        for t, m in entries:
-            row[t] = values[m]
-    ring = prime_field(p)
-    return AlgebraPresentation(ring, n, Matrix(ring, rows, n), unit, basis_names=a.basis_names)
+    entries = [(*divmod(ij, n), t, values[m]) for ij, pairs in enumerate(positions) for t, m in pairs]
+    return algebra_from_entries(prime_field(p), n, entries, unit, basis_names=a.basis_names)
 
 
 def _frobenius(positions, values, n: int, p: int) -> Matrix:

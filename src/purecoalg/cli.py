@@ -100,11 +100,7 @@ def _cmd_coalg(args) -> tuple[int, str]:
     verb = args.verb
     if verb == "check":
         # axiom failures are report entries here, not errors
-        obj = serialize.load_json(args.file)
-        if isinstance(obj, dict) and "mult" in obj:
-            report = serialize.algebra_from_obj(obj, validate=False).validate()
-        else:
-            report = serialize.coalgebra_from_obj(obj, validate=False).validate()
+        report = serialize.parse_coalgebra_or_algebra(serialize.load_json(args.file)).validate()
         return (_EXIT_OK if report.overall else _EXIT_FALSE), str(report)
     if verb == "tensor":
         a = serialize.load_coalgebra(args.file)
@@ -287,7 +283,7 @@ def _sset_parser():
 
 def _cmd_sset(args) -> tuple[int, str]:
     if args.verb == "validate":
-        report = serialize.sset_from_obj(serialize.load_json(args.file)).validate()
+        report = serialize.load_sset(args.file).validate()
         return (_EXIT_OK if report.overall else _EXIT_FALSE), str(report)
     x = serialize.load_sset(args.file)
     ring = _ring_from_flag(args.ring)

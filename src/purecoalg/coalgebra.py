@@ -312,33 +312,46 @@ def set_like(ring: Ring, names) -> Coalgebra:
 class AlgebraPresentation:
     """Commutative associative unital algebra on a free module of finite rank.
 
-    The multiplication tensor is an n^2 x n matrix: row (i, j) holds the
-    coordinates of e_i * e_j.  Its nonzero (t, v) per row are held once,
-    at construction, as ``constants[i * n + j]``, and products, powers,
+    The multiplication is held once, as its nonzero structure constants:
+    ``constants[i * n + j]`` lists the (t, v) with v the coefficient of
+    e_t in e_i * e_j, t ascending, zeros dropped and residues taken mod p
+    over F_p, so equal algebras have equal constants.  Products, powers,
     the axiom checks and the Frobenius of each reduction mod p walk
-    those.
+    them.  The dense n^2 x n multiplication matrix is only a view,
+    ``mult``, built on demand; the constructor takes that matrix, and
+    ``algebra_from_entries`` takes the constants as (i, j, t, v) entries.
     """
 
-    __slots__ = ("ring", "rank", "mult", "unit", "basis_names", "constants")
+    __slots__ = ("ring", "rank", "unit", "basis_names", "constants")
 
     def __init__(self, ring: Ring, rank: int, mult: Matrix, unit, basis_names=None):
         if mult.nrows != rank * rank or mult.ncols != rank:
             raise ValidationError(f"mult must be {rank * rank}x{rank}, got {mult.nrows}x{mult.ncols}")
+        self._store(ring, rank, [list(enumerate(row)) for row in mult.rows], unit, basis_names)
+
+    def _store(self, ring, rank, constants, unit, names):
+        """Hold the rows of (t, v) pairs, t ascending, as ``constants``: residues mod p, zeros dropped."""
         if len(unit) != rank:
             raise ValidationError("unit length must equal the rank")
         self.ring = ring
         self.rank = rank
-        self.mult = mult
-        self.unit = list(unit)
-        self.basis_names = tuple(basis_names) if basis_names is not None else None
-        self.constants = [[(t, v) for t, v in enumerate(row) if v] for row in mult.rows]
+        self.unit = ring.reduce_row(list(unit))
+        self.basis_names = tuple(names) if names is not None else None
+        self.constants = [[(t, v) for (t, _), v in zip(pairs, ring.reduce_row([v for _, v in pairs])) if v]
+                          for pairs in constants]
+
+    @property
+    def mult(self) -> Matrix:
+        """The dense n^2 x n multiplication matrix, row i*n + j the coordinates of e_i * e_j; built on each access."""
+        zero, n = self.ring.zero, self.rank
+        return Matrix._owning(self.ring, [[dict(pairs).get(t, zero) for t in range(n)] for pairs in self.constants], n)
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraPresentation)
             and self.ring == other.ring
             and self.rank == other.rank
-            and self.mult == other.mult
+            and self.constants == other.constants
             and self.unit == other.unit
         )
 
@@ -383,11 +396,11 @@ class AlgebraPresentation:
         ring = self.ring
         zero = ring.zero
         report = ValidationReport()
-        M = self.mult.rows
+        items = self.constants
         comm_loc = ""
         for i in range(n):
             for j in range(i + 1, n):
-                if any(ring.reduce_row([a - b for a, b in zip(M[i * n + j], M[j * n + i])])):
+                if items[i * n + j] != items[j * n + i]:
                     comm_loc = f"(i,j)=({i},{j})"
                     break
             if comm_loc:
@@ -398,7 +411,6 @@ class AlgebraPresentation:
         # structure constants; for each (i, j) every k is compared at once, the
         # coefficient of e_t for a given k sitting at k * n + t of a flat list
         assoc_loc = ""
-        items = self.constants
         for i in range(n):
             for j in range(n):
                 lhs = [0] * (n * n)
@@ -439,12 +451,22 @@ class AlgebraPresentation:
         return self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
 
 
+def algebra_from_entries(ring: Ring, rank: int, entries, unit, basis_names=None) -> AlgebraPresentation:
+    """The algebra with e_i * e_j the sum of v * e_t over its (i, j, t, v) entries."""
+    rows = [{} for _ in range(rank * rank)]
+    for i, j, t, v in entries:
+        rows[i * rank + j][t] = v
+    a = object.__new__(AlgebraPresentation)
+    a._store(ring, rank, [sorted(row.items()) for row in rows], unit, basis_names)
+    return a
+
+
 def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
     """Linear dual of a finite algebra: the comultiplication transposes
     the multiplication table and the counit evaluates at the unit."""
     a.require_valid()
     n = a.rank
-    entries = [(t, *divmod(ij, n), v) for ij, row in enumerate(a.mult.rows) for t, v in enumerate(row) if v]
+    entries = [(t, *divmod(ij, n), v) for ij, pairs in enumerate(a.constants) for t, v in pairs]
     names = None
     if a.basis_names:
         names = [f"{s}*" for s in a.basis_names]
@@ -452,12 +474,17 @@ def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
 
 
 def dual_algebra(c: Coalgebra) -> AlgebraPresentation:
-    """Linear dual of a finite coalgebra; round trips with dual_of_algebra."""
-    mult = c.delta.transpose()
+    """Linear dual of a finite coalgebra; round trips with dual_of_algebra.
+
+    e_j* e_k* has coefficient X_t[j][k] / D at e_t*, read off the stored
+    blocks: a Fraction over Q and Z[S^-1], an int over Z and F_p (D = 1).
+    """
+    scale = c.ring.one if c.denom == 1 else Fraction(1, c.denom)
+    entries = [(j, k, t, scale * v) for t, block in enumerate(c.blocks) for j, row in block.items() for k, v in row]
     names = None
     if c.basis_names:
         names = [s[:-1] if s.endswith("*") else f"{s}*" for s in c.basis_names]
-    return AlgebraPresentation(c.ring, c.rank, mult, c.counit, basis_names=names)
+    return algebra_from_entries(c.ring, c.rank, entries, c.counit, basis_names=names)
 
 
 def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:
@@ -481,10 +508,9 @@ def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:
         if top:
             shifted = [s + top * r for s, r in zip(shifted, red)]
         powers.append(ring.reduce_row(shifted))
-    rows = [powers[i + j] for i in range(k) for j in range(k)]
-    unit = powers[0]
+    entries = [(i, j, t, v) for i in range(k) for j in range(k) for t, v in enumerate(powers[i + j]) if v]
     names = ["1"] + [f"x{e}" if e > 1 else "x" for e in range(1, k)]
-    return AlgebraPresentation(ring, k, Matrix(ring, rows, k), unit, basis_names=names)
+    return algebra_from_entries(ring, k, entries, powers[0], basis_names=names)
 
 
 def truncated_polynomial_algebra(ring: Ring, k: int) -> AlgebraPresentation:
@@ -493,11 +519,8 @@ def truncated_polynomial_algebra(ring: Ring, k: int) -> AlgebraPresentation:
 
 def split_algebra(ring: Ring, m: int) -> AlgebraPresentation:
     """The product ring R x ... x R on idempotent coordinates."""
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            rows.append([ring.one if (i == j == t) else ring.zero for t in range(m)])
-    return AlgebraPresentation(ring, m, Matrix(ring, rows, m), [ring.one] * m, basis_names=[f"p{i}" for i in range(m)])
+    entries = [(i, i, i, ring.one) for i in range(m)]
+    return algebra_from_entries(ring, m, entries, [ring.one] * m, basis_names=[f"p{i}" for i in range(m)])
 
 
 # --- functorial constructions ------------------------------------------------

@@ -5,7 +5,10 @@ as "a/b" in lowest terms) so consumers never lose precision; structural
 indices stay JSON numbers.  Serialization is canonical: keys sorted,
 sparse triples sorted, coefficients in lowest terms, two-space indent,
 trailing newline.  Parsing the canonical text and reserializing is a
-byte round trip, and parsing always validates the object.
+byte round trip.  ``coalgebra_from_obj`` and ``algebra_from_obj``
+validate what they parse; ``parse_coalgebra_or_algebra`` and
+``sset_from_obj`` only parse, for the callers that report or check the
+axioms themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import os
 from fractions import Fraction
 
-from .coalgebra import AlgebraPresentation, Coalgebra, coalgebra_from_entries
+from .coalgebra import AlgebraPresentation, Coalgebra, algebra_from_entries, coalgebra_from_entries
 from .errors import OutputError, ParseError, TooLarge
 from .lattice import Lattice
 from .matrix import Matrix
@@ -27,10 +30,11 @@ from .simplicial import (
 
 # The largest rank a coalgebra or algebra file may declare, and the most
 # simplices a level of a simplicial set file may have (each level becomes
-# a coalgebra of that rank).  A coalgebra holds only its nonzero
-# structure constants, but an algebra, the dual algebra of a coalgebra
-# and its checks are n^3 dense; 144, the rank of the tensor square of a
-# rank-12 corpus coalgebra, keeps that below 3 million entries.
+# a coalgebra of that rank).  Coalgebras and algebras hold only their
+# nonzero structure constants, so storage grows with the file; what the
+# bound limits is the run time of the axiom checks, which is cubic in n
+# for a dense input.  144 is the rank of the tensor square of a rank-12
+# corpus coalgebra.
 MAX_RANK = 144
 # The largest dimension a simplicial set file may declare.  Checking the
 # simplicial identities of a d-truncation walks O(d^3) identities even
@@ -110,11 +114,17 @@ def coalgebra_to_obj(c: Coalgebra):
     return obj
 
 
+def _index(obj, key: str, where: str) -> int:
+    """A structural integer field, refused when it is a boolean."""
+    n = _expect(obj, key, int, where)
+    if isinstance(n, bool):
+        raise ParseError(f"{where} {key} must be an integer, not a boolean")
+    return n
+
+
 def _rank(obj, where: str) -> int:
     """The declared rank, checked against MAX_RANK before anything is allocated."""
-    n = _expect(obj, "rank", int, where)
-    if isinstance(n, bool):
-        raise ParseError(f"{where} rank must be an integer, not a boolean")
+    n = _index(obj, "rank", where)
     if n < 0:
         raise ParseError("rank must be nonnegative")
     if n > MAX_RANK:
@@ -149,7 +159,8 @@ def _basis_names(obj, n: int):
     return names
 
 
-def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
+def _coalgebra(obj) -> Coalgebra:
+    """The coalgebra of a parsed file, its axioms not yet checked."""
     ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
     n = _rank(obj, "coalgebra")
     entries = _triples(obj, "delta", ring, n, "coalgebra")
@@ -157,18 +168,18 @@ def coalgebra_from_obj(obj, validate: bool = True) -> Coalgebra:
     if len(counit_obj) != n:
         raise ParseError("counit must have length equal to the rank")
     counit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in counit_obj]
-    names = _basis_names(obj, n)
-    c = coalgebra_from_entries(ring, n, entries, counit, basis_names=names)
-    if validate:
-        c.require_valid()
-    return c
+    return coalgebra_from_entries(ring, n, entries, counit, basis_names=_basis_names(obj, n))
+
+
+def coalgebra_from_obj(obj) -> Coalgebra:
+    return _coalgebra(obj).require_valid()
 
 
 def algebra_to_obj(a: AlgebraPresentation):
     obj = {
         "ring": a.ring.to_spec(),
         "rank": a.rank,
-        "mult": _sparse_mult_to_obj(a),
+        "mult": [[*divmod(ij, a.rank), t, a.ring.to_str(v)] for ij, pairs in enumerate(a.constants) for t, v in pairs],
         "unit": [a.ring.to_str(v) for v in a.unit],
     }
     if a.basis_names is not None:
@@ -176,33 +187,27 @@ def algebra_to_obj(a: AlgebraPresentation):
     return obj
 
 
-def _sparse_mult_to_obj(a: AlgebraPresentation):
-    triples = []
-    n = a.rank
-    for ij, row in enumerate(a.mult.rows):
-        i, j = divmod(ij, n)
-        for k, v in enumerate(row):
-            if v:
-                triples.append([i, j, k, a.ring.to_str(v)])
-    triples.sort(key=lambda t: (t[0], t[1], t[2]))
-    return triples
-
-
-def algebra_from_obj(obj, validate: bool = True) -> AlgebraPresentation:
+def _algebra(obj) -> AlgebraPresentation:
+    """The algebra of a parsed file, its axioms not yet checked."""
     ring = ring_from_spec(_expect(obj, "ring", dict, "algebra"))
     n = _rank(obj, "algebra")
-    rows = [[ring.zero] * n for _ in range(n * n)]
-    for i, j, k, coeff in _triples(obj, "mult", ring, n, "algebra"):
-        rows[i * n + j][k] = coeff
+    entries = _triples(obj, "mult", ring, n, "algebra")
     unit_obj = _expect(obj, "unit", list, "algebra")
     if len(unit_obj) != n:
         raise ParseError("unit must have length equal to the rank")
     unit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in unit_obj]
-    names = _basis_names(obj, n)
-    a = AlgebraPresentation(ring, n, Matrix(ring, rows, n), unit, basis_names=names)
-    if validate:
-        a.require_valid()
-    return a
+    return algebra_from_entries(ring, n, entries, unit, basis_names=_basis_names(obj, n))
+
+
+def algebra_from_obj(obj) -> AlgebraPresentation:
+    return _algebra(obj).require_valid()
+
+
+def parse_coalgebra_or_algebra(obj):
+    """The algebra of a parsed file with a "mult" field, else its coalgebra; no axiom is checked."""
+    if isinstance(obj, dict) and "mult" in obj:
+        return _algebra(obj)
+    return _coalgebra(obj)
 
 
 # --- simplicial objects --------------------------------------------------------------
@@ -230,9 +235,22 @@ def _name_map(rec, where):
     return dict(mapping)
 
 
+def _structure_records(obj, table: str, index: str, where: str) -> dict:
+    """The face or degeneracy maps of a simplicial set file by (n, index); a repeated key is refused."""
+    out = {}
+    for rec in _expect(obj, table, list, "simplicial set"):
+        key = (_index(rec, "n", where), _index(rec, index, where))
+        if key in out:
+            raise ParseError(f"duplicate {where} for n={key[0]}, {index}={key[1]}")
+        out[key] = _name_map(rec, where)
+    return out
+
+
 def sset_from_obj(obj) -> FiniteSimplicialSet:
     """The simplicial set of a parsed file, not yet checked against the simplicial identities."""
-    d = _expect(obj, "dimension", int, "simplicial set")
+    d = _index(obj, "dimension", "simplicial set")
+    if d < 0:
+        raise ParseError("simplicial set dimension must be nonnegative")
     if d > MAX_DIMENSION:
         raise TooLarge(f"simplicial set dimension {d} exceeds the bound {MAX_DIMENSION}")
     levels = _expect(obj, "levels", list, "simplicial set")
@@ -241,16 +259,8 @@ def sset_from_obj(obj) -> FiniteSimplicialSet:
             raise ParseError(f"level {n} of the simplicial set must be an array of names")
         if len(level) > MAX_RANK:
             raise TooLarge(f"simplicial set level {n} has {len(level)} simplices, above the bound {MAX_RANK}")
-    faces = {}
-    for rec in _expect(obj, "faces", list, "simplicial set"):
-        faces[(int(_expect(rec, "n", int, "face record")), int(_expect(rec, "i", int, "face record")))] = _name_map(
-            rec, "face record"
-        )
-    degeneracies = {}
-    for rec in _expect(obj, "degeneracies", list, "simplicial set"):
-        degeneracies[
-            (int(_expect(rec, "n", int, "degeneracy record")), int(_expect(rec, "j", int, "degeneracy record")))
-        ] = _name_map(rec, "degeneracy record")
+    faces = _structure_records(obj, "faces", "i", "face record")
+    degeneracies = _structure_records(obj, "degeneracies", "j", "degeneracy record")
     return FiniteSimplicialSet(d, levels, faces, degeneracies)
 
 
@@ -294,10 +304,9 @@ def load_coalgebra(path: str) -> Coalgebra:
 
 
 def load_coalgebra_or_algebra(path: str):
-    obj = load_json(path)
-    if isinstance(obj, dict) and "mult" in obj:
-        return algebra_from_obj(obj)
-    return coalgebra_from_obj(obj)
+    """The validated coalgebra of a file, or its algebra unvalidated, as every consumer of an algebra checks it."""
+    thing = parse_coalgebra_or_algebra(load_json(path))
+    return thing if isinstance(thing, AlgebraPresentation) else thing.require_valid()
 
 
 def load_lattice(path: str, ring: Ring) -> Lattice:
@@ -305,21 +314,23 @@ def load_lattice(path: str, ring: Ring) -> Lattice:
 
 
 def load_sset(path: str) -> FiniteSimplicialSet:
-    return sset_from_obj(load_json(path)).require_valid()
+    """The simplicial set of a file, not yet checked against the simplicial identities."""
+    return sset_from_obj(load_json(path))
 
 
 def load_simplicial_map(path: str) -> SimplicialMap:
+    """The simplicial map of a file and its two sets, none of them checked yet: ``chains_map`` checks each once."""
     obj = load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     domain = load_sset(os.path.join(base, _expect(obj, "domain", str, "simplicial map")))
     codomain = load_sset(os.path.join(base, _expect(obj, "codomain", str, "simplicial map")))
     recs = _expect(obj, "maps", list, "simplicial map")
-    maps = [{} for _ in range(domain.dimension_bound + 1)]
+    maps = [None] * (domain.dimension_bound + 1)
     for rec in recs:
-        n = _expect(rec, "n", int, "simplicial map level")
+        n = _index(rec, "n", "simplicial map level")
         if not 0 <= n <= domain.dimension_bound:
             raise ParseError(f"level {n} outside the truncation")
+        if maps[n] is not None:
+            raise ParseError(f"duplicate simplicial map level {n}")
         maps[n] = dict(_expect(rec, "map", dict, "simplicial map level"))
-    m = SimplicialMap(domain, codomain, maps)
-    m.require_valid()
-    return m
+    return SimplicialMap(domain, codomain, [m or {} for m in maps])

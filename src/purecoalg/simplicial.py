@@ -380,7 +380,11 @@ def _map_matrix(ring, mapping, dom_names, cod_names) -> Matrix:
 
 def chains_functor(x: FiniteSimplicialSet, ring: Ring) -> SimplicialCoalgebra:
     """Levelwise linearization: set-like coalgebras and linearized maps."""
-    x.require_valid()
+    return _chains(x.require_valid(), ring)
+
+
+def _chains(x: FiniteSimplicialSet, ring: Ring) -> SimplicialCoalgebra:
+    """``chains_functor`` of a simplicial set already checked."""
     levels = [set_like(ring, level) for level in x.levels]
     faces, degeneracies = _converted(
         x, lambda mapping, n, target: _map_matrix(ring, mapping, x.levels[n], x.levels[target]))
@@ -642,9 +646,12 @@ def gr_simplicial_map(f: SimplicialCoalgebraMap) -> SimplicialMap:
 
 
 def chains_map(m: SimplicialMap, ring: Ring) -> SimplicialCoalgebraMap:
+    """Levelwise linearization of a map, checking its domain and codomain first: the map check needs valid sets."""
+    m.domain.require_valid()
+    m.codomain.require_valid()
     m.require_valid()
-    dom = chains_functor(m.domain, ring)
-    cod = chains_functor(m.codomain, ring)
+    dom = _chains(m.domain, ring)
+    cod = _chains(m.codomain, ring)
     mats = [
         _map_matrix(ring, m.maps[n], m.domain.levels[n], m.codomain.levels[n])
         for n in range(m.domain.dimension_bound + 1)

@@ -727,6 +727,14 @@ def dense_dual_of_algebra(a):
     return Coalgebra(a.ring, a.rank, a.mult.transpose(), a.unit, basis_names=names)
 
 
+def dense_dual_algebra(c):
+    """The dual algebra as the former construction built it: the dense Delta view, transposed."""
+    from purecoalg import AlgebraPresentation
+
+    names = [s[:-1] if s.endswith("*") else f"{s}*" for s in c.basis_names] if c.basis_names else None
+    return AlgebraPresentation(c.ring, c.rank, c.delta.transpose(), c.counit, basis_names=names)
+
+
 def dense_tensor(c, d):
     from purecoalg import Coalgebra, Matrix
 

@@ -234,9 +234,10 @@ def test_binomial_check_needs_no_kernel_lattice_projection_or_smith_form(monkeyp
 def test_binomial_errors_fire_in_order():
     from purecoalg import ValidationError
 
-    bad = monogenic_algebra(QQ, [1, 0])
-    bad.mult.rows[1][0] = QQ.one  # e_0 * e_1 != e_1 * e_0
-    bad = AlgebraPresentation(QQ, 2, bad.mult, bad.unit)
+    good = monogenic_algebra(QQ, [1, 0])
+    mult = good.mult
+    mult.rows[1][0] = QQ.one  # e_0 * e_1 != e_1 * e_0
+    bad = AlgebraPresentation(QQ, 2, mult, good.unit)
     with pytest.raises(InvalidAlgebra):
         binomial_check(bad, (4, 3))
     for ring, primes, error in (

@@ -400,3 +400,112 @@ def test_homology_names_the_coefficient_ring():
                        ("F7", "H0=F7, H1=0, H2=0")):
         assert run_command(["homology", data("rp2.json"), "-N", "2", "--ring", ring], "sset") == (0, text)
     assert run_command(["homology", data("circle.json"), "-N", "1", "--ring", "Q"], "sset") == (0, "H0=Q, H1=Q")
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its first argument to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, prog, sets, maps", [
+    (["check", data("interval-collapse.json"), "--we", "-N", "1"], "smap", 2, 1),
+    (["check", data("interval-collapse.json"), "--cof"], "smap", 2, 1),
+    (["chains", data("circle.json")], "sset", 1, 0),
+    (["homology", data("circle.json"), "-N", "1"], "sset", 1, 0),
+    (["validate", data("circle.json")], "sset", 1, 0),
+], ids=["smap-we", "smap-cof", "sset-chains", "sset-homology", "sset-validate"])
+def test_each_simplicial_set_and_map_is_validated_once(monkeypatch, argv, prog, sets, maps):
+    from purecoalg import simplicial
+    from purecoalg.simplicial import SimplicialMap
+
+    set_calls = _count_calls(monkeypatch, simplicial, "validate_sset")
+    map_calls = _count_calls(monkeypatch, SimplicialMap, "validate")
+    assert run_command(argv, prog)[0] in (0, 1)
+    assert len(set_calls) == sets and len({id(x) for x in set_calls}) == sets
+    assert len(map_calls) == maps
+
+
+@pytest.mark.parametrize("argv, prog, algebras, coalgebras", [
+    (["check", data("zxz-algebra.json")], "binomial", 1, 0),
+    (["dual", data("zxz-algebra.json")], "coalg", 1, 0),
+    (["check", data("zxz-algebra.json")], "coalg", 1, 0),
+    # a coalgebra file: C when it is read, then C* inside binomial_check
+    (["check", data("zx2-dual.json")], "binomial", 1, 1),
+    (["dual", data("zx2-dual.json")], "coalg", 0, 1),
+], ids=["binomial-algebra", "dual-algebra", "check-algebra", "binomial-coalgebra", "dual-coalgebra"])
+def test_each_algebra_and_coalgebra_file_is_validated_once(monkeypatch, argv, prog, algebras, coalgebras):
+    from purecoalg import AlgebraPresentation, coalgebra
+
+    algebra_calls = _count_calls(monkeypatch, AlgebraPresentation, "validate")
+    coalgebra_calls = _count_calls(monkeypatch, coalgebra, "validate_coalgebra")
+    assert run_command(argv, prog)[0] in (0, 1)
+    assert (len(algebra_calls), len(coalgebra_calls)) == (algebras, coalgebras)
+
+
+def test_an_algebra_file_is_still_checked_before_use(tmp_path):
+    algebra = sz.load_json(data("zxz-algebra.json"))
+    algebra["mult"].append([0, 1, 0, "1"])  # e_0 * e_1 = e_0 but e_1 * e_0 = 0
+    path = _write(tmp_path, algebra)
+    for argv, prog in ((["check", path], "binomial"), (["dual", path], "coalg")):
+        code, text = run_command(argv, prog)
+        assert code == 2 and text.startswith("error: algebra axiom failed: commutativity: FAIL at (i,j)=(0,1)")
+    assert run_command(["check", path], "coalg")[0] == 1
+
+
+def _interval_with(**edits):
+    obj = sz.load_json(data("interval.json"))
+    obj.update(edits)
+    return obj
+
+
+_INTERVAL = sz.load_json(data("interval.json"))
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dimension": -1, "levels": [], "faces": [], "degeneracies": []},
+     "error: simplicial set dimension must be nonnegative"),
+    ({"dimension": -5, "levels": [], "faces": [], "degeneracies": []},
+     "error: simplicial set dimension must be nonnegative"),
+    (_interval_with(dimension=True), "error: simplicial set dimension must be an integer, not a boolean"),
+    (_interval_with(faces=[dict(_INTERVAL["faces"][0], n=True)] + _INTERVAL["faces"][1:]),
+     "error: face record n must be an integer, not a boolean"),
+    (_interval_with(faces=[dict(_INTERVAL["faces"][0], i=False)] + _INTERVAL["faces"][1:]),
+     "error: face record i must be an integer, not a boolean"),
+    (_interval_with(degeneracies=[dict(_INTERVAL["degeneracies"][0], n=False)] + _INTERVAL["degeneracies"][1:]),
+     "error: degeneracy record n must be an integer, not a boolean"),
+    (_interval_with(degeneracies=[dict(_INTERVAL["degeneracies"][1], j=True)] + _INTERVAL["degeneracies"][1:]),
+     "error: degeneracy record j must be an integer, not a boolean"),
+    # a conflicting first d_0 on level 1, which the second record used to replace
+    (_interval_with(faces=[dict(_INTERVAL["faces"][0], map={"e": "a", "s0(a)": "b", "s0(b)": "a"})]
+                    + _INTERVAL["faces"]),
+     "error: duplicate face record for n=1, i=0"),
+    (_interval_with(degeneracies=_INTERVAL["degeneracies"] + [_INTERVAL["degeneracies"][2]]),
+     "error: duplicate degeneracy record for n=1, j=1"),
+], ids=["dimension-minus-1", "dimension-minus-5", "dimension-bool", "face-n-bool", "face-i-bool",
+        "degeneracy-n-bool", "degeneracy-j-bool", "face-repeated", "degeneracy-repeated"])
+def test_sset_verbs_refuse_malformed_records(tmp_path, obj, message):
+    path = _write(tmp_path, obj, "interval.json")
+    for argv in (["validate", path], ["chains", path], ["homology", path, "-N", "0"]):
+        assert run_command(argv, "sset") == (2, message)
+    collapse = dict(sz.load_json(data("interval-collapse.json")), codomain=data("point.json"))
+    assert run_command(["check", _write(tmp_path, collapse, "collapse.json"), "--cof"], "smap") == (2, message)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda maps: maps + [maps[0]], "error: duplicate simplicial map level 0"),
+    (lambda maps: [dict(maps[0], n=False)] + maps[1:], "error: simplicial map level n must be an integer, not a boolean"),
+], ids=["level-repeated", "level-bool"])
+def test_smap_check_refuses_malformed_levels(tmp_path, edit, message):
+    collapse = sz.load_json(data("interval-collapse.json"))
+    obj = dict(collapse, domain=data("interval.json"), codomain=data("point.json"), maps=edit(collapse["maps"]))
+    path = _write(tmp_path, obj, "collapse.json")
+    for flags in (["--cof"], ["--we", "-N", "1"]):
+        assert run_command(["check", path, *flags], "smap") == (2, message)
