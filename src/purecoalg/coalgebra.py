@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice
-from .matrix import Matrix, snf
+from .matrix import Matrix, hnf
 from .rings import ZZ, Ring, cleared_rows
 
 
@@ -784,13 +784,11 @@ def purify_subcoalgebra(l: Lattice, c: Coalgebra) -> Lattice:
 def _section(l: Lattice) -> list:
     """Rows of an n x r matrix T over the ring with B * T = I, B the basis of a pure lattice.
 
-    From a Smith decomposition u * B * v = diag(d): T is the first r
-    columns of v, times diag(d)^-1, times u.  Purity makes every d a unit.
+    Purity makes the Hermite transform of B^T satisfy U * B^T = [I; 0],
+    so B * U^T = [I | 0] and T is the first r columns of U^T.
     """
-    divs, u, v = snf(l.basis)
-    ring = l.ring
-    scaled = [[ring.exact_div(x, d) for x, d in zip(row, divs)] for row in v.rows]
-    return (Matrix(ring, scaled, l.rank) * u).rows
+    _, u = hnf(l.basis.transpose())
+    return [row[: l.rank] for row in u.transpose().rows]
 
 
 def restrict_to_subcoalgebra(l: Lattice, c: Coalgebra):

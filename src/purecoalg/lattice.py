@@ -18,6 +18,12 @@ cleared integer copy: each basis row times the lcm of its denominators,
 a unit of the ring.  Membership, coordinates, the Smith test of purity
 and the integral projection all work on that copy in integers; a
 coordinate becomes a Fraction only when it is returned.
+
+Both quotient projections come from one Hermite transform U of the
+transposed basis, U * B^T = [H; 0]: the transposed rows r.. of U kill
+the basis, and when H is the identity (the lattice is pure) U^T is
+invertible over the ring with B * U^T = [I | 0], which gives a section.
+No Smith transform is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import AmbientMismatch, NotPure, RingMismatch
-from .matrix import Matrix, elementary_divisors, hnf_basis, left_kernel_rows, snf
+from .matrix import Matrix, elementary_divisors, hnf, hnf_basis, left_kernel_rows
 from .numtheory import factorize
 from .rings import ZZ, Ring
 
@@ -266,41 +272,34 @@ class Lattice:
 
         Purity makes the quotient free, so there is an integral matrix P
         of shape n x (n - r) with x*P = 0 exactly on the lattice, and a
-        section s with s*P = I.  Both come out of a Smith decomposition
-        of the basis.
+        section s with s*P = I.  With U the Hermite transform of the
+        transposed basis, U * B^T = [H; 0], the lattice is pure exactly
+        when H is the identity; then V = U^T has B * V = [I | 0], P is the
+        last n - r columns of V and s the last n - r rows of V^-1.
         """
-        n = self.ambient_rank
-        r = self.rank
-        if r == 0:
-            ident = Matrix.identity(self.ring, n)
-            return ident, ident
-        divs, _, v = snf(self.basis)
-        if len(divs) != r or not all(self.ring.is_unit(d) for d in divs):
+        n, r = self.ambient_rank, self.rank
+        h, u = hnf(self.basis.transpose())
+        if h != Matrix.identity(self.ring, r):
             raise NotPure("quotient projection requires a pure lattice")
+        v = u.transpose()
         proj = Matrix(self.ring, [row[r:] for row in v.rows], n - r)
-        vinv = v.inverse()
-        section = Matrix(self.ring, vinv.rows[r:], n)
+        section = Matrix(self.ring, v.inverse().rows[r:], n)
         return proj, section
 
     def integral_projection(self) -> list:
         """Rows of an integral n x (n - r) matrix P with x * P = 0 exactly on the saturation.
 
-        The last n - r columns of the column transform V of a Smith
-        decomposition B * V = U^-1 * [diag | 0] of the basis B kill the
-        basis, and V is invertible, so their kernel is the pure lattice
-        of rank r containing this one: its saturation.  Over Q and
-        Z[S^-1] B is the cleared integer basis, which spans the same
-        module, and V is an integer matrix; over F_p the entries are
-        residues.  Computed once per lattice.
+        With U the Hermite transform of the transposed basis, U * B^T =
+        [H; 0], the transposed rows r.. of U kill the basis B, and U is
+        invertible, so their kernel is the pure lattice of rank r
+        containing this one: its saturation.  Over Q and Z[S^-1] B is the
+        cleared integer basis, which spans the same module, and U is an
+        integer matrix; over F_p the entries are residues.  Computed once
+        per lattice.
         """
         if self._projection is None:
-            n, r = self.ambient_rank, self.rank
-            if r == 0:
-                rows = [[int(i == j) for j in range(n)] for i in range(n)]
-            else:
-                _, _, v = snf(self._integer_basis())
-                rows = [row[r:] for row in v.rows]
-            self._projection = rows
+            _, u = hnf(self._integer_basis().transpose())
+            self._projection = [row[self.rank:] for row in u.transpose().rows]
         return self._projection
 
 
@@ -322,8 +321,6 @@ def solve_in_rows(mat: Matrix, vector):
     unique.  Unlike ``Lattice.solve`` this expresses the solution
     against the original rows, not against their Hermite form.
     """
-    from .matrix import hnf
-
     h, u = hnf(mat)
     coords = Lattice(mat.ring, mat.ncols, h).solve(vector)
     if coords is None:

@@ -10,13 +10,16 @@ field), entries above a pivot are canonical residues, and zero rows are
 trimmed.  Two row-equivalent matrices therefore have equal Hermite
 forms, which is what makes lattice equality a bitwise comparison.
 
-One elimination kernel runs over Z and over F_p.  Over Q and Z[S^-1]
-each row is first cleared by the lcm of its denominators, a unit of the
-ring, so the row module does not change; the integer kernel runs once
-on the cleared rows, and one boundary pass turns its result into the
-canonical form over the ring: each pivot (or Smith divisor) becomes its
-canonical associate, and the entries above each pivot are reduced to
-canonical residues, in pivot order.  That pass works on integer rows
+One elimination kernel runs over Z and over F_p, and every normal form
+comes from it: Hermite forms and left kernels directly, Smith forms
+from alternating Hermite passes on the rows and on the columns, and a
+gcd/lcm pass over the diagonal.  Over Q and Z[S^-1] each row is first
+cleared by the lcm of its denominators, a unit of the ring, so the row
+module does not change; the integer kernel runs on the cleared rows,
+and one boundary pass turns its result into the canonical form over the
+ring: each pivot (or Smith divisor) becomes its canonical associate,
+and the entries above each pivot are reduced to canonical residues, in
+pivot order.  That pass works on integer rows
 over one denominator per row, so Fractions are formed only for the
 entries it returns, never inside the O(n^3) loops.  The integer
 transforms carry the row scales and the unit factors of the pivots.
@@ -452,7 +455,7 @@ def _snf_rows(ring: Ring, rows, ncols: int, track: bool):
     diag(u) * U_Z * D.
     """
     base, ints, scales = _kernel_input(ring, rows)
-    divs, U, V = _snf_elim(base, ints, ncols, track)
+    divs, U, V = _smith(base, ints, ncols, track)
     if scales is None:
         return divs, U, V
     canon = [ring.canonicalize_unit(e)[1] for e in divs]
@@ -465,147 +468,60 @@ def _snf_rows(ring: Ring, rows, ncols: int, track: bool):
     return canon, U, V
 
 
-def _snf_elim(ring: Ring, rows, ncols: int, track: bool):
-    """The Smith elimination kernel, over Z or F_p."""
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = ncols
-    post = _post_fn(ring)
-    if post:
-        A = [post(r) for r in A]
-    U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
-    V = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)] if track else None
-    try_div = ring.try_exact_div
-    gcdex = ring.gcdex
-    exact_div = ring.exact_div
+def _hermite_pass(ring: Ring, block, transform, ncols: int):
+    """(nonzero Hermite rows of block, transform or None): one run of the kernel.
 
-    def row_combine(r, i, c):
-        """Clear A[i][c] against pivot A[r][c] via a unimodular row pair."""
-        a, b = A[r][c], A[i][c]
-        q = try_div(b, a)
-        if q is not None:
-            A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-            if post:
-                A[i] = post(A[i])
-            if track:
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-                if post:
-                    U[i] = post(U[i])
-            return
-        g, s, t = gcdex(a, b)
-        af, bf = exact_div(a, g), exact_div(b, g)
-        Ar, Ai = A[r], A[i]
-        A[r] = [s * x + t * y for x, y in zip(Ar, Ai)]
-        A[i] = [af * y - bf * x for x, y in zip(Ar, Ai)]
-        if post:
-            A[r], A[i] = post(A[r]), post(A[i])
-        if track:
-            Ur, Ui = U[r], U[i]
-            U[r] = [s * x + t * y for x, y in zip(Ur, Ui)]
-            U[i] = [af * y - bf * x for x, y in zip(Ur, Ui)]
-            if post:
-                U[r], U[i] = post(U[r]), post(U[i])
+    The first len(block) rows of the transform ride along as extra
+    columns, so the row operations reach them without a product.
+    """
+    if transform is None:
+        A, _, r = _elim(ring, block, ncols, False)
+        return A[:r], None
+    A, _, r = _elim(ring, [row + t for row, t in zip(block, transform)], ncols, False)
+    return [row[:ncols] for row in A[:r]], [row[ncols:] for row in A] + transform[len(block):]
 
-    def col_combine(c, j, r):
-        """Clear A[r][j] against pivot A[r][c] via a unimodular column pair."""
-        a, b = A[r][c], A[r][j]
-        q = try_div(b, a)
-        if q is not None:
-            for row in A:
-                row[j] = row[j] - q * row[c]
-            if track:
-                for row in V:
-                    row[j] = row[j] - q * row[c]
-        else:
-            g, s, t = gcdex(a, b)
-            af, bf = exact_div(a, g), exact_div(b, g)
-            for row in A:
-                x, y = row[c], row[j]
-                row[c] = s * x + t * y
-                row[j] = af * y - bf * x
-            if track:
-                for row in V:
-                    x, y = row[c], row[j]
-                    row[c] = s * x + t * y
-                    row[j] = af * y - bf * x
-        if post:
-            for idx in range(m):
-                A[idx] = post(A[idx])
-            if track:
-                for idx in range(n):
-                    V[idx] = post(V[idx])
 
-    t_idx = 0
+def _smith(ring: Ring, rows, ncols: int, track: bool):
+    """(divisors, U, V) over Z or F_p with U * rows * V = diag(divisors), by alternating Hermite passes.
+
+    A pass brings the rows of the block to Hermite form; the next brings
+    its columns there, as the rows of the transpose.  After two passes
+    the nonzero part is a square block with its pivots on the diagonal.
+    Take the first pivot whose row or column is not clear: the next pass
+    clears them or makes it a proper divisor of itself, and cleared rows
+    and columns stay clear, so the passes end, at the first one that
+    leaves the block diagonal (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979; Cohen, GTM 138, 2.4.4).  A gcd/lcm pass over the
+    diagonal then forces d_1 | d_2 | ...; over F_p every pivot is 1 and
+    it changes nothing.  Row operations act on the rows of U, column
+    operations on the rows of V^T.
+    """
+    # the transforms [U, V^T]; a pass on the rows of the block acts on the rows of one of them
+    transforms = [Matrix.identity(ring, len(rows)).rows, Matrix.identity(ring, ncols).rows] if track else [None, None]
+    block, width, side = rows, ncols, 0
     while True:
-        # locate a pivot in the unfinished block
-        piv = None
-        for i in range(t_idx, m):
-            for j in range(t_idx, n):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+        block, transforms[side] = _hermite_pass(ring, block, transforms[side], width)
+        if all(not any(row[:i]) and not any(row[i + 1:]) for i, row in enumerate(block)):
             break
-        i, j = piv
-        if i != t_idx:
-            A[t_idx], A[i] = A[i], A[t_idx]
+        width, block, side = len(block), [list(col) for col in zip(*block)], 1 - side
+    U, Vt = transforms
+    divs = [row[i] for i, row in enumerate(block)]
+    for i in range(len(divs)):
+        for j in range(i + 1, len(divs)):
+            a, b = divs[i], divs[j]
+            if ring.try_exact_div(b, a) is not None:
+                continue
+            # [[s, t], [-b/g, a/g]] * diag(a, b) * [[1, -t b/g], [1, s a/g]] = diag(g, lcm)
+            g, s, t = ring.gcdex(a, b)
+            af, bf = ring.exact_div(a, g), ring.exact_div(b, g)
+            divs[i], divs[j] = g, af * b
             if track:
-                U[t_idx], U[i] = U[i], U[t_idx]
-        if j != t_idx:
-            for row in A:
-                row[t_idx], row[j] = row[j], row[t_idx]
-            if track:
-                for row in V:
-                    row[t_idx], row[j] = row[j], row[t_idx]
-        while True:
-            for i in range(t_idx + 1, m):
-                if A[i][t_idx]:
-                    row_combine(t_idx, i, t_idx)
-            dirty = False
-            for j in range(t_idx + 1, n):
-                if A[t_idx][j]:
-                    col_combine(t_idx, j, t_idx)
-                    dirty = True
-            if dirty:
-                # column work may reintroduce entries below the pivot
-                if any(A[i][t_idx] for i in range(t_idx + 1, m)):
-                    continue
-            # force the divisibility chain: pivot must divide the rest
-            a = A[t_idx][t_idx]
-            offender = None
-            for i in range(t_idx + 1, m):
-                row = A[i]
-                for j in range(t_idx + 1, n):
-                    if row[j] and try_div(row[j], a) is None:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            A[t_idx] = [x + y for x, y in zip(A[t_idx], A[offender])]
-            if post:
-                A[t_idx] = post(A[t_idx])
-            if track:
-                U[t_idx] = [x + y for x, y in zip(U[t_idx], U[offender])]
-                if post:
-                    U[t_idx] = post(U[t_idx])
-        u_, _ = ring.canonicalize_unit(A[t_idx][t_idx])
-        if u_ != ring.one:
-            A[t_idx] = [u_ * x for x in A[t_idx]]
-            if post:
-                A[t_idx] = post(A[t_idx])
-            if track:
-                U[t_idx] = [u_ * x for x in U[t_idx]]
-                if post:
-                    U[t_idx] = post(U[t_idx])
-        t_idx += 1
-        if t_idx == m or t_idx == n:
-            break
-    divisors = [A[i][i] for i in range(min(m, n)) if i < t_idx and A[i][i]]
-    return divisors, U, V
+                Ui, Uj, Vi, Vj = U[i], U[j], Vt[i], Vt[j]
+                U[i] = [s * x + t * y for x, y in zip(Ui, Uj)]
+                U[j] = [af * y - bf * x for x, y in zip(Ui, Uj)]
+                Vt[i] = [x + y for x, y in zip(Vi, Vj)]
+                Vt[j] = [s * af * y - t * bf * x for x, y in zip(Vi, Vj)]
+    return divs, U, (None if Vt is None else [list(col) for col in zip(*Vt)])
 
 
 def charpoly(mat: Matrix) -> list:

@@ -25,11 +25,13 @@ The normal forms need slightly more than ring arithmetic:
 Q and Z[S^-1] eliminate over Z on cleared rows (see ``matrix``); only
 the canonical associates and residues of the result are formed in the
 ring, through ``canonicalize_unit`` and the integer residues modulo a
-canonical pivot.  Over Z[S^-1] every element factors as unit times a
-nonnegative integer prime to S (its "S-free part"); gcds, canonical
-associates, and residues are all computed through that decomposition,
-which is what turns purity away from S into a denominator-free
-condition.
+canonical pivot.  Their own ``gcdex``, ``mod_reduce`` and
+``try_exact_div`` now serve only the former Fraction kernels that the
+tests keep as oracles.  Over Z[S^-1] every element factors as unit
+times a nonnegative integer prime to S (its "S-free part"); gcds,
+canonical associates, and residues are all computed through that
+decomposition, which is what turns purity away from S into a
+denominator-free condition.
 """
 
 from __future__ import annotations

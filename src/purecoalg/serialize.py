@@ -319,11 +319,16 @@ def load_sset(path: str) -> FiniteSimplicialSet:
 
 
 def load_simplicial_map(path: str) -> SimplicialMap:
-    """The simplicial map of a file and its two sets, none of them checked yet: ``chains_map`` checks each once."""
+    """The simplicial map of a file and its two sets, none of them checked yet: ``chains_map`` checks each once.
+
+    A set named by both ends is loaded once, as one object.
+    """
     obj = load_json(path)
     base = os.path.dirname(os.path.abspath(path))
-    domain = load_sset(os.path.join(base, _expect(obj, "domain", str, "simplicial map")))
-    codomain = load_sset(os.path.join(base, _expect(obj, "codomain", str, "simplicial map")))
+    domain_path = os.path.normpath(os.path.join(base, _expect(obj, "domain", str, "simplicial map")))
+    domain = load_sset(domain_path)
+    codomain_path = os.path.normpath(os.path.join(base, _expect(obj, "codomain", str, "simplicial map")))
+    codomain = domain if codomain_path == domain_path else load_sset(codomain_path)
     recs = _expect(obj, "maps", list, "simplicial map")
     maps = [None] * (domain.dimension_bound + 1)
     for rec in recs:

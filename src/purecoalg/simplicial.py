@@ -500,7 +500,7 @@ def normalized_complex(c: SimplicialCoalgebra) -> ChainComplex:
 
 
 def _normalized(c: SimplicialCoalgebra):
-    """(complex, projections, sections): one Smith decomposition per level serves all three."""
+    """(complex, projections, sections): one ``complement_projection`` per level serves all three."""
     ring = c.ring
     d = c.dimension_bound
     projections = []
@@ -646,12 +646,16 @@ def gr_simplicial_map(f: SimplicialCoalgebraMap) -> SimplicialMap:
 
 
 def chains_map(m: SimplicialMap, ring: Ring) -> SimplicialCoalgebraMap:
-    """Levelwise linearization of a map, checking its domain and codomain first: the map check needs valid sets."""
+    """Levelwise linearization of a map, checking its domain and codomain first: the map check needs valid sets.
+
+    A codomain that is the domain object is checked and linearized once.
+    """
     m.domain.require_valid()
-    m.codomain.require_valid()
+    if m.codomain is not m.domain:
+        m.codomain.require_valid()
     m.require_valid()
     dom = _chains(m.domain, ring)
-    cod = _chains(m.codomain, ring)
+    cod = dom if m.codomain is m.domain else _chains(m.codomain, ring)
     mats = [
         _map_matrix(ring, m.maps[n], m.domain.levels[n], m.codomain.levels[n])
         for n in range(m.domain.dimension_bound + 1)
@@ -663,8 +667,9 @@ def mapping_cone(f: SimplicialCoalgebraMap) -> ChainComplex:
     """Cone of the induced map of normalized complexes."""
     f.require_valid()
     ring = f.domain.ring
-    cx_dom, _, dom_sections = _normalized(f.domain)
-    cx_cod, cod_projections, _ = _normalized(f.codomain)
+    normal = _normalized(f.domain)
+    cx_dom, _, dom_sections = normal
+    cx_cod, cod_projections, _ = normal if f.codomain is f.domain else _normalized(f.codomain)
     d = f.domain.dimension_bound
     # induced normalized chain map
     induced = {}

@@ -12,16 +12,20 @@ from purecoalg import (
     Lattice,
     Matrix,
     NotSubcoalgebra,
+    QQ,
     RingMismatch,
     ValidationError,
     ZZ,
+    components,
     conjugate,
     direct_sum,
     dual_algebra,
     dual_of_algebra,
     identity_map,
     is_subcoalgebra,
+    localized_integers,
     monogenic_algebra,
+    prime_field,
     purify_subcoalgebra,
     restrict_to_subcoalgebra,
     set_like,
@@ -258,6 +262,27 @@ def test_restrict_to_subcoalgebra():
     assert sub.validate().overall
     assert validate_map(incl).overall
     assert sub.rank == 2
+
+
+def test_restrict_to_subcoalgebra_refuses_an_impure_lattice():
+    c = set_like(ZZ, ["a", "b"])
+    lat = Lattice.from_rows(ZZ, 2, [[2, 0]])  # a scaled group-like: a subcoalgebra, not pure
+    assert is_subcoalgebra(lat, c)
+    with pytest.raises(NotSubcoalgebra, match="restriction requires a pure subcoalgebra lattice"):
+        restrict_to_subcoalgebra(lat, c)
+
+
+@pytest.mark.parametrize("ring", [QQ, localized_integers([2, 3]), prime_field(101)], ids=str)
+def test_restrict_to_a_component_gives_a_valid_coalgebra_and_inclusion(ring):
+    seen = 0
+    for entry in generate_coalgebras(307, 6, max_rank=6, ring=ring):
+        c = entry.coalgebra
+        for _, lat in components(c):
+            sub, incl = restrict_to_subcoalgebra(lat, c)
+            assert sub.validate().overall and validate_map(incl).overall
+            assert sub.rank == lat.rank and incl.matrix.rows == lat.basis.rows
+            seen += 1
+    assert seen > 6  # some coalgebra has more than one component
 
 
 def test_sparse_algebra_product_matches_the_dense_tensor():

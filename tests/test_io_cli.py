@@ -509,3 +509,24 @@ def test_smap_check_refuses_malformed_levels(tmp_path, edit, message):
     path = _write(tmp_path, obj, "collapse.json")
     for flags in (["--cof"], ["--we", "-N", "1"]):
         assert run_command(["check", path, *flags], "smap") == (2, message)
+
+
+def test_a_self_map_file_loads_and_checks_its_set_once(monkeypatch, tmp_path):
+    """Domain = codomain = one file: one parse, one validate_sset, one normalized complex, the verdicts of two copies."""
+    from purecoalg import simplicial
+
+    interval = sz.load_json(data("interval.json"))
+    maps = [{"n": n, "map": {s: s for s in names}} for n, names in enumerate(interval["levels"])]
+    same = _write(tmp_path, {"domain": data("interval.json"), "codomain": data("interval.json"), "maps": maps},
+                  "self.json")
+    copy = _write(tmp_path, interval, "copy.json")
+    apart = _write(tmp_path, {"domain": data("interval.json"), "codomain": copy, "maps": maps}, "apart.json")
+    for flags in (["--cof"], ["--we", "-N", "1"]):
+        want = run_command(["check", apart, *flags], "smap")
+        assert want == (0, "cofibration: yes" if flags == ["--cof"] else "weak equivalence through degree 1: yes")
+        loads = _count_calls(monkeypatch, sz, "load_sset")
+        checks = _count_calls(monkeypatch, simplicial, "validate_sset")
+        normals = _count_calls(monkeypatch, simplicial, "_normalized")
+        assert run_command(["check", same, *flags], "smap") == want
+        assert len(loads) == 1 and len(checks) == 1 and len(normals) == (1 if "--we" in flags else 0)
+        monkeypatch.undo()

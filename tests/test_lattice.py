@@ -9,6 +9,7 @@ from purecoalg import (
     AmbientMismatch,
     Lattice,
     Matrix,
+    NotPure,
     QQ,
     ZZ,
     kernel_lattice,
@@ -141,6 +142,46 @@ def test_complement_projection_contract():
         assert (lat.basis * proj).is_zero()
         assert section * proj == Matrix.identity(ZZ, n - lat.rank)
         assert kernel_lattice(proj) == lat
+
+
+def test_complement_projection_refuses_an_impure_lattice():
+    z23 = localized_integers([2, 3])
+    impure = [
+        L([[2, 0, 0]], 3),
+        L([[1, 1, 0], [0, 3, 3]], 3),
+        Lattice.from_rows(z23, 3, [[Fraction(5), Fraction(0), Fraction(0)]]),
+        Lattice.from_rows(z23, 2, [[Fraction(1, 2), Fraction(5, 3)], [Fraction(0), Fraction(10)]]),
+    ]
+    for lat in impure:
+        assert not lat.is_pure()[0]
+        with pytest.raises(NotPure, match="quotient projection requires a pure lattice"):
+            lat.complement_projection()
+    # 6 is a unit of Z[1/2,1/3], so its line is pure there
+    pure = [[[Fraction(6), Fraction(0), Fraction(1, 2)]],
+            [[Fraction(1, 3), Fraction(4), Fraction(0)], [Fraction(0), Fraction(9), Fraction(2)]]]
+    for lat in (Lattice.from_rows(z23, 3, rows) for rows in pure):
+        assert lat.is_pure()[0]
+        proj, section = lat.complement_projection()
+        assert (lat.basis * proj).is_zero()
+        assert section * proj == Matrix.identity(z23, 3 - lat.rank)
+        assert kernel_lattice(proj) == lat
+
+
+def test_is_pure_raises_when_its_two_tests_disagree(monkeypatch):
+    from purecoalg import lattice as lattice_mod
+
+    pure, impure = L([[1, 2, 0], [0, 1, 5]], 3), L([[2, 0], [0, 3]], 2)
+    assert pure.is_pure() == (True, None) and impure.is_pure() == (False, 2)
+    with monkeypatch.context() as patch:
+        # the divisors claim a factor 2 that reduction mod 2 does not see
+        patch.setattr(lattice_mod, "elementary_divisors", lambda mat: [1, 2])
+        with pytest.raises(AssertionError, match="purity tests disagree"):
+            pure.is_pure()
+    with monkeypatch.context() as patch:
+        # reduction mod p claims full rank at every prime the divisors name
+        patch.setattr(Matrix, "rank", lambda self: self.nrows)
+        with pytest.raises(AssertionError, match="purity tests disagree"):
+            impure.is_pure()
 
 
 def test_integral_projection_kernel_is_the_saturation():
