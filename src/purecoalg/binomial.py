@@ -178,6 +178,11 @@ def binomial_check(a: AlgebraPresentation, primes=DEFAULT_PRIMES) -> BinomialRep
     copies of F_p without enumerating maximal ideals.
     """
     a.require_valid()
+    return _binomial_report(a, primes)
+
+
+def _binomial_report(a: AlgebraPresentation, primes) -> BinomialReport:
+    """``binomial_check`` on an algebra already known to be valid."""
     n = a.rank
     positions, integral = _flat_constants(a)
     results = []

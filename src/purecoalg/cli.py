@@ -17,7 +17,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import serialize
-from .binomial import DEFAULT_PRIMES, binomial_check
+from .binomial import DEFAULT_PRIMES, _binomial_report, binomial_check
 from .coalgebra import (
     AlgebraPresentation,
     Coalgebra,
@@ -26,7 +26,7 @@ from .coalgebra import (
     purify_subcoalgebra,
     tensor,
 )
-from .errors import OutputError, ParseError, UnsupportedRing, ValidationError, WorkbenchError
+from .errors import OutputError, ParseError, TooLarge, UnsupportedRing, ValidationError, WorkbenchError
 from .grouplike import group_likes, is_pointed
 from .rings import ZZ
 from .simplicial import (
@@ -105,6 +105,9 @@ def _cmd_coalg(args) -> tuple[int, str]:
     if verb == "tensor":
         a = serialize.load_coalgebra(args.file)
         b = serialize.load_coalgebra(args.second)
+        if a.rank * b.rank > serialize.MAX_RANK:
+            # no loader could read the product back
+            raise TooLarge(f"tensor product rank {a.rank * b.rank} exceeds the bound {serialize.MAX_RANK}")
         product = tensor(a, b)
         lines = [f"tensor product: rank {product.rank} over {product.ring}"]
         lines += _write_output(args, serialize.coalgebra_to_obj(product))
@@ -248,17 +251,17 @@ def _prime_list(text: str, source: str) -> tuple:
 
 def _cmd_binomial(args) -> tuple[int, str]:
     thing = serialize.load_coalgebra_or_algebra(args.file)
-    if isinstance(thing, Coalgebra):
-        algebra = dual_algebra(thing)
-    else:
-        algebra = thing
     if args.primes:
         primes = _prime_list(args.primes, "--primes")
     elif os.environ.get("COALG_PRIMES"):
         primes = _prime_list(os.environ["COALG_PRIMES"], "COALG_PRIMES")
     else:
         primes = DEFAULT_PRIMES
-    report = binomial_check(algebra, primes)
+    if isinstance(thing, Coalgebra):
+        # the loader validated the coalgebra, and its dual's axioms are the same identities transposed
+        report = _binomial_report(dual_algebra(thing), primes)
+    else:
+        report = binomial_check(thing, primes)
     return (_EXIT_OK if report.all_pass else _EXIT_FALSE), str(report)
 
 

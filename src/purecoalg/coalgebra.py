@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -231,67 +232,90 @@ def coalgebra_from_entries(ring: Ring, rank: int, entries, counit, basis_names=N
     return _built(ring, rank, *_cleared_entries(rank, list(entries)), counit, basis_names)
 
 
+# (check name, location) for the laws of ``_axiom_failures``, in its order: a coalgebra's location is
+# formatted with the basis index and then the inner tuple, an algebra's with the inner tuple alone
+_COALGEBRA_LAWS = (("cocommutativity", "(i,j,k)=({},{},{})"), ("coassociativity", "basis {}, tensor slot ({}, {}, {})"),
+                   ("counit law (left)", "basis {}"), ("counit law (right)", "basis {}"))
+_ALGEBRA_LAWS = (("commutativity", "(i,j)=({},{})"), ("associativity", "(i,j,k)=({},{},{})"), ("unit law", "basis {}"))
+
+
+def _axiom_failures(c: Coalgebra):
+    """The one axiom kernel, behind both ``validate_coalgebra`` and ``AlgebraPresentation.validate``.
+
+    For each of cocommutativity, coassociativity and the left and right
+    counit laws, in that order, a lazy iterator of (i, inner) over the
+    basis indices i at which the law fails on the stored block
+    X_i = D * Delta(e_i), ascending; inner is the smallest failing index
+    tuple at i: (j, k) with j < k, the tensor slot (a, b, t), or the
+    slot (t,) of the counit law.  Every law costs time in proportion to
+    the products of nonzeros it forms; coassociativity holds a length-n
+    row only for each pair (a, b) those products reach.
+    """
+    n, ring, X = c.rank, c.ring, c.blocks
+    if c._cleared_counit is None:
+        scale, eps = c.denom, c.counit
+    else:
+        (e,), (eps,) = c._cleared_counit
+        scale = e * c.denom
+
+    def cocommutativity():
+        for i, block in enumerate(X):
+            entries = {(j, k): v for j, row in block.items() for k, v in row}
+            bad = [(min(jk), max(jk)) for jk, v in entries.items() if v != entries.get(jk[::-1], 0)]
+            if bad:
+                yield i, min(bad)
+
+    def coassociativity():
+        # at slot (a, b, t): sum_j X_i[j][t] X_j[a][b] = sum_k X_i[a][k] X_k[b][t], each side
+        # summed into rows[a*n + b], a length-n row indexed by t
+        flat = [[(a * n + b, w) for a, entries in x.items() for b, w in entries] for x in X]
+        for i, block in enumerate(X):
+            rows = defaultdict(lambda: [0] * n)
+            for j, xrow in block.items():
+                for ab, w in flat[j]:
+                    acc = rows[ab]
+                    for t, v in xrow:
+                        acc[t] += v * w
+                for k, v in xrow:
+                    for b, entries in X[k].items():
+                        acc = rows[j * n + b]
+                        for t, w in entries:
+                            acc[t] -= v * w
+            for ab in sorted(rows):
+                row = ring.reduce_row(rows[ab])
+                if any(row):
+                    yield i, (*divmod(ab, n), next(t for t, v in enumerate(row) if v))
+                    break
+
+    def counit(left: bool):
+        # (eps x id) X_i at slot k, or (id x eps) X_i at slot j, against D * e_i
+        for i, block in enumerate(X):
+            acc = {i: -scale}
+            for j, row in block.items():
+                if left:
+                    for k, v in row if eps[j] else ():
+                        acc[k] = acc.get(k, 0) + v * eps[j]
+                else:
+                    acc[j] = acc.get(j, 0) + sum(v * eps[k] for k, v in row)
+            bad = [t for t, v in zip(acc, ring.reduce_row(list(acc.values()))) if v]
+            if bad:
+                yield i, (min(bad),)
+
+    return cocommutativity(), coassociativity(), counit(True), counit(False)
+
+
 def validate_coalgebra(c: Coalgebra) -> ValidationReport:
     """Check cocommutativity, coassociativity, and both counit laws.
 
-    The checks run on the stored blocks X_i = D * Delta(e_i), which
-    scales both sides of every identity alike.  Each failure is reported
-    at the first basis index i that fails, and within it at the smallest
-    violating index tuple.
+    The checks run in ``_axiom_failures`` on the stored blocks
+    X_i = D * Delta(e_i), which scales both sides of every identity
+    alike.  Each failure is reported at the first basis index i that
+    fails, and within it at the smallest violating index tuple.
     """
-    n = c.rank
-    ring = c.ring
     report = ValidationReport()
-    X = c.blocks
-
-    # cocommutativity: every X_i is symmetric
-    cocomm_loc = ""
-    for i, block in enumerate(X):
-        entries = {(j, k): v for j, row in block.items() for k, v in row}
-        bad = [(min(jk), max(jk)) for jk, v in entries.items() if v != entries.get(jk[::-1], 0)]
-        if bad:
-            cocomm_loc = "(i,j,k)=({},{},{})".format(i, *min(bad))
-            break
-    report.add("cocommutativity", not cocomm_loc, cocomm_loc)
-
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta, at slot (a*n + b)*n + t
-    coassoc_loc = ""
-    for i, block in enumerate(X):
-        diff: dict[int, object] = {}
-        for j, row in block.items():
-            for k, v in row:
-                for a, entries in X[j].items():
-                    for b, w in entries:
-                        key = (a * n + b) * n + k
-                        diff[key] = diff.get(key, 0) + v * w
-                for b, entries in X[k].items():
-                    for t, w in entries:
-                        key = (j * n + b) * n + t
-                        diff[key] = diff.get(key, 0) - v * w
-        keys = sorted(diff)
-        bad = [key for key, v in zip(keys, ring.reduce_row([diff[key] for key in keys])) if v]
-        if bad:
-            ab, t = divmod(bad[0], n)
-            coassoc_loc = f"basis {i}, tensor slot {(*divmod(ab, n), t)}"
-            break
-    report.add("coassociativity", not coassoc_loc, coassoc_loc)
-
-    # counit laws: (eps x id) Delta = id = (id x eps) Delta
-    left_loc = right_loc = ""
-    eps = c.counit
-    for i, block in enumerate(X):
-        left = [-c.denom if t == i else 0 for t in range(n)]
-        right = list(left)
-        for j, row in block.items():
-            for k, v in row:
-                left[k] += v * eps[j]
-                right[j] += v * eps[k]
-        if not left_loc and any(ring.reduce_row(left)):
-            left_loc = f"basis {i}"
-        if not right_loc and any(ring.reduce_row(right)):
-            right_loc = f"basis {i}"
-    report.add("counit law (left)", not left_loc, left_loc)
-    report.add("counit law (right)", not right_loc, right_loc)
+    for (name, place), failures in zip(_COALGEBRA_LAWS, _axiom_failures(c)):
+        first = next(failures, None)
+        report.add(name, first is None, "" if first is None else place.format(first[0], *first[1]))
     return report
 
 
@@ -315,10 +339,11 @@ class AlgebraPresentation:
     The multiplication is held once, as its nonzero structure constants:
     ``constants[i * n + j]`` lists the (t, v) with v the coefficient of
     e_t in e_i * e_j, t ascending, zeros dropped and residues taken mod p
-    over F_p, so equal algebras have equal constants.  Products, powers,
-    the axiom checks and the Frobenius of each reduction mod p walk
-    them.  The dense n^2 x n multiplication matrix is only a view,
-    ``mult``, built on demand; the constructor takes that matrix, and
+    over F_p, so equal algebras have equal constants.  Products, powers
+    and the Frobenius of each reduction mod p walk them; the axiom checks
+    run on the blocks of the dual coalgebra (``_checked_dual``).  The
+    dense n^2 x n multiplication matrix is only a view, ``mult``, built
+    on demand; the constructor takes that matrix, and
     ``algebra_from_entries`` takes the constants as (i, j, t, v) entries.
     """
 
@@ -386,66 +411,8 @@ class AlgebraPresentation:
         return result
 
     def validate(self) -> ValidationReport:
-        """Check commutativity, associativity and the unit law.
-
-        Like ``validate_coalgebra``, the checks walk the nonzero
-        structure constants, and each failure names the first violating
-        index tuple in lexicographic order.
-        """
-        n = self.rank
-        ring = self.ring
-        zero = ring.zero
-        report = ValidationReport()
-        items = self.constants
-        comm_loc = ""
-        for i in range(n):
-            for j in range(i + 1, n):
-                if items[i * n + j] != items[j * n + i]:
-                    comm_loc = f"(i,j)=({i},{j})"
-                    break
-            if comm_loc:
-                break
-        report.add("commutativity", not comm_loc, comm_loc)
-
-        # associativity: (e_i e_j) e_k = e_i (e_j e_k), summed over the nonzero
-        # structure constants; for each (i, j) every k is compared at once, the
-        # coefficient of e_t for a given k sitting at k * n + t of a flat list
-        assoc_loc = ""
-        for i in range(n):
-            for j in range(n):
-                lhs = [0] * (n * n)
-                for m, v in items[i * n + j]:
-                    for k in range(n):
-                        at = k * n
-                        for t, w in items[m * n + k]:
-                            lhs[at + t] += v * w
-                rhs = [0] * (n * n)
-                for k in range(n):
-                    at = k * n
-                    for m, v in items[j * n + k]:
-                        for t, w in items[i * n + m]:
-                            rhs[at + t] += v * w
-                lhs, rhs = ring.reduce_row(lhs), ring.reduce_row(rhs)
-                if lhs != rhs:
-                    bad = next(at for at, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                    assoc_loc = f"(i,j,k)=({i},{j},{bad // n})"
-                    break
-            if assoc_loc:
-                break
-        report.add("associativity", not assoc_loc, assoc_loc)
-
-        # unit law: 1 * e_i = e_i
-        unit_loc = ""
-        for i in range(n):
-            prod = [-ring.one if t == i else zero for t in range(n)]
-            for m, u in enumerate(self.unit):
-                for t, w in items[m * n + i] if u else ():
-                    prod[t] += u * w
-            if any(ring.reduce_row(prod)):
-                unit_loc = f"basis {i}"
-                break
-        report.add("unit law", not unit_loc, unit_loc)
-        return report
+        """Check commutativity, associativity and the unit law, on the dual's blocks (``_checked_dual``)."""
+        return _checked_dual(self)[1]
 
     def require_valid(self):
         return self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
@@ -461,16 +428,33 @@ def algebra_from_entries(ring: Ring, rank: int, entries, unit, basis_names=None)
     return a
 
 
+def _checked_dual(a: AlgebraPresentation):
+    """(C, report): the dual coalgebra C of a, and a's axioms checked on C's blocks by ``_axiom_failures``.
+
+    C's block X_t holds D times the coefficient of e_t in e_i * e_j at
+    (i, j), so commutativity is cocommutativity, associativity at
+    (i, j, k) is coassociativity at tensor slot (i, j, k), and the unit
+    law at e_i is the left counit law at slot i.  Each law is reported
+    at the smallest inner tuple over all t, the first violating index
+    tuple in lexicographic order; the right counit law is not an algebra
+    axiom.
+    """
+    n = a.rank
+    entries = [(t, *divmod(ij, n), v) for ij, pairs in enumerate(a.constants) for t, v in pairs]
+    names = [f"{s}*" for s in a.basis_names] if a.basis_names else None
+    dual = coalgebra_from_entries(a.ring, n, entries, a.unit, basis_names=names)
+    report = ValidationReport()
+    for (name, place), failures in zip(_ALGEBRA_LAWS, _axiom_failures(dual)):
+        first = min((inner for _, inner in failures), default=None)
+        report.add(name, first is None, "" if first is None else place.format(*first))
+    return dual, report
+
+
 def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
     """Linear dual of a finite algebra: the comultiplication transposes
     the multiplication table and the counit evaluates at the unit."""
-    a.require_valid()
-    n = a.rank
-    entries = [(t, *divmod(ij, n), v) for ij, pairs in enumerate(a.constants) for t, v in pairs]
-    names = None
-    if a.basis_names:
-        names = [f"{s}*" for s in a.basis_names]
-    return coalgebra_from_entries(a.ring, n, entries, a.unit, basis_names=names)
+    dual, report = _checked_dual(a)
+    return report.require(dual, "algebra axiom failed", InvalidAlgebra)
 
 
 def dual_algebra(c: Coalgebra) -> AlgebraPresentation:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -433,21 +434,23 @@ def test_each_simplicial_set_and_map_is_validated_once(monkeypatch, argv, prog, 
     assert len(map_calls) == maps
 
 
-@pytest.mark.parametrize("argv, prog, algebras, coalgebras", [
-    (["check", data("zxz-algebra.json")], "binomial", 1, 0),
-    (["dual", data("zxz-algebra.json")], "coalg", 1, 0),
-    (["check", data("zxz-algebra.json")], "coalg", 1, 0),
-    # a coalgebra file: C when it is read, then C* inside binomial_check
-    (["check", data("zx2-dual.json")], "binomial", 1, 1),
-    (["dual", data("zx2-dual.json")], "coalg", 0, 1),
-], ids=["binomial-algebra", "dual-algebra", "check-algebra", "binomial-coalgebra", "dual-coalgebra"])
-def test_each_algebra_and_coalgebra_file_is_validated_once(monkeypatch, argv, prog, algebras, coalgebras):
-    from purecoalg import AlgebraPresentation, coalgebra
+@pytest.mark.parametrize("argv, prog", [
+    (["check", data("zxz-algebra.json")], "binomial"),
+    (["dual", data("zxz-algebra.json")], "coalg"),
+    (["check", data("zxz-algebra.json")], "coalg"),
+    # a coalgebra file: C is checked when it is read, and its dual C* is the same identities transposed
+    (["check", data("zx2-dual.json")], "binomial"),
+    (["check", data("setlike2.json")], "binomial"),
+    (["dual", data("zx2-dual.json")], "coalg"),
+], ids=["binomial-algebra", "dual-algebra", "check-algebra", "binomial-coalgebra", "binomial-setlike",
+        "dual-coalgebra"])
+def test_each_algebra_and_coalgebra_file_is_validated_once(monkeypatch, argv, prog):
+    """Coalgebras and algebras share one axiom kernel, and each command runs it once."""
+    from purecoalg import coalgebra
 
-    algebra_calls = _count_calls(monkeypatch, AlgebraPresentation, "validate")
-    coalgebra_calls = _count_calls(monkeypatch, coalgebra, "validate_coalgebra")
+    kernel_runs = _count_calls(monkeypatch, coalgebra, "_axiom_failures")
     assert run_command(argv, prog)[0] in (0, 1)
-    assert (len(algebra_calls), len(coalgebra_calls)) == (algebras, coalgebras)
+    assert len(kernel_runs) == 1
 
 
 def test_an_algebra_file_is_still_checked_before_use(tmp_path):
@@ -458,6 +461,29 @@ def test_an_algebra_file_is_still_checked_before_use(tmp_path):
         code, text = run_command(argv, prog)
         assert code == 2 and text.startswith("error: algebra axiom failed: commutativity: FAIL at (i,j)=(0,1)")
     assert run_command(["check", path], "coalg")[0] == 1
+
+
+def test_a_coalgebra_file_is_still_checked_before_binomial_check(tmp_path):
+    coalg = sz.load_json(data("setlike2.json"))
+    coalg["delta"].append([1, 0, 1, "1"])  # Delta(b) gains a (x) b but not b (x) a
+    path = _write(tmp_path, coalg)
+    code, text = run_command(["check", path], "binomial")
+    assert (code, text) == (2, "error: coalgebra axiom failed: cocommutativity: FAIL at (i,j,k)=(1,0,1)")
+
+
+def test_coalg_tensor_refuses_a_product_no_loader_reads_back(tmp_path):
+    paths = []
+    for m in (12, 13):
+        paths.append(_write(tmp_path, sz.coalgebra_to_obj(set_like(ZZ, [f"p{i}" for i in range(m)])), f"set{m}.json"))
+    start = time.perf_counter()
+    code, text = run_command(["tensor", paths[1], paths[1]], "coalg")
+    assert time.perf_counter() - start < 1
+    assert (code, text) == (2, f"error: tensor product rank 169 exceeds the bound {sz.MAX_RANK}")
+    out = str(tmp_path / "square.json")
+    assert run_command(["tensor", paths[0], paths[0], "-o", out], "coalg") == (
+        0, f"tensor product: rank 144 over Z\nwrote {out}")
+    code, text = run_command(["check", out], "coalg")
+    assert code == 0 and text.endswith("overall: pass")
 
 
 def _interval_with(**edits):

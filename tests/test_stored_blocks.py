@@ -10,6 +10,7 @@ first failure every check reports.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -193,7 +194,11 @@ def _locations(report):
     return tuple(check.location if not check.passed else "" for check in report.checks)
 
 
-@pytest.mark.parametrize("name,ring,corpus", CORPORA, ids=IDS)
+SMALL_PRIMES = [(f"F_{q.p}", q, [e.coalgebra for e in generate_coalgebras(255, 8, max_rank=5, ring=q)])
+                for q in map(prime_field, (2, 3, 7))]
+
+
+@pytest.mark.parametrize("name,ring,corpus", CORPORA + SMALL_PRIMES, ids=IDS + [name for name, _, _ in SMALL_PRIMES])
 def test_coalgebra_validation_matches_dense_oracle(name, ring, corpus):
     rng = random.Random(251)
     p = ring.p if ring.kind == "Fp" else None
@@ -207,6 +212,20 @@ def test_coalgebra_validation_matches_dense_oracle(name, ring, corpus):
             assert _locations(report) == want
             failures |= {check.name for check in report.checks if not check.passed}
     assert failures == {"cocommutativity", "coassociativity", "counit law (left)", "counit law (right)"}
+
+
+def test_validating_a_large_sparse_tensor_holds_no_dense_buffer():
+    """Rank 4096 with one nonzero per block: an n^2 list per basis index alone would take 128 MB."""
+    points = set_like(ZZ, [f"p{i}" for i in range(64)])
+    big = tensor(points, points)
+    tracemalloc.start()
+    try:
+        report = validate_coalgebra(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big.rank == 4096 and report.overall
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ZS, F101], ids=IDS)

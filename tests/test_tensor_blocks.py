@@ -337,32 +337,57 @@ def test_compatibility_and_subcoalgebra_rejections_fire():
     assert Filtration(c, [v0, Lattice.from_rows(ZZ, 3, [[1, 0, 0], [0, 1, 0]]), Lattice.full(ZZ, 3)])
 
 
+def _algebra_families():
+    """(family, [(coalgebra, p)]): corpus coalgebras over Z, F_7, Q, Z[1/2,1/3] and F_2 / F_3, p None off F_p.
+
+    Over Z[1/2,1/3] the coalgebras are conjugated by diag(1, ..., 1/6), so
+    the dual's constants are Fractions and its blocks need a denominator.
+    """
+    ZS = localized_integers([2, 3])
+
+    def sixth(n):
+        return Matrix(ZS, [[Fraction(1, 6 if i == n - 1 else 1) * (i == j) for j in range(n)] for i in range(n)], n)
+
+    over_z = [e.coalgebra for e in generate_coalgebras(109, 6, max_rank=5)]
+    over_zs = [conjugate(e.coalgebra, sixth(e.coalgebra.rank))
+               for e in generate_coalgebras(113, 8, max_rank=5, ring=ZS)]
+    small = [(e.coalgebra, p) for p in (2, 3) for e in generate_coalgebras(127, 4, max_rank=5, ring=prime_field(p))]
+    return [("Z", [(c, None) for c in over_z]),
+            ("F_7", [(e.coalgebra, 7) for e in generate_coalgebras(109, 6, max_rank=5, ring=prime_field(7))]),
+            ("Q", [(_over_q(c), None) for c in over_z]),
+            ("Z[1/2,1/3]", [(c, None) for c in over_zs]),
+            ("F_2/F_3", small)]
+
+
 def test_algebra_validate_matches_per_triple_oracle():
     rng = random.Random(107)
-    cases = []
-    for ring, p in ((ZZ, None), (prime_field(7), 7)):
-        for entry in generate_coalgebras(109, 6, max_rank=5, ring=ring):
-            cases.append((dual_algebra(entry.coalgebra), p))
-    for a, p in list(cases):
-        n = a.rank
-        for _ in range(3):
-            # perturb one structure constant, or the unit, and compare first failures
-            rows = [list(row) for row in a.mult.rows]
-            unit = list(a.unit)
-            if rng.random() < 0.25:
-                unit[rng.randrange(n)] += 1
-            else:
-                rows[rng.randrange(n * n)][rng.randrange(n)] += rng.choice([-1, 1, 2])
-            cases.append((type(a)(a.ring, n, Matrix(a.ring, rows, n), unit), p))
-    failures = 0
-    for a, p in cases:
-        report = a.validate()
-        got = tuple(check.location if not check.passed else "" for check in report.checks)
-        want = oracles.algebra_axiom_locations(a.mult.rows, a.unit, a.rank, p)
-        assert [check.name for check in report.checks] == ["commutativity", "associativity", "unit law"]
-        assert got == want
-        failures += not report.overall
-    assert failures >= 20
+    for family, coalgebras in _algebra_families():
+        cases = []
+        for c, p in coalgebras:
+            a = dual_algebra(c)
+            cases.append((a, p))
+            n = a.rank
+            for _ in range(3):
+                # perturb one structure constant, or the unit, by a nonzero element, and compare first failures
+                rows = [list(row) for row in a.mult.rows]
+                unit = list(a.unit)
+                shift = a.ring.normalize(rng.choice([-1, 1, 2])) or a.ring.one
+                if rng.random() < 0.25:
+                    unit[rng.randrange(n)] += shift
+                else:
+                    rows[rng.randrange(n * n)][rng.randrange(n)] += shift
+                cases.append((type(a)(a.ring, n, Matrix(a.ring, rows, n), unit), p))
+        if family == "Z[1/2,1/3]":
+            assert sum(dual_of_algebra(a).denom != 1 for a, _ in cases[::4]) >= 3
+        failed = set()
+        for a, p in cases:
+            report = a.validate()
+            got = tuple(check.location if not check.passed else "" for check in report.checks)
+            want = oracles.algebra_axiom_locations(a.mult.rows, a.unit, a.rank, p)
+            assert [check.name for check in report.checks] == ["commutativity", "associativity", "unit law"]
+            assert got == want, family
+            failed |= {check.name for check in report.checks if not check.passed}
+        assert failed == {"commutativity", "associativity", "unit law"}, family
 
 
 def _load_tracer():
