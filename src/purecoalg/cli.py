@@ -353,6 +353,11 @@ def _corpus_parser():
 
 
 def _cmd_corpus(args) -> tuple[int, str]:
+    if args.max_rank < 1:
+        raise ValidationError(f"--max-rank must be at least 1, got {args.max_rank}")
+    if args.max_rank > serialize.MAX_RANK:
+        # a recipe could reach a rank no loader reads back
+        raise TooLarge(f"--max-rank {args.max_rank} exceeds the bound {serialize.MAX_RANK}")
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)

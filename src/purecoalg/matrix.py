@@ -13,16 +13,19 @@ forms, which is what makes lattice equality a bitwise comparison.
 One elimination kernel runs over Z and over F_p, and every normal form
 comes from it: Hermite forms and left kernels directly, Smith forms
 from alternating Hermite passes on the rows and on the columns, and a
-gcd/lcm pass over the diagonal.  Over Q and Z[S^-1] each row is first
-cleared by the lcm of its denominators, a unit of the ring, so the row
-module does not change; the integer kernel runs on the cleared rows,
-and one boundary pass turns its result into the canonical form over the
-ring: each pivot (or Smith divisor) becomes its canonical associate,
-and the entries above each pivot are reduced to canonical residues, in
-pivot order.  That pass works on integer rows
-over one denominator per row, so Fractions are formed only for the
-entries it returns, never inside the O(n^3) loops.  The integer
-transforms carry the row scales and the unit factors of the pivots.
+gcd/lcm pass over the diagonal.  A transform rides along as columns
+appended to the rows that are never pivots, so each row operation is
+written once: the kernel turns [A | T] into [U * A | U * T] (Cohen,
+GTM 138, 2.4).  Over Q and Z[S^-1] each row is first cleared by the lcm
+of its denominators, a unit of the ring, so the row module does not
+change; the integer kernel runs on the cleared rows with T = diag(row
+scales) (the identity over Z and F_p), so U * T transforms the rows
+themselves.  One boundary pass on whole integer rows, riding columns
+included, then makes each pivot (or Smith divisor) its canonical
+associate and reduces the entries above each pivot to canonical
+residues, in pivot order.  It keeps one denominator per row, so
+Fractions are formed only for the entries it returns, never inside
+the O(n^3) loops.
 
 Entries are arbitrary precision, so no overflow policy is needed; the
 elimination kernel favors the exact-division fast path and falls back
@@ -203,20 +206,19 @@ def _post_fn(ring: Ring):
     return ring.reduce_row if ring.kind == "Fp" else None
 
 
-def _elim(ring: Ring, rows, ncols: int, track: bool):
-    """The elimination kernel, over Z or F_p.
+def _elim(ring: Ring, rows, ncols: int):
+    """The elimination kernel, over Z or F_p: (reduced rows, rank).
 
-    Returns (reduced rows, transform rows or None, rank).  The reduced
-    rows hold the canonical Hermite form on top and exact zero rows
-    below; when ``track`` is set, the returned transform U is a square
-    matrix, invertible over the ring, with U * input = reduced.
+    The first ncols entries of the reduced rows hold the canonical
+    Hermite form on top and exact zero rows below.  Entries past ncols
+    are never pivots but take part in every row operation, so rows
+    [A | T] come back as [U * A | U * T] with U invertible over the ring.
     """
     A = [list(r) for r in rows]
     m = len(A)
     post = _post_fn(ring)
     if post:
         A = [post(r) for r in A]
-    U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
     one = ring.one
     try_div = ring.try_exact_div
     gcdex = ring.gcdex
@@ -232,28 +234,21 @@ def _elim(ring: Ring, rows, ncols: int, track: bool):
             continue
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
-            if track:
-                U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
             b = A[i][c]
             if not b:
                 continue
             a = A[r][c]
             q = try_div(b, a)
+            Ar, Ai = A[r], A[i]
             if q is not None:
-                Ar, Ai = A[r], A[i]
                 Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
                 if post:
                     A[i] = post(Ai)
-                if track:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-                    if post:
-                        U[i] = post(U[i])
             else:
                 g, s, t = gcdex(a, b)
                 af = exact_div(a, g)
                 bf = exact_div(b, g)
-                Ar, Ai = A[r], A[i]
                 tail_r = [s * x + t * y for x, y in zip(Ar[c:], Ai[c:])]
                 tail_i = [af * y - bf * x for x, y in zip(Ar[c:], Ai[c:])]
                 Ar[c:] = tail_r
@@ -261,22 +256,12 @@ def _elim(ring: Ring, rows, ncols: int, track: bool):
                 if post:
                     A[r] = post(Ar)
                     A[i] = post(Ai)
-                if track:
-                    Ur, Ui = U[r], U[i]
-                    new_r = [s * x + t * y for x, y in zip(Ur, Ui)]
-                    new_i = [af * y - bf * x for x, y in zip(Ur, Ui)]
-                    U[r] = post(new_r) if post else new_r
-                    U[i] = post(new_i) if post else new_i
         # normalize the pivot to its canonical associate
         u_, _canon = ring.canonicalize_unit(A[r][c])
         if u_ != one:
             A[r] = [u_ * x for x in A[r]]
             if post:
                 A[r] = post(A[r])
-            if track:
-                U[r] = [u_ * x for x in U[r]]
-                if post:
-                    U[r] = post(U[r])
         # reduce entries above the pivot to canonical residues
         a = A[r][c]
         for i in range(r):
@@ -289,14 +274,10 @@ def _elim(ring: Ring, rows, ncols: int, track: bool):
                 Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
                 if post:
                     A[i] = post(Ai)
-                if track:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-                    if post:
-                        U[i] = post(U[i])
         r += 1
         if r == m:
             break
-    return A, U, r
+    return A, r
 
 
 def _kernel_input(ring: Ring, rows):
@@ -308,9 +289,14 @@ def _kernel_input(ring: Ring, rows):
     return ZZ, ints, scales
 
 
-def _scaled_columns(rows, scales):
-    """rows * diag(scales): a transform of the cleared rows made a transform of the rows."""
-    return [[x * s for x, s in zip(row, scales)] for row in rows]
+def _start(ring: Ring, n: int, scales) -> list:
+    """The transform that riding columns start from: diag(row scales) over Q and Z[S^-1], else the identity.
+
+    The kernel then returns U * diag(scales), a transform of the cleared
+    rows made a transform of the rows themselves.
+    """
+    zero = ring.zero
+    return [[zero] * i + [d] + [zero] * (n - 1 - i) for i, d in enumerate(scales or [ring.one] * n)]
 
 
 _ZERO = Fraction(0)
@@ -323,15 +309,15 @@ def _fractions(row, d: int) -> list:
     return [Fraction(x, d) if x else _ZERO for x in row]
 
 
-def _boundary(ring: Ring, A, U) -> list[int]:
+def _boundary(ring: Ring, A) -> list[int]:
     """Integer Hermite rows made the canonical Hermite form over Q or Z[S^-1], in place.
 
     Returns one positive integer d_k per row, and row k of the form is
-    A[k] / d_k (U[k] / d_k for the transform, when U is given).  In pivot
-    order, the integer pivot p of row k becomes its canonical associate
-    c (d_k = p / c, a unit), and every row i above it is reduced by the
-    q with b - q * c the canonical residue of its entry b in that column:
-    in integers, row i becomes (p * A[i] - t * A[k]) / (d_i * p) with
+    A[k] / d_k, riding columns included.  In pivot order, the integer
+    pivot p of row k becomes its canonical associate c (d_k = p / c, a
+    unit), and every row i above it is reduced by the q with b - q * c
+    the canonical residue of its entry b in that column: in integers,
+    row i becomes (p * A[i] - t * A[k]) / (d_i * p) with
     t = d_i * (b - residue), and the common content is divided out.
     """
     dens = [1] * len(A)
@@ -349,14 +335,10 @@ def _boundary(ring: Ring, A, U) -> list[int]:
             if not t:
                 continue
             A[i] = [p * x - t * y for x, y in zip(A[i], row)]
-            if U is not None:
-                U[i] = [p * x - t * y for x, y in zip(U[i], U[k])]
             d *= p
-            g = math.gcd(d, *A[i], *(U[i] if U is not None else ()))
+            g = math.gcd(d, *A[i])
             if g != 1:
                 A[i] = [x // g for x in A[i]]
-                if U is not None:
-                    U[i] = [x // g for x in U[i]]
             dens[i] = d // g
     return dens
 
@@ -368,16 +350,16 @@ def _hnf_rows(ring: Ring, rows, ncols: int, track: bool):
     equal to the Hermite rows on top and zero below.
     """
     base, ints, scales = _kernel_input(ring, rows)
-    A, U, r = _elim(base, ints, ncols, track)
+    if track:
+        ints = [row + t for row, t in zip(ints, _start(base, len(ints), scales))]
+    A, r = _elim(base, ints, ncols)
     if scales is None:
-        return A[:r], U, r
-    A = A[:r]
-    if track:
-        U = _scaled_columns(U, scales)
-    dens = _boundary(ring, A, U)
-    if track:
-        U = [_fractions(row, d) for row, d in zip(U, dens)] + [_fractions(row, 1) for row in U[r:]]
-    return [_fractions(row, d) for row, d in zip(A, dens)], U, r
+        return [row[:ncols] for row in A[:r]], ([row[ncols:] for row in A] if track else None), r
+    top = A[:r]
+    dens = _boundary(ring, top) + [1] * (len(A) - r)
+    A[:r] = top
+    U = [_fractions(row[ncols:], d) for row, d in zip(A, dens)] if track else None
+    return [_fractions(row[:ncols], d) for row, d in zip(top, dens)], U, r
 
 
 def from_integer_hermite(ring: Ring, rows, ncols: int) -> Matrix:
@@ -386,7 +368,7 @@ def from_integer_hermite(ring: Ring, rows, ncols: int) -> Matrix:
     This is the boundary pass alone.
     """
     A = [list(row) for row in rows]
-    dens = _boundary(ring, A, None)
+    dens = _boundary(ring, A)
     return Matrix._owning(ring, [_fractions(row, d) for row, d in zip(A, dens)], ncols)
 
 
@@ -417,12 +399,11 @@ def left_kernel_rows(mat: Matrix) -> list[list]:
     """
     ring = mat.ring
     base, ints, scales = _kernel_input(ring, mat.rows)
-    _, U, r = _elim(base, ints, mat.ncols, track=True)
-    kernel = U[r:] if scales is None else _scaled_columns(U[r:], scales)
-    ker, _, k = _elim(base, kernel, mat.nrows, track=False)
+    h, U = _hermite_pass(base, ints, _start(base, mat.nrows, scales), mat.ncols)
+    ker, _ = _hermite_pass(base, U[len(h):], None, mat.nrows)
     if scales is None:
-        return ker[:k]
-    return from_integer_hermite(ring, ker[:k], mat.nrows).rows
+        return ker
+    return from_integer_hermite(ring, ker, mat.nrows).rows
 
 
 def snf(mat: Matrix) -> tuple[list, Matrix, Matrix]:
@@ -452,15 +433,15 @@ def _snf_rows(ring: Ring, rows, ncols: int, track: bool):
 
     With U_Z * (D * rows) * V = diag(e) over Z, D the row scales, the
     divisor e_k has canonical associate c_k = u_k * e_k, and U is
-    diag(u) * U_Z * D.
+    diag(u) * U_Z * D, where U_Z * D is what the kernel returns when
+    the transform starts from D.
     """
     base, ints, scales = _kernel_input(ring, rows)
-    divs, U, V = _smith(base, ints, ncols, track)
+    divs, U, V = _smith(base, ints, ncols, _start(base, len(ints), scales) if track else None)
     if scales is None:
         return divs, U, V
     canon = [ring.canonicalize_unit(e)[1] for e in divs]
     if track:
-        U = _scaled_columns(U, scales)
         U = [[Fraction(x * c.numerator, e) for x in row] for row, c, e in zip(U, canon, divs)] + [
             _fractions(row, 1) for row in U[len(divs):]
         ]
@@ -469,19 +450,20 @@ def _snf_rows(ring: Ring, rows, ncols: int, track: bool):
 
 
 def _hermite_pass(ring: Ring, block, transform, ncols: int):
-    """(nonzero Hermite rows of block, transform or None): one run of the kernel.
+    """(nonzero Hermite rows of block, transform or None): one run of the kernel, the transform split off.
 
     The first len(block) rows of the transform ride along as extra
-    columns, so the row operations reach them without a product.
+    columns, so the row operations reach them without a product; its
+    rows past the block stay as they are.
     """
     if transform is None:
-        A, _, r = _elim(ring, block, ncols, False)
+        A, r = _elim(ring, block, ncols)
         return A[:r], None
-    A, _, r = _elim(ring, [row + t for row, t in zip(block, transform)], ncols, False)
+    A, r = _elim(ring, [row + t for row, t in zip(block, transform)], ncols)
     return [row[:ncols] for row in A[:r]], [row[ncols:] for row in A] + transform[len(block):]
 
 
-def _smith(ring: Ring, rows, ncols: int, track: bool):
+def _smith(ring: Ring, rows, ncols: int, transform):
     """(divisors, U, V) over Z or F_p with U * rows * V = diag(divisors), by alternating Hermite passes.
 
     A pass brings the rows of the block to Hermite form; the next brings
@@ -493,11 +475,13 @@ def _smith(ring: Ring, rows, ncols: int, track: bool):
     leaves the block diagonal (Kannan and Bachem, SIAM J.
     Comput. 8, 1979; Cohen, GTM 138, 2.4.4).  A gcd/lcm pass over the
     diagonal then forces d_1 | d_2 | ...; over F_p every pivot is 1 and
-    it changes nothing.  Row operations act on the rows of U, column
-    operations on the rows of V^T.
+    it changes nothing.  Row operations act on the rows of U, which
+    starts from the given transform T (so the U returned is the row
+    transform times T), column operations on the rows of V^T, which
+    starts from the identity; with T None neither is formed.
     """
     # the transforms [U, V^T]; a pass on the rows of the block acts on the rows of one of them
-    transforms = [Matrix.identity(ring, len(rows)).rows, Matrix.identity(ring, ncols).rows] if track else [None, None]
+    transforms = [transform, None if transform is None else _start(ring, ncols, None)]
     block, width, side = rows, ncols, 0
     while True:
         block, transforms[side] = _hermite_pass(ring, block, transforms[side], width)
@@ -515,7 +499,7 @@ def _smith(ring: Ring, rows, ncols: int, track: bool):
             g, s, t = ring.gcdex(a, b)
             af, bf = ring.exact_div(a, g), ring.exact_div(b, g)
             divs[i], divs[j] = g, af * b
-            if track:
+            if U is not None:
                 Ui, Uj, Vi, Vj = U[i], U[j], Vt[i], Vt[j]
                 U[i] = [s * x + t * y for x, y in zip(Ui, Uj)]
                 U[j] = [af * y - bf * x for x, y in zip(Ui, Uj)]

@@ -7,12 +7,16 @@ division by small primes, then Miller-Rabin with the fixed witness set
 user-supplied primes).  Factoring combines trial division with Brent's
 variant of Pollard's rho; it is used on elementary divisors and on
 characteristic-polynomial constant terms, which stay far below the
-proven primality bound at desk scale.
+proven primality bound at desk scale.  A cofactor at or above that
+bound, with no prime factor below 1000, is refused with ``TooLarge``:
+its primality cannot be certified, and rho never ends on a prime.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import TooLarge
 
 # Proven deterministic Miller-Rabin witnesses for n < 3_317_044_064_679_887_385_961_981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -106,7 +110,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0 as an exponent dict."""
+    """Prime factorization of n > 0 as an exponent dict; TooLarge on a cofactor past the primality bound."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -121,6 +125,8 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
+        if m >= _MR_PROVEN_BOUND:
+            raise TooLarge(f"cannot factor {m}: its primality is only certified below {_MR_PROVEN_BOUND}")
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -8,30 +8,32 @@ operations whose meaning depends on the ring.
 
 The normal forms need slightly more than ring arithmetic:
 
-* ``gcdex(a, b)`` returns ``(g, s, t)`` with ``g = s*a + t*b`` where g
-  is the canonical generator of the ideal (a, b): positive for Z, a
-  positive integer prime to S for Z[S^-1], 1 over a field.
 * ``canonicalize_unit(a)`` returns ``(u, c)`` with ``c = u*a`` the
-  canonical associate of a.
-* ``mod_reduce(a, m)`` returns ``(q, r)`` with ``a = q*m + r`` and r the
-  canonical residue modulo a canonical m; this is what makes Hermite
-  forms bit-reproducible.
+  canonical associate of a: positive for Z, a positive integer prime to
+  S for Z[S^-1], 1 over a field.
 * ``cleared(rows)`` returns, over Q and Z[S^-1], one scale per row and
   the integer rows it clears: the scale is the lcm of the row's
   denominators, a unit of the ring, so the row module does not change.
   Over Z and F_p it returns None: the rows already are the integers (or
   residues) that the elimination kernel works on.
 
+The Euclidean operations exist on Z and F_p only, the rings the
+elimination kernel runs over:
+
+* ``gcdex(a, b)`` returns ``(g, s, t)`` with ``g = s*a + t*b`` where g
+  is the canonical generator of the ideal (a, b).
+* ``try_exact_div(b, a)`` and ``exact_div(b, a)`` divide within the ring.
+* ``mod_reduce(a, m)`` returns ``(q, r)`` with ``a = q*m + r`` and r the
+  canonical residue modulo a canonical m; this is what makes Hermite
+  forms bit-reproducible.
+
 Q and Z[S^-1] eliminate over Z on cleared rows (see ``matrix``); only
 the canonical associates and residues of the result are formed in the
 ring, through ``canonicalize_unit`` and the integer residues modulo a
-canonical pivot.  Their own ``gcdex``, ``mod_reduce`` and
-``try_exact_div`` now serve only the former Fraction kernels that the
-tests keep as oracles.  Over Z[S^-1] every element factors as unit
-times a nonnegative integer prime to S (its "S-free part"); gcds,
-canonical associates, and residues are all computed through that
-decomposition, which is what turns purity away from S into a
-denominator-free condition.
+canonical pivot.  Over Z[S^-1] every element factors as unit times a
+nonnegative integer prime to S (its "S-free part"); canonical
+associates and units are computed through that decomposition, which is
+what turns purity away from S into a denominator-free condition.
 """
 
 from __future__ import annotations
@@ -88,16 +90,6 @@ class Ring:
         """(scales, integer rows) over Q and Z[S^-1]; None over Z and F_p, whose rows are already integral."""
         return None
 
-    def exact_div(self, b, a):
-        """b / a within the ring; raises ZeroDivisionError or ValueError."""
-        q = self.try_exact_div(b, a)
-        if q is None:
-            raise ValueError(f"{b} is not divisible by {a} in {self}")
-        return q
-
-    def divides(self, a, b) -> bool:
-        return self.try_exact_div(b, a) is not None
-
     # --- serialization ----------------------------------------------
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -119,7 +111,18 @@ class Ring:
         raise NotImplementedError
 
 
-class IntegerRing(Ring):
+class _EuclideanRing(Ring):
+    """Z and F_p, the rings the elimination kernel runs over."""
+
+    def exact_div(self, b, a):
+        """b / a within the ring; raises ZeroDivisionError or ValueError."""
+        q = self.try_exact_div(b, a)
+        if q is None:
+            raise ValueError(f"{b} is not divisible by {a} in {self}")
+        return q
+
+
+class IntegerRing(_EuclideanRing):
     kind = "Z"
     is_field = False
     zero = 0
@@ -210,29 +213,10 @@ class RationalRing(_SubringOfQ):
         return a != 0
 
     @staticmethod
-    def try_exact_div(b, a):
-        if a == 0:
-            return Fraction(0) if b == 0 else None
-        return Fraction(b) / a
-
-    @staticmethod
     def canonicalize_unit(a):
         if a == 0:
             return Fraction(1), Fraction(0)
         return 1 / Fraction(a), Fraction(1)
-
-    @staticmethod
-    def gcdex(a, b):
-        if a != 0:
-            return Fraction(1), 1 / Fraction(a), Fraction(0)
-        if b != 0:
-            return Fraction(1), Fraction(0), 1 / Fraction(b)
-        return Fraction(0), Fraction(0), Fraction(0)
-
-    @staticmethod
-    def mod_reduce(a, m):
-        # canonical pivots are 1, so the residue is always 0
-        return Fraction(a) / m, Fraction(0)
 
     def normalize(self, a):
         if isinstance(a, bool):
@@ -256,7 +240,7 @@ class RationalRing(_SubringOfQ):
             raise ParseError(f"{s!r} is not a rational") from None
 
 
-class PrimeField(Ring):
+class PrimeField(_EuclideanRing):
     kind = "Fp"
     is_field = True
     zero = 0
@@ -365,33 +349,11 @@ class LocalizedIntegerRing(_SubringOfQ):
     def is_unit(self, a) -> bool:
         return a != 0 and self._s_free(a.numerator) == 1
 
-    def try_exact_div(self, b, a):
-        if a == 0:
-            return Fraction(0) if b == 0 else None
-        q = Fraction(b) / a
-        return q if self._den_ok(q.denominator) else None
-
     def canonicalize_unit(self, a):
         if a == 0:
             return Fraction(1), Fraction(0)
         c = self._s_free(a.numerator)
         return Fraction(c * a.denominator, a.numerator), Fraction(c)
-
-    def gcdex(self, a, b):
-        if a == 0 and b == 0:
-            return Fraction(0), Fraction(0), Fraction(0)
-        sa, sb = self._s_free(a.numerator), self._s_free(b.numerator)
-        g, s0, t0 = xgcd(sa, sb)
-        s = s0 * Fraction(sa) / a if a else Fraction(0)
-        t = t0 * Fraction(sb) / b if b else Fraction(0)
-        return Fraction(g), s, t
-
-    def mod_reduce(self, a, m):
-        m_int = int(m)
-        if m_int == 1:
-            return a, Fraction(0)
-        r = a.numerator * pow(a.denominator, -1, m_int) % m_int
-        return (a - r) / m, Fraction(r)
 
     def normalize(self, a):
         if isinstance(a, bool):

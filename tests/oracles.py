@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from purecoalg.numtheory import xgcd
 from purecoalg.polyroots import integer_roots
 
 
@@ -848,7 +849,79 @@ def map_axiom_locations(f, p=None):
 # Hermite and Smith elimination and lattice membership once ran on each
 # ring's own arithmetic: Fractions with ``gcdex``, ``try_exact_div`` and
 # ``mod_reduce`` over Q and Z[S^-1].  They are kept here unchanged so the
-# integer kernels with their boundary pass can be compared with them.
+# integer kernels with their boundary pass can be compared with them, and
+# so are those Euclidean operations, which the package keeps on Z and
+# F_p only.
+
+
+class _FractionDivision:
+    """The Euclidean operations Q and Z[S^-1] once carried."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def exact_div(self, b, a):
+        """b / a within the ring; raises ZeroDivisionError or ValueError."""
+        q = self.try_exact_div(b, a)
+        if q is None:
+            raise ValueError(f"{b} is not divisible by {a} in {self.ring}")
+        return q
+
+
+class _RationalDivision(_FractionDivision):
+    @staticmethod
+    def try_exact_div(b, a):
+        if a == 0:
+            return Fraction(0) if b == 0 else None
+        return Fraction(b) / a
+
+    @staticmethod
+    def gcdex(a, b):
+        if a != 0:
+            return Fraction(1), 1 / Fraction(a), Fraction(0)
+        if b != 0:
+            return Fraction(1), Fraction(0), 1 / Fraction(b)
+        return Fraction(0), Fraction(0), Fraction(0)
+
+    @staticmethod
+    def mod_reduce(a, m):
+        # canonical pivots are 1, so the residue is always 0
+        return Fraction(a) / m, Fraction(0)
+
+
+class _LocalizedDivision(_FractionDivision):
+    def try_exact_div(self, b, a):
+        if a == 0:
+            return Fraction(0) if b == 0 else None
+        q = Fraction(b) / a
+        return q if self.ring.contains_fraction(q) else None
+
+    def gcdex(self, a, b):
+        """(g, s, t) with g = s*a + t*b and g the gcd of the S-free parts of a and b."""
+        if a == 0 and b == 0:
+            return Fraction(0), Fraction(0), Fraction(0)
+        sa, sb = self.ring.canonicalize_unit(a)[1], self.ring.canonicalize_unit(b)[1]
+        g, s0, t0 = xgcd(int(sa), int(sb))
+        s = s0 * sa / a if a else Fraction(0)
+        t = t0 * sb / b if b else Fraction(0)
+        return Fraction(g), s, t
+
+    @staticmethod
+    def mod_reduce(a, m):
+        m_int = int(m)
+        if m_int == 1:
+            return a, Fraction(0)
+        r = a.numerator * pow(a.denominator, -1, m_int) % m_int
+        return (a - r) / m, Fraction(r)
+
+
+def division(ring):
+    """``gcdex``, ``try_exact_div``, ``exact_div`` and ``mod_reduce``: the ring's own over Z and F_p, the former Fraction ones over Q and Z[S^-1]."""
+    if ring.kind == "Q":
+        return _RationalDivision(ring)
+    if ring.kind == "ZS":
+        return _LocalizedDivision(ring)
+    return ring
 
 
 def fraction_hnf_rows(ring, rows, ncols: int, track: bool):
@@ -866,9 +939,10 @@ def fraction_hnf_rows(ring, rows, ncols: int, track: bool):
         A = [post(r) for r in A]
     U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
     one = ring.one
-    try_div = ring.try_exact_div
-    gcdex = ring.gcdex
-    exact_div = ring.exact_div
+    ops = division(ring)
+    try_div = ops.try_exact_div
+    gcdex = ops.gcdex
+    exact_div = ops.exact_div
     r = 0
     for c in range(ncols):
         piv = None
@@ -931,7 +1005,7 @@ def fraction_hnf_rows(ring, rows, ncols: int, track: bool):
             b = A[i][c]
             if not b:
                 continue
-            q, _ = ring.mod_reduce(b, a)
+            q, _ = ops.mod_reduce(b, a)
             if q:
                 Ai, Ar = A[i], A[r]
                 Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
@@ -957,9 +1031,10 @@ def fraction_snf_rows(ring, rows, ncols: int, track: bool):
         A = [post(r) for r in A]
     U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)] if track else None
     V = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)] if track else None
-    try_div = ring.try_exact_div
-    gcdex = ring.gcdex
-    exact_div = ring.exact_div
+    ops = division(ring)
+    try_div = ops.try_exact_div
+    gcdex = ops.gcdex
+    exact_div = ops.exact_div
 
     def row_combine(r, i, c):
         """Clear A[i][c] against pivot A[r][c] via a unimodular row pair."""
@@ -1106,7 +1181,7 @@ def fraction_solve(lattice, vector):
         if not c:
             coords.append(ring.zero)
             continue
-        q = ring.try_exact_div(c, row[pc])
+        q = division(ring).try_exact_div(c, row[pc])
         if q is None:
             member = False
             break

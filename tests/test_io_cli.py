@@ -166,6 +166,28 @@ def test_cli_corpus_generate(tmp_path):
         assert c.rank == record["rank"]
 
 
+def test_cli_corpus_refuses_a_max_rank_out_of_range(tmp_path):
+    out = tmp_path / "corp"
+    for bad in (0, -3):
+        code, text = run_command(["generate", "--seed", "5", "--max-rank", str(bad), "--out", str(out)], "corpus")
+        assert (code, text) == (2, f"error: --max-rank must be at least 1, got {bad}")
+    code, text = run_command(["generate", "--seed", "5", "--max-rank", str(sz.MAX_RANK + 1)], "corpus")
+    assert (code, text) == (2, f"error: --max-rank {sz.MAX_RANK + 1} exceeds the bound {sz.MAX_RANK}")
+    assert not out.exists()
+    code, text = run_command(["generate", "--seed", "5", "--count", "2", "--max-rank", "1"], "corpus")
+    assert code == 0 and text.startswith("generated 2 coalgebras")
+
+
+def test_factoring_past_the_primality_bound_is_refused(tmp_path):
+    """Z[x]/(x^2 - N) with N = 2 * (10^40 + 121): the cofactor 10^40 + 121 has no certified primality test."""
+    cofactor = 10**40 + 121
+    path = _write(tmp_path, sz.coalgebra_to_obj(dual_of_algebra(monogenic_algebra(ZZ, [2 * cofactor, 0]))))
+    assert run_command(["check", path], "coalg")[0] == 0
+    for verb in ("grouplikes", "pointed"):
+        code, text = run_command([verb, path], "coalg")
+        assert code == 2 and text.startswith(f"error: cannot factor {cofactor}:")
+
+
 def test_unsupported_ring_exit_code(tmp_path):
     from purecoalg import prime_field
 
