@@ -93,8 +93,11 @@ class Coalgebra:
     checked: "search", the semisimple dimension and the characters from
     one character search (``grouplike``); "group_likes", the certified
     GroupLikeSet; "components", the validated ComponentDecomposition
-    (``structure.components``).  A call that raises stores nothing, and
-    equality and hashing ignore the slot.
+    (``structure.components``); "filtration", the validated coradical
+    Filtration (``structure.coradical_filtration``).  A call that raises
+    stores nothing, and equality and hashing ignore the slot.  What is
+    held is shared by every caller, so a held Filtration, like a held
+    lattice, is immutable by convention too.
     """
 
     __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit", "_derived")

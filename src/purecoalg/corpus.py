@@ -24,6 +24,7 @@ from .coalgebra import (
     tensor,
     truncated_polynomial_algebra,
 )
+from .errors import ValidationError
 from .lattice import Lattice
 from .matrix import Matrix
 from .rings import ZZ, Ring
@@ -113,6 +114,12 @@ def _cumulative(graded):
     return tuple(out)
 
 
+def _require_rank_bound(name: str, bound: int):
+    """Refuse a rank bound below 1 before anything is drawn: no recipe has rank below 1."""
+    if bound < 1:
+        raise ValidationError(f"{name} must be at least 1, got {bound}")
+
+
 def _leaf(rng: random.Random, ring: Ring, max_rank: int) -> CorpusCoalgebra:
     if rng.random() < 0.45:
         k = rng.randint(1, min(3, max_rank))
@@ -146,6 +153,7 @@ def generate_coalgebras(
     twist: bool = True,
 ) -> list[CorpusCoalgebra]:
     """Deterministic corpus of pointed coalgebras with known invariants."""
+    _require_rank_bound("max_rank", max_rank)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -173,6 +181,7 @@ def generate_tensor_pairs(
     ring: Ring = ZZ,
 ) -> list[tuple[CorpusCoalgebra, CorpusCoalgebra]]:
     """Pairs whose tensor product stays at desk scale."""
+    _require_rank_bound("max_product_rank", max_product_rank)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -188,6 +197,7 @@ def generate_tensor_pairs(
 
 def generate_maps(seed: int, count: int, max_rank: int = 10, ring: Ring = ZZ) -> list[CorpusMap]:
     """Deterministic corpus of valid maps between pointed coalgebras."""
+    _require_rank_bound("max_rank", max_rank)
     rng = random.Random(seed)
     entries = generate_coalgebras(seed + 1, max(8, count // 4), max_rank=max_rank, ring=ring)
     out = []

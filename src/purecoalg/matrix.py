@@ -467,12 +467,14 @@ def _smith(ring: Ring, rows, ncols: int, transform):
     """(divisors, U, V) over Z or F_p with U * rows * V = diag(divisors), by alternating Hermite passes.
 
     A pass brings the rows of the block to Hermite form; the next brings
-    its columns there, as the rows of the transpose.  After two passes
-    the nonzero part is a square block with its pivots on the diagonal.
-    Take the first pivot whose row or column is not clear: the next pass
-    clears them or makes it a proper divisor of itself, and cleared rows
-    and columns stay clear, so the passes end, at the first one that
-    leaves the block diagonal (Kannan and Bachem, SIAM J.
+    its columns there, as the rows of the transpose.  An input with no
+    more rows than columns starts with its columns: a Hermite basis, the
+    usual input, would come through a first row pass unchanged.  After
+    two passes the nonzero part is a square block with its pivots on the
+    diagonal.  Take the first pivot whose row or column is not clear: the
+    next pass clears them or makes it a proper divisor of itself, and
+    cleared rows and columns stay clear, so the passes end, at the first
+    one that leaves the block diagonal (Kannan and Bachem, SIAM J.
     Comput. 8, 1979; Cohen, GTM 138, 2.4.4).  A gcd/lcm pass over the
     diagonal then forces d_1 | d_2 | ...; over F_p every pivot is 1 and
     it changes nothing.  Row operations act on the rows of U, which
@@ -483,6 +485,8 @@ def _smith(ring: Ring, rows, ncols: int, transform):
     # the transforms [U, V^T]; a pass on the rows of the block acts on the rows of one of them
     transforms = [transform, None if transform is None else _start(ring, ncols, None)]
     block, width, side = rows, ncols, 0
+    if len(rows) <= ncols:
+        block, width, side = [list(col) for col in zip(*rows)], len(rows), 1
     while True:
         block, transforms[side] = _hermite_pass(ring, block, transforms[side], width)
         if all(not any(row[:i]) and not any(row[i + 1:]) for i, row in enumerate(block)):

@@ -24,14 +24,18 @@ pure subcoalgebra lattices, increase monotonically, and satisfy the
 comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  Every
 component decomposition is checked too: pure parts whose stacked bases
 form a unimodular basis of C, each a subcoalgebra holding its own
-group-like and no other.  ``components`` checks its decomposition once
-per coalgebra and holds it there, for ``split_coradical`` and
-``check_splitting_naturality`` to reuse; a retraction is built and
-checked on every call.  Both read the subcoalgebra, compatibility and
-membership conditions off the support of Delta in one basis adapted to
-the flag or to the direct sum (``_adapted_support``): Delta is carried
-into that basis once, in integers, and only which coefficients are
-nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
+group-like and no other.  Both read the subcoalgebra, compatibility
+and membership conditions off the support of Delta in one basis adapted
+to the flag or to the direct sum (``_adapted_support``): Delta is
+carried into that basis once, in integers, and only which coefficients
+are nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
+
+The coradical filtration and the component decomposition are each built
+and checked once per coalgebra and held on it (``Coalgebra._derived``):
+repeated calls read them back, and ``split_coradical`` builds on the
+held decomposition.  A call that raises holds nothing, and the next
+call runs every check again.  A retraction is built and checked on
+every call.
 """
 
 from __future__ import annotations
@@ -366,8 +370,13 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     NotExhaustive (it would contradict pointedness).  V_0 is pure and is
     checked once to be a subcoalgebra; the wedge of two pure
     subcoalgebras is again one, so the stages skip ``wedge``'s argument
-    checks, and the Filtration then validates every stage.
+    checks, and the Filtration then validates every stage.  The
+    validated filtration is held on c, so the wedges and the validation
+    run once per coalgebra; a refusal holds nothing.
     """
+    held = c._derived.get("filtration")
+    if held is not None:
+        return held
     v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
     if not is_subcoalgebra(v0, c):
         raise AssertionError("the group-like span must be a subcoalgebra")
@@ -379,7 +388,8 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
         if nxt == stages[-1]:
             raise NotExhaustive("coradical filtration stabilized below full rank")
         stages.append(nxt)
-    return Filtration(c, stages)
+    filtration = c._derived["filtration"] = Filtration(c, stages)
+    return filtration
 
 
 def primitives(c: Coalgebra, g) -> Lattice:
@@ -548,8 +558,8 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     the component decomposition glues these into one idempotent
     coalgebra endomorphism with image the group-like span.  The
     decomposition is the one ``components`` holds on c; the retraction
-    is checked as a coalgebra map, an idempotent and a projection onto
-    the coradical on every call.
+    is checked as a coalgebra map, an idempotent, a projection onto the
+    coradical and a map fixing the group-likes on every call.
     """
     decomposition = components(c)
     ring = c.ring

@@ -1,6 +1,9 @@
 """The generator's ground truth and the validity of everything it emits."""
 
-from purecoalg import validate_map
+import pytest
+
+from purecoalg import ValidationError, validate_map
+from purecoalg import corpus
 from purecoalg.corpus import generate_coalgebras, generate_maps, generate_tensor_pairs
 
 
@@ -27,3 +30,20 @@ def test_generated_maps_are_valid():
 def test_tensor_pairs_respect_bound():
     for a, b in generate_tensor_pairs(19, 30, max_product_rank=12):
         assert a.coalgebra.rank * b.coalgebra.rank <= 12
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_a_rank_bound_below_one_is_refused_before_drawing(monkeypatch, bound):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a recipe was drawn")
+
+    # without the refusal, max_rank 0 fails in randrange and max_product_rank 0 never returns
+    monkeypatch.setattr(corpus, "_recipe", drawn)
+    for call, name in ((generate_coalgebras, "max_rank"), (generate_maps, "max_rank"),
+                       (generate_tensor_pairs, "max_product_rank")):
+        with pytest.raises(ValidationError, match=f"^{name} must be at least 1, got {bound}$"):
+            call(1, 3, **{name: bound})
+    monkeypatch.undo()
+    assert [e.coalgebra.rank for e in generate_coalgebras(1, 3, max_rank=1)] == [1, 1, 1]
+    assert [a.coalgebra.rank * b.coalgebra.rank for a, b in generate_tensor_pairs(1, 3, max_product_rank=1)] == [1] * 3
+    assert all(validate_map(r.map).overall for r in generate_maps(1, 3, max_rank=1))

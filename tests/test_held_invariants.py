@@ -6,8 +6,12 @@ import pytest
 
 from purecoalg import (
     Coalgebra,
+    CoalgebraMap,
+    ComponentDecomposition,
     Filtration,
+    Lattice,
     Matrix,
+    NotExhaustive,
     NotPointed,
     NotPure,
     QQ,
@@ -26,11 +30,14 @@ from purecoalg import (
     monogenic_algebra,
     prime_field,
     primitives,
+    push_filtration,
+    set_like,
     split_coradical,
+    tensor_filtration,
     truncated_polynomial_algebra,
 )
 from purecoalg import grouplike, structure
-from purecoalg.corpus import generate_coalgebras
+from purecoalg.corpus import generate_coalgebras, generate_maps
 
 
 def _twin(c):
@@ -198,3 +205,119 @@ def test_naturality_reuses_both_decompositions(monkeypatch):
         assert check_splitting_naturality(identity_map(c))
     assert searches == lifts == validated == []
     assert [f.domain for f in retractions] == cs
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "F2"])
+def test_filtration_wedges_and_validation_run_once_per_coalgebra(monkeypatch, ring):
+    cs = [c for c in CORPORA[ring]() if is_pointed(c)[0] and group_likes(c).pure]
+    wedges = _counted(monkeypatch, structure, "_unchecked_wedge")
+    built = _counted(monkeypatch, structure.Filtration, "__init__")
+    for c in cs:
+        first = coradical_filtration(c)
+        assert all(coradical_filtration(c) is first for _ in range(3))
+        assert c._derived["filtration"] is first
+        assert len(built) == 1 and len(wedges) == first.length - 1
+        assert first.stages == coradical_filtration(_twin(c)).stages
+        wedges.clear()
+        built.clear()
+
+
+def test_filtrations_over_a_map_corpus_check_each_domain_once(monkeypatch):
+    maps = [record.map for record in generate_maps(5, 40, max_rank=6)]
+    domains = {id(f.domain): f.domain for f in maps}
+    # the corpus shares coalgebras between maps
+    assert len(domains) < len(maps)
+    v0_checks = _counted(monkeypatch, structure, "is_subcoalgebra")
+    for _ in range(2):
+        for f in maps:
+            push_filtration(f, coradical_filtration(f.domain))
+    assert sorted(id(v0) for v0 in v0_checks) == sorted(id(domains[k]._derived["filtration"].stages[0])
+                                                         for k in domains)
+
+
+@pytest.mark.parametrize("coalgebra, error, message", [
+    (lambda: _sqrt2_dual(ZZ), NotPointed, "semisimple dimension over the fraction field: 2"),
+    (_impure_dual, NotPure, "reduction mod 2 identifies group-likes"),
+], ids=["not-pointed", "impure"])
+def test_a_refused_filtration_or_retraction_holds_nothing_and_refuses_again(coalgebra, error, message):
+    c = coalgebra()
+    for call in (coradical_filtration, split_coradical, coradical_filtration, split_coradical):
+        with pytest.raises(error, match=message) as refused:
+            call(c)
+        assert _outcome(call, _twin(c)) == (error, str(refused.value))
+        assert "filtration" not in c._derived
+
+
+def test_push_and_tensor_filtrations_on_held_filtrations_match_fresh_twins():
+    for record in generate_maps(9, 20, max_rank=6):
+        f = record.map
+        held = coradical_filtration(f.domain)
+        assert coradical_filtration(f.domain) is held
+        twin = CoalgebraMap(_twin(f.domain), _twin(f.codomain), f.matrix)
+        pushed, fresh = push_filtration(f, held), push_filtration(twin, coradical_filtration(twin.domain))
+        assert (pushed.coalgebra, pushed.stages) == (fresh.coalgebra, fresh.stages), record.kind
+    cs = [c for c in _corpus(43, 12, 8, ZZ) if is_pointed(c)[0] and c.rank <= 4]
+    for a, b in zip(cs, cs[1:] + cs[:1]):
+        held = tensor_filtration(coradical_filtration(a), coradical_filtration(b))
+        again = tensor_filtration(coradical_filtration(a), coradical_filtration(b))
+        fresh = tensor_filtration(coradical_filtration(_twin(a)), coradical_filtration(_twin(b)))
+        assert (held.coalgebra, held.stages) == (again.coalgebra, again.stages) == (fresh.coalgebra, fresh.stages)
+
+
+def _local(k):
+    return dual_of_algebra(truncated_polynomial_algebra(ZZ, k))
+
+
+def test_a_filtration_that_stalls_below_full_rank_is_refused_and_not_held(monkeypatch):
+    c = _local(3)
+    monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: d)
+    for _ in range(2):
+        with pytest.raises(NotExhaustive, match="coradical filtration stabilized below full rank"):
+            coradical_filtration(c)
+        assert "filtration" not in c._derived
+    monkeypatch.undo()
+    assert coradical_filtration(c).stage_ranks == (1, 2, 3)
+    assert "filtration" in c._derived
+
+
+def test_a_filtration_past_the_rank_bound_is_refused_and_not_held(monkeypatch):
+    c = _local(3)
+    v0 = coradical_lattice(c)
+    other = Lattice.from_rows(ZZ, 3, [[0, 0, 1]])
+    # the stages alternate between V_0 and another rank-1 lattice, never repeating the last one
+    monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: other if d == v0 else v0)
+    for _ in range(2):
+        with pytest.raises(NotExhaustive, match="coradical filtration exceeded the rank bound"):
+            coradical_filtration(c)
+        assert "filtration" not in c._derived
+    monkeypatch.undo()
+    assert coradical_filtration(c).stage_ranks == (1, 2, 3)
+
+
+def _broken_parts(c, breakage):
+    g, h = group_likes(c).vectors
+    if breakage == "validation":
+        # e_a + e_b has counit 2, so e_a goes to 2a - b, which is not a coalgebra map
+        return ((g, Lattice.from_rows(ZZ, 2, [[1, 1]])), (h, Lattice.from_rows(ZZ, 2, [[0, 1]])))
+    # each point goes to the other: a coalgebra map, not an idempotent
+    return ((h, Lattice.from_rows(ZZ, 2, [list(g)])), (g, Lattice.from_rows(ZZ, 2, [list(h)])))
+
+
+@pytest.mark.parametrize("breakage, message", [
+    ("validation", "coradical retraction failed validation"),
+    ("idempotent", "coradical retraction must be idempotent"),
+    ("fixed", "retraction must fix the group-likes"),
+])
+def test_each_retraction_check_still_rejects(monkeypatch, breakage, message):
+    c = set_like(ZZ, ["a", "b"])
+    if breakage == "fixed":
+        # an idempotent with image the coradical fixes it, so only a broken evaluation reaches this check
+        monkeypatch.setattr(CoalgebraMap, "apply", lambda self, vector: [0] * len(vector))
+    else:
+        decomposition = ComponentDecomposition(c, _broken_parts(c, breakage))
+        monkeypatch.setattr(structure, "components", lambda c: decomposition)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=message):
+            split_coradical(c)
+    monkeypatch.undo()
+    assert split_coradical(c).matrix == Matrix.identity(ZZ, 2)
