@@ -12,10 +12,8 @@ cofibration predicates.
 from .binomial import (
     BinomialPrimeResult,
     BinomialReport,
-    algebra_mod_p,
     binomial_check,
     frobenius_matrix,
-    nilradical_mod_p,
 )
 from .coalgebra import (
     AlgebraPresentation,
@@ -64,7 +62,6 @@ from .grouplike import (
     counit_retraction,
     gr_of_map,
     group_likes,
-    group_likes_bruteforce,
     is_pointed,
 )
 from .lattice import Lattice, kernel_lattice, solve_in_rows
@@ -75,7 +72,6 @@ from .rings import (
     Ring,
     localized_integers,
     prime_field,
-    reduce_mod_p,
     ring_from_spec,
 )
 from .simplicial import (

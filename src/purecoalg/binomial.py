@@ -12,18 +12,19 @@ of copies of F_p exactly when its Frobenius is the identity, so all
 residue fields of A/pA are F_p exactly when F - 1 maps A/pA into
 ker F^k, that is when F^{k+1} = F^k.  F is built at each prime from the
 nonzero structure constants the presentation holds, reduced mod p, so
-no dense multiplication table is formed.  The property quantifies over
-all primes; this module checks a finite list and reports verdicts per
-tested prime, never claiming the unqualified property.
+neither a dense multiplication table nor the algebra A/pA is formed,
+and the nilradical is read only through its rank.  The property
+quantifies over all primes; this module checks a finite list and
+reports verdicts per tested prime, never claiming the unqualified
+property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import AlgebraPresentation, algebra_from_entries
+from .coalgebra import AlgebraPresentation
 from .errors import UnsupportedRing
-from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix
 from .rings import prime_field, reduce_rows_mod_p
 
@@ -44,24 +45,15 @@ def _flat_constants(a: AlgebraPresentation):
     return positions, values
 
 
-def _values_mod_p(a: AlgebraPresentation, p: int, values) -> list[list]:
-    """[unit, values] of A/pA, for the values of ``_flat_constants``, reduced by one ``reduce_rows_mod_p`` call.
+def _values_mod_p(a: AlgebraPresentation, p: int, values) -> list:
+    """The values of ``_flat_constants`` mod p, reduced by one ``reduce_rows_mod_p`` call.
 
     The ring is checked first, then that call checks that p is a prime
     below 2**64 and that the ring does not invert it.
     """
     if a.ring.kind not in ("Z", "ZS"):
         raise UnsupportedRing("reduction mod p needs an algebra over Z or Z[S^-1]")
-    return reduce_rows_mod_p(a.ring, [a.unit, values], p)
-
-
-def algebra_mod_p(a: AlgebraPresentation, p: int) -> AlgebraPresentation:
-    """Reduction A/pA as an algebra over F_p."""
-    positions, values = _flat_constants(a)
-    unit, values = _values_mod_p(a, p, values)
-    n = a.rank
-    entries = [(*divmod(ij, n), t, values[m]) for ij, pairs in enumerate(positions) for t, m in pairs]
-    return algebra_from_entries(prime_field(p), n, entries, unit, basis_names=a.basis_names)
+    return reduce_rows_mod_p(a.ring, [values], p)[0]
 
 
 def _frobenius(positions, values, n: int, p: int) -> Matrix:
@@ -121,16 +113,6 @@ def iterated_frobenius(fro: Matrix) -> Matrix:
     return power
 
 
-def nilradical_mod_p(a: AlgebraPresentation, p: int) -> Lattice:
-    """Nilradical of A/pA: the kernel of Frobenius iterated past the rank."""
-    a.require_valid()
-    positions, values = _flat_constants(a)
-    _, values = _values_mod_p(a, p, values)
-    if a.rank == 0:
-        return Lattice.zero(prime_field(p), 0)
-    return kernel_lattice(iterated_frobenius(_frobenius(positions, values, a.rank, p)))
-
-
 @dataclass
 class BinomialPrimeResult:
     p: int
@@ -187,7 +169,7 @@ def _binomial_report(a: AlgebraPresentation, primes) -> BinomialReport:
     positions, integral = _flat_constants(a)
     results = []
     for p in primes:
-        _, values = _values_mod_p(a, p, integral)
+        values = _values_mod_p(a, p, integral)
         if n == 0:
             results.append(BinomialPrimeResult(p, True, True, 0))
             continue

@@ -342,12 +342,12 @@ class AlgebraPresentation:
     The multiplication is held once, as its nonzero structure constants:
     ``constants[i * n + j]`` lists the (t, v) with v the coefficient of
     e_t in e_i * e_j, t ascending, zeros dropped and residues taken mod p
-    over F_p, so equal algebras have equal constants.  Products, powers
-    and the Frobenius of each reduction mod p walk them; the axiom checks
-    run on the blocks of the dual coalgebra (``_checked_dual``).  The
-    dense n^2 x n multiplication matrix is only a view, ``mult``, built
-    on demand; the constructor takes that matrix, and
-    ``algebra_from_entries`` takes the constants as (i, j, t, v) entries.
+    over F_p, so equal algebras have equal constants.  The Frobenius of
+    each reduction mod p walks them; the axiom checks run on the blocks
+    of the dual coalgebra (``_checked_dual``).  The dense n^2 x n
+    multiplication matrix is only a view, ``mult``, built on demand; the
+    constructor takes that matrix, and ``algebra_from_entries`` takes
+    the constants as (i, j, t, v) entries.
     """
 
     __slots__ = ("ring", "rank", "unit", "basis_names", "constants")
@@ -385,33 +385,6 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.ring}, rank {self.rank})"
-
-    def multiply(self, x, y):
-        """Product of two coordinate vectors, over the nonzero structure constants."""
-        n = self.rank
-        acc = [self.ring.zero] * n
-        constants = self.constants
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi:
-                at = i * n
-                for j, yj in ys:
-                    coeff = xi * yj
-                    for t, v in constants[at + j]:
-                        acc[t] += coeff * v
-        return self.ring.reduce_row(acc)
-
-    def power(self, x, e: int):
-        """x**e by binary powering (e >= 1)."""
-        result = None
-        base = list(x)
-        while e:
-            if e & 1:
-                result = base if result is None else self.multiply(result, base)
-            e >>= 1
-            if e:
-                base = self.multiply(base, base)
-        return result
 
     def validate(self) -> ValidationReport:
         """Check commutativity, associativity and the unit law, on the dual's blocks (``_checked_dual``)."""
@@ -626,11 +599,6 @@ class CoalgebraMap:
 
     def apply(self, vector):
         return (Matrix(self.domain.ring, [vector], self.domain.rank) * self.matrix).rows[0]
-
-    def compose(self, then: "CoalgebraMap") -> "CoalgebraMap":
-        if self.codomain is not then.domain and self.codomain != then.domain:
-            raise AmbientMismatch("composition needs matching middle coalgebra")
-        return CoalgebraMap(self.domain, then.codomain, self.matrix * then.matrix)
 
     def validate(self) -> ValidationReport:
         return validate_map(self)

@@ -114,10 +114,10 @@ def _cumulative(graded):
     return tuple(out)
 
 
-def _require_rank_bound(name: str, bound: int):
-    """Refuse a rank bound below 1 before anything is drawn: no recipe has rank below 1."""
-    if bound < 1:
-        raise ValidationError(f"{name} must be at least 1, got {bound}")
+def _require_at_least(name: str, value: int, least: int):
+    """Refuse a count below 0 or a rank bound below 1 (no recipe has rank below 1) before anything is drawn."""
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
 
 
 def _leaf(rng: random.Random, ring: Ring, max_rank: int) -> CorpusCoalgebra:
@@ -153,7 +153,8 @@ def generate_coalgebras(
     twist: bool = True,
 ) -> list[CorpusCoalgebra]:
     """Deterministic corpus of pointed coalgebras with known invariants."""
-    _require_rank_bound("max_rank", max_rank)
+    _require_at_least("count", count, 0)
+    _require_at_least("max_rank", max_rank, 1)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -181,7 +182,8 @@ def generate_tensor_pairs(
     ring: Ring = ZZ,
 ) -> list[tuple[CorpusCoalgebra, CorpusCoalgebra]]:
     """Pairs whose tensor product stays at desk scale."""
-    _require_rank_bound("max_product_rank", max_product_rank)
+    _require_at_least("count", count, 0)
+    _require_at_least("max_product_rank", max_product_rank, 1)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -197,7 +199,8 @@ def generate_tensor_pairs(
 
 def generate_maps(seed: int, count: int, max_rank: int = 10, ring: Ring = ZZ) -> list[CorpusMap]:
     """Deterministic corpus of valid maps between pointed coalgebras."""
-    _require_rank_bound("max_rank", max_rank)
+    _require_at_least("count", count, 0)
+    _require_at_least("max_rank", max_rank, 1)
     rng = random.Random(seed)
     entries = generate_coalgebras(seed + 1, max(8, count // 4), max_rank=max_rank, ring=ring)
     out = []

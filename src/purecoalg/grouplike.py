@@ -13,8 +13,7 @@ an integer eigenvalue lam of the scaled operators is the character
 value lam / D.  The candidates whose coordinates lie in the ground ring
 are then verified exactly against the defining equations, in integers
 like the search.  Eigenvalues are integer roots, or roots in F_p found
-by root finding for every prime, of characteristic polynomials; the
-exhaustive scan ``group_likes_bruteforce`` is an oracle for tests only.
+by root finding for every prime, of characteristic polynomials.
 
 The search starts not in Z^n (or F_p^n) but in rad(A)^perp, the
 coradical of C (x) K over the fraction field K, met with the stored
@@ -54,25 +53,16 @@ nothing, so it raises again on the next call.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial import frobenius_matrix, iterated_frobenius
 from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
-from .errors import (
-    NotGroupLike,
-    NotGroupLikeImage,
-    NotPointed,
-    TooLarge,
-    UnsupportedRing,
-)
+from .errors import NotGroupLike, NotGroupLikeImage, NotPointed
 from .lattice import Lattice
 from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis, left_kernel_rows
 from .polyroots import integer_roots, prime_field_roots
 from .rings import Ring, cleared_rows
-
-BRUTE_FORCE_BOUND = 10**7
 
 
 @dataclass(frozen=True)
@@ -297,19 +287,6 @@ def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
         divisors = ()
         pure, witness = True, None
     return GroupLikeSet(c, tuple(vectors), divisors, pure, witness)
-
-
-def group_likes_bruteforce(c: Coalgebra) -> GroupLikeSet:
-    """Exhaustive scan over F_p^n; the oracle for the eigenvector algorithm."""
-    ring = c.ring
-    if ring.kind != "Fp":
-        raise UnsupportedRing("brute force enumeration needs a prime field")
-    n = c.rank
-    if ring.p**n > BRUTE_FORCE_BOUND:
-        raise TooLarge(f"{ring.p}^{n} exceeds the enumeration bound {BRUTE_FORCE_BOUND}")
-    vectors = [tuple(g) for g in itertools.product(range(ring.p), repeat=n) if _is_group_like(c, list(g))]
-    vectors.sort()
-    return _certified(c, vectors)
 
 
 def _coradical_span(c: Coalgebra) -> Lattice:

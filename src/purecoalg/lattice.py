@@ -262,10 +262,6 @@ class Lattice:
             hnf_basis(self.basis.kron(other.basis)),
         )
 
-    def reduce_mod(self, p: int) -> "Lattice":
-        reduced = self.basis.reduce_mod(p)
-        return Lattice.from_rows(reduced.ring, self.ambient_rank, reduced.rows)
-
     # --- quotients -------------------------------------------------------
     def complement_projection(self):
         """(projection, section) for the quotient by a pure lattice.

@@ -419,17 +419,13 @@ def ring_from_spec(obj) -> Ring:
     raise ParseError(f"unknown ring kind {kind!r}")
 
 
-def reduce_mod_p(ring: Ring, x, p: int) -> int:
-    """Reduce an element of Z or Z[S^-1] modulo a prime, landing in F_p.
-
-    This is a ring homomorphism; it fails with PrimeInverted exactly
-    when the denominator cannot be inverted mod p.
-    """
-    return reduce_rows_mod_p(ring, [[x]], p)[0][0]
-
-
 def reduce_rows_mod_p(ring: Ring, rows, p: int) -> list[list[int]]:
-    """``reduce_mod_p`` on every entry of a list of rows, checking p once."""
+    """Reduce every entry of a list of rows over Z or Z[S^-1] modulo a prime, landing in F_p.
+
+    Entrywise this is a ring homomorphism.  The prime is checked once;
+    the call fails with PrimeInverted exactly when the ring inverts p,
+    that is when a denominator cannot be inverted mod p.
+    """
     _check_user_prime(p)
     if ring == ZZ:
         return [[v % p for v in row] for row in rows]

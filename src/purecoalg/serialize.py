@@ -4,11 +4,12 @@ All integers that are ring elements travel as decimal strings (rationals
 as "a/b" in lowest terms) so consumers never lose precision; structural
 indices stay JSON numbers.  Serialization is canonical: keys sorted,
 sparse triples sorted, coefficients in lowest terms, two-space indent,
-trailing newline.  Parsing the canonical text and reserializing is a
-byte round trip.  ``coalgebra_from_obj`` and ``algebra_from_obj``
-validate what they parse; ``parse_coalgebra_or_algebra`` and
-``sset_from_obj`` only parse, for the callers that report or check the
-axioms themselves.
+trailing newline.  Parsing a canonical coalgebra or algebra file and
+reserializing it is a byte round trip.  Simplicial sets and maps are
+only read: no command writes one.  ``coalgebra_from_obj`` and
+``algebra_from_obj`` validate what they parse;
+``parse_coalgebra_or_algebra`` and ``sset_from_obj`` only parse, for the
+callers that report or check the axioms themselves.
 """
 
 from __future__ import annotations
@@ -211,21 +212,6 @@ def parse_coalgebra_or_algebra(obj):
 
 
 # --- simplicial objects --------------------------------------------------------------
-
-
-def sset_to_obj(x: FiniteSimplicialSet):
-    return {
-        "dimension": x.dimension_bound,
-        "levels": [list(level) for level in x.levels],
-        "faces": [
-            {"n": n, "i": i, "map": dict(sorted(x.faces[(n, i)].items()))}
-            for (n, i) in sorted(x.faces)
-        ],
-        "degeneracies": [
-            {"n": n, "j": j, "map": dict(sorted(x.degeneracies[(n, j)].items()))}
-            for (n, j) in sorted(x.degeneracies)
-        ],
-    }
 
 
 def _name_map(rec, where):

@@ -533,10 +533,12 @@ def _normalized(c: SimplicialCoalgebra):
 
 
 def require_degree(top_degree: int, dimension_bound: int):
-    """Refuse a degree the truncation cannot support: degree N needs dimension N + 1.
+    """Refuse a negative degree, or one the truncation cannot support: degree N needs dimension N + 1.
 
     Callers check this before building any chains.
     """
+    if top_degree < 0:
+        raise ValidationError(f"degree must be at least 0, got {top_degree}")
     if top_degree > dimension_bound - 1:
         raise DegreeTooHigh(f"degree {top_degree} needs truncation dimension at least {top_degree + 1}")
 

@@ -144,26 +144,17 @@ class Filtration:
         ranks = self.stage_ranks
         return (ranks[0],) + tuple(b - a for a, b in zip(ranks, ranks[1:]))
 
-    def is_wedge_filtration(self) -> bool:
-        """Whether V_n <= V_{n-1} ^ V_0 holds at every stage."""
-        for n in range(1, len(self.stages)):
-            w = wedge(self.stages[n - 1], self.stages[0], self.coalgebra)
-            if not w.contains_lattice(self.stages[n]):
-                return False
-        return True
-
 
 def _scaled_inverse(rows, base) -> list:
     """Rows of d * T^-1 for a square integer T invertible over the fraction field, d a nonzero integer.
 
-    Over F_p the entries are residues and d = 1.  Over Z, with U * T = H
-    the Hermite form (upper triangular), d = det H makes d * H^-1
-    integral, so back substitution in H * Z = d * U divides exactly and
-    Z = d * T^-1 comes out fraction-free.
+    With U * T = H the Hermite form (upper triangular), d = det H makes
+    d * H^-1 integral, so back substitution in H * Z = d * U divides
+    exactly and Z = d * T^-1 comes out fraction-free.  Over F_p the
+    Hermite form of an invertible T is I, so d = 1 and Z = U = T^-1, in
+    residues.
     """
     n = len(rows)
-    if base.kind == "Fp":
-        return Matrix(base, rows, n).inverse().rows
     h, u = hnf(Matrix(base, rows, n))
     h = h.rows
     d = math.prod(h[i][i] for i in range(n))

@@ -16,17 +16,21 @@ stage-by-stage and part-by-part validation of filtrations and component
 decompositions on n x n blocks of Delta; its former constructions on
 the dense n x n^2 matrix of Delta; its former Hermite, Smith and
 membership kernels on each ring's own Fraction arithmetic; and its
-former per-prime binomial test on the quotient by the nilradical.  Their logic
-is kept unchanged so the current versions can be compared with them
-bit for bit, and they use the package's ``Lattice``, ``Matrix``, block
-products, dense ``Coalgebra`` constructor, algebra products and ring
-methods, which
+former per-prime binomial test on the quotient by the nilradical, with
+A/pA, its products and its Frobenius formed on the dense table
+``a.mult.reduce_mod(p)``.  Their logic is kept unchanged so the current
+versions can be compared with them bit for bit, and they use the
+package's ``Lattice``, ``Matrix``, block products, dense ``Coalgebra``
+and ``AlgebraPresentation`` constructors and ring methods, which
 ``test_lattice``, ``test_matrix``, ``test_tensor_blocks``,
-``test_coalgebra`` and ``test_rings`` check on their own.
+``test_coalgebra`` and ``test_rings`` check on their own.  The
+brute-force group-like scan reads the coalgebra only through its public
+``comultiply`` and ``counit_of``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -261,6 +265,22 @@ def character_tuples(delta_rows, n, p=None):
                     nxt.append((rref(_matmul(kernel, basis, p), p), prefix + (lam,)))
         spaces = nxt
     return [prefix for _, prefix in spaces]
+
+
+def group_likes_bruteforce(c, bound=10**7):
+    """Every group-like of a coalgebra over F_p, in ascending order, by an exhaustive scan of F_p^n.
+
+    A vector g is kept when eps(g) = 1 and Delta(g) = g (x) g, read
+    through the public ``counit_of`` and ``comultiply`` only, so the scan
+    shares no code with the eigenvector search it checks.
+    """
+    if c.ring.kind != "Fp":
+        raise ValueError("brute force enumeration needs a prime field")
+    p, n = c.ring.p, c.rank
+    if p**n > bound:
+        raise ValueError(f"{p}^{n} exceeds the enumeration bound {bound}")
+    return tuple(g for g in itertools.product(range(p), repeat=n)
+                 if c.counit_of(list(g)) == 1 and c.comultiply(list(g)) == [x * y % p for x in g for y in g])
 
 
 def _dual_multiply(delta, x, y, p):
@@ -1197,24 +1217,65 @@ def fraction_solve(lattice, vector):
 # At each prime the binomial check once reduced the dense multiplication
 # table mod p, took the nilradical as the kernel lattice of the iterated
 # Frobenius, and asked that the Frobenius induced on the quotient by it,
-# section * F * projection, be the identity.
+# section * F * projection, be the identity.  Products and powers here
+# are formed term by term on that dense table.
+
+
+def algebra_mod_p(a, p):
+    """A/pA over F_p, built by the dense constructor from ``a.mult.reduce_mod(p)``."""
+    from purecoalg import AlgebraPresentation, Matrix
+
+    mult = a.mult.reduce_mod(p)
+    return AlgebraPresentation(mult.ring, a.rank, mult, Matrix(a.ring, [a.unit], a.rank).reduce_mod(p).rows[0])
+
+
+def dense_product(mult_rows, x, y, p):
+    """x * y mod p in the algebra whose row i*n + j holds e_i * e_j."""
+    n = len(x)
+    acc = [0] * n
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                acc = [s + a * b * m for s, m in zip(acc, mult_rows[i * n + j])]
+    return [s % p for s in acc]
+
+
+def dense_frobenius(mult, p):
+    """Matrix of x -> x^p for the dense F_p table ``mult``: row i is e_i^p, formed by p - 1 multiplications."""
+    from purecoalg import Matrix
+
+    n = mult.ncols
+    rows = []
+    for i in range(n):
+        e = [int(t == i) for t in range(n)]
+        x = e
+        for _ in range(p - 1):
+            x = dense_product(mult.rows, x, e, p)
+        rows.append(x)
+    return Matrix(mult.ring, rows, n)
+
+
+def nilradical_mod_p(a, p):
+    """The nilradical of A/pA: the kernel lattice of the iterated dense Frobenius."""
+    from purecoalg import kernel_lattice
+    from purecoalg.binomial import iterated_frobenius
+
+    return kernel_lattice(iterated_frobenius(dense_frobenius(a.mult.reduce_mod(p), p)))
 
 
 def quotient_frobenius_report(a, primes):
     """The former ``binomial_check`` body after ``require_valid``: a ``BinomialReport`` of the same primes."""
     from purecoalg import Matrix, kernel_lattice
-    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, algebra_mod_p, iterated_frobenius
+    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, iterated_frobenius
 
     results = []
     for p in primes:
-        ap = algebra_mod_p(a, p)
-        if ap.rank == 0:
+        fro = dense_frobenius(a.mult.reduce_mod(p), p)
+        if a.rank == 0:
             results.append(BinomialPrimeResult(p, True, True, 0))
             continue
-        basis = [[ap.ring.one if t == i else ap.ring.zero for t in range(ap.rank)] for i in range(ap.rank)]
-        fro = Matrix(ap.ring, [ap.power(e, p) for e in basis], ap.rank)
         nil = kernel_lattice(iterated_frobenius(fro))
         proj, section = nil.complement_projection()
-        residue_ok = section * fro * proj == Matrix.identity(ap.ring, proj.ncols)
+        residue_ok = section * fro * proj == Matrix.identity(fro.ring, proj.ncols)
         results.append(BinomialPrimeResult(p, nil.rank == 0, residue_ok, nil.rank))
     return BinomialReport(tuple(primes), tuple(results))

@@ -47,3 +47,15 @@ def test_a_rank_bound_below_one_is_refused_before_drawing(monkeypatch, bound):
     assert [e.coalgebra.rank for e in generate_coalgebras(1, 3, max_rank=1)] == [1, 1, 1]
     assert [a.coalgebra.rank * b.coalgebra.rank for a, b in generate_tensor_pairs(1, 3, max_product_rank=1)] == [1] * 3
     assert all(validate_map(r.map).overall for r in generate_maps(1, 3, max_rank=1))
+
+
+def test_a_negative_count_is_refused_before_drawing(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a recipe was drawn")
+
+    monkeypatch.setattr(corpus, "_recipe", drawn)
+    for call in (generate_coalgebras, generate_maps, generate_tensor_pairs):
+        with pytest.raises(ValidationError, match="^count must be at least 0, got -3$"):
+            call(1, -3)
+    monkeypatch.undo()
+    assert generate_coalgebras(1, 0) == [] and generate_tensor_pairs(1, 0) == []

@@ -13,8 +13,6 @@ from purecoalg import (
     Lattice,
     Matrix,
     NotGroupLike,
-    TooLarge,
-    UnsupportedRing,
     ZZ,
     conjugate,
     counit_retraction,
@@ -22,7 +20,6 @@ from purecoalg import (
     dual_of_algebra,
     gr_of_map,
     group_likes,
-    group_likes_bruteforce,
     identity_map,
     is_pointed,
     monogenic_algebra,
@@ -60,15 +57,16 @@ def test_group_likes_examples():
 def test_group_likes_bruteforce_examples():
     f3 = prime_field(3)
     ab = set_like(f3, ["a", "b"])
-    assert group_likes_bruteforce(ab).vectors == ((0, 1), (1, 0))
+    assert oracles.group_likes_bruteforce(ab) == ((0, 1), (1, 0))
     f2 = prime_field(2)
-    assert group_likes_bruteforce(dual_zxk(2, f2)).vectors == ((1, 0),)
-    assert group_likes_bruteforce(sqrt2_dual(f3)).vectors == ()
-    with pytest.raises(UnsupportedRing):
-        group_likes_bruteforce(set_like(ZZ, ["a"]))
+    assert oracles.group_likes_bruteforce(dual_zxk(2, f2)) == ((1, 0),)
+    assert oracles.group_likes_bruteforce(sqrt2_dual(f3)) == ()
+    assert oracles.group_likes_bruteforce(sqrt2_dual(prime_field(7))) == ((1, 3), (1, 4))
+    with pytest.raises(ValueError, match="needs a prime field"):
+        oracles.group_likes_bruteforce(set_like(ZZ, ["a"]))
     f13 = prime_field(13)
-    with pytest.raises(TooLarge):
-        group_likes_bruteforce(set_like(f13, [str(i) for i in range(8)]))
+    with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+        oracles.group_likes_bruteforce(set_like(f13, [str(i) for i in range(8)]))
 
 
 def test_oracle_equivalence_small_prime_fields():
@@ -76,7 +74,7 @@ def test_oracle_equivalence_small_prime_fields():
         ring = prime_field(p)
         for entry in generate_coalgebras(100 + p, 12, max_rank=4, ring=ring):
             fast = group_likes(entry.coalgebra).vectors
-            slow = group_likes_bruteforce(entry.coalgebra).vectors
+            slow = oracles.group_likes_bruteforce(entry.coalgebra)
             assert fast == slow
 
 
@@ -174,7 +172,7 @@ def test_gr_of_map_examples_and_functoriality():
     incl = CoalgebraMap(set_like(ZZ, ["a"]), ab, Matrix(ZZ, [[1, 0]], 2))
     assert gr_of_map(incl) == [((1,), (1, 0))]
     # functoriality on the composite
-    composite = incl.compose(collapse)
+    composite = CoalgebraMap(incl.domain, collapse.codomain, incl.matrix * collapse.matrix)
     direct = gr_of_map(composite)
     chained = []
     step1 = dict(gr_of_map(incl))

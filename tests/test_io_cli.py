@@ -26,6 +26,19 @@ def data(name):
     return os.path.join(DATA, name)
 
 
+def sset_to_obj(x):
+    """The canonical file object of a simplicial set; the package only reads these files."""
+    return {
+        "dimension": x.dimension_bound,
+        "levels": [list(level) for level in x.levels],
+        "faces": [{"n": n, "i": i, "map": dict(sorted(x.faces[(n, i)].items()))} for (n, i) in sorted(x.faces)],
+        "degeneracies": [
+            {"n": n, "j": j, "map": dict(sorted(x.degeneracies[(n, j)].items()))}
+            for (n, j) in sorted(x.degeneracies)
+        ],
+    }
+
+
 def test_coalgebra_round_trip_values():
     for c in (
         set_like(ZZ, ["a", "b"]),
@@ -49,7 +62,7 @@ def test_canonical_files_round_trip_bytes():
         elif "delta" in obj:
             again = sz.canonical_dumps(sz.coalgebra_to_obj(sz.coalgebra_from_obj(obj)))
         elif "levels" in obj:
-            again = sz.canonical_dumps(sz.sset_to_obj(sz.sset_from_obj(obj)))
+            again = sz.canonical_dumps(sset_to_obj(sz.sset_from_obj(obj)))
         else:
             continue
         assert again == text, name
@@ -174,8 +187,13 @@ def test_cli_corpus_refuses_a_max_rank_out_of_range(tmp_path):
     code, text = run_command(["generate", "--seed", "5", "--max-rank", str(sz.MAX_RANK + 1)], "corpus")
     assert (code, text) == (2, f"error: --max-rank {sz.MAX_RANK + 1} exceeds the bound {sz.MAX_RANK}")
     assert not out.exists()
+    code, text = run_command(["generate", "--seed", "1", "--count", "-3", "--out", str(out)], "corpus")
+    assert (code, text) == (2, "error: --count must be at least 0, got -3")
+    assert not out.exists()
     code, text = run_command(["generate", "--seed", "5", "--count", "2", "--max-rank", "1"], "corpus")
     assert code == 0 and text.startswith("generated 2 coalgebras")
+    code, text = run_command(["generate", "--seed", "1", "--count", "0"], "corpus")
+    assert (code, text) == (0, "generated 0 coalgebras (seed 1)")
 
 
 def test_factoring_past_the_primality_bound_is_refused(tmp_path):
@@ -270,14 +288,14 @@ def test_sset_rejects_an_oversized_dimension_before_reading_levels(tmp_path):
     import time
 
     bound = sz.MAX_DIMENSION
-    over = _write(tmp_path, sz.sset_to_obj(standard_point(bound + 1)), "over.json")
+    over = _write(tmp_path, sset_to_obj(standard_point(bound + 1)), "over.json")
     huge = _write(tmp_path, {"dimension": 10**6, "levels": None, "faces": [], "degeneracies": []}, "huge.json")
     for path, d in ((over, bound + 1), (huge, 10**6)):
         for argv in (["validate", path], ["chains", path], ["homology", path, "-N", "1"]):
             code, text = run_command(argv, "sset")
             assert (code, text) == (2, f"error: simplicial set dimension {d} exceeds the bound {bound}")
     # a one-vertex set at the bound passes well inside a second
-    at = _write(tmp_path, sz.sset_to_obj(standard_point(bound)), "at.json")
+    at = _write(tmp_path, sset_to_obj(standard_point(bound)), "at.json")
     start = time.perf_counter()
     assert run_command(["validate", at], "sset")[0] == 0
     assert time.perf_counter() - start < 1.0
@@ -295,6 +313,11 @@ def test_degrees_are_checked_before_building_chains(monkeypatch):
     assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
     code, text = run_command(["check", data("interval-collapse.json"), "--we", "-N", "2"], "smap")
     assert (code, text) == (2, "error: degree 2 needs truncation dimension at least 3")
+    for bad in ("-1", "-7"):
+        code, text = run_command(["homology", data("circle.json"), "-N", bad], "sset")
+        assert (code, text) == (2, f"error: degree must be at least 0, got {bad}")
+        code, text = run_command(["check", data("interval-collapse.json"), "--we", "-N", bad], "smap")
+        assert (code, text) == (2, f"error: degree must be at least 0, got {bad}")
 
 
 @pytest.mark.parametrize("argv, prog, env, message", [

@@ -1,0 +1,103 @@
+"""The package's surface: what the benchmark reaches into, and no dead imports.
+
+The benchmark in ``perfbench/`` rebinds named functions and methods of
+the package to trace them, and calls the package through ``pc.<name>``
+and ``corpus.<name>``.  Removing one of those names breaks the
+benchmark, not the package, so these tests read its files (without
+importing them as modules or writing anything next to them) and check
+that every name still resolves.
+"""
+
+import ast
+import sys
+import types
+from pathlib import Path
+
+import purecoalg
+from purecoalg import ZZ, corpus, set_like
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "purecoalg"
+BENCH = ROOT / "perfbench"
+
+
+def _load_read_only(path: Path) -> types.ModuleType:
+    """Execute a source file as a fresh module, without caching bytecode next to it."""
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _traced_objects(layers) -> dict:
+    """Each traced name -> the object the tracer rebinds: a module function or a class's own attribute."""
+    out = {}
+    for module_name, names in layers.items():
+        module = sys.modules[f"purecoalg.{module_name}"]
+        for name in names:
+            owner, _, method = name.rpartition(".")
+            if name == "Filtration":
+                owner, method = "Filtration", "__init__"
+            out[f"{module_name}.{name}"] = getattr(module, owner).__dict__[method] if owner else getattr(module, name)
+    return out
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls():
+    import purecoalg.cli  # noqa: F401  (the tracer wraps names in every layer it lists)
+
+    tracer = _load_read_only(BENCH / "tracer.py")
+    before = _traced_objects(tracer.LAYERS)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        purecoalg.group_likes(set_like(ZZ, ["a", "b"]))
+        assert t.calls[t.index["grouplike.group_likes"]] == 1
+        assert _traced_objects(tracer.LAYERS) != before
+    finally:
+        t.uninstall()
+    after = _traced_objects(tracer.LAYERS)
+    assert all(after[name] is obj for name, obj in before.items())
+
+
+def test_every_package_name_the_benchmark_calls_resolves():
+    targets = {"pc": purecoalg, "corpus": corpus}
+    seen = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in targets:
+                seen.add((path.name, node.value.id, node.attr))
+    assert seen
+    missing = [f"{name}: {alias}.{attr}" for name, alias, attr in sorted(seen) if not hasattr(targets[alias], attr)]
+    assert not missing
+
+
+def _unused_imports(source: str) -> list:
+    """Names bound by module-level imports that the module never loads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_unused_import_check_fires():
+    assert _unused_imports("import itertools\nfrom .errors import TooLarge, NotPointed\nraise NotPointed\n") == [
+        "TooLarge",
+        "itertools",
+    ]
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nos.path.join\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unused_imports(path.read_text(encoding="utf-8"))
+            if names:
+                unused[path.name] = names
+    assert unused == {}

@@ -12,11 +12,15 @@ from purecoalg import (
     ZZ,
     localized_integers,
     prime_field,
-    reduce_mod_p,
 )
 from purecoalg.numtheory import is_prime, xgcd
+from purecoalg.rings import reduce_rows_mod_p
 
 import oracles
+
+
+def reduce_mod_p(ring, x, p):
+    return reduce_rows_mod_p(ring, [[x]], p)[0][0]
 
 
 def test_reduce_mod_p_examples():

@@ -102,6 +102,10 @@ def test_homology_examples():
     assert [str(h) for h in got] == ["Z", "Z/2", "0"]
     with pytest.raises(DegreeTooHigh):
         homology(chains_functor(standard_circle(2), ZZ), 2)
+    assert [str(h) for h in homology(chains_functor(standard_circle(2), ZZ), 0)] == ["Z"]
+    for bad in (-1, -5):
+        with pytest.raises(ValidationError, match=f"^degree must be at least 0, got {bad}$"):
+            homology(chains_functor(standard_circle(2), ZZ), bad)
 
 
 def test_homology_matches_direct_oracle():
@@ -182,6 +186,9 @@ def test_weak_equivalence_degree_guard():
     ident = chains_map(identity_simplicial_map(s1), ZZ)
     with pytest.raises(DegreeTooHigh):
         is_weak_equivalence(ident, 2)
+    for bad in (-1, -5):
+        with pytest.raises(ValidationError, match=f"^degree must be at least 0, got {bad}$"):
+            is_weak_equivalence(ident, bad)
 
 
 def test_builder_rejects_bad_cells():
