@@ -11,17 +11,18 @@ rank(F^k) = n.  A finite reduced commutative F_p-algebra is a product
 of copies of F_p exactly when its Frobenius is the identity, so all
 residue fields of A/pA are F_p exactly when F - 1 maps A/pA into
 ker F^k, that is when F^{k+1} = F^k.  F is built at each prime from the
-nonzero structure constants the presentation holds, reduced mod p, so
-neither a dense multiplication table nor the algebra A/pA is formed,
-and the nilradical is read only through its rank.  The property
-quantifies over all primes; this module checks a finite list and
-reports verdicts per tested prime, never claiming the unqualified
-property.
+nonzero structure constants read off the blocks of the dual coalgebra
+the presentation holds, reduced mod p, so neither a dense
+multiplication table nor the algebra A/pA is formed, and the
+nilradical is read only through its rank.  The property quantifies
+over all primes; this module checks a finite list and reports verdicts
+per tested prime, never claiming the unqualified property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coalgebra import AlgebraPresentation
 from .errors import UnsupportedRing
@@ -34,14 +35,19 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 def _flat_constants(a: AlgebraPresentation):
     """(positions, values): the nonzero structure constants of A, numbered in one flat list.
 
-    ``positions[i * n + j]`` lists (t, m) for each nonzero coefficient
-    values[m] of e_t in e_i * e_j.  Reducing mod p changes only values.
+    ``positions[i * n + j]`` lists (t, m), t ascending, for each nonzero
+    coefficient values[m] of e_t in e_i * e_j, read off the dual's block
+    X_t as X_t[i][j] / D.  Reducing mod p changes only values.
     """
-    positions = []
+    c, n = a.dual, a.rank
+    scale = c.ring.one if c.denom == 1 else Fraction(1, c.denom)
+    positions = [[] for _ in range(n * n)]
     values = []
-    for row in a.constants:
-        positions.append([(t, len(values) + m) for m, (t, _) in enumerate(row)])
-        values += [v for _, v in row]
+    for t, block in enumerate(c.blocks):
+        for i, row in block.items():
+            for j, v in row:
+                positions[i * n + j].append((t, len(values)))
+                values.append(scale * v)
     return positions, values
 
 

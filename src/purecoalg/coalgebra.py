@@ -13,6 +13,11 @@ Everything is basis-dependent by design: the statements this workbench
 checks are all witnessed by explicit matrices, so no basis-free
 representation or isomorphism search is offered.
 
+An algebra on a free module of finite rank is held as its dual
+coalgebra: the coefficient of e_t in e_i * e_j is the coefficient of
+e_i* (x) e_j* in Delta(e_t*), so one store of blocks serves both, and
+passing to the dual in either direction builds nothing.
+
 Axiom checks, constructions and tensor-square conditions all walk the
 blocks.  A tensor in C (x) C is an n x n matrix, and tensor-square
 conditions are products P^T X Q of small integer matrices
@@ -143,7 +148,7 @@ class Coalgebra:
         self.rank = rank
         self.denom = scale
         self.blocks = stored
-        self.counit = list(counit)
+        self.counit = ring.reduce_row(list(counit))
         self._cleared_counit = ring.cleared([self.counit])
         self.basis_names = tuple(names) if names is not None else None
         self._derived = {}
@@ -339,112 +344,83 @@ def set_like(ring: Ring, names) -> Coalgebra:
 class AlgebraPresentation:
     """Commutative associative unital algebra on a free module of finite rank.
 
-    The multiplication is held once, as its nonzero structure constants:
-    ``constants[i * n + j]`` lists the (t, v) with v the coefficient of
-    e_t in e_i * e_j, t ascending, zeros dropped and residues taken mod p
-    over F_p, so equal algebras have equal constants.  The Frobenius of
-    each reduction mod p walks them; the axiom checks run on the blocks
-    of the dual coalgebra (``_checked_dual``).  The dense n^2 x n
-    multiplication matrix is only a view, ``mult``, built on demand; the
-    constructor takes that matrix, and ``algebra_from_entries`` takes
-    the constants as (i, j, t, v) entries.
+    For a finite free module an algebra A and its dual coalgebra C = A*
+    are one table read two ways: the coefficient of e_t in e_i * e_j is
+    the coefficient of e_i* (x) e_j* in Delta(e_t*).  So an algebra holds
+    only its dual, ``dual``, whose stored block X_t holds D times the
+    coefficient of e_t in e_i * e_j at (i, j); the unit is the dual's
+    counit, and the basis names are the dual's across ``_toggled``.  The
+    dense n^2 x n multiplication matrix is only a view, ``mult``, built
+    on demand; the constructor takes that matrix, and
+    ``algebra_from_entries`` takes (i, j, t, v) entries.
     """
 
-    __slots__ = ("ring", "rank", "unit", "basis_names", "constants")
+    __slots__ = ("ring", "rank", "unit", "basis_names", "dual")
 
     def __init__(self, ring: Ring, rank: int, mult: Matrix, unit, basis_names=None):
         if mult.nrows != rank * rank or mult.ncols != rank:
             raise ValidationError(f"mult must be {rank * rank}x{rank}, got {mult.nrows}x{mult.ncols}")
-        self._store(ring, rank, [list(enumerate(row)) for row in mult.rows], unit, basis_names)
+        self._hold(Coalgebra(ring, rank, mult.transpose(), unit, _toggled(basis_names)))
 
-    def _store(self, ring, rank, constants, unit, names):
-        """Hold the rows of (t, v) pairs, t ascending, as ``constants``: residues mod p, zeros dropped."""
-        if len(unit) != rank:
-            raise ValidationError("unit length must equal the rank")
-        self.ring = ring
-        self.rank = rank
-        self.unit = ring.reduce_row(list(unit))
-        self.basis_names = tuple(names) if names is not None else None
-        self.constants = [[(t, v) for (t, _), v in zip(pairs, ring.reduce_row([v for _, v in pairs])) if v]
-                          for pairs in constants]
+    def _hold(self, dual: Coalgebra):
+        """Hold the dual coalgebra itself, the one store of the multiplication."""
+        self.ring = dual.ring
+        self.rank = dual.rank
+        self.unit = dual.counit
+        self.basis_names = _toggled(dual.basis_names)
+        self.dual = dual
+        return self
 
     @property
     def mult(self) -> Matrix:
         """The dense n^2 x n multiplication matrix, row i*n + j the coordinates of e_i * e_j; built on each access."""
-        zero, n = self.ring.zero, self.rank
-        return Matrix._owning(self.ring, [[dict(pairs).get(t, zero) for t in range(n)] for pairs in self.constants], n)
+        return self.dual.delta.transpose()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraPresentation)
-            and self.ring == other.ring
-            and self.rank == other.rank
-            and self.constants == other.constants
-            and self.unit == other.unit
-        )
+        return isinstance(other, AlgebraPresentation) and self.dual == other.dual
 
     def __repr__(self):
         return f"AlgebraPresentation({self.ring}, rank {self.rank})"
 
     def validate(self) -> ValidationReport:
-        """Check commutativity, associativity and the unit law, on the dual's blocks (``_checked_dual``)."""
-        return _checked_dual(self)[1]
+        """Check commutativity, associativity and the unit law on the dual's blocks.
+
+        Commutativity is cocommutativity, associativity at (i, j, k) is
+        coassociativity at tensor slot (i, j, k), and the unit law at e_i
+        is the left counit law at slot i.  Each law is reported at the
+        smallest inner tuple over all t, the first violating index tuple
+        in lexicographic order; the right counit law is not an algebra
+        axiom.
+        """
+        report = ValidationReport()
+        for (name, place), failures in zip(_ALGEBRA_LAWS, _axiom_failures(self.dual)):
+            first = min((inner for _, inner in failures), default=None)
+            report.add(name, first is None, "" if first is None else place.format(*first))
+        return report
 
     def require_valid(self):
         return self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
 
 
+def _toggled(names):
+    """Basis names across the duality: a trailing * dropped, or one added; None for no names."""
+    return tuple(s[:-1] if s.endswith("*") else f"{s}*" for s in names) if names else None
+
+
 def algebra_from_entries(ring: Ring, rank: int, entries, unit, basis_names=None) -> AlgebraPresentation:
     """The algebra with e_i * e_j the sum of v * e_t over its (i, j, t, v) entries."""
-    rows = [{} for _ in range(rank * rank)]
-    for i, j, t, v in entries:
-        rows[i * rank + j][t] = v
-    a = object.__new__(AlgebraPresentation)
-    a._store(ring, rank, [sorted(row.items()) for row in rows], unit, basis_names)
-    return a
-
-
-def _checked_dual(a: AlgebraPresentation):
-    """(C, report): the dual coalgebra C of a, and a's axioms checked on C's blocks by ``_axiom_failures``.
-
-    C's block X_t holds D times the coefficient of e_t in e_i * e_j at
-    (i, j), so commutativity is cocommutativity, associativity at
-    (i, j, k) is coassociativity at tensor slot (i, j, k), and the unit
-    law at e_i is the left counit law at slot i.  Each law is reported
-    at the smallest inner tuple over all t, the first violating index
-    tuple in lexicographic order; the right counit law is not an algebra
-    axiom.
-    """
-    n = a.rank
-    entries = [(t, *divmod(ij, n), v) for ij, pairs in enumerate(a.constants) for t, v in pairs]
-    names = [f"{s}*" for s in a.basis_names] if a.basis_names else None
-    dual = coalgebra_from_entries(a.ring, n, entries, a.unit, basis_names=names)
-    report = ValidationReport()
-    for (name, place), failures in zip(_ALGEBRA_LAWS, _axiom_failures(dual)):
-        first = min((inner for _, inner in failures), default=None)
-        report.add(name, first is None, "" if first is None else place.format(*first))
-    return dual, report
+    dual = coalgebra_from_entries(ring, rank, [(t, i, j, v) for i, j, t, v in entries], unit, _toggled(basis_names))
+    return object.__new__(AlgebraPresentation)._hold(dual)
 
 
 def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
-    """Linear dual of a finite algebra: the comultiplication transposes
-    the multiplication table and the counit evaluates at the unit."""
-    dual, report = _checked_dual(a)
-    return report.require(dual, "algebra axiom failed", InvalidAlgebra)
+    """Linear dual of a finite algebra, the coalgebra it holds, once its axioms pass."""
+    return a.require_valid().dual
 
 
 def dual_algebra(c: Coalgebra) -> AlgebraPresentation:
-    """Linear dual of a finite coalgebra; round trips with dual_of_algebra.
-
-    e_j* e_k* has coefficient X_t[j][k] / D at e_t*, read off the stored
-    blocks: a Fraction over Q and Z[S^-1], an int over Z and F_p (D = 1).
-    """
-    scale = c.ring.one if c.denom == 1 else Fraction(1, c.denom)
-    entries = [(j, k, t, scale * v) for t, block in enumerate(c.blocks) for j, row in block.items() for k, v in row]
-    names = None
-    if c.basis_names:
-        names = [s[:-1] if s.endswith("*") else f"{s}*" for s in c.basis_names]
-    return algebra_from_entries(c.ring, c.rank, entries, c.counit, basis_names=names)
+    """Linear dual of a finite coalgebra: an algebra holding c itself; round trips with dual_of_algebra."""
+    return object.__new__(AlgebraPresentation)._hold(c)
 
 
 def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:

@@ -25,7 +25,6 @@ from .coalgebra import (
     truncated_polynomial_algebra,
 )
 from .errors import ValidationError
-from .lattice import Lattice
 from .matrix import Matrix
 from .rings import ZZ, Ring
 
@@ -241,30 +240,4 @@ def generate_maps(seed: int, count: int, max_rank: int = 10, ring: Ring = ZZ) ->
                 continue
             w = random_unimodular(rng, ring, c.rank)
             out.append(CorpusMap(CoalgebraMap(c, conjugate(c, w), w.inverse()), "basis change"))
-    return out
-
-
-def random_lattices(seed: int, count: int, ambient_max: int = 6, ring: Ring = ZZ) -> list[Lattice]:
-    """Mixed pure and impure lattices for purity cross-checks."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, ambient_max)
-        r = rng.randint(0, n)
-        rows = [[ring.normalize(rng.randint(-9, 9)) for _ in range(n)] for _ in range(r)]
-        if rows and rng.random() < 0.5:
-            idx = rng.randrange(len(rows))
-            scale = rng.randint(2, 6)
-            rows[idx] = [scale * v for v in rows[idx]]
-        out.append(Lattice.from_rows(ring, n, rows))
-    return out
-
-
-def random_pure_lattices(seed: int, count: int, ambient: int, ring: Ring = ZZ) -> list[Lattice]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        r = rng.randint(0, ambient)
-        rows = [[ring.normalize(rng.randint(-4, 4)) for _ in range(ambient)] for _ in range(r)]
-        out.append(Lattice.from_rows(ring, ambient, rows).saturate())
     return out

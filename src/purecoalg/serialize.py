@@ -5,9 +5,12 @@ as "a/b" in lowest terms) so consumers never lose precision; structural
 indices stay JSON numbers.  Serialization is canonical: keys sorted,
 sparse triples sorted, coefficients in lowest terms, two-space indent,
 trailing newline.  Parsing a canonical coalgebra or algebra file and
-reserializing it is a byte round trip.  Simplicial sets and maps are
-only read: no command writes one.  ``coalgebra_from_obj`` and
-``algebra_from_obj`` validate what they parse;
+reserializing it is a byte round trip.  Both kinds of structure-constant
+file share one parser and one writer: an algebra is held as its dual
+coalgebra, and its file lists the dual's entries (t, i, j) as
+[i, j, t, coeff].  Simplicial sets and maps are only read: no command
+writes one.  ``coalgebra_from_obj`` and ``algebra_from_obj`` validate
+what they parse;
 ``parse_coalgebra_or_algebra`` and ``sset_from_obj`` only parse, for the
 callers that report or check the axioms themselves.
 """
@@ -98,23 +101,6 @@ def lattice_from_obj(obj, ring: Ring) -> Lattice:
 # --- coalgebras and algebras ------------------------------------------------------
 
 
-def coalgebra_to_obj(c: Coalgebra):
-    obj = {
-        "ring": c.ring.to_spec(),
-        "rank": c.rank,
-        "delta": [
-            [i, j, k, c.ring.to_str(Fraction(v, c.denom))]
-            for i, block in enumerate(c.blocks)
-            for j, entries in block.items()
-            for k, v in entries
-        ],
-        "counit": [c.ring.to_str(v) for v in c.counit],
-    }
-    if c.basis_names is not None:
-        obj["basis_names"] = list(c.basis_names)
-    return obj
-
-
 def _index(obj, key: str, where: str) -> int:
     """A structural integer field, refused when it is a boolean."""
     n = _expect(obj, key, int, where)
@@ -160,55 +146,64 @@ def _basis_names(obj, n: int):
     return names
 
 
-def _coalgebra(obj) -> Coalgebra:
-    """The coalgebra of a parsed file, its axioms not yet checked."""
-    ring = ring_from_spec(_expect(obj, "ring", dict, "coalgebra"))
-    n = _rank(obj, "coalgebra")
-    entries = _triples(obj, "delta", ring, n, "coalgebra")
-    counit_obj = _expect(obj, "counit", list, "coalgebra")
-    if len(counit_obj) != n:
-        raise ParseError("counit must have length equal to the rank")
-    counit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in counit_obj]
-    return coalgebra_from_entries(ring, n, entries, counit, basis_names=_basis_names(obj, n))
+# The two kinds of structure-constant file, both written from the blocks of a coalgebra (an algebra's
+# dual): the table and unit fields, the file's index order for a block entry, and the entries' builder
+_KINDS = {
+    "coalgebra": ("delta", "counit", lambda i, j, k: [i, j, k], coalgebra_from_entries),
+    "algebra": ("mult", "unit", lambda t, i, j: [i, j, t], algebra_from_entries),
+}
 
 
-def coalgebra_from_obj(obj) -> Coalgebra:
-    return _coalgebra(obj).require_valid()
-
-
-def algebra_to_obj(a: AlgebraPresentation):
+def _constants_to_obj(kind: str, c: Coalgebra, names):
+    table, unit, order, _ = _KINDS[kind]
     obj = {
-        "ring": a.ring.to_spec(),
-        "rank": a.rank,
-        "mult": [[*divmod(ij, a.rank), t, a.ring.to_str(v)] for ij, pairs in enumerate(a.constants) for t, v in pairs],
-        "unit": [a.ring.to_str(v) for v in a.unit],
+        "ring": c.ring.to_spec(),
+        "rank": c.rank,
+        table: sorted(
+            order(i, j, k) + [c.ring.to_str(Fraction(v, c.denom))]
+            for i, block in enumerate(c.blocks)
+            for j, entries in block.items()
+            for k, v in entries
+        ),
+        unit: [c.ring.to_str(v) for v in c.counit],
     }
-    if a.basis_names is not None:
-        obj["basis_names"] = list(a.basis_names)
+    if names is not None:
+        obj["basis_names"] = list(names)
     return obj
 
 
-def _algebra(obj) -> AlgebraPresentation:
-    """The algebra of a parsed file, its axioms not yet checked."""
-    ring = ring_from_spec(_expect(obj, "ring", dict, "algebra"))
-    n = _rank(obj, "algebra")
-    entries = _triples(obj, "mult", ring, n, "algebra")
-    unit_obj = _expect(obj, "unit", list, "algebra")
+def coalgebra_to_obj(c: Coalgebra):
+    return _constants_to_obj("coalgebra", c, c.basis_names)
+
+
+def algebra_to_obj(a: AlgebraPresentation):
+    return _constants_to_obj("algebra", a.dual, a.basis_names)
+
+
+def _parsed(kind: str, obj):
+    """The coalgebra or algebra of a parsed file, its axioms not yet checked."""
+    table, unit, _, build = _KINDS[kind]
+    ring = ring_from_spec(_expect(obj, "ring", dict, kind))
+    n = _rank(obj, kind)
+    entries = _triples(obj, table, ring, n, kind)
+    unit_obj = _expect(obj, unit, list, kind)
     if len(unit_obj) != n:
-        raise ParseError("unit must have length equal to the rank")
-    unit = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in unit_obj]
-    return algebra_from_entries(ring, n, entries, unit, basis_names=_basis_names(obj, n))
+        raise ParseError(f"{unit} must have length equal to the rank")
+    units = [ring.parse(v) if isinstance(v, str) else ring.normalize(v) for v in unit_obj]
+    return build(ring, n, entries, units, basis_names=_basis_names(obj, n))
+
+
+def coalgebra_from_obj(obj) -> Coalgebra:
+    return _parsed("coalgebra", obj).require_valid()
 
 
 def algebra_from_obj(obj) -> AlgebraPresentation:
-    return _algebra(obj).require_valid()
+    return _parsed("algebra", obj).require_valid()
 
 
 def parse_coalgebra_or_algebra(obj):
     """The algebra of a parsed file with a "mult" field, else its coalgebra; no axiom is checked."""
-    if isinstance(obj, dict) and "mult" in obj:
-        return _algebra(obj)
-    return _coalgebra(obj)
+    return _parsed("algebra" if isinstance(obj, dict) and "mult" in obj else "coalgebra", obj)
 
 
 # --- simplicial objects --------------------------------------------------------------

@@ -451,8 +451,7 @@ def _interpolating_elements(gl: GroupLikeSet, base):
     """
     m = len(gl)
     n = gl.coalgebra.rank
-    scale = math.lcm(*(x.denominator for g in gl for x in g))
-    vectors = [[x.numerator * (scale // x.denominator) for x in g] for g in gl]
+    scale, vectors = cleared_rows(list(gl))
     h, u = hnf(Matrix(base, [[g[k] for g in vectors] for k in range(n)], m))
     if h.nrows != m:
         raise AssertionError("character interpolation must be solvable over the field")

@@ -6,7 +6,9 @@ simplicial homology on nondegenerate simplices, the character search and
 idempotent lift over the fraction field in plain Fractions (or ints mod
 p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
-finder, which ``test_polyroots`` checks on its own.
+finder, which ``test_polyroots`` checks on its own.  The seeded random
+lattices that the lattice tests draw are built with the package's
+``Lattice.from_rows`` and ``saturate``.
 
 The exceptions are the last five sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from purecoalg.numtheory import xgcd
@@ -597,6 +600,40 @@ def algebra_axiom_locations(mult_rows, unit, n, p=None):
     return comm, assoc, unit_law
 
 
+# --- random lattices ----------------------------------------------------------
+
+
+def random_lattices(seed: int, count: int, ambient_max: int = 6):
+    """Mixed pure and impure lattices over Z for purity cross-checks."""
+    from purecoalg import ZZ, Lattice
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, ambient_max)
+        r = rng.randint(0, n)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+        if rows and rng.random() < 0.5:
+            idx = rng.randrange(len(rows))
+            scale = rng.randint(2, 6)
+            rows[idx] = [scale * v for v in rows[idx]]
+        out.append(Lattice.from_rows(ZZ, n, rows))
+    return out
+
+
+def random_pure_lattices(seed: int, count: int, ambient: int):
+    """Saturated lattices over Z of random rank in one ambient rank."""
+    from purecoalg import ZZ, Lattice
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r = rng.randint(0, ambient)
+        rows = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(r)]
+        out.append(Lattice.from_rows(ZZ, ambient, rows).saturate())
+    return out
+
+
 # --- former n^2-ambient routines ---------------------------------------------
 
 
@@ -744,7 +781,7 @@ def dense_set_like(ring, names):
 def dense_dual_of_algebra(a):
     from purecoalg import Coalgebra
 
-    names = [f"{s}*" for s in a.basis_names] if a.basis_names else None
+    names = [s[:-1] if s.endswith("*") else f"{s}*" for s in a.basis_names] if a.basis_names else None
     return Coalgebra(a.ring, a.rank, a.mult.transpose(), a.unit, basis_names=names)
 
 

@@ -53,10 +53,9 @@ from purecoalg.corpus import (
     generate_coalgebras,
     generate_maps,
     generate_tensor_pairs,
-    random_lattices,
 )
 
-from oracles import cone_is_acyclic, direct_homology, group_likes_bruteforce
+from oracles import cone_is_acyclic, direct_homology, group_likes_bruteforce, random_lattices
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 ACCEPTANCE_SEED = 20240809

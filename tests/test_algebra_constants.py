@@ -1,10 +1,11 @@
-"""An algebra held once, as its nonzero structure constants, against the dense tables it replaced.
+"""An algebra held once, as its dual coalgebra's blocks, against the dense tables it replaced.
 
-``AlgebraPresentation`` keeps ``constants[i * n + j]``, the nonzero
-(t, v) of e_i * e_j with t ascending and residues mod p over F_p; the
-dense n^2 x n ``mult`` is a view.  Over Z, Q, Z[1/2,1/3] (with
-denominators in Delta), F_101, F_2 and F_3, the dual algebra read off
-the stored blocks must equal the former ``c.delta.transpose()``
+``AlgebraPresentation`` holds only ``dual``: block X_t of the dual has
+D times the coefficient of e_t in e_i * e_j at (i, j), with the nonzero
+entries of each row k-ascending and residues mod p over F_p; the dense
+n^2 x n ``mult`` is a view.  Over Z, Q, Z[1/2,1/3] (with denominators
+in Delta), F_101, F_2 and F_3, the dual algebra of a coalgebra must hold
+that coalgebra itself and equal the former ``c.delta.transpose()``
 construction entry for entry and type for type, and every source of an
 algebra (file, dense constructor, entries) must give the same
 presentation.
@@ -65,19 +66,29 @@ def _types(mat):
     return [[type(v) for v in row] for row in mat.rows]
 
 
+def _same_store(b, a):
+    """b holds the same dual blocks, denominator, unit and names as a."""
+    return (b == a and b.dual.blocks == a.dual.blocks and b.dual.denom == a.dual.denom and b.unit == a.unit
+            and b.basis_names == a.basis_names)
+
+
+def _stored_values(a):
+    return [v for block in a.dual.blocks for row in block.values() for _, v in row]
+
+
 @pytest.mark.parametrize("ring", list(CORPORA))
 def test_dual_algebra_is_the_transposed_delta(ring):
     for c in CORPORA[ring]():
         a = dual_algebra(c)
+        assert a.dual is c
         want = c.delta.transpose()
         assert a.mult == want and _types(a.mult) == _types(want)
         assert [type(v) for v in a.unit] == [type(v) for v in c.counit]
         old = oracles.dense_dual_algebra(c)
-        assert a == old and a.constants == old.constants and a.unit == old.unit
-        assert a.basis_names == old.basis_names
+        assert _same_store(old, a)
         assert sz.canonical_dumps(sz.algebra_to_obj(a)) == sz.canonical_dumps(sz.algebra_to_obj(old))
         assert a.validate().overall
-        assert dual_of_algebra(a) == c
+        assert dual_of_algebra(a) is c
 
 
 @pytest.mark.parametrize("ring", list(CORPORA))
@@ -95,11 +106,15 @@ def test_every_source_gives_one_presentation(ring):
         entries = algebra_from_entries(r, n, [(*divmod(ij, n), t, v) for ij, row in enumerate(a.mult.rows)
                                               for t, v in enumerate(row)], a.unit, a.basis_names)
         for b in (dense, parsed, shuffled, entries):
-            assert b == a and b.constants == a.constants and b.unit == a.unit and b.basis_names == a.basis_names
-            assert b.mult == a.mult
+            assert _same_store(b, a) and b.mult == a.mult
         assert sz.canonical_dumps(sz.algebra_to_obj(parsed)) == sz.canonical_dumps(obj)
-        assert all([t for t, _ in row] == sorted({t for t, _ in row}) and all(v for _, v in row)
-                   for row in a.constants)
+        assert all(list(block) == sorted(block) for block in a.dual.blocks)
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for block in a.dual.blocks
+                   for row in block.values())
+        assert all(_stored_values(a))
+        # the stored entries are the nonzero entries of the dense table, each once
+        assert sorted(Fraction(v, a.dual.denom) for v in _stored_values(a)) == sorted(
+            Fraction(v) for row in a.mult.rows for v in row if v)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -112,12 +127,12 @@ def test_unreduced_prime_field_input_is_stored_as_residues(p):
     from_entries = algebra_from_entries(fp, 2, [(*divmod(ij, 2), t, v) for ij, row in enumerate(shifted)
                                                 for t, v in enumerate(row)], unit, a.basis_names)
     for b in (from_dense, from_entries):
-        assert b == a and b.constants == a.constants and b.unit == a.unit
-        assert all(0 < v < p for row in b.constants for _, v in row)
+        assert _same_store(b, a)
+        assert all(0 < v < p for v in _stored_values(b)) and all(0 <= v < p for v in b.unit)
         assert b.validate().overall
     # a product that is zero mod p only: the commutativity check sees residues
     rows = [[0, 0], [p, 0], [0, 0], [0, 0]]
-    assert AlgebraPresentation(fp, 2, Matrix(fp, rows, 2), [1, 0]).constants == [[], [], [], []]
+    assert AlgebraPresentation(fp, 2, Matrix(fp, rows, 2), [1, 0]).dual.blocks == [{}, {}]
 
 
 def test_the_dense_table_is_only_a_view():

@@ -128,6 +128,7 @@ from hypothesis import strategies as st
 
 from purecoalg import (
     AlgebraPresentation,
+    Coalgebra,
     InvalidAlgebra,
     Lattice,
     QQ,
@@ -224,6 +225,19 @@ def test_binomial_check_needs_no_kernel_lattice_projection_or_smith_form(monkeyp
     monkeypatch.setattr(matrix_mod, "snf", refuse)
     monkeypatch.setattr(lattice_mod, "snf", refuse, raising=False)
     assert [binomial_check(a, _usable_primes(a)) for a in algebras_] == want
+
+
+def test_binomial_check_of_a_dual_builds_no_blocks_and_checks_the_axioms_once(monkeypatch):
+    import purecoalg.coalgebra as coalgebra_mod
+
+    c = next(e.coalgebra for e in generate_coalgebras(97, 40, max_rank=8) if e.coalgebra.rank >= 6)
+    want = oracles.quotient_frobenius_report(dual_algebra(c), PRIMES)
+    stores, checked = [], []
+    store, failures = Coalgebra._store, coalgebra_mod._axiom_failures
+    monkeypatch.setattr(Coalgebra, "_store", lambda self, *args: stores.append(self) or store(self, *args))
+    monkeypatch.setattr(coalgebra_mod, "_axiom_failures", lambda x: checked.append(x) or failures(x))
+    assert binomial_check(dual_algebra(c), PRIMES) == want
+    assert stores == [] and len(checked) == 1 and checked[0] is c
 
 
 def test_binomial_errors_fire_in_order():

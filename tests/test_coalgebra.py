@@ -104,14 +104,22 @@ def test_dual_of_split_algebra_is_set_like():
 
 
 def test_dual_round_trip():
-    for c in (set_like(ZZ, ["a", "b"]), dual_zxk(3), set_like(ZZ, [])):
+    # one naming rule both ways, a trailing * dropped or added, so the round trip restores every name
+    w = random_unimodular(random.Random(5), ZZ, 3)
+    cases = [(set_like(ZZ, ["a", "b"]), ("a*", "b*")), (dual_zxk(3), ("1", "x", "x2")),
+             (set_like(ZZ, ["a*", "b", ""]), ("a", "b*", "*")), (conjugate(dual_zxk(3), w), None),
+             (set_like(ZZ, []), None)]
+    for c, names in cases:
         a = dual_algebra(c)
         assert a.validate().overall
-        back = dual_of_algebra(a)
-        assert back.delta == c.delta and back.counit == c.counit
+        assert a.dual is c and a.unit is c.counit and a.basis_names == names
+        assert dual_of_algebra(a) is c
     alg = truncated_polynomial_algebra(ZZ, 3)
-    again = dual_algebra(dual_of_algebra(alg))
-    assert again.mult == alg.mult and again.unit == alg.unit
+    dual = dual_of_algebra(alg)
+    assert dual is alg.dual and dual.basis_names == ("1*", "x*", "x2*")
+    again = dual_algebra(dual)
+    assert again == alg and again.mult == alg.mult and again.unit == alg.unit
+    assert again.basis_names == alg.basis_names == ("1", "x", "x2")
 
 
 def test_tensor_examples():

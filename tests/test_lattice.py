@@ -16,7 +16,7 @@ from purecoalg import (
     localized_integers,
     prime_field,
 )
-from purecoalg.corpus import random_lattices, random_pure_lattices
+from oracles import random_lattices, random_pure_lattices
 
 
 def L(rows, n, ring=ZZ):

@@ -5,16 +5,19 @@ the package to trace them, and calls the package through ``pc.<name>``
 and ``corpus.<name>``.  Removing one of those names breaks the
 benchmark, not the package, so these tests read its files (without
 importing them as modules or writing anything next to them) and check
-that every name still resolves.
+that every name still resolves, and that the dense constructor
+``roadmap_rows.py`` converts its corpora through still gives the
+coalgebra it converts.
 """
 
 import ast
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import purecoalg
-from purecoalg import ZZ, corpus, set_like
+from purecoalg import QQ, ZZ, Matrix, corpus, localized_integers, prime_field, set_like
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "purecoalg"
@@ -57,6 +60,19 @@ def test_the_benchmark_tracer_installs_and_uninstalls():
         t.uninstall()
     after = _traced_objects(tracer.LAYERS)
     assert all(after[name] is obj for name, obj in before.items())
+
+
+def test_the_roadmap_rows_convert_through_the_dense_constructor(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on the path
+    rows = _load_read_only(BENCH / "roadmap_rows.py")
+    c = next(e.coalgebra for e in corpus.generate_coalgebras(7, 20, max_rank=6, twist=True) if e.coalgebra.rank >= 4)
+    assert any(v < 0 for row in c.delta.rows for v in row)
+    assert rows.over(ZZ, c) is c
+    for ring, conv in ((QQ, Fraction), (localized_integers([2, 3]), Fraction), (prime_field(1000003), lambda v: v % 1000003)):
+        d = rows.over(ring, c)
+        assert d.ring == ring and d.rank == c.rank
+        assert d.delta == Matrix(ring, [[conv(v) for v in row] for row in c.delta.rows], c.rank * c.rank)
+        assert d.counit == [conv(v) for v in c.counit] and d.validate().overall
 
 
 def test_every_package_name_the_benchmark_calls_resolves():

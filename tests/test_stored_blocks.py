@@ -40,6 +40,7 @@ from purecoalg import (
 )
 from purecoalg import lattice as lattice_mod
 from purecoalg import serialize as sz
+from purecoalg.coalgebra import coalgebra_from_entries
 from purecoalg.corpus import generate_coalgebras, generate_maps, random_unimodular
 from purecoalg.rings import localized_integers
 
@@ -123,7 +124,14 @@ def test_equal_coalgebras_have_equal_blocks():
     assert sz.canonical_dumps(sz.coalgebra_to_obj(sz.coalgebra_from_obj(shuffled))) == sz.canonical_dumps(obj)
     half = Coalgebra(ZS, 1, Matrix(ZS, [[Fraction(1, 2)]], 1), [Fraction(2)])
     assert half.denom == 2 and half.blocks == [{0: ((0, 1),)}]
-    assert Coalgebra(F101, 1, Matrix(F101, [[102]], 1), [1]) == set_like(F101, ["x"])
+    # over F_p the entries and the counit are held as residues, through either builder
+    point = set_like(F101, ["x"])
+    for c in (Coalgebra(F101, 1, Matrix(F101, [[102]], 1), [1]), Coalgebra(F101, 1, Matrix(F101, [[1]], 1), [102]),
+              coalgebra_from_entries(F101, 1, [(0, 0, 0, 1)], [102]),
+              coalgebra_from_entries(F101, 1, [(0, 0, 0, -100)], [-201])):
+        assert c.blocks == point.blocks and c.counit == [1] and c == point and hash(c) == hash(point)
+        assert sz.coalgebra_to_obj(c) == {"ring": {"kind": "Fp", "p": 101}, "rank": 1, "delta": [[0, 0, 0, "1"]],
+                                          "counit": ["1"]}
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ZS, F101], ids=IDS)
