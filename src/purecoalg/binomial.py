@@ -163,14 +163,10 @@ def binomial_check(a: AlgebraPresentation, primes=DEFAULT_PRIMES) -> BinomialRep
     condition one at p is rank(F^k) = n (the nilradical ker F^k is
     zero), and condition two is F^{k+1} = F^k (the Frobenius is the
     identity on the reduced quotient), which characterizes products of
-    copies of F_p without enumerating maximal ideals.
+    copies of F_p without enumerating maximal ideals.  The axioms are
+    checked once per algebra and its dual, which share the verdict.
     """
     a.require_valid()
-    return _binomial_report(a, primes)
-
-
-def _binomial_report(a: AlgebraPresentation, primes) -> BinomialReport:
-    """``binomial_check`` on an algebra already known to be valid."""
     n = a.rank
     positions, integral = _flat_constants(a)
     results = []

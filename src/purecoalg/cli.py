@@ -17,7 +17,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import serialize
-from .binomial import DEFAULT_PRIMES, _binomial_report, binomial_check
+from .binomial import DEFAULT_PRIMES, binomial_check
 from .coalgebra import (
     AlgebraPresentation,
     Coalgebra,
@@ -257,11 +257,8 @@ def _cmd_binomial(args) -> tuple[int, str]:
         primes = _prime_list(os.environ["COALG_PRIMES"], "COALG_PRIMES")
     else:
         primes = DEFAULT_PRIMES
-    if isinstance(thing, Coalgebra):
-        # the loader validated the coalgebra, and its dual's axioms are the same identities transposed
-        report = _binomial_report(dual_algebra(thing), primes)
-    else:
-        report = binomial_check(thing, primes)
+    # the loader validated a coalgebra, and its dual algebra reads that held verdict
+    report = binomial_check(dual_algebra(thing) if isinstance(thing, Coalgebra) else thing, primes)
     return (_EXIT_OK if report.all_pass else _EXIT_FALSE), str(report)
 
 

@@ -21,8 +21,11 @@ passing to the dual in either direction builds nothing.
 Axiom checks, constructions and tensor-square conditions all walk the
 blocks.  A tensor in C (x) C is an n x n matrix, and tensor-square
 conditions are products P^T X Q of small integer matrices
-(``delta_blocks``, ``sandwich``), never lattices in C (x) C or the
-n^2 x n^3 Kronecker matrices the identities formally live in.
+(``sandwich``), never lattices in C (x) C or the n^2 x n^3 Kronecker
+matrices the identities formally live in.  Whether a lattice is a
+subcoalgebra is read off the support of Delta carried into a basis
+adapted to it (``_adapted_support``), the same reading that validates
+a filtration or a component decomposition.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class Coalgebra:
     demand.  A coalgebra is immutable by convention: nothing assigns to
     it after ``_store``, so it can hold the invariants derived from it.
     ``_derived`` holds each of them once it has been computed and
-    checked: "search", the semisimple dimension and the characters from
+    checked: "valid", set once the axioms pass (``require_valid``);
+    "search", the semisimple dimension and the characters from
     one character search (``grouplike``); "group_likes", the certified
     GroupLikeSet; "components", the validated ComponentDecomposition
     (``structure.components``); "filtration", the validated coradical
@@ -204,7 +208,11 @@ class Coalgebra:
         return validate_coalgebra(self)
 
     def require_valid(self):
-        return self.validate().require(self, "coalgebra axiom failed")
+        """self once the axioms pass; the verdict is held, so later calls check nothing."""
+        if not self._derived.get("valid"):
+            self.validate().require(self, "coalgebra axiom failed")
+            self._derived["valid"] = True
+        return self
 
 
 def stored_coordinates(c: Coalgebra, weights, zero=0) -> list:
@@ -399,7 +407,12 @@ class AlgebraPresentation:
         return report
 
     def require_valid(self):
-        return self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
+        """self once the axioms pass, the verdict held on the dual: the algebra laws are three of the
+        dual's four, and cocommutativity makes its two counit laws one, so the two verdicts agree."""
+        if not self.dual._derived.get("valid"):
+            self.validate().require(self, "algebra axiom failed", InvalidAlgebra)
+            self.dual._derived["valid"] = True
+        return self
 
 
 def _toggled(names):
@@ -504,6 +517,25 @@ def direct_sum(c: Coalgebra, d: Coalgebra) -> Coalgebra:
     return _built(c.ring, c.rank + d.rank, scale, blocks, list(c.counit) + list(d.counit), names)
 
 
+def sandwich(left, block, right):
+    """The rows of left^T * X * right for a stored block X = {j: [(k, v)]}.
+
+    left and right are n x m integer matrices as lists of rows.  This is
+    the image of the tensor under left (x) right, worked out on n x n
+    blocks instead of through the n^2-column Kronecker product.
+    """
+    width = len(right[0]) if right else 0
+    out = [[0] * width for _ in range(len(left[0]) if left else 0)]
+    for j, entries in block.items():
+        row = [0] * width
+        for k, v in entries:
+            row = [s + v * r for s, r in zip(row, right[k])]
+        for a, weight in enumerate(left[j]):
+            if weight:
+                out[a] = [s + weight * r for s, r in zip(out[a], row)]
+    return out
+
+
 def _transported(c: Coalgebra, weights, section):
     """(scale, blocks) of sum_r weights[i][r] * M^T X_r M for each row i, M the section.
 
@@ -515,7 +547,7 @@ def _transported(c: Coalgebra, weights, section):
     e, weights = cleared_rows(weights)
     f, section = cleared_rows(section)
     used = {r for row in weights for r, a in enumerate(row) if a}
-    moved = {r: [(j, row) for j, row in enumerate(sandwich(section, c.blocks[r], section, c.rank)) if any(row)]
+    moved = {r: [(j, row) for j, row in enumerate(sandwich(section, c.blocks[r], section)) if any(row)]
              for r in used}
     blocks = []
     for row in weights:
@@ -527,6 +559,82 @@ def _transported(c: Coalgebra, weights, section):
                     acc[j] = [a * y for y in image] if have is None else [x + a * y for x, y in zip(have, image)]
         blocks.append({j: [(k, v) for k, v in enumerate(acc[j]) if v] for j in sorted(acc)})
     return e * f * f * c.denom, blocks
+
+
+def _scaled_inverse(rows, base) -> list:
+    """Rows of d * T^-1 for a square integer T invertible over the fraction field, d a nonzero integer.
+
+    With U * T = H the Hermite form (upper triangular), d = det H makes
+    d * H^-1 integral, so back substitution in H * Z = d * U divides
+    exactly and Z = d * T^-1 comes out fraction-free.  Over F_p the
+    Hermite form of an invertible T is I, so d = 1 and Z = U = T^-1, in
+    residues.
+    """
+    n = len(rows)
+    h, u = hnf(Matrix(base, rows, n))
+    h = h.rows
+    d = math.prod(h[i][i] for i in range(n))
+    out = [None] * n
+    for i in reversed(range(n)):
+        acc = [d * x for x in u.rows[i]]
+        for j in range(i + 1, n):
+            if h[i][j]:
+                acc = [x - h[i][j] * y for x, y in zip(acc, out[j])]
+        out[i] = [x // h[i][i] for x in acc]
+    return out
+
+
+def _adapted_support(c: Coalgebra, rows, checked: int):
+    """(section, support) for Delta in the basis t_0, ..., t_{n-1} given by the rows.
+
+    The rows T need only be invertible over the fraction field.  Each is
+    cleared of denominators (a row scalar changes no support), the
+    section S = d * T^-1 is computed fraction-free, and one
+    ``_transported`` gives X'_r = S^T X(t_r) S, the coefficients of
+    Delta(t_r) on the t_a (x) t_b up to one nonzero scalar.  support[r]
+    lists the (a, b) whose coefficient is nonzero (mod p over F_p), for
+    the first ``checked`` rows.  x * S holds the t-coordinates of x.
+    """
+    base = c.base
+    ints = [cleared_rows([row])[1][0] for row in rows]
+    section = _scaled_inverse(ints, base)
+    _, blocks = _transported(c, ints[:checked], section)
+    reduce = base.reduce_row
+    support = []
+    for block in blocks:
+        pairs = []
+        for a, entries in block.items():
+            values = reduce([v for _, v in entries])
+            pairs.extend((a, b) for (b, _), v in zip(entries, values) if v)
+        support.append(pairs)
+    return section, support
+
+
+def _flag_basis(c: Coalgebra, stages):
+    """(rows, degrees): integer rows T adapted to a flag of lattices, invertible over the fraction field.
+
+    The rows of degree m lift a basis of V_m / V_{m-1}: the image of the
+    basis B_m under the integral projection P_{m-1} (kernel V_{m-1}, so
+    the stages below the last must be pure) is brought to Hermite form
+    U * B_m * P_{m-1} = [H; 0], and the first rank H rows of U * B_m are
+    the lifts.  Unit vectors off the pivot columns of the last stage
+    complete the rows, with degree len(stages).
+    """
+    base, n = c.base, c.rank
+    rows, degrees = [], []
+    for m, v in enumerate(stages):
+        if v.rank == len(rows):
+            continue
+        basis = Matrix(base, cleared_rows(v.basis.rows)[1], n)
+        if rows:
+            proj = Matrix(base, stages[m - 1].integral_projection(), n - len(rows))
+            h, u = hnf(basis * proj)
+            basis = Matrix(base, u.rows[: h.nrows], basis.nrows) * basis
+        rows += basis.rows
+        degrees += [m] * basis.nrows
+    pivots = set(stages[-1].basis.pivot_columns())
+    rows += [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
+    return rows, degrees + [len(stages)] * (n - len(degrees))
 
 
 def conjugate(c: Coalgebra, w: Matrix) -> Coalgebra:
@@ -596,14 +704,14 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     A failure names the first basis index and its smallest tensor slot.
     """
     ring = f.domain.ring
-    nc, nd = f.domain.rank, f.codomain.rank
+    nd = f.codomain.rank
     e, F = cleared_rows(f.matrix.rows)
     lhs_scale, rhs_scale = f.codomain.denom, f.domain.denom * e
     report = ValidationReport()
 
     square_loc = ""
     for i, x in enumerate(f.domain.blocks):
-        diff = [[lhs_scale * v for v in row] for row in sandwich(F, x, F, nc)]
+        diff = [[lhs_scale * v for v in row] for row in sandwich(F, x, F)]
         for m, a in enumerate(F[i]):
             for j, entries in f.codomain.blocks[m].items() if a else ():
                 row = diff[j]
@@ -625,81 +733,22 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
 # --- subcoalgebras --------------------------------------------------------------
 
 
-def delta_blocks(c: Coalgebra, rows):
-    """Delta(x) for each row x, as an n x n integer block shaped like the stored ones, {j: [(k, v)]}.
-
-    The block is the sum of the stored blocks weighted by x cleared of
-    denominators, so it is Delta(x) times one nonzero integer; over F_p
-    its entries are congruent mod p to those of Delta(x).  Zero tests
-    and kernels see no difference.
-    """
-    for x in rows:
-        acc: dict[int, dict[int, int]] = {}
-        for a, block in zip(cleared_rows([x])[1][0], c.blocks):
-            if a:
-                for j, entries in block.items():
-                    row = acc.setdefault(j, {})
-                    for k, v in entries:
-                        row[k] = row.get(k, 0) + a * v
-        yield {j: list(row.items()) for j, row in acc.items()}
-
-
-def sandwich(left, block, right, n: int):
-    """The rows of left^T * X * right, for X a block from ``delta_blocks``.
-
-    left and right are n x m integer matrices as lists of rows, None
-    for the n x n identity.  This is the image of the tensor under
-    left (x) right, worked out on n x n blocks instead of through the
-    n^2-column Kronecker product.  With left None only the rows of X *
-    right that come from nonzero rows of X are returned, which is all a
-    zero test needs.
-    """
-    width = n if right is None else (len(right[0]) if right else 0)
-    image = {}
-    for j, entries in block.items():
-        row = [0] * width
-        if right is None:
-            for k, v in entries:
-                row[k] = v
-        else:
-            for k, v in entries:
-                row = [s + v * r for s, r in zip(row, right[k])]
-        image[j] = row
-    if left is None:
-        return list(image.values())
-    out = [[0] * width for _ in range(len(left[0]) if left else 0)]
-    for j, row in image.items():
-        for a, weight in enumerate(left[j]):
-            if weight:
-                out[a] = [s + weight * r for s, r in zip(out[a], row)]
-    return out
-
-
-def vanishes(rows, ring: Ring) -> bool:
-    """Whether every entry is zero, mod p over F_p."""
-    return not any(v for row in rows for v in ring.reduce_row(row))
-
-
 def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
     """Whether Delta maps the lattice into the tensor square of its saturation.
 
-    Let P be the integral projection whose kernel x * P = 0 is the
-    saturation V of the lattice and X the n x n matrix of Delta(x).
-    Splitting C = V + W shows V (x) V = {X : X P = 0 and P^T X = 0}, so
-    each basis row costs two products of n x n blocks and nothing is
-    built in C (x) C.  Saturation commutes with the square,
-    sat(L (x) L) = sat(L) (x) sat(L), so pure and impure lattices (a
-    scaled group-like line, say) take the same path.
+    This is the filtration check on the one-stage flag [l]: in the rows
+    t of ``_flag_basis``, Delta of each of the first rank l rows, which
+    span l, must have support on the t_a (x) t_b with a, b < rank l.  The
+    rows are invertible over the fraction field K, so this decides
+    Delta(V_K) <= V_K (x) V_K, whose integral part is sat(l) (x) sat(l):
+    pure and impure lattices (a scaled group-like line, say) take one path.
     """
     if l.ambient_rank != c.rank:
         raise AmbientMismatch(f"lattice ambient {l.ambient_rank} vs coalgebra rank {c.rank}")
     if l.ring != c.ring:
         raise RingMismatch(f"{l.ring} vs {c.ring}")
-    proj, n = l.integral_projection(), c.rank
-    return all(
-        vanishes(sandwich(None, x, proj, n), c.ring) and vanishes(sandwich(proj, x, None, n), c.ring)
-        for x in delta_blocks(c, l.basis.rows)
-    )
+    rows, deg = _flag_basis(c, [l])
+    return not any(deg[a] or deg[b] for pairs in _adapted_support(c, rows, l.rank)[1] for a, b in pairs)
 
 
 def purify_subcoalgebra(l: Lattice, c: Coalgebra) -> Lattice:

@@ -93,7 +93,7 @@ def lattice_to_obj(lat: Lattice):
 
 
 def lattice_from_obj(obj, ring: Ring) -> Lattice:
-    n = _expect(obj, "ambient_rank", int, "lattice")
+    n = _rank(obj, "lattice", "ambient_rank")
     basis = matrix_from_obj(_expect(obj, "basis", list, "lattice"), ring, n, "lattice basis")
     return Lattice.from_rows(ring, n, basis.rows)
 
@@ -109,13 +109,13 @@ def _index(obj, key: str, where: str) -> int:
     return n
 
 
-def _rank(obj, where: str) -> int:
+def _rank(obj, where: str, key: str = "rank") -> int:
     """The declared rank, checked against MAX_RANK before anything is allocated."""
-    n = _index(obj, "rank", where)
+    n = _index(obj, key, where)
     if n < 0:
-        raise ParseError("rank must be nonnegative")
+        raise ParseError(f"{key} must be nonnegative")
     if n > MAX_RANK:
-        raise TooLarge(f"{where} rank {n} exceeds the bound {MAX_RANK}")
+        raise TooLarge(f"{where} {key} {n} exceeds the bound {MAX_RANK}")
     return n
 
 

@@ -24,9 +24,10 @@ pure subcoalgebra lattices, increase monotonically, and satisfy the
 comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  Every
 component decomposition is checked too: pure parts whose stacked bases
 form a unimodular basis of C, each a subcoalgebra holding its own
-group-like and no other.  Both read the subcoalgebra, compatibility
-and membership conditions off the support of Delta in one basis adapted
-to the flag or to the direct sum (``_adapted_support``): Delta is
+group-like and no other.  These two checks and ``is_subcoalgebra`` all
+read the subcoalgebra, compatibility and membership conditions off the
+support of Delta in one basis adapted to the flag, to the direct sum or
+to the one-stage flag [V] (``coalgebra._adapted_support``): Delta is
 carried into that basis once, in integers, and only which coefficients
 are nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
 
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 from .coalgebra import (
     Coalgebra,
     CoalgebraMap,
-    _transported,
+    _adapted_support,
+    _flag_basis,
     is_subcoalgebra,
     sandwich,
     stored_coordinates,
@@ -143,81 +145,6 @@ class Filtration:
     def graded_ranks(self) -> tuple[int, ...]:
         ranks = self.stage_ranks
         return (ranks[0],) + tuple(b - a for a, b in zip(ranks, ranks[1:]))
-
-
-def _scaled_inverse(rows, base) -> list:
-    """Rows of d * T^-1 for a square integer T invertible over the fraction field, d a nonzero integer.
-
-    With U * T = H the Hermite form (upper triangular), d = det H makes
-    d * H^-1 integral, so back substitution in H * Z = d * U divides
-    exactly and Z = d * T^-1 comes out fraction-free.  Over F_p the
-    Hermite form of an invertible T is I, so d = 1 and Z = U = T^-1, in
-    residues.
-    """
-    n = len(rows)
-    h, u = hnf(Matrix(base, rows, n))
-    h = h.rows
-    d = math.prod(h[i][i] for i in range(n))
-    out = [None] * n
-    for i in reversed(range(n)):
-        acc = [d * x for x in u.rows[i]]
-        for j in range(i + 1, n):
-            if h[i][j]:
-                acc = [x - h[i][j] * y for x, y in zip(acc, out[j])]
-        out[i] = [x // h[i][i] for x in acc]
-    return out
-
-
-def _adapted_support(c: Coalgebra, rows, checked: int):
-    """(section, support) for Delta in the basis t_0, ..., t_{n-1} given by the rows.
-
-    The rows T need only be invertible over the fraction field.  Each is
-    cleared of denominators (a row scalar changes no support), the
-    section S = d * T^-1 is computed fraction-free, and one
-    ``_transported`` gives X'_r = S^T X(t_r) S, the coefficients of
-    Delta(t_r) on the t_a (x) t_b up to one nonzero scalar.  support[r]
-    lists the (a, b) whose coefficient is nonzero (mod p over F_p), for
-    the first ``checked`` rows.  x * S holds the t-coordinates of x.
-    """
-    base = c.base
-    ints = [cleared_rows([row])[1][0] for row in rows]
-    section = _scaled_inverse(ints, base)
-    _, blocks = _transported(c, ints[:checked], section)
-    reduce = base.reduce_row
-    support = []
-    for block in blocks:
-        pairs = []
-        for a, entries in block.items():
-            values = reduce([v for _, v in entries])
-            pairs.extend((a, b) for (b, _), v in zip(entries, values) if v)
-        support.append(pairs)
-    return section, support
-
-
-def _flag_basis(c: Coalgebra, stages):
-    """(rows, degrees): integer rows T adapted to a flag of pure lattices, invertible over the fraction field.
-
-    The rows of degree m lift a basis of V_m / V_{m-1}: the image of the
-    basis B_m under the integral projection P_{m-1} (kernel V_{m-1}) is
-    brought to Hermite form U * B_m * P_{m-1} = [H; 0], and the first
-    rank H rows of U * B_m are the lifts.  Unit vectors off the pivot
-    columns of the last stage complete the rows, with degree len(stages).
-    """
-    base, n = c.base, c.rank
-    rows, degrees = [], []
-    for m, v in enumerate(stages):
-        if v.rank == len(rows):
-            continue
-        basis = Matrix(base, cleared_rows(v.basis.rows)[1], n)
-        if rows:
-            proj = Matrix(base, stages[m - 1].integral_projection(), n - len(rows))
-            h, u = hnf(basis * proj)
-            basis = Matrix(base, u.rows[: h.nrows], basis.nrows) * basis
-        rows += basis.rows
-        degrees += [m] * basis.nrows
-    pivots = set(stages[-1].basis.pivot_columns())
-    rows += [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
-    return rows, degrees + [len(stages)] * (n - len(degrees))
 
 
 @dataclass(frozen=True)
@@ -323,7 +250,7 @@ def _unchecked_wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     left, right = d.integral_projection(), f.integral_projection()
     n = c.rank
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
-    rows = [[v for row in sandwich(left, x, right, n) for v in row] for x in c.blocks]
+    rows = [[v for row in sandwich(left, x, right) for v in row] for x in c.blocks]
     width = (n - d.rank) * (n - f.rank)
     out = _integer_kernel(Matrix(c.base, rows, width), c.ring)
     if not (out.contains_lattice(d) and out.contains_lattice(f)):

@@ -687,8 +687,64 @@ def kron_wedge(d, f, c):
 # Filtration and component validation once ran stage by stage and part by
 # part on n x n blocks of Delta: a subcoalgebra test per stage or part, the
 # m + 2 products P_a^T X P_{m-1-a} per basis row of stage m, and membership
-# and intersection tests for the components.  They are kept here unchanged
-# so the adapted-basis support checks can be compared with them.
+# and intersection tests for the components.  The subcoalgebra test itself
+# once took two such products per basis row.  They are kept here, with
+# the block helpers they ran on, so the adapted-basis support checks can be
+# compared with them.
+
+
+def delta_blocks(c, rows):
+    """Delta(x) for each row x as an n x n integer block {j: [(k, v)]}, up to one nonzero integer."""
+    from purecoalg.rings import cleared_rows
+
+    for x in rows:
+        acc = {}
+        for a, block in zip(cleared_rows([x])[1][0], c.blocks):
+            if a:
+                for j, entries in block.items():
+                    row = acc.setdefault(j, {})
+                    for k, v in entries:
+                        row[k] = row.get(k, 0) + a * v
+        yield {j: list(row.items()) for j, row in acc.items()}
+
+
+def sandwich(left, block, right, n):
+    """The rows of left^T * X * right, None standing for the n x n identity.
+
+    With left None only the rows of X * right from nonzero rows of X are
+    returned, which is all a zero test needs.
+    """
+    width = n if right is None else (len(right[0]) if right else 0)
+    image = {}
+    for j, entries in block.items():
+        row = [0] * width
+        if right is None:
+            for k, v in entries:
+                row[k] = v
+        else:
+            for k, v in entries:
+                row = [s + v * r for s, r in zip(row, right[k])]
+        image[j] = row
+    if left is None:
+        return list(image.values())
+    out = [[0] * width for _ in range(len(left[0]) if left else 0)]
+    for j, row in image.items():
+        for a, weight in enumerate(left[j]):
+            if weight:
+                out[a] = [s + weight * r for s, r in zip(out[a], row)]
+    return out
+
+
+def vanishes(rows, ring):
+    """Whether every entry is zero, mod p over F_p."""
+    return not any(v for row in rows for v in ring.reduce_row(row))
+
+
+def block_is_subcoalgebra(lat, c):
+    """Whether X P = 0 and P^T X = 0 for the block X of each basis row, P the integral projection of sat(L)."""
+    proj, n = lat.integral_projection(), c.rank
+    return all(vanishes(sandwich(None, x, proj, n), c.ring) and vanishes(sandwich(proj, x, None, n), c.ring)
+               for x in delta_blocks(c, lat.basis.rows))
 
 
 def block_incompatible_stage(stages, c):
@@ -697,8 +753,6 @@ def block_incompatible_stage(stages, c):
     P_a is the integral projection with kernel V_a and P_{-1} the
     identity; the stages must be pure and nested.
     """
-    from purecoalg.coalgebra import delta_blocks, sandwich, vanishes
-
     proj = [None] + [v.integral_projection() for v in stages]
     for m, v in enumerate(stages):
         for x in delta_blocks(c, v.basis.rows):

@@ -240,6 +240,42 @@ def test_binomial_check_of_a_dual_builds_no_blocks_and_checks_the_axioms_once(mo
     assert stores == [] and len(checked) == 1 and checked[0] is c
 
 
+def test_a_second_binomial_check_checks_no_axiom(monkeypatch):
+    import purecoalg.coalgebra as coalgebra_mod
+
+    c = next(e.coalgebra for e in generate_coalgebras(97, 40, max_rank=8) if e.coalgebra.rank >= 6)
+    checked, failures = [], coalgebra_mod._axiom_failures
+    monkeypatch.setattr(coalgebra_mod, "_axiom_failures", lambda x: checked.append(x) or failures(x))
+    # each new dual_algebra object holds c itself, and so reads the verdict held on c
+    assert c.require_valid() is c and checked == [c]
+    first = binomial_check(dual_algebra(c), PRIMES)
+    assert binomial_check(dual_algebra(c), PRIMES) == first
+    assert c.require_valid() is c and dual_of_algebra(dual_algebra(c)) is c
+    # an algebra checked once holds the verdict on its dual coalgebra
+    a = monogenic_algebra(ZZ, [2, 0])
+    assert binomial_check(a, PRIMES) == binomial_check(a, PRIMES)
+    assert dual_of_algebra(a).require_valid() is a.dual
+    assert checked == [c, a.dual]
+
+
+def test_an_invalid_algebra_is_refused_on_every_call_and_holds_nothing(monkeypatch):
+    import purecoalg.coalgebra as coalgebra_mod
+
+    good = monogenic_algebra(ZZ, [1, 0])
+    mult = good.mult
+    mult.rows[1][0] = ZZ.one  # e_0 * e_1 != e_1 * e_0
+    bad = AlgebraPresentation(ZZ, 2, mult, good.unit)
+    checked, failures = [], coalgebra_mod._axiom_failures
+    monkeypatch.setattr(coalgebra_mod, "_axiom_failures", lambda x: checked.append(x) or failures(x))
+    for call in (binomial_check, dual_of_algebra, AlgebraPresentation.require_valid, binomial_check):
+        with pytest.raises(InvalidAlgebra, match="algebra axiom failed: commutativity"):
+            call(bad)
+        assert bad.dual._derived == {}
+    with pytest.raises(ValidationError, match="coalgebra axiom failed: cocommutativity"):
+        bad.dual.require_valid()
+    assert bad.dual._derived == {} and len(checked) == 5
+
+
 def test_binomial_errors_fire_in_order():
     from purecoalg import ValidationError
 

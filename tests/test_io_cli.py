@@ -140,6 +140,16 @@ def test_cli_wedge_and_purify(tmp_path):
     assert code == 0 and "(1, 0, 0)" in text
 
 
+@pytest.mark.parametrize("ambient", [True, -2, sz.MAX_RANK + 1], ids=["boolean", "negative", "too-large"])
+def test_cli_refuses_a_bad_lattice_ambient_rank_before_reading_rows(tmp_path, ambient):
+    point = tmp_path / "point.json"
+    point.write_text(sz.canonical_dumps(sz.coalgebra_to_obj(set_like(ZZ, ["a"]))))
+    sub = tmp_path / "sub.json"
+    sub.write_text(sz.canonical_dumps({"ambient_rank": ambient, "basis": [["1"]]}))
+    code, text = run_command(["purify", str(point), "--sub", str(sub)], "coalg")
+    assert code == 2 and text.startswith("error: ") and "ambient_rank" in text
+
+
 def test_cli_tensor_and_dual(tmp_path):
     out = tmp_path / "tensor.json"
     code, text = run_command(

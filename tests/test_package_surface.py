@@ -5,12 +5,14 @@ the package to trace them, and calls the package through ``pc.<name>``
 and ``corpus.<name>``.  Removing one of those names breaks the
 benchmark, not the package, so these tests read its files (without
 importing them as modules or writing anything next to them) and check
-that every name still resolves, and that the dense constructor
+that every name still resolves, that the dense constructor
 ``roadmap_rows.py`` converts its corpora through still gives the
-coalgebra it converts.
+coalgebra it converts, and that every CLI command pinned in
+``cli_pins.json`` still gives its pinned exit code and stdout.
 """
 
 import ast
+import hashlib
 import sys
 import types
 from fractions import Fraction
@@ -24,10 +26,16 @@ PACKAGE = ROOT / "src" / "purecoalg"
 BENCH = ROOT / "perfbench"
 
 
-def _load_read_only(path: Path) -> types.ModuleType:
-    """Execute a source file as a fresh module, without caching bytecode next to it."""
-    module = types.ModuleType(path.stem)
+def _load_read_only(path: Path, monkeypatch=None) -> types.ModuleType:
+    """Execute a source file as a fresh module, without caching bytecode next to it.
+
+    Given monkeypatch, the module sits in ``sys.modules`` for the rest of
+    the test, as a ``@dataclass`` in it needs.
+    """
+    module = types.ModuleType(f"perfbench_{path.stem}")
     module.__file__ = str(path)
+    if monkeypatch:
+        monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
@@ -73,6 +81,21 @@ def test_the_roadmap_rows_convert_through_the_dense_constructor(monkeypatch):
         assert d.ring == ring and d.rank == c.rank
         assert d.delta == Matrix(ring, [[conv(v) for v in row] for row in c.delta.rows], c.rank * c.rank)
         assert d.counit == [conv(v) for v in c.counit] and d.validate().overall
+
+
+def test_every_pinned_cli_command_replays_its_exit_code_and_stdout(tmp_path, monkeypatch):
+    """The benchmark's CLI pins, each run once: the data/ block, then every generated seed block in order."""
+    workloads = _load_read_only(BENCH / "workloads.py", monkeypatch)
+    pins = workloads.load_pins()
+    tmp = tmp_path / "cli"
+    workloads.write_sub_lattices(tmp)
+    commands = pins["data"] + [cmd for seed in sorted(pins["generated"], key=int) for cmd in pins["generated"][seed]]
+    mismatched = []
+    for cmd in commands:
+        code, text = workloads.run_pinned(cmd, tmp)
+        if (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) != (cmd["exit"], cmd["sha256"]):
+            mismatched.append(f"{cmd['prog']} {' '.join(cmd['argv'])} -> exit {code}")
+    assert len(commands) >= 400 and mismatched == []
 
 
 def test_every_package_name_the_benchmark_calls_resolves():

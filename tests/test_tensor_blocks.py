@@ -1,13 +1,14 @@
 """Tensor-square checks on n x n blocks against the former n^2-ambient routines.
 
-The subcoalgebra test and the wedge work on the n x n matrix X of
-Delta(x) through products P^T X Q with the integral quotient projections
-of pure lattices; filtrations and component decompositions are validated
-on the support of Delta in a basis adapted to them.  ``oracles`` keeps
-the Kronecker-product versions and the former stage-by-stage and
-part-by-part block checks they replaced; all must agree over Z, Q,
-Z[1/2,1/3] and F_101, on accepted inputs and on rejected stage lists and
-decompositions.
+The wedge works on the n x n matrix X of Delta(x) through products
+P^T X Q with the integral quotient projections of pure lattices; the
+subcoalgebra test, filtrations and component decompositions are
+validated on the support of Delta in a basis adapted to them.
+``oracles`` keeps the Kronecker-product versions and the former
+per-row, stage-by-stage and part-by-part block checks they replaced;
+all must agree over Z, Q, Z[1/2,1/3] and F_101, on accepted inputs and
+on rejected stage lists and decompositions, and the subcoalgebra
+verdicts also over F_2 and F_3.
 """
 
 import importlib
@@ -84,6 +85,14 @@ def _scaled(lat, k):
     return Lattice.from_rows(lat.ring, lat.ambient_rank, [[k * v for v in row] for row in lat.basis.rows])
 
 
+def _probe_lattices(rng, c):
+    """The filtration stages, the components, a random lattice, and each of them scaled by 5."""
+    lattices = list(coradical_filtration(c).stages) + [lat for _, lat in components(c)]
+    rows = [[c.ring.normalize(rng.randint(-2, 2)) for _ in range(c.rank)] for _ in range(2)]
+    lattices.append(Lattice.from_rows(c.ring, c.rank, rows))
+    return lattices + [_scaled(lat, 5) for lat in lattices if lat.rank]
+
+
 @pytest.mark.parametrize("name,corpus", CORPORA, ids=[name for name, _ in CORPORA])
 def test_blocks_match_kron_oracles_on_accepted_inputs(name, corpus):
     rng = random.Random(101)
@@ -97,16 +106,28 @@ def test_blocks_match_kron_oracles_on_accepted_inputs(name, corpus):
             want = oracles.kron_wedge(lower, v0, c).basis.rows
             assert wedge(lower, v0, c).basis.rows == want == upper.basis.rows
         assert oracles.kron_incompatible_stage(list(filt.stages), c) is None
-        lattices = list(filt.stages) + [lat for _, lat in components(c)]
-        lattices += [_scaled(lat, 5) for lat in lattices if lat.rank]
-        rows = [[c.ring.normalize(rng.randint(-2, 2)) for _ in range(c.rank)] for _ in range(2)]
-        random_lat = Lattice.from_rows(c.ring, c.rank, rows)
-        lattices += [random_lat, _scaled(random_lat, 5)]
-        for lat in lattices:
-            assert is_subcoalgebra(lat, c) == oracles.kron_is_subcoalgebra(lat, c)
+        for lat in _probe_lattices(rng, c):
+            assert is_subcoalgebra(lat, c) == oracles.kron_is_subcoalgebra(lat, c) == oracles.block_is_subcoalgebra(lat, c)
         parts = [lat for _, lat in components(c)]
         if len(parts) >= 2:
             assert wedge(parts[0], parts[1], c) == oracles.kron_wedge(parts[0], parts[1], c)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_subcoalgebra_verdicts_match_both_oracles_over_small_prime_fields(p):
+    """p <= rank, where the group-likes come from the iterated Frobenius: the verdicts still agree."""
+    ring = prime_field(p)
+    corpus = [e.coalgebra for e in generate_coalgebras(131 + p, 10, max_rank=6, ring=ring)]
+    corpus += [dual_of_algebra(truncated_polynomial_algebra(ring, k)) for k in (p, p + 2)]
+    assert sum(c.rank >= p for c in corpus) >= 6
+    rng = random.Random(137)
+    seen = set()
+    for c in corpus:
+        for lat in _probe_lattices(rng, c):
+            got = is_subcoalgebra(lat, c)
+            assert got == oracles.kron_is_subcoalgebra(lat, c) == oracles.block_is_subcoalgebra(lat, c)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def _verdict(c, stages):
@@ -180,7 +201,7 @@ def _block_oracle_verdict(c, stages):
     for idx, v in enumerate(stages):
         if not v.is_pure()[0]:
             return ("pure", idx)
-        if not is_subcoalgebra(v, c):
+        if not oracles.block_is_subcoalgebra(v, c):
             return ("subcoalgebra", idx)
     index = oracles.block_incompatible_stage(stages, c)
     return None if index is None else ("compatibility", index)
@@ -388,6 +409,35 @@ def test_algebra_validate_matches_per_triple_oracle():
             assert got == want, family
             failed |= {check.name for check in report.checks if not check.passed}
         assert failed == {"commutativity", "associativity", "unit law"}, family
+
+
+def test_an_algebra_and_its_dual_agree_on_validity():
+    """The algebra laws are three of the dual's four, and cocommutativity makes the two counit laws one."""
+    rng = random.Random(139)
+    for family, coalgebras in _algebra_families():
+        seen = set()
+        for c, _ in coalgebras:
+            a = dual_algebra(c)
+            n = a.rank
+            cases = [a]
+            for _ in range(4):
+                # move one unit entry, one structure constant, or a symmetric pair that keeps commutativity
+                rows = [list(row) for row in a.mult.rows]
+                unit = list(a.unit)
+                shift = a.ring.normalize(rng.choice([-1, 1, 2])) or a.ring.one
+                kind, i, j, t = rng.randrange(3), rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                if kind == 0:
+                    unit[t] += shift
+                else:
+                    rows[i * n + j][t] += shift
+                    if kind == 2 and i != j:
+                        rows[j * n + i][t] += shift
+                cases.append(type(a)(a.ring, n, Matrix(a.ring, rows, n), unit))
+            for b in cases:
+                valid = b.validate().overall
+                assert valid == b.dual.validate().overall, family
+                seen.add(valid)
+        assert seen == {True, False}, family
 
 
 def _load_tracer():
