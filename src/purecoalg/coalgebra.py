@@ -701,7 +701,17 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     With F = F' / E cleared of denominators, the square at e_i is
     D_D * F'^T X_i F' = D_C * E * sum_m F'_im Y_m on the stored blocks
     X of the domain and Y of the codomain, in integers (mod p over F_p).
-    A failure names the first basis index and its smallest tensor slot.
+    Each side is formed on packed rows: a length-n row becomes the one
+    int sum_b v_b * 2^(w*b), so a row of F'^T X_i F' is a sum of
+    multiples of the packed rows of F', and the sum over m one of the
+    packed rows of the Y_m.  Packing is Z-linear, and a packed int is
+    zero exactly when its slots are once every slot lies below 2^(w-1)
+    in absolute value; w comes from the bound D_D * nnz(X_i) * max|X| *
+    max|F'|^2 + D_C * E * n * max|F'| * max|Y| on every slot of the
+    difference, n the codomain rank.  Over F_p a slot only has to vanish
+    mod p, so a nonzero packed row is unpacked to its balanced digits and
+    reduced before it counts.  A failure names the first basis index and
+    its smallest tensor slot.
     """
     ring = f.domain.ring
     nd = f.codomain.rank
@@ -710,16 +720,25 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     report = ValidationReport()
 
     square_loc = ""
-    for i, x in enumerate(f.domain.blocks):
-        diff = [[lhs_scale * v for v in row] for row in sandwich(F, x, F)]
-        for m, a in enumerate(F[i]):
-            for j, entries in f.codomain.blocks[m].items() if a else ():
-                row = diff[j]
-                for k, v in entries:
-                    row[k] -= rhs_scale * a * v
-        bad = next((at for at, v in enumerate(ring.reduce_row([v for row in diff for v in row])) if v), None)
+    X, Y = f.domain.blocks, f.codomain.blocks
+    top = max((abs(v) for row in F for v in row), default=0)
+    bound = lhs_scale * max((sum(map(len, x.values())) for x in X), default=0) * _largest(X) * top * top
+    width = (bound + rhs_scale * nd * top * _largest(Y)).bit_length() + 1
+    packed_f = [lhs_scale * _packed(enumerate(row), width) for row in F]
+    columns = [[(a, v) for a, v in enumerate(row) if v] for row in F]
+    packed_y = [{a: rhs_scale * _packed(entries, width) for a, entries in y.items()} for y in Y]
+    for i, x in enumerate(X):
+        diff = {}
+        for j, entries in x.items():
+            image = sum(v * packed_f[k] for k, v in entries)
+            for a, v in columns[j]:
+                diff[a] = diff.get(a, 0) + v * image
+        for m, v in columns[i]:
+            for a, row in packed_y[m].items():
+                diff[a] = diff.get(a, 0) - v * row
+        bad = next(((a, b) for a in sorted(diff) if (b := _first_slot(diff[a], width, nd, ring)) is not None), None)
         if bad is not None:
-            square_loc = f"basis {i}, tensor slot {divmod(bad, nd)}"
+            square_loc = f"basis {i}, tensor slot {bad}"
             break
     report.add("comultiplication square", not square_loc, square_loc)
 
@@ -728,6 +747,34 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     tri_loc = "" if bad is None else f"basis {bad}"
     report.add("counit triangle", not tri_loc, tri_loc)
     return report
+
+
+def _largest(blocks) -> int:
+    """The largest absolute value of a stored entry, 0 for no entries."""
+    return max((abs(v) for block in blocks for row in block.values() for _, v in row), default=0)
+
+
+def _packed(entries, width: int) -> int:
+    """sum v * 2^(width * b) over the (b, v) entries of a row: the row as one int."""
+    return sum(v << (width * b) for b, v in entries)
+
+
+def _first_slot(packed: int, width: int, count: int, ring):
+    """The smallest of the count slots of a packed row that is nonzero (mod p over F_p), or None.
+
+    Every slot must lie below 2^(width - 1) in absolute value, so the
+    slots are the balanced digits of the int, peeled off from the bottom.
+    """
+    if not packed:
+        return None
+    digits, half, mask = [], 1 << (width - 1), (1 << width) - 1
+    for _ in range(count):
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << width
+        digits.append(digit)
+        packed = (packed - digit) >> width
+    return next((b for b, v in enumerate(ring.reduce_row(digits)) if v), None)
 
 
 # --- subcoalgebras --------------------------------------------------------------

@@ -46,6 +46,12 @@ MAX_RANK = 144
 # validates in about 0.06 s, at d = 150 in seconds (2-vCPU VM, Python
 # 3.11).  The files in data/ go up to d = 3.
 MAX_DIMENSION = 32
+# The largest file, in bytes, that any command reads.  It is checked on
+# the open file before anything is read, so no parse and no axiom check
+# runs on a larger one.  The rank-144 tensor square of a twisted rank-12
+# corpus coalgebra is a 1.85 MB file; a rank-144 file listing every
+# triple would be about 57 MB.
+MAX_FILE_BYTES = 8 * 2**20
 
 
 def canonical_dumps(obj) -> str:
@@ -265,8 +271,12 @@ def scoalg_to_obj(c: SimplicialCoalgebra):
 
 
 def load_json(path: str):
+    """The JSON value in a file of at most MAX_FILE_BYTES bytes; TooLarge, before any read, above that."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > MAX_FILE_BYTES:
+                raise TooLarge(f"{path} has {size} bytes, above the bound {MAX_FILE_BYTES}")
             return _loads(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None

@@ -10,17 +10,19 @@ finder, which ``test_polyroots`` checks on its own.  The seeded random
 lattices that the lattice tests draw are built with the package's
 ``Lattice.from_rows`` and ``saturate``.
 
-The exceptions are the last five sections: the package's former
+The exceptions are the last six sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
 wedge), which work in the n^2-dimensional ambient space C (x) C through
 Kronecker products, Hermite forms and ``Lattice.solve``; its former
 stage-by-stage and part-by-part validation of filtrations and component
 decompositions on n x n blocks of Delta; its former constructions on
-the dense n x n^2 matrix of Delta; its former Hermite, Smith and
-membership kernels on each ring's own Fraction arithmetic; and its
-former per-prime binomial test on the quotient by the nilradical, with
-A/pA, its products and its Frobenius formed on the dense table
-``a.mult.reduce_mod(p)``.  Their logic is kept unchanged so the current
+the dense n x n^2 matrix of Delta, and its former map check on lists
+formed by ``sandwich``; its former Hermite, Smith and membership
+kernels on each ring's own Fraction arithmetic; its former per-prime
+binomial test on the quotient by the nilradical, with A/pA, its
+products and its Frobenius formed on the dense table
+``a.mult.reduce_mod(p)``; and its former binomial check with every
+Frobenius row taken by binary powering.  Their logic is kept unchanged so the current
 versions can be compared with them bit for bit, and they use the
 package's ``Lattice``, ``Matrix``, block products, dense ``Coalgebra``
 and ``AlgebraPresentation`` constructors and ring methods, which
@@ -955,6 +957,44 @@ def map_axiom_locations(f, p=None):
     return square, triangle
 
 
+def sandwich_map_report(f):
+    """The package's former ``validate_map``: the square at each e_i formed by ``sandwich`` on n x n blocks.
+
+    With F = F' / E cleared, D_D * F'^T X_i F' - D_C * E * sum_m F'_im Y_m
+    is formed entry by entry as lists, reduced with the ring, and the
+    first basis index with a nonzero entry is reported at its smallest
+    tensor slot; the counit triangle is the package's.
+    """
+    from purecoalg.coalgebra import ValidationReport
+    from purecoalg.rings import cleared_rows
+
+    ring = f.domain.ring
+    nd = f.codomain.rank
+    e, F = cleared_rows(f.matrix.rows)
+    lhs_scale, rhs_scale = f.codomain.denom, f.domain.denom * e
+    report = ValidationReport()
+
+    square_loc = ""
+    for i, x in enumerate(f.domain.blocks):
+        diff = [[lhs_scale * v for v in row] for row in sandwich(F, x, F, f.domain.rank)]
+        for m, a in enumerate(F[i]):
+            for j, entries in f.codomain.blocks[m].items() if a else ():
+                row = diff[j]
+                for k, v in entries:
+                    row[k] -= rhs_scale * a * v
+        bad = next((at for at, v in enumerate(ring.reduce_row([v for row in diff for v in row])) if v), None)
+        if bad is not None:
+            square_loc = f"basis {i}, tensor slot {divmod(bad, nd)}"
+            break
+    report.add("comultiplication square", not square_loc, square_loc)
+
+    triangle = [f.codomain.counit_of(row) - eps for row, eps in zip(f.matrix.rows, f.domain.counit)]
+    bad = next((i for i, v in enumerate(ring.reduce_row(triangle)) if v), None)
+    tri_loc = "" if bad is None else f"basis {bad}"
+    report.add("counit triangle", not tri_loc, tri_loc)
+    return report
+
+
 # --- former Fraction kernels ---------------------------------------------------
 #
 # Hermite and Smith elimination and lattice membership once ran on each
@@ -1369,4 +1409,70 @@ def quotient_frobenius_report(a, primes):
         proj, section = nil.complement_projection()
         residue_ok = section * fro * proj == Matrix.identity(fro.ring, proj.ncols)
         results.append(BinomialPrimeResult(p, nil.rank == 0, residue_ok, nil.rank))
+    return BinomialReport(tuple(primes), tuple(results))
+
+
+# --- former binomial check by binary powering ------------------------------------
+#
+# Before the Frobenius rows came from one multiplication chain, every
+# tested prime took each e_i^p by left-to-right binary powering on the
+# flat structure constants reduced mod p.  The body is kept unchanged,
+# apart from reading the constants off the dual coalgebra, so reports at
+# primes on both sides of the chain rule can be compared with it.
+
+
+def powering_binomial_report(a, primes):
+    """The former ``binomial_check`` body after ``require_valid``: the same report, every prime by powering."""
+    from fractions import Fraction
+
+    from purecoalg import Matrix, UnsupportedRing
+    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, iterated_frobenius
+    from purecoalg.rings import prime_field, reduce_rows_mod_p
+
+    c, n = a.dual, a.rank
+    scale = c.ring.one if c.denom == 1 else Fraction(1, c.denom)
+    positions = [[] for _ in range(n * n)]
+    integral = []
+    for t, block in enumerate(c.blocks):
+        for i, row in block.items():
+            for j, v in row:
+                positions[i * n + j].append((t, len(integral)))
+                integral.append(scale * v)
+
+    def frobenius(values, p):
+        def times(x, y):
+            acc = [0] * n
+            ys = [(j, yj) for j, yj in enumerate(y) if yj]
+            for i, xi in enumerate(x):
+                if xi:
+                    at = i * n
+                    for j, yj in ys:
+                        coeff = xi * yj
+                        for t, m in positions[at + j]:
+                            acc[t] += coeff * values[m]
+            return [v % p for v in acc]
+
+        rows = []
+        for i in range(n):
+            e = [int(t == i) for t in range(n)]
+            x = e
+            for bit in bin(p)[3:]:
+                x = times(x, x)
+                if bit == "1":
+                    x = times(x, e)
+            rows.append(x)
+        return Matrix(prime_field(p), rows, n)
+
+    results = []
+    for p in primes:
+        if a.ring.kind not in ("Z", "ZS"):
+            raise UnsupportedRing("reduction mod p needs an algebra over Z or Z[S^-1]")
+        values = reduce_rows_mod_p(a.ring, [integral], p)[0]
+        if n == 0:
+            results.append(BinomialPrimeResult(p, True, True, 0))
+            continue
+        fro = frobenius(values, p)
+        power = iterated_frobenius(fro)
+        nil_rank = n - power.rank()
+        results.append(BinomialPrimeResult(p, nil_rank == 0, power * fro == power, nil_rank))
     return BinomialReport(tuple(primes), tuple(results))

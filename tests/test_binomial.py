@@ -301,3 +301,91 @@ def test_binomial_errors_fire_in_order():
         binomial_check(truncated_polynomial_algebra(QQ, 2), (4,))
     with pytest.raises(PrimeInverted, match="3 is inverted in"):
         binomial_check(truncated_polynomial_algebra(localized_integers([3]), 2), (3,))
+
+
+# --- Frobenius rows from one multiplication chain ------------------------------------
+
+from purecoalg import binomial as binomial_mod
+from purecoalg import conjugate
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+BOTH_SIDES = (2, 3, 13, 101, 1000003, 2**61 - 1)
+
+
+def _chain_corpus():
+    """Duals of corpus coalgebras over Z, and over Z[1/2,1/3] with a basis change by 6 that can put D > 1."""
+    out = [dual_algebra(e.coalgebra) for e in generate_coalgebras(331, 8, max_rank=7)]
+    for e in generate_coalgebras(337, 8, max_rank=7, ring=Z23):
+        c = e.coalgebra
+        w = Matrix.identity(Z23, c.rank)
+        w.rows[-1][-1] = Z23.normalize(6)
+        out += [dual_algebra(c), dual_algebra(conjugate(c, w))]
+    assert sum(a.dual.denom > 1 for a in out) >= 3
+    return out
+
+
+CHAIN_CORPUS = _chain_corpus()
+
+
+def _powered(a, p):
+    """The Frobenius mod p by binary powering, on the constants X * D^-1 mod p."""
+    positions, values = binomial_mod._flat_constants(a.dual)
+    scale = pow(a.dual.denom, -1, p)
+    return binomial_mod._frobenius(positions, [v * scale % p for v in values], a.rank, p)
+
+
+def test_chained_rows_equal_the_powered_rows_at_every_prime():
+    for a in CHAIN_CORPUS:
+        primes = list(_usable_primes(a) + PRIMES_TO_31[6:])
+        chained = binomial_mod._chained_frobenius(a.dual, primes)
+        assert list(chained) == primes
+        for p in primes:
+            assert chained[p] == _powered(a, p), (a, p)
+
+
+def test_chained_reports_match_the_quotient_frobenius_oracle_up_to_31():
+    for a in CHAIN_CORPUS:
+        primes = tuple(p for p in PRIMES_TO_31 if a.ring == ZZ or p not in a.ring.inverted)
+        assert binomial_mod._on_chain(a.rank, primes) == list(primes)
+        got, want = binomial_check(a, primes), oracles.quotient_frobenius_report(a, primes)
+        assert got == want and str(got) == str(want)
+
+
+def test_primes_on_both_sides_of_the_rule_match_the_powering_body():
+    algebras_ = [a for a in CHAIN_CORPUS if a.ring == ZZ][:4] + [monogenic_algebra(ZZ, [-1, 0, -2, 0])]
+    for a in algebras_:
+        on_chain = binomial_mod._on_chain(a.rank, BOTH_SIDES)
+        assert on_chain[:3] == [2, 3, 13] and 1000003 not in on_chain and 2**61 - 1 not in on_chain
+        got = binomial_check(a, BOTH_SIDES)
+        assert got == oracles.powering_binomial_report(a, BOTH_SIDES)
+        assert str(got) == str(oracles.powering_binomial_report(a, BOTH_SIDES))
+    # over F_p the Frobenius matrix takes the same entry: on the chain at 2 and 3, by powering at the others
+    for p in (2, 3, 101, 1000003):
+        ap = oracles.algebra_mod_p(monogenic_algebra(ZZ, [-1, 0, -2, 0]), p)
+        assert (binomial_mod._on_chain(4, (p,)) == [p]) == (p < 100)
+        assert frobenius_matrix(ap) == _powered(ap, p)
+
+
+def test_duplicate_and_unsorted_primes_keep_their_order():
+    for a in CHAIN_CORPUS[:3] + [zero_algebra(ZZ)]:
+        primes = (13, 2, 1000003, 13, 3, 2)
+        got = binomial_check(a, primes)
+        assert got.tested_primes == primes and tuple(r.p for r in got.results) == primes
+        assert got == oracles.powering_binomial_report(a, primes)
+
+
+@pytest.mark.parametrize("ring, primes", [
+    (ZZ, (2, 4, 3)),
+    (ZZ, (5, 2**64 + 13, 4)),
+    (ZZ, (3, 2**64 - 59, 1)),
+    (Z23, (5, 7, 3, 4)),
+    (Z23, (5, 2**64, 2)),
+    (QQ, (4,)),
+], ids=["composite", "past-2^64", "prime-then-one", "inverted", "2^64-then-inverted", "ring"])
+def test_the_first_bad_prime_in_list_order_raises_as_before(ring, primes):
+    for a in (truncated_polynomial_algebra(ring, 3), zero_algebra(ring)):
+        with pytest.raises(Exception) as want:
+            oracles.powering_binomial_report(a, primes)
+        with pytest.raises(type(want.value)) as got:
+            binomial_check(a, primes)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)

@@ -377,6 +377,27 @@ def test_deeply_nested_json_is_invalid_input(tmp_path):
     assert run_command(["check", str(path)], "coalg") == (2, "error: invalid JSON: nested too deeply")
 
 
+def test_a_file_past_the_byte_bound_is_refused_before_it_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, sz.MAX_FILE_BYTES + 1)  # sparse: no byte is written
+    parsed = []
+    monkeypatch.setattr(sz, "_loads", lambda text: parsed.append(text))
+    code, text = run_command(["check", str(path)], "coalg")
+    assert (code, text) == (2, f"error: {path} has {sz.MAX_FILE_BYTES + 1} bytes, above the bound {sz.MAX_FILE_BYTES}")
+    assert "8388609 bytes" in text and parsed == []
+
+
+def test_a_file_at_the_byte_bound_is_read(monkeypatch):
+    size = os.path.getsize(data("zx3-dual.json"))
+    want = run_command(["check", data("zx3-dual.json")], "coalg")
+    assert want[0] == 0
+    monkeypatch.setattr(sz, "MAX_FILE_BYTES", size)
+    assert run_command(["check", data("zx3-dual.json")], "coalg") == want
+    monkeypatch.setattr(sz, "MAX_FILE_BYTES", size - 1)
+    assert run_command(["check", data("zx3-dual.json")], "coalg")[0] == 2
+
+
 def test_malformed_names_are_invalid_input(tmp_path):
     coalgebra = sz.load_json(data("zx3-dual.json"))
     algebra = sz.load_json(data("zxz-algebra.json"))
