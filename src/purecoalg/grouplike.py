@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binomial import frobenius_matrix, iterated_frobenius
+from .binomial import stable_frobenius
 from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
 from .errors import NotGroupLike, NotGroupLikeImage, NotPointed
 from .lattice import Lattice
@@ -306,13 +306,14 @@ def _coradical_span(c: Coalgebra) -> Lattice:
     tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a], summed over the
     nonzero entries only.  For p <= n the trace form can degenerate (it
     is 0 on the dual of F_p[x]/(x^p), which has one character), and
-    rad(A), the nilradical, is the kernel of the iterated Frobenius
-    matrix M (x -> x * M): the lattice is the row space of the transpose
-    of M.
+    rad(A), the nilradical, is the kernel of a stable Frobenius power
+    M = F^K (x -> x * M), K the least power of two with p^K >= n: the
+    lattice is the row space of the transpose of M, rad(A)^perp, which is
+    the same for every such K.
     """
     n = c.rank
     if c.ring.kind == "Fp" and c.ring.p <= n:
-        return Lattice.from_rows(c.base, n, iterated_frobenius(frobenius_matrix(dual_algebra(c))).transpose().rows)
+        return Lattice.from_rows(c.base, n, stable_frobenius(dual_algebra(c)).transpose().rows)
     # column a of block b, as its nonzero (j, X_b[j][a])
     columns = [[[] for _ in range(n)] for _ in range(n)]
     for b, x in enumerate(c.blocks):

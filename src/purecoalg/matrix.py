@@ -13,7 +13,7 @@ forms, which is what makes lattice equality a bitwise comparison.
 One elimination kernel runs over Z and over F_p, and every normal form
 comes from it: Hermite forms and left kernels directly, Smith forms
 from alternating Hermite passes on the rows and on the columns, and a
-gcd/lcm pass over the diagonal.  A transform rides along as columns
+gcd/lcm pass over the diagonal; a rank is its forward pass alone.  A transform rides along as columns
 appended to the rows that are never pivots, so each row operation is
 written once: the kernel turns [A | T] into [U * A | U * T] (Cohen,
 GTM 138, 2.4).  Over Q and Z[S^-1] each row is first cleared by the lcm
@@ -178,8 +178,14 @@ class Matrix:
 
     # --- derived quantities ----------------------------------------------
     def rank(self) -> int:
-        """Rank over the fraction field, which over a PID is the rank of the Hermite form in the ring."""
-        return hnf_basis(self).nrows
+        """Rank over the fraction field: the forward pass of the elimination kernel alone.
+
+        A rank needs no canonical form, so no pivot is normalized, no entry
+        above a pivot is reduced, and over Q and Z[S^-1] no boundary pass
+        runs on the cleared rows.
+        """
+        base, ints, _ = _kernel_input(self.ring, self.rows)
+        return _elim(base, ints, self.ncols, canonical=False)[1]
 
     def inverse(self) -> "Matrix":
         """Inverse of a matrix that is invertible over its own ring."""
@@ -206,13 +212,16 @@ def _post_fn(ring: Ring):
     return ring.reduce_row if ring.kind == "Fp" else None
 
 
-def _elim(ring: Ring, rows, ncols: int):
+def _elim(ring: Ring, rows, ncols: int, canonical: bool = True):
     """The elimination kernel, over Z or F_p: (reduced rows, rank).
 
     The first ncols entries of the reduced rows hold the canonical
     Hermite form on top and exact zero rows below.  Entries past ncols
     are never pivots but take part in every row operation, so rows
     [A | T] come back as [U * A | U * T] with U invertible over the ring.
+    With canonical False only the forward pass runs: the rows come back
+    in an echelon form whose pivots are neither normalized nor reduced
+    above, which is enough for the rank.
     """
     A = [list(r) for r in rows]
     m = len(A)
@@ -256,24 +265,25 @@ def _elim(ring: Ring, rows, ncols: int):
                 if post:
                     A[r] = post(Ar)
                     A[i] = post(Ai)
-        # normalize the pivot to its canonical associate
-        u_, _canon = ring.canonicalize_unit(A[r][c])
-        if u_ != one:
-            A[r] = [u_ * x for x in A[r]]
-            if post:
-                A[r] = post(A[r])
-        # reduce entries above the pivot to canonical residues
-        a = A[r][c]
-        for i in range(r):
-            b = A[i][c]
-            if not b:
-                continue
-            q, _ = ring.mod_reduce(b, a)
-            if q:
-                Ai, Ar = A[i], A[r]
-                Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
+        if canonical:
+            # normalize the pivot to its canonical associate
+            u_, _canon = ring.canonicalize_unit(A[r][c])
+            if u_ != one:
+                A[r] = [u_ * x for x in A[r]]
                 if post:
-                    A[i] = post(Ai)
+                    A[r] = post(A[r])
+            # reduce entries above the pivot to canonical residues
+            a = A[r][c]
+            for i in range(r):
+                b = A[i][c]
+                if not b:
+                    continue
+                q, _ = ring.mod_reduce(b, a)
+                if q:
+                    Ai, Ar = A[i], A[r]
+                    Ai[c:] = [x - q * y for x, y in zip(Ai[c:], Ar[c:])]
+                    if post:
+                        A[i] = post(Ai)
         r += 1
         if r == m:
             break

@@ -1386,10 +1386,26 @@ def dense_frobenius(mult, p):
     return Matrix(mult.ring, rows, n)
 
 
+def iterated_frobenius(fro):
+    """The Frobenius matrix raised to the k-th power, for the least k with p^k >= rank.
+
+    On a finite F_p-algebra this power kills exactly the nilradical, so
+    its kernel is the nilradical and its rank is the dimension of the
+    semisimple quotient.  This was the package's power before every
+    caller took the stable power by squaring; it stays as the reference.
+    """
+    p = fro.ring.p
+    power = fro
+    size = p
+    while size < fro.nrows:
+        power = power * fro
+        size *= p
+    return power
+
+
 def nilradical_mod_p(a, p):
     """The nilradical of A/pA: the kernel lattice of the iterated dense Frobenius."""
     from purecoalg import kernel_lattice
-    from purecoalg.binomial import iterated_frobenius
 
     return kernel_lattice(iterated_frobenius(dense_frobenius(a.mult.reduce_mod(p), p)))
 
@@ -1397,7 +1413,7 @@ def nilradical_mod_p(a, p):
 def quotient_frobenius_report(a, primes):
     """The former ``binomial_check`` body after ``require_valid``: a ``BinomialReport`` of the same primes."""
     from purecoalg import Matrix, kernel_lattice
-    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, iterated_frobenius
+    from purecoalg.binomial import BinomialPrimeResult, BinomialReport
 
     results = []
     for p in primes:
@@ -1426,7 +1442,7 @@ def powering_binomial_report(a, primes):
     from fractions import Fraction
 
     from purecoalg import Matrix, UnsupportedRing
-    from purecoalg.binomial import BinomialPrimeResult, BinomialReport, iterated_frobenius
+    from purecoalg.binomial import BinomialPrimeResult, BinomialReport
     from purecoalg.rings import prime_field, reduce_rows_mod_p
 
     c, n = a.dual, a.rank

@@ -1,5 +1,6 @@
 """Binomial-ring conditions at finite prime lists."""
 
+import math
 import random
 
 import pytest
@@ -337,10 +338,10 @@ def _powered(a, p):
 def test_chained_rows_equal_the_powered_rows_at_every_prime():
     for a in CHAIN_CORPUS:
         primes = list(_usable_primes(a) + PRIMES_TO_31[6:])
-        chained = binomial_mod._chained_frobenius(a.dual, primes)
-        assert list(chained) == primes
+        m, rows = binomial_mod._chained_frobenius(a.dual, primes)
+        assert m == math.prod(primes) and all(0 <= v < m for row in rows for v in row)
         for p in primes:
-            assert chained[p] == _powered(a, p), (a, p)
+            assert Matrix(prime_field(p), [[v % p for v in row] for row in rows], a.rank) == _powered(a, p), (a, p)
 
 
 def test_chained_reports_match_the_quotient_frobenius_oracle_up_to_31():
@@ -389,3 +390,120 @@ def test_the_first_bad_prime_in_list_order_raises_as_before(ring, primes):
         with pytest.raises(type(want.value)) as got:
             binomial_check(a, primes)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+# --- one stable Frobenius power per group of primes --------------------------------
+
+import time
+
+from purecoalg import tensor
+from purecoalg.corpus import random_unimodular
+
+STABLE_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1000003, 2**61 - 1)
+FIRST_150 = tuple(p for p in range(2, 864) if all(p % q for q in range(2, int(p**0.5) + 1)))
+VERDICT_PAIRS = {(True, True), (True, False), (False, True), (False, False)}
+
+
+def tensor_algebra(a, b):
+    """A (x) B, the dual of the tensor product of the dual coalgebras."""
+    return dual_algebra(tensor(dual_of_algebra(a), dual_of_algebra(b)))
+
+
+@st.composite
+def monogenic_and_tensor_algebras(draw):
+    """R[x]/(f) with deg f <= 5, tensor products of two with deg f <= 3, and rank 0, over Z and Z[1/2,1/3]."""
+    ring = draw(st.sampled_from((ZZ, Z23)))
+    shape = draw(st.sampled_from(("monogenic", "monogenic", "tensor", "tensor", "zero")))
+    if shape == "zero":
+        return zero_algebra(ring)
+    if shape == "monogenic":
+        return monogenic_algebra(ring, draw(reductions(ring, draw(st.integers(1, 5)))))
+    a = monogenic_algebra(ring, draw(reductions(ring, draw(st.integers(1, 3)))))
+    return tensor_algebra(a, monogenic_algebra(ring, draw(reductions(ring, draw(st.integers(1, 3))))))
+
+
+def test_stable_powers_match_the_powering_body_on_monogenic_and_tensor_algebras():
+    seen, ranks, sides = set(), set(), set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(monogenic_and_tensor_algebras(), st.data())
+    def check(a, data):
+        usable = tuple(p for p in STABLE_PRIMES if a.ring == ZZ or p not in a.ring.inverted)
+        # duplicates and any order, drawn from primes on both sides of the chain rule
+        primes = tuple(data.draw(st.lists(st.sampled_from(usable), min_size=1, max_size=8)))
+        got, want = binomial_check(a, primes), oracles.powering_binomial_report(a, primes)
+        assert got == want and str(got) == str(want)
+        seen.update((r.reduced, r.residue_fields_prime) for r in got.results)
+        ranks.add(a.rank)
+        on_chain = binomial_mod._on_chain(a.rank, primes)
+        sides.update(p in on_chain for p in primes)
+
+    check()
+    assert seen == VERDICT_PAIRS
+    assert {0, 1} <= ranks and max(ranks) >= 6
+    assert sides == {True, False}
+
+
+def test_ranks_zero_and_one_and_unsorted_duplicates_match_the_powering_body():
+    unsorted = (2**61 - 1, 13, 5, 1000003, 13, 2, 101, 5)
+    for ring in (ZZ, Z23):
+        primes = tuple(p for p in unsorted if ring == ZZ or p not in ring.inverted)
+        for a in (zero_algebra(ring), monogenic_algebra(ring, [ring.normalize(5)]), split_algebra(ring, 1)):
+            assert a.rank in (0, 1)
+            got = binomial_check(a, primes)
+            assert got == oracles.powering_binomial_report(a, primes) and got.tested_primes == primes
+
+
+def test_the_first_150_primes_match_the_powering_body():
+    assert len(FIRST_150) == 150 and FIRST_150[-1] == 863
+    algebras_ = [zero_algebra(ZZ), monogenic_algebra(ZZ, [-1, 0, -2, 0]),
+                 tensor_algebra(monogenic_algebra(ZZ, [2, 0]), monogenic_algebra(ZZ, [-1, 1, 0])),
+                 CHAIN_CORPUS[0]]
+    for a in algebras_:
+        got, want = binomial_check(a, FIRST_150), oracles.powering_binomial_report(a, FIRST_150)
+        assert got == want and str(got) == str(want)
+
+
+def _counted(monkeypatch):
+    """Record every product over Z/M (its modulus), every rank (its prime) and every Matrix product."""
+    products, ranks, matrix_products = [], [], []
+    product, rank, mul = binomial_mod._product, Matrix.rank, Matrix.__mul__
+    monkeypatch.setattr(binomial_mod, "_product", lambda a, b, m: products.append(m) or product(a, b, m))
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self.ring.p) or rank(self))
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: matrix_products.append(1) or mul(self, other))
+    return products, ranks, matrix_products
+
+
+def test_a_rank_12_check_makes_three_products_over_z_mod_m_and_one_rank_per_prime(monkeypatch):
+    # k_2 = 4 (16 >= 12), so G = F~^4 is two squarings and G * F~ a third
+    # product; the per-prime path made 14 Matrix products and 6 ranks
+    entry = next(e for e in generate_coalgebras(20240809, 200, max_rank=12) if e.coalgebra.rank == 12)
+    a = dual_algebra(entry.coalgebra)
+    want = [oracles.powering_binomial_report(a, primes) for primes in (PRIMES, (13, 2, 13, 3))]
+    products, ranks, matrix_products = _counted(monkeypatch)
+    assert binomial_check(a, PRIMES) == want[0]
+    assert products == [30030] * 3 and sorted(ranks) == list(PRIMES) and matrix_products == []
+    products.clear(), ranks.clear()
+    assert binomial_check(a, (13, 2, 13, 3)) == want[1]
+    assert products == [2 * 3 * 13] * 3 and sorted(ranks) == [2, 3, 13] and matrix_products == []
+
+
+def test_a_dense_twisted_rank_40_monogenic_algebra_is_checked_within_two_seconds():
+    # Z[x]/(f), deg f = 40 with coefficients in {-1, 0, 1}, in a seeded
+    # unimodular basis: about 63% of the 40^3 constants are nonzero.  The
+    # verdicts do not depend on the basis, so the powering body runs on the
+    # sparse power basis.  The ceiling is there so that a much slower
+    # method, such as one integer Smith form of G for all primes, fails.
+    rng = random.Random(7)
+    coeffs = [rng.choice((-1, 0, 1)) for _ in range(40)]
+    coeffs[0] = rng.choice((-1, 1))
+    plain = monogenic_algebra(ZZ, coeffs)
+    # the axioms are checked once, on the twisted basis, before the clock starts
+    twisted = dual_algebra(conjugate(plain.dual, random_unimodular(random.Random(7), ZZ, 40)))
+    assert sum(len(row) for block in twisted.dual.blocks for row in block.values()) > 40**3 // 2
+    twisted.require_valid()
+    start = time.perf_counter()
+    got = binomial_check(twisted, PRIMES)
+    elapsed = time.perf_counter() - start
+    assert got == oracles.powering_binomial_report(plain, PRIMES)
+    assert elapsed < 2.0, elapsed

@@ -316,7 +316,8 @@ def test_start_that_is_not_invariant_loses_invariance(ring):
 
 def _frobenius_rank(c):
     from purecoalg import dual_algebra
-    from purecoalg.binomial import frobenius_matrix, iterated_frobenius
+    from purecoalg.binomial import frobenius_matrix
+    from oracles import iterated_frobenius
 
     return iterated_frobenius(frobenius_matrix(dual_algebra(c))).rank()
 
@@ -362,7 +363,8 @@ def test_coradical_span_holds_every_group_like():
 
 def _frobenius_lattice(c):
     from purecoalg import dual_algebra
-    from purecoalg.binomial import frobenius_matrix, iterated_frobenius
+    from purecoalg.binomial import frobenius_matrix
+    from oracles import iterated_frobenius
 
     return Lattice.from_rows(c.base, c.rank, iterated_frobenius(frobenius_matrix(dual_algebra(c))).transpose().rows)
 
@@ -397,6 +399,24 @@ def test_small_prime_keeps_the_frobenius_span(p):
     pointed, report = is_pointed(c)
     assert pointed and report.character_count == 1
     assert grouplike._coradical_span(c) == _frobenius_lattice(c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stable_frobenius_power_spans_the_kth_power_lattice(p):
+    # for p <= rank the span is read off F^K, K the least power of two >= k
+    # with p^k >= rank; ker F^K is the nilradical for every K >= k, so the
+    # row space of the transpose is the k-th power's
+    compared, past = 0, 0
+    for entry in generate_coalgebras(61 + p, 40, max_rank=12, ring=prime_field(p)):
+        c = entry.coalgebra
+        if p > c.rank:
+            continue
+        assert grouplike._coradical_span(c) == _frobenius_lattice(c), entry.recipe
+        compared += 1
+        k = next(k for k in range(1, c.rank + 1) if p**k >= c.rank)
+        past += k & (k - 1) != 0  # k is no power of two, so K > k
+    assert compared >= 20
+    assert past >= 5 if p < 5 else past == 0
 
 
 def test_search_from_the_coradical_span_matches_the_full_search():

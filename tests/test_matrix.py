@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from purecoalg import Matrix, QQ, ZZ, charpoly, hnf, hnf_basis, localized_integers, prime_field, snf
 from purecoalg.corpus import random_unimodular
 
@@ -130,3 +132,47 @@ def test_arithmetic_results_share_no_rows_with_their_operands():
         assert a.rows == a_rows and b.rows == b_rows
         ident = Matrix.identity(ring, 2)
         assert ident.rows == [[ring.one, ring.zero], [ring.zero, ring.one]]
+
+
+# --- the rank is the forward pass of the elimination kernel --------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+RANK_RINGS = {"Z": ZZ, "Q": QQ, "Z[1/2,1/3]": localized_integers([2, 3]), "F_2": prime_field(2),
+              "F_101": prime_field(101)}
+
+
+@st.composite
+def ring_entries(draw, ring):
+    num = draw(st.integers(-30, 30))
+    if ring.kind == "Q":
+        return ring.normalize(Fraction(num, draw(st.integers(1, 12))))
+    if ring.kind == "ZS":
+        return ring.normalize(Fraction(num, 2 ** draw(st.integers(0, 3)) * 3 ** draw(st.integers(0, 2))))
+    return ring.normalize(num)
+
+
+SHAPES = ("square", "wide", "tall", "deficient")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(RANK_RINGS))
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_rank_equals_the_hermite_rank(name, shape, data):
+    # wide and tall have 0-4 rows or columns against 5-8; deficient is a
+    # tall-by-wide product, of rank at most its inner size 0-4
+    ring = RANK_RINGS[name]
+    small, large = data.draw(st.integers(0, 4)), data.draw(st.integers(5, 8))
+
+    def matrix(rows, cols):
+        return Matrix(ring, [[data.draw(ring_entries(ring)) for _ in range(cols)] for _ in range(rows)], cols)
+
+    if shape == "deficient":
+        mat = matrix(large, small) * matrix(small, large)
+        assert mat.rank() <= small
+    else:
+        mat = matrix(*{"square": (large, large), "wide": (small, large), "tall": (large, small)}[shape])
+    assert mat.rank() == hnf_basis(mat).nrows, mat.rows
+    assert mat.transpose().rank() == mat.rank()
