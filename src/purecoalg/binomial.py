@@ -12,8 +12,9 @@ is a product of copies of F_p exactly when its Frobenius is the
 identity, so all residue fields of A/pA are F_p exactly when F is the
 identity on the stable image F^K(A/pA), that is when F^{K+1} = F^K;
 the stable image, and so the verdict, is the same for every K >= k_p.
-F is built at each prime from the nonzero structure constants read off
-the blocks of the dual coalgebra the presentation holds, reduced mod p,
+F is built from the nonzero structure constants of the dual coalgebra
+the presentation holds, read through one column table
+(``coalgebra.dual_columns``) with every product reduced mod p or mod M,
 so neither a dense multiplication table nor the algebra A/pA is formed,
 and the nilradical is read only through its rank.  The property
 quantifies over all primes; this module checks a finite list and
@@ -30,7 +31,8 @@ steps from the chain's last prime cost no more multiply-adds than
 binary powering to it; both costs are multiples of the number of
 nonzero constants, so the rule reads only the rank and bitlen(p)
 (``_on_chain``).  Every other prime, up to 2**64, is taken by binary
-powering (``_frobenius``) and forms a group of its own with M = p.
+powering (``_frobenius``, each product ``coalgebra.dual_times`` times
+D^-1 mod p) and forms a group of its own with M = p.
 
 Each group of primes is decided together.  The chain's rows are
 combined by CRT into one matrix F~ over Z/M with F~ = F mod each of its
@@ -48,30 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coalgebra import AlgebraPresentation, Coalgebra
+from .coalgebra import AlgebraPresentation, Coalgebra, dual_columns, dual_times
 from .errors import UnsupportedRing
 from .matrix import Matrix
 from .rings import prime_field, reduce_rows_mod_p
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _flat_constants(c: Coalgebra):
-    """(positions, values): the nonzero structure constants of the dual algebra of c, in one flat list.
-
-    ``positions[i * n + j]`` lists (t, m), t ascending, for each nonzero
-    coefficient values[m] / D of e_t in e_i * e_j, read off the block X_t
-    as the integer X_t[i][j].  Reducing mod p changes only values.
-    """
-    n = c.rank
-    positions = [[] for _ in range(n * n)]
-    values = []
-    for t, block in enumerate(c.blocks):
-        for i, row in block.items():
-            for j, v in row:
-                positions[i * n + j].append((t, len(values)))
-                values.append(v)
-    return positions, values
 
 
 def _check_primes(a: AlgebraPresentation, primes):
@@ -88,39 +72,25 @@ def _check_primes(a: AlgebraPresentation, primes):
         reduce_rows_mod_p(a.ring, [], p)
 
 
-def _frobenius(positions, values, n: int, p: int) -> Matrix:
-    """Matrix of x -> x^p on the F_p-algebra with these structure constants (rows are e_i^p).
+def _frobenius(columns, p: int, scale: int) -> list:
+    """Rows of x -> x^p on A/pA (row i is e_i^p), A the dual algebra with these ``dual_columns``.
 
-    The constants are ``_flat_constants`` with residues mod p as values.
-    Each e_i^p is taken by left-to-right binary powering: square, then
-    multiply by e_i on a one bit, which walks only the products with e_i.
-    This serves the primes off the chain (``_on_chain``).
+    scale is D^-1 mod p.  Each e_i^p is taken by left-to-right binary
+    powering: square, then multiply by e_i on a one bit, which walks only
+    column i; every product is ``dual_times`` times scale, mod p.  This
+    serves the primes off the chain (``_on_chain``).
     """
-
-    def times(x, y):
-        acc = [0] * n
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi:
-                at = i * n
-                for j, yj in ys:
-                    coeff = xi * yj
-                    for t, m in positions[at + j]:
-                        acc[t] += coeff * values[m]
-        return [v % p for v in acc]
-
+    n = len(columns)
     bits = bin(p)[3:]
     rows = []
     for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        x = e
+        x = e = [int(t == i) for t in range(n)]
         for bit in bits:
-            x = times(x, x)
+            x = [v * scale % p for v in dual_times(columns, x, x)]
             if bit == "1":
-                x = times(x, e)
+                x = [v * scale % p for v in dual_times(columns, x, e)]
         rows.append(x)
-    return Matrix(prime_field(p), rows, n)
+    return rows
 
 
 def _on_chain(n: int, primes) -> list:
@@ -141,25 +111,20 @@ def _on_chain(n: int, primes) -> list:
     return out
 
 
-def _chained_frobenius(c: Coalgebra, primes) -> tuple:
+def _chained_frobenius(columns, denom: int, primes) -> tuple:
     """(M, rows of F~): one Frobenius over Z/M for ascending distinct primes, from one chain per basis element.
 
-    c holds the algebra as its dual: e_j * e_i has coefficient X_t[j][i]
-    / D at e_t.  The chain e_i, e_i^2, e_i^3, ... runs in Z/M, M the
-    product of the primes, with D^-1 taken mod M; each step multiplies by
-    e_i, so it walks only column i of the constants.  Row i of F~ is the
-    sum over p of u_p * e_i^p, u_p the CRT idempotent (1 mod p, 0 mod the
-    other primes), taken mod M, so F~ mod p is the Frobenius of A/pA.  A
-    power that repeats its predecessor is a fixed point of x -> x * e_i,
-    so the chain stops there.
+    The algebra is the one with these ``dual_columns`` and denominator
+    D: e_j * e_i has coefficient X_t[j][i] / D at e_t.  The chain e_i,
+    e_i^2, e_i^3, ... runs in Z/M, M the product of the primes, with D^-1
+    taken mod M; each step multiplies by e_i, so it walks only column i.
+    Row i of F~ is the sum over p of u_p * e_i^p, u_p the CRT idempotent
+    (1 mod p, 0 mod the other primes), taken mod M, so F~ mod p is the
+    Frobenius of A/pA.  A power that repeats its predecessor is a fixed
+    point of x -> x * e_i, so the chain stops there.
     """
-    n, m = c.rank, math.prod(primes)
-    scale = pow(c.denom, -1, m)
-    columns = [{} for _ in range(n)]
-    for t, block in enumerate(c.blocks):
-        for j, row in block.items():
-            for i, v in row:
-                columns[i].setdefault(j, []).append((t, v))
+    n, m = len(columns), math.prod(primes)
+    scale = pow(denom, -1, m)
     top = primes[-1]
     idempotents = [(p, m // p * pow(m // p, -1, p)) for p in primes]
     rows = []
@@ -187,19 +152,17 @@ def _frobenius_groups(c: Coalgebra, primes) -> list:
 
     The primes ``_on_chain`` picks share one chain and M is their
     product; every other prime is a group of its own with M = p, taken by
-    binary powering (``_frobenius``) on the constants X * D^-1 mod p.  In
-    each group F~ mod p is the Frobenius of A/pA, A the dual algebra of
-    c.  The primes must already be checked (``_check_primes``).
+    binary powering (``_frobenius``).  Both read one ``dual_columns``
+    table, built once here.  In each group F~ mod p is the Frobenius of
+    A/pA, A the dual algebra of c.  The primes must already be checked
+    (``_check_primes``).
     """
-    n = c.rank
-    chained = _on_chain(n, primes)
-    groups = [(chained, *_chained_frobenius(c, chained))] if chained else []
-    far = [p for p in dict.fromkeys(primes) if p not in chained]
-    if far:
-        positions, values = _flat_constants(c)
-        for p in far:
-            scale = pow(c.denom, -1, p)
-            groups.append(([p], p, _frobenius(positions, [v * scale % p for v in values], n, p).rows))
+    columns = dual_columns(c)
+    chained = _on_chain(c.rank, primes)
+    groups = [(chained, *_chained_frobenius(columns, c.denom, chained))] if chained else []
+    for p in dict.fromkeys(primes):
+        if p not in chained:
+            groups.append(([p], p, _frobenius(columns, p, pow(c.denom, -1, p))))
     return groups
 
 
@@ -258,8 +221,9 @@ def stable_frobenius(ap: AlgebraPresentation) -> Matrix:
     exactly the nilradical, so its kernel is the nilradical and its rank
     is the dimension of the semisimple quotient.
     """
+    rows = frobenius_matrix(ap).rows
     p = ap.ring.p
-    return Matrix._owning(ap.ring, _stable_power(frobenius_matrix(ap).rows, p, p, ap.rank), ap.rank)
+    return Matrix._owning(ap.ring, _stable_power(rows, p, p, ap.rank), ap.rank)
 
 
 @dataclass

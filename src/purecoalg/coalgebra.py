@@ -16,7 +16,9 @@ representation or isomorphism search is offered.
 An algebra on a free module of finite rank is held as its dual
 coalgebra: the coefficient of e_t in e_i * e_j is the coefficient of
 e_i* (x) e_j* in Delta(e_t*), so one store of blocks serves both, and
-passing to the dual in either direction builds nothing.
+passing to the dual in either direction builds nothing.  Products in
+the algebra read the blocks regrouped by column (``dual_columns``,
+``dual_times``).
 
 Axiom checks, constructions and tensor-square conditions all walk the
 blocks.  A tensor in C (x) C is an n x n matrix, and tensor-square
@@ -434,6 +436,34 @@ def dual_of_algebra(a: AlgebraPresentation) -> Coalgebra:
 def dual_algebra(c: Coalgebra) -> AlgebraPresentation:
     """Linear dual of a finite coalgebra: an algebra holding c itself; round trips with dual_of_algebra."""
     return object.__new__(AlgebraPresentation)._hold(c)
+
+
+def dual_columns(c: Coalgebra) -> list:
+    """The nonzero structure constants of the dual algebra of c by column: ``columns[b][a]`` lists (t, X_t[a][b]).
+
+    e_a * e_b has coefficient X_t[a][b] / D at e_t, t ascending in each
+    list.  The table is built on each call, not held on c.
+    """
+    columns = [{} for _ in range(c.rank)]
+    for t, block in enumerate(c.blocks):
+        for a, row in block.items():
+            for b, v in row:
+                columns[b].setdefault(a, []).append((t, v))
+    return columns
+
+
+def dual_times(columns, x, y) -> list:
+    """D * (x * y) with these ``dual_columns``, not reduced: entry t is sum x_a y_b X_t[a][b], over the b with y_b != 0."""
+    acc = [0] * len(columns)
+    for b, yb in enumerate(y):
+        if yb:
+            for a, entries in columns[b].items():
+                xa = x[a]
+                if xa:
+                    coeff = xa * yb
+                    for t, v in entries:
+                        acc[t] += coeff * v
+    return acc
 
 
 def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:

@@ -14,8 +14,8 @@ Central objects:
   quotient of the dual algebra and carves out the components with the
   dual action, while the oracle iterates wedges of each group-like line
   until stabilization.  The lift runs in integers for every ring, on
-  the stored blocks of D * Delta, with an idempotent held as an integer
-  vector over one common denominator (residues mod p over F_p);
+  one ``dual_columns`` table of D * Delta, with an idempotent held as
+  an integer vector over one common denominator (residues mod p over F_p);
 * the natural retraction of C onto its coradical, given on each
   component by x -> eps(x) * g.
 
@@ -49,6 +49,8 @@ from .coalgebra import (
     CoalgebraMap,
     _adapted_support,
     _flag_basis,
+    dual_columns,
+    dual_times,
     is_subcoalgebra,
     sandwich,
     stored_coordinates,
@@ -344,21 +346,15 @@ def _content_free(vector, d: int, base):
     return base.reduce_row([v // g for v in vector]), d // g
 
 
-def _dual_product(c: Coalgebra, x, y):
-    """Product of x and y in the dual algebra on the stored blocks: entry i is x^T X_i y."""
-    return c.ring.reduce_row(
-        [sum(x[j] * sum(v * y[k] for k, v in entries) for j, entries in block.items()) for block in c.blocks]
-    )
-
-
-def _dual_action(c: Coalgebra, e):
-    """Matrix of x -> (id (x) e) Delta(x) on the stored blocks: row i holds X_i e."""
-    act = []
-    for block in c.blocks:
-        row = [0] * c.rank
-        for j, entries in block.items():
-            row[j] = sum(v * e[k] for k, v in entries)
-        act.append(row)
+def _dual_action(columns, e):
+    """D times the matrix of x -> (id (x) e) Delta(x): row t holds X_t e, read off the ``dual_columns``."""
+    n = len(columns)
+    act = [[0] * n for _ in range(n)]
+    for b, eb in enumerate(e):
+        if eb:
+            for a, entries in columns[b].items():
+                for t, v in entries:
+                    act[t][a] += v * eb
     return act
 
 
@@ -398,19 +394,19 @@ def _interpolating_elements(gl: GroupLikeSet, base):
     return out
 
 
-def _lifted_idempotent(c: Coalgebra, e, d: int):
+def _lifted_idempotent(c: Coalgebra, e, d: int, columns):
     """(E, d) for the idempotent that e / d lifts to along the nilpotent radical of the dual algebra.
 
     e / d <- 3 (e / d)^2 - 2 (e / d)^3 until (e / d)^2 = e / d, where a
-    product of x / a and y / b on the stored blocks is (x * y) / (D a b);
+    product of x / a and y / b is ``dual_times(columns, x, y)`` / (D a b);
     the iteration fixes an idempotent, so stopping early changes nothing.
     """
-    denom = c.denom
+    denom, reduce_row = c.denom, c.ring.reduce_row
     for _ in range(_lift_steps(c.rank) + 1):
-        e2 = _dual_product(c, e, e)
+        e2 = reduce_row(dual_times(columns, e, e))
         if e2 == [denom * d * v for v in e]:
             return e, d
-        e3 = _dual_product(c, e2, e)
+        e3 = reduce_row(dual_times(columns, e2, e))
         lifted = [3 * denom * d * a - 2 * b for a, b in zip(e2, e3)]
         e, d = _content_free(lifted, denom**2 * d**3, c.base)
     raise AssertionError("idempotent lifting did not converge")
@@ -424,10 +420,10 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     interpolation problem and lifting along the nilpotent radical with
     the iteration e <- 3e^2 - 2e^3; the component is the integral part
     of the eigenspace of the dual action of e_g.  All of it runs in
-    integers, on the stored blocks of D * Delta with e held as an integer
-    vector E over one common denominator d (d = 1 over F_p).  The
-    validated decomposition is held on c, so the lift and the validation
-    run once per coalgebra; a refusal holds nothing.
+    integers, on one ``dual_columns`` table of D * Delta with e held as
+    an integer vector E over one common denominator d (d = 1 over F_p).
+    The validated decomposition is held on c, so the lift and the
+    validation run once per coalgebra; a refusal holds nothing.
     """
     held = c._derived.get("components")
     if held is not None:
@@ -436,11 +432,12 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     n = c.rank
     if n == 0:
         return ComponentDecomposition(c, ())
+    columns = dual_columns(c)
     parts = []
     for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, c.base)):
-        e, d = _lifted_idempotent(c, e, d)
-        # act(e / d) - 1 is (act(E) - D d) / (D d) on the stored blocks
-        act = _dual_action(c, e)
+        e, d = _lifted_idempotent(c, e, d, columns)
+        # act(e / d) - 1 is (act(E) - D d) / (D d)
+        act = _dual_action(columns, e)
         for i in range(n):
             act[i][i] -= c.denom * d
         parts.append((tuple(g), _integer_kernel(Matrix(c.base, act, n), c.ring)))

@@ -11,6 +11,7 @@ algebra (file, dense constructor, entries) must give the same
 presentation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,8 @@ from purecoalg import (
     truncated_polynomial_algebra,
 )
 from purecoalg import serialize as sz
-from purecoalg.coalgebra import algebra_from_entries
+from purecoalg import structure
+from purecoalg.coalgebra import algebra_from_entries, coalgebra_from_entries, dual_columns, dual_times
 from purecoalg.corpus import generate_coalgebras
 
 import oracles
@@ -146,3 +148,81 @@ def test_the_dense_table_is_only_a_view():
     assert AlgebraPresentation(ZZ, 3, view, a.unit) != a
     with pytest.raises(AttributeError):
         a.mult = view
+
+
+def _dense_blocks(c):
+    """X_t as dense n x n integer matrices, read off the stored blocks of c."""
+    out = []
+    for block in c.blocks:
+        x = [[0] * c.rank for _ in range(c.rank)]
+        for a, row in block.items():
+            for b, v in row:
+                x[a][b] = v
+        out.append(x)
+    return out
+
+
+def _sample(rng, c):
+    if c.ring.kind == "Fp":
+        return [rng.randrange(c.ring.p) for _ in range(c.rank)]
+    return [rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(c.rank)]
+
+
+def _non_cocommutative():
+    """A stored block that is never validated: X_0[0][1] = 2 while X_0[1][0] = 0."""
+    c = coalgebra_from_entries(ZZ, 3, [(0, 0, 1, 2), (0, 1, 1, 7), (1, 1, 0, 3), (2, 0, 2, -1), (2, 2, 1, 5)],
+                               [1, 0, 0])
+    assert not c.validate().overall
+    return c
+
+
+@pytest.mark.parametrize("ring", list(CORPORA) + ["unvalidated"])
+def test_dual_times_puts_x_in_the_first_slot_and_y_in_the_second(ring):
+    rng = random.Random(29)
+    cs = [_non_cocommutative()] if ring == "unvalidated" else CORPORA[ring]()
+    for c in cs:
+        columns, xs = dual_columns(c), _dense_blocks(c)
+        assert [sorted(column) for column in columns] == [
+            sorted({a for x in xs for a in range(c.rank) if x[a][b]}) for b in range(c.rank)]
+        for _ in range(6):
+            x, y = _sample(rng, c), _sample(rng, c)
+            want = [sum(x[a] * y[b] * xt[a][b] for a in range(c.rank) for b in range(c.rank)) for xt in xs]
+            assert dual_times(columns, x, y) == want
+    if ring == "unvalidated":
+        (c,) = cs
+        columns = dual_columns(c)
+        assert dual_times(columns, [1, 0, 0], [0, 1, 0]) == [2, 0, 0]
+        assert dual_times(columns, [0, 1, 0], [1, 0, 0]) == [0, 3, 0]
+
+
+@pytest.mark.parametrize("ring", list(CORPORA))
+def test_dual_times_over_the_denominator_is_the_dense_product(ring):
+    rng = random.Random(31)
+    for c in CORPORA[ring]():
+        a, columns, n = dual_algebra(c), dual_columns(c), c.rank
+        for _ in range(6):
+            x, y = _sample(rng, c), _sample(rng, c)
+            got = c.ring.reduce_row(dual_times(columns, x, y))
+            if c.ring.kind == "Fp":
+                p = c.ring.p
+                assert [v * pow(c.denom, -1, p) % p for v in got] == oracles.dense_product(a.mult.rows, x, y, p)
+            elif c.ring.kind == "Q":
+                want = [sum(x[i] * y[j] * a.mult.rows[i * n + j][t] for i in range(n) for j in range(n))
+                        for t in range(n)]
+                assert [Fraction(v, c.denom) for v in got] == want
+            else:
+                for p in (5, 7):
+                    want = oracles.dense_product(a.mult.reduce_mod(p).rows, x, y, p)
+                    assert [v * pow(c.denom, -1, p) % p for v in got] == want
+
+
+@pytest.mark.parametrize("ring", list(CORPORA) + ["unvalidated"])
+def test_dual_action_rows_are_the_blocks_times_e(ring):
+    rng = random.Random(37)
+    cs = [_non_cocommutative()] if ring == "unvalidated" else CORPORA[ring]()
+    for c in cs:
+        columns, xs = dual_columns(c), _dense_blocks(c)
+        for _ in range(4):
+            e = _sample(rng, c)
+            assert structure._dual_action(columns, e) == [
+                [sum(v * w for v, w in zip(row, e)) for row in xt] for xt in xs]

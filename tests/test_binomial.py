@@ -103,6 +103,17 @@ def test_unsupported_ring():
         frobenius_matrix(truncated_polynomial_algebra(ZZ, 2))
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_frobenius_entries_refuse_a_ring_without_characteristic(ring):
+    from purecoalg import QQ
+    from purecoalg.binomial import stable_frobenius
+
+    a = truncated_polynomial_algebra(ZZ if ring == "Z" else QQ, 2)
+    for entry in (frobenius_matrix, stable_frobenius):
+        with pytest.raises(UnsupportedRing, match="needs a prime-field algebra"):
+            entry(a)
+
+
 @pytest.mark.parametrize("p, error", [(4, ValidationError), (1, ValidationError), (3, PrimeInverted)],
                          ids=["composite", "one", "inverted"])
 def test_reductions_still_check_the_prime(p, error):
@@ -308,6 +319,7 @@ def test_binomial_errors_fire_in_order():
 
 from purecoalg import binomial as binomial_mod
 from purecoalg import conjugate
+from purecoalg.coalgebra import dual_columns
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 BOTH_SIDES = (2, 3, 13, 101, 1000003, 2**61 - 1)
@@ -329,16 +341,15 @@ CHAIN_CORPUS = _chain_corpus()
 
 
 def _powered(a, p):
-    """The Frobenius mod p by binary powering, on the constants X * D^-1 mod p."""
-    positions, values = binomial_mod._flat_constants(a.dual)
-    scale = pow(a.dual.denom, -1, p)
-    return binomial_mod._frobenius(positions, [v * scale % p for v in values], a.rank, p)
+    """The Frobenius mod p by binary powering, each product times D^-1 mod p."""
+    rows = binomial_mod._frobenius(dual_columns(a.dual), p, pow(a.dual.denom, -1, p))
+    return Matrix(prime_field(p), rows, a.rank)
 
 
 def test_chained_rows_equal_the_powered_rows_at_every_prime():
     for a in CHAIN_CORPUS:
         primes = list(_usable_primes(a) + PRIMES_TO_31[6:])
-        m, rows = binomial_mod._chained_frobenius(a.dual, primes)
+        m, rows = binomial_mod._chained_frobenius(dual_columns(a.dual), a.dual.denom, primes)
         assert m == math.prod(primes) and all(0 <= v < m for row in rows for v in row)
         for p in primes:
             assert Matrix(prime_field(p), [[v % p for v in row] for row in rows], a.rank) == _powered(a, p), (a, p)

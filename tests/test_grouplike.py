@@ -524,9 +524,9 @@ def test_structure_calls_run_one_character_search(monkeypatch):
     lifts = []
     original = structure._lifted_idempotent
 
-    def lifted(c, e, d):
+    def lifted(c, *rest):
         lifts.append(c)
-        return original(c, e, d)
+        return original(c, *rest)
 
     monkeypatch.setattr(structure, "_lifted_idempotent", lifted)
     entries = [e for e in generate_coalgebras(43, 20, max_rank=8) if e.grouplike_count >= 2]

@@ -140,3 +140,45 @@ def test_no_module_imports_a_name_it_never_uses():
             if names:
                 unused[path.name] = names
     assert unused == {}
+
+
+def _unreferenced_private_defs(sources: dict) -> list:
+    """"module.name" for each module-level _private function or class that no code in the sources names.
+
+    A name counts as referenced when it is loaded, read as an attribute
+    or imported anywhere outside its own definition, in any module.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    own = node.name
+                    defined.append((module, own))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in referenced)
+
+
+def test_unreferenced_private_check_fires():
+    sources = {
+        "a": "def _kept():\n    return 1\n\ndef _left(n):\n    return _left(n - 1)\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _kept\n\ndef __getattr__(name):\n    return _kept()\n",
+    }
+    assert _unreferenced_private_defs(sources) == ["a._Gone", "a._left"]
+    assert _unreferenced_private_defs({"c": "def _f():\n    pass\n\nx = _f\n"}) == []
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_defs(sources) == []
