@@ -24,7 +24,9 @@ Axiom checks, constructions and tensor-square conditions all walk the
 blocks.  A tensor in C (x) C is an n x n matrix, and tensor-square
 conditions are products P^T X Q of small integer matrices
 (``sandwich``), never lattices in C (x) C or the n^2 x n^3 Kronecker
-matrices the identities formally live in.  Whether a lattice is a
+matrices the identities formally live in.  Coassociativity and the
+square of a coalgebra map are summed on packed integer rows and share
+one zero test (``_first_slot``).  Whether a lattice is a
 subcoalgebra is read off the support of Delta carried into a basis
 adapted to it (``_adapted_support``), the same reading that validates
 a filtration or a component decomposition.
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,10 +75,7 @@ class ValidationReport:
         self.checks.append(ValidationCheck(name, passed, location))
 
     def first_failure(self):
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def require(self, checked, prefix: str, error=ValidationError):
         """checked itself when every check passed; otherwise raise error naming the first failure after prefix."""
@@ -266,8 +264,9 @@ def _axiom_failures(c: Coalgebra):
     X_i = D * Delta(e_i), ascending; inner is the smallest failing index
     tuple at i: (j, k) with j < k, the tensor slot (a, b, t), or the
     slot (t,) of the counit law.  Every law costs time in proportion to
-    the products of nonzeros it forms; coassociativity holds a length-n
-    row only for each pair (a, b) those products reach.
+    the products of nonzeros it forms; coassociativity sums both sides
+    into one packed row over t per pair (a, b) those products reach, read
+    with the zero test of ``validate_map`` (``_first_slot``).
     """
     n, ring, X = c.rank, c.ring, c.blocks
     if c._cleared_counit is None:
@@ -284,26 +283,23 @@ def _axiom_failures(c: Coalgebra):
                 yield i, min(bad)
 
     def coassociativity():
-        # at slot (a, b, t): sum_j X_i[j][t] X_j[a][b] = sum_k X_i[a][k] X_k[b][t], each side
-        # summed into rows[a*n + b], a length-n row indexed by t
+        # at slot (a, b, t): sum_j X_i[j][t] X_j[a][b] = sum_k X_i[a][k] X_k[b][t], each side summed
+        # into rows[a*n + b], the packed row over t; either side of a slot is at most n * max|X|^2
+        width = _width(2 * n * _largest(X) ** 2, ring)
+        packed = [{b: _packed(entries, width) for b, entries in x.items()} for x in X]
         flat = [[(a * n + b, w) for a, entries in x.items() for b, w in entries] for x in X]
         for i, block in enumerate(X):
-            rows = defaultdict(lambda: [0] * n)
+            rows = {}
             for j, xrow in block.items():
+                lhs = packed[i][j]
                 for ab, w in flat[j]:
-                    acc = rows[ab]
-                    for t, v in xrow:
-                        acc[t] += v * w
+                    rows[ab] = rows.get(ab, 0) + w * lhs
                 for k, v in xrow:
-                    for b, entries in X[k].items():
-                        acc = rows[j * n + b]
-                        for t, w in entries:
-                            acc[t] -= v * w
-            for ab in sorted(rows):
-                row = ring.reduce_row(rows[ab])
-                if any(row):
-                    yield i, (*divmod(ab, n), next(t for t, v in enumerate(row) if v))
-                    break
+                    for b, row in packed[k].items():
+                        rows[j * n + b] = rows.get(j * n + b, 0) - v * row
+            bad = _first_slot(rows, width, n, ring)
+            if bad is not None:
+                yield i, (*divmod(bad[0], n), bad[1])
 
     def counit(left: bool):
         # (eps x id) X_i at slot k, or (id x eps) X_i at slot j, against D * e_i
@@ -477,9 +473,7 @@ def monogenic_algebra(ring: Ring, reduction) -> AlgebraPresentation:
         raise ValidationError("monogenic algebra needs rank at least 1")
     red = [ring.normalize(v) for v in reduction]
     # powers[e] = coordinates of x^e for e up to 2k-2
-    powers = []
-    for e in range(k):
-        powers.append([ring.one if t == e else ring.zero for t in range(k)])
+    powers = [[ring.one if t == e else ring.zero for t in range(k)] for e in range(k)]
     for e in range(k, 2 * k - 1):
         prev = powers[e - 1]
         shifted = [ring.zero] + prev[:-1]
@@ -522,9 +516,7 @@ def tensor(c: Coalgebra, d: Coalgebra) -> Coalgebra:
         for y in d.blocks
     ]
     counit = ring.reduce_row([ec * ed for ec in c.counit for ed in d.counit])
-    names = None
-    if c.basis_names and d.basis_names:
-        names = [f"{s}(x){t}" for s in c.basis_names for t in d.basis_names]
+    names = [f"{s}(x){t}" for s in c.basis_names for t in d.basis_names] if c.basis_names and d.basis_names else None
     out = _built(ring, c.rank * nd, c.denom * d.denom, blocks, counit, names)
     out.require_valid()
     return out
@@ -540,9 +532,7 @@ def direct_sum(c: Coalgebra, d: Coalgebra) -> Coalgebra:
         m = scale // x.denom
         return [{at + j: [(at + k, m * v) for k, v in e] for j, e in b.items()} for b in x.blocks]
 
-    names = None
-    if c.basis_names and d.basis_names:
-        names = list(c.basis_names) + list(d.basis_names)
+    names = list(c.basis_names) + list(d.basis_names) if c.basis_names and d.basis_names else None
     blocks = shifted(c, 0) + shifted(d, c.rank)
     return _built(c.ring, c.rank + d.rank, scale, blocks, list(c.counit) + list(d.counit), names)
 
@@ -731,17 +721,10 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     With F = F' / E cleared of denominators, the square at e_i is
     D_D * F'^T X_i F' = D_C * E * sum_m F'_im Y_m on the stored blocks
     X of the domain and Y of the codomain, in integers (mod p over F_p).
-    Each side is formed on packed rows: a length-n row becomes the one
-    int sum_b v_b * 2^(w*b), so a row of F'^T X_i F' is a sum of
-    multiples of the packed rows of F', and the sum over m one of the
-    packed rows of the Y_m.  Packing is Z-linear, and a packed int is
-    zero exactly when its slots are once every slot lies below 2^(w-1)
-    in absolute value; w comes from the bound D_D * nnz(X_i) * max|X| *
-    max|F'|^2 + D_C * E * n * max|F'| * max|Y| on every slot of the
-    difference, n the codomain rank.  Over F_p a slot only has to vanish
-    mod p, so a nonzero packed row is unpacked to its balanced digits and
-    reduced before it counts.  A failure names the first basis index and
-    its smallest tensor slot.
+    Each side is summed into one packed row per pair (i, a), read by
+    ``_first_slot``, with slots bounded by D_D * nnz(X_i) * max|X| *
+    max|F'|^2 + D_C * E * n * max|F'| * max|Y|, n the codomain rank.  A
+    failure names the first basis index and its smallest tensor slot.
     """
     ring = f.domain.ring
     nd = f.codomain.rank
@@ -753,7 +736,7 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     X, Y = f.domain.blocks, f.codomain.blocks
     top = max((abs(v) for row in F for v in row), default=0)
     bound = lhs_scale * max((sum(map(len, x.values())) for x in X), default=0) * _largest(X) * top * top
-    width = (bound + rhs_scale * nd * top * _largest(Y)).bit_length() + 1
+    width = _width(bound + rhs_scale * nd * top * _largest(Y), ring)
     packed_f = [lhs_scale * _packed(enumerate(row), width) for row in F]
     columns = [[(a, v) for a, v in enumerate(row) if v] for row in F]
     packed_y = [{a: rhs_scale * _packed(entries, width) for a, entries in y.items()} for y in Y]
@@ -766,7 +749,7 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
         for m, v in columns[i]:
             for a, row in packed_y[m].items():
                 diff[a] = diff.get(a, 0) - v * row
-        bad = next(((a, b) for a in sorted(diff) if (b := _first_slot(diff[a], width, nd, ring)) is not None), None)
+        bad = _first_slot(diff, width, nd, ring)
         if bad is not None:
             square_loc = f"basis {i}, tensor slot {bad}"
             break
@@ -789,22 +772,38 @@ def _packed(entries, width: int) -> int:
     return sum(v << (width * b) for b, v in entries)
 
 
-def _first_slot(packed: int, width: int, count: int, ring):
-    """The smallest of the count slots of a packed row that is nonzero (mod p over F_p), or None.
+def _width(bound: int, ring) -> int:
+    """The slot width for packed rows whose slots are at most bound in absolute value (``_first_slot``)."""
+    return bound.bit_length() + 1 + (ring.p.bit_length() if ring.kind == "Fp" else 0)
 
-    Every slot must lie below 2^(width - 1) in absolute value, so the
-    slots are the balanced digits of the int, peeled off from the bottom.
+
+def _first_slot(rows: dict, width: int, count: int, ring):
+    """(key, slot) for the smallest key whose packed row has a nonzero slot (mod p over F_p), or None.
+
+    A packed row is the int sum_b v_b * 2^(width * b) (``_packed``).
+    Packing is Z-linear; at a ``_width`` from a bound S on every slot,
+    the slots are the balanced digits of the int, so over Z a row is zero
+    exactly when its int is.  Over F_p, with k = width - 1 - bitlen(p),
+    so that 2^k > S and p * 2^k < 2^(width - 1), a row vanishes mod p
+    exactly when its int is p * q and q + 2^k has every slot below
+    2^(k + 1).  Only a failing row is peeled into its digits.
     """
-    if not packed:
+    keys = sorted(key for key, packed in rows.items() if packed)
+    if not keys:
         return None
-    digits, half, mask = [], 1 << (width - 1), (1 << width) - 1
-    for _ in range(count):
-        digit = packed & mask
-        if digit >= half:
-            digit -= 1 << width
-        digits.append(digit)
-        packed = (packed - digit) >> width
-    return next((b for b, v in enumerate(ring.reduce_row(digits)) if v), None)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    ones = ((1 << (width * count)) - 1) // mask
+    p = ring.p if ring.kind == "Fp" else 0
+    if p:
+        k = width - 1 - p.bit_length()
+        lift, high = ones << k, (mask ^ ((2 << k) - 1)) * ones
+    for key in keys:
+        if p and not rows[key] % p and not (rows[key] // p + lift) & high:
+            continue
+        lifted = rows[key] + half * ones
+        digits = ring.reduce_row([(lifted >> (width * b) & mask) - half for b in range(count)])
+        return key, next(b for b, v in enumerate(digits) if v)
+    return None
 
 
 # --- subcoalgebras --------------------------------------------------------------

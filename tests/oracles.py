@@ -8,7 +8,8 @@ p), and small brute-force helpers.  None of it imports the package's
 linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.  The seeded random
 lattices that the lattice tests draw are built with the package's
-``Lattice.from_rows`` and ``saturate``.
+``Lattice.from_rows`` and ``saturate``, and the big-entry coalgebras
+with its corpus generator and ``conjugate``.
 
 The exceptions are the last six sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
@@ -633,6 +634,26 @@ def random_pure_lattices(seed: int, count: int, ambient: int):
         r = rng.randint(0, ambient)
         rows = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(r)]
         out.append(Lattice.from_rows(ZZ, ambient, rows).saturate())
+    return out
+
+
+def big_entry_coalgebras(seed: int, count: int):
+    """Rank <= 5 corpus coalgebras over Z conjugated by a product of 64 seeded unimodular matrices.
+
+    Each factor adds about 1.5 bits to the stored entries, so a
+    coalgebra of rank 3 or more has entries past 2**64.
+    """
+    from purecoalg import ZZ, conjugate
+    from purecoalg.corpus import generate_coalgebras, random_unimodular
+
+    rng = random.Random(seed)
+    out = []
+    for entry in generate_coalgebras(seed, count, max_rank=5):
+        c = entry.coalgebra
+        w = random_unimodular(rng, ZZ, c.rank)
+        for _ in range(63):
+            w = w * random_unimodular(rng, ZZ, c.rank)
+        out.append(conjugate(c, w))
     return out
 
 

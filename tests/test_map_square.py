@@ -5,12 +5,17 @@ blocks into one int and tests whole rows at once; ``oracles`` keeps the
 former check, which formed every entry of the square with ``sandwich``.
 Both reports must agree byte for byte over Z, Q, Z[1/2,1/3], F_2, F_3
 and F_101, on corpus maps, on coradical retractions and on one-entry
-perturbations of both.
+perturbations of both.  The zero test that reads the packed rows,
+shared with the coassociativity check, must name the first nonzero slot
+(mod p) of any row whose slots lie within the bound its width was set
+from, extreme slots included.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purecoalg import (
     CoalgebraMap,
@@ -23,7 +28,7 @@ from purecoalg import (
     split_coradical,
     validate_map,
 )
-from purecoalg.coalgebra import coalgebra_from_entries
+from purecoalg.coalgebra import _first_slot, _packed, _width, coalgebra_from_entries
 from purecoalg.corpus import generate_coalgebras, generate_maps
 from purecoalg.rings import localized_integers
 
@@ -112,3 +117,26 @@ def test_the_slot_width_holds_for_entries_of_200_bits():
         assert validate_map(f).overall
         maps = [f, identity_map(f.codomain), *_perturbed(rng, f, 6)]
         assert "comultiplication square" in _assert_matches_oracle(maps)
+
+
+@st.composite
+def packed_rows(draw):
+    """(ring, bound, count, slot rows by key): slots within the bound, many at its edge or multiples of p."""
+    ring = draw(st.sampled_from([ZZ] + [prime_field(p) for p in (2, 3, 101, 2**61 - 1)]))
+    bound = draw(st.one_of(st.integers(0, 40), st.integers(2**60, 2**90)))
+    p = ring.p if ring.kind == "Fp" else 1
+    slot = st.one_of(st.just(0), st.sampled_from([bound, -bound]), st.integers(-bound, bound),
+                     st.integers(-(bound // p), bound // p).map(lambda t: p * t),
+                     st.sampled_from([p * (bound // p), -p * (bound // p)]))
+    count = draw(st.integers(1, 6))
+    rows = draw(st.dictionaries(st.integers(0, 20), st.lists(slot, min_size=count, max_size=count), max_size=4))
+    return ring, bound, count, rows
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(packed_rows())
+def test_the_zero_test_names_the_first_nonzero_slot_of_a_packed_row(drawn):
+    ring, bound, count, rows = drawn
+    width = _width(bound, ring)
+    want = next(((key, b) for key in sorted(rows) for b, v in enumerate(ring.reduce_row(rows[key])) if v), None)
+    assert _first_slot({key: _packed(enumerate(row), width) for key, row in rows.items()}, width, count, ring) == want

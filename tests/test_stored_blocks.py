@@ -6,7 +6,9 @@ checks and the map checks work on those blocks; ``oracles`` keeps the
 dense n x n^2 versions they replaced.  Both must agree over Z, Q,
 Z[1/2,1/3] (with denominators in Delta) and F_101: in the coalgebra,
 its dense Delta, counit, basis names and serialized bytes, and in the
-first failure every check reports.
+first failure every check reports.  The axiom reports are also checked
+over Z with entries past 2**64, over F_(2^61-1), and on random blocks
+that were never validated.
 """
 
 import random
@@ -14,6 +16,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purecoalg import (
     Coalgebra,
@@ -40,7 +44,7 @@ from purecoalg import (
 )
 from purecoalg import lattice as lattice_mod
 from purecoalg import serialize as sz
-from purecoalg.coalgebra import coalgebra_from_entries
+from purecoalg.coalgebra import algebra_from_entries, coalgebra_from_entries
 from purecoalg.corpus import generate_coalgebras, generate_maps, random_unimodular
 from purecoalg.rings import localized_integers
 
@@ -204,12 +208,19 @@ def _locations(report):
 
 SMALL_PRIMES = [(f"F_{q.p}", q, [e.coalgebra for e in generate_coalgebras(255, 8, max_rank=5, ring=q)])
                 for q in map(prime_field, (2, 3, 7))]
+M61 = prime_field(2**61 - 1)
+# stored entries past 2**64 over Z, and residues of up to 61 bits: slot widths well past one machine word
+WIDE = [("Z big", ZZ, oracles.big_entry_coalgebras(271, 8)),
+        ("F_(2^61-1)", M61, [e.coalgebra for e in generate_coalgebras(277, 10, max_rank=6, ring=M61)])]
 
 
-@pytest.mark.parametrize("name,ring,corpus", CORPORA + SMALL_PRIMES, ids=IDS + [name for name, _, _ in SMALL_PRIMES])
+@pytest.mark.parametrize("name,ring,corpus", CORPORA + SMALL_PRIMES + WIDE,
+                         ids=IDS + [name for name, _, _ in SMALL_PRIMES + WIDE])
 def test_coalgebra_validation_matches_dense_oracle(name, ring, corpus):
     rng = random.Random(251)
     p = ring.p if ring.kind == "Fp" else None
+    if name == "Z big":
+        assert sum(max(abs(v) for row in c.delta.rows for v in row) > 2**64 for c in corpus) >= 4
     failures = set()
     for c in corpus:
         for d in [c, *_perturbed_coalgebras(rng, c)]:
@@ -254,3 +265,43 @@ def test_map_validation_matches_dense_oracle(ring):
             failures |= {check.name for check in report.checks if not check.passed}
     assert failures == {"comultiplication square", "counit triangle"}
 
+
+# rank <= 4 with |v| <= 2**80: Z, Z[1/2,1/3] with denominators 2^a 3^b, and F_p for p in {2, 3, 2^61 - 1}
+BLOCK_RINGS = [(ZZ, None), (ZS, None)] + [(prime_field(p), p) for p in (2, 3, 2**61 - 1)]
+# small values keep some laws intact; the others sit near 2**80, where the slot widths are set
+BIG = st.one_of(st.integers(-3, 3), st.integers(2**78, 2**80), st.integers(-2**80, -2**78))
+
+
+@st.composite
+def unvalidated_blocks(draw):
+    """(ring, p, rank, entries (i, j, k, v), counit) of a Delta that nothing has validated.
+
+    Half the draws start from the divided-power coalgebra, Delta(e_k) =
+    sum over i + j = k of e_i (x) e_j, so some laws hold before the drawn
+    entries move it; each drawn entry may be mirrored at (i, k, j).
+    """
+    ring, p = draw(st.sampled_from(BLOCK_RINGS))
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    entries = {(i + j, i, j): 1 for i in range(n) for j in range(n - i)} if draw(st.booleans()) else {}
+    for i, j, k, v in draw(st.lists(st.tuples(index, index, index, BIG), max_size=6)):
+        entries[i, j, k] = v
+        if draw(st.booleans()):
+            entries[i, k, j] = v
+    counit = [int(i == 0) for i in range(n)] if draw(st.booleans()) else draw(st.lists(BIG, min_size=n, max_size=n))
+    if ring == ZS:
+        den = st.builds(lambda a, b: 2**a * 3**b, st.integers(0, 3), st.integers(0, 2))
+        entries = {key: Fraction(v, draw(den)) for key, v in entries.items()}
+        counit = [Fraction(v, draw(den)) for v in counit]
+    return ring, p, n, [(*key, ring.normalize(v)) for key, v in entries.items()], [ring.normalize(v) for v in counit]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(unvalidated_blocks())
+def test_unvalidated_blocks_report_the_dense_oracle_locations(drawn):
+    ring, p, n, entries, counit = drawn
+    c = coalgebra_from_entries(ring, n, entries, counit)
+    assert _locations(validate_coalgebra(c)) == oracles.coalgebra_axiom_locations(c.delta.rows, c.counit, n, p)
+    # the same table read as an algebra: e_i * e_j has e_t-coefficient the coefficient of e_i (x) e_j in Delta(e_t)
+    a = algebra_from_entries(ring, n, [(i, j, t, v) for t, i, j, v in entries], counit)
+    assert _locations(a.validate()) == oracles.algebra_axiom_locations(a.mult.rows, a.unit, n, p)

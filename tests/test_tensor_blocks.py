@@ -359,9 +359,10 @@ def test_compatibility_and_subcoalgebra_rejections_fire():
 
 
 def _algebra_families():
-    """(family, [(coalgebra, p)]): corpus coalgebras over Z, F_7, Q, Z[1/2,1/3] and F_2 / F_3, p None off F_p.
+    """(family, [(coalgebra, p)]): corpus coalgebras over Z, F_7, Q, Z[1/2,1/3], F_2 / F_3 and F_(2^61-1), p None off F_p.
 
-    Over Z[1/2,1/3] the coalgebras are conjugated by diag(1, ..., 1/6), so
+    "Z big" holds coalgebras over Z whose entries pass 2**64.  Over
+    Z[1/2,1/3] the coalgebras are conjugated by diag(1, ..., 1/6), so
     the dual's constants are Fractions and its blocks need a denominator.
     """
     ZS = localized_integers([2, 3])
@@ -377,7 +378,10 @@ def _algebra_families():
             ("F_7", [(e.coalgebra, 7) for e in generate_coalgebras(109, 6, max_rank=5, ring=prime_field(7))]),
             ("Q", [(_over_q(c), None) for c in over_z]),
             ("Z[1/2,1/3]", [(c, None) for c in over_zs]),
-            ("F_2/F_3", small)]
+            ("F_2/F_3", small),
+            ("Z big", [(c, None) for c in oracles.big_entry_coalgebras(283, 6)]),
+            ("F_(2^61-1)", [(e.coalgebra, 2**61 - 1)
+                            for e in generate_coalgebras(281, 6, max_rank=5, ring=prime_field(2**61 - 1))])]
 
 
 def test_algebra_validate_matches_per_triple_oracle():
@@ -400,6 +404,8 @@ def test_algebra_validate_matches_per_triple_oracle():
                 cases.append((type(a)(a.ring, n, Matrix(a.ring, rows, n), unit), p))
         if family == "Z[1/2,1/3]":
             assert sum(dual_of_algebra(a).denom != 1 for a, _ in cases[::4]) >= 3
+        if family == "Z big":
+            assert sum(max(abs(v) for row in a.mult.rows for v in row) > 2**64 for a, _ in cases[::4]) >= 3
         failed = set()
         for a, p in cases:
             report = a.validate()
