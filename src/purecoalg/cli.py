@@ -251,7 +251,7 @@ def _prime_list(text: str, source: str) -> tuple:
 
 def _cmd_binomial(args) -> tuple[int, str]:
     thing = serialize.load_coalgebra_or_algebra(args.file)
-    if args.primes:
+    if args.primes is not None:
         primes = _prime_list(args.primes, "--primes")
     elif os.environ.get("COALG_PRIMES"):
         primes = _prime_list(os.environ["COALG_PRIMES"], "COALG_PRIMES")

@@ -103,7 +103,9 @@ class Coalgebra:
     one character search (``grouplike``); "group_likes", the certified
     GroupLikeSet; "components", the validated ComponentDecomposition
     (``structure.components``); "filtration", the validated coradical
-    Filtration (``structure.coradical_filtration``).  A call that raises
+    Filtration (``structure.coradical_filtration``); "binomial", the
+    tuple of primes last checked on the dual algebra and its frozen
+    BinomialReport (``binomial.binomial_check``).  A call that raises
     stores nothing, and equality and hashing ignore the slot.  What is
     held is shared by every caller, so a held Filtration, like a held
     lattice, is immutable by convention too.

@@ -315,6 +315,18 @@ def test_binomial_errors_fire_in_order():
         binomial_check(truncated_polynomial_algebra(localized_integers([3]), 2), (3,))
 
 
+def test_an_empty_prime_list_is_refused_over_a_ring_without_reduction_mod_p():
+    for ring in (QQ, prime_field(7)):
+        for a in (truncated_polynomial_algebra(ring, 2), zero_algebra(ring)):
+            for _ in range(2):
+                with pytest.raises(UnsupportedRing, match="reduction mod p needs an algebra over Z or Z"):
+                    binomial_check(a, ())
+            assert "binomial" not in a.dual._derived
+    for ring in (ZZ, Z23):
+        report = binomial_check(truncated_polynomial_algebra(ring, 2), ())
+        assert str(report) == "verdict: binomial up to the tested primes {}"
+
+
 # --- Frobenius rows from one multiplication chain ------------------------------------
 
 from purecoalg import binomial as binomial_mod

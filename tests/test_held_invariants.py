@@ -1,27 +1,35 @@
 """Invariants held on a Coalgebra: the same answers as a fresh object, refusals that repeat."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from purecoalg import (
+    AlgebraPresentation,
     Coalgebra,
     CoalgebraMap,
     ComponentDecomposition,
     Filtration,
+    InvalidAlgebra,
     Lattice,
     Matrix,
     NotExhaustive,
     NotPointed,
     NotPure,
+    PrimeInverted,
     QQ,
+    UnsupportedRing,
+    ValidationError,
     ZZ,
     WorkbenchError,
+    binomial_check,
     check_splitting_naturality,
     components,
     conjugate,
     coradical_filtration,
     coradical_lattice,
+    dual_algebra,
     dual_of_algebra,
     group_likes,
     identity_map,
@@ -36,8 +44,10 @@ from purecoalg import (
     tensor_filtration,
     truncated_polynomial_algebra,
 )
-from purecoalg import grouplike, structure
+from purecoalg import binomial, grouplike, structure
 from purecoalg.corpus import generate_coalgebras, generate_maps
+
+import oracles
 
 
 def _twin(c):
@@ -322,3 +332,107 @@ def test_each_retraction_check_still_rejects(monkeypatch, breakage, message):
             split_coradical(c)
     monkeypatch.undo()
     assert split_coradical(c).matrix == Matrix.identity(ZZ, 2)
+
+
+# --- the binomial report, held on the dual coalgebra -------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+# on both sides of the chain rule, in any order, with a repeat
+OFF_CHAIN = (13, 2**61 - 1, 5, 1000003, 13, 7)
+
+
+def _counted_groups(monkeypatch):
+    """Record every ``_frobenius_groups`` call, the fresh work of a binomial check."""
+    calls, groups = [], binomial._frobenius_groups
+    monkeypatch.setattr(binomial, "_frobenius_groups", lambda c, primes: calls.append(primes) or groups(c, primes))
+    return calls
+
+
+def test_a_repeated_binomial_check_returns_the_held_report(monkeypatch):
+    c = next(e.coalgebra for e in generate_coalgebras(97, 40, max_rank=8) if e.coalgebra.rank >= 6)
+    calls = _counted_groups(monkeypatch)
+    first = binomial_check(dual_algebra(c), PRIMES)
+    assert len(calls) == 1 and c._derived["binomial"] == (PRIMES, first)
+    # a new dual_algebra object holds c itself; a list of the same primes is the same tuple
+    for primes in (PRIMES, list(PRIMES)):
+        assert binomial_check(dual_algebra(c), primes) is first
+    assert len(calls) == 1
+    # another tuple is computed and replaces the one held entry
+    other = binomial_check(dual_algebra(c), (13, 2))
+    assert len(calls) == 2 and c._derived["binomial"] == ((13, 2), other)
+    again = binomial_check(dual_algebra(c), PRIMES)
+    assert len(calls) == 3 and again == first and again is not first
+    assert c._derived["binomial"][1] is again
+
+
+def test_held_reports_equal_the_powering_body_and_a_fresh_twin():
+    cs = _corpus(43, 12, 8, ZZ) + _with_denominators(_corpus(41, 5, 6, ZS))
+    assert sum(c.denom > 1 for c in cs) >= 3 and {c.ring for c in cs} == {ZZ, ZS}
+    sides = set()
+    for c in cs:
+        for primes in (PRIMES, OFF_CHAIN):
+            primes = tuple(p for p in primes if c.ring == ZZ or p not in c.ring.inverted)
+            sides.update(p in binomial._on_chain(c.rank, primes) for p in primes)
+            first = binomial_check(dual_algebra(c), primes)
+            held = binomial_check(dual_algebra(c), primes)
+            assert held is first
+            for want in (oracles.powering_binomial_report(dual_algebra(c), primes),
+                         binomial_check(dual_algebra(_twin(c)), primes)):
+                assert held == want and str(held) == str(want)
+    assert sides == {True, False}
+
+
+def test_a_coalgebra_and_its_dual_algebra_share_the_held_report():
+    c = _corpus(43, 12, 8, ZZ)[-1]
+    a = dual_algebra(c)
+    assert a.dual is c
+    report = binomial_check(a, PRIMES)
+    assert c._derived["binomial"][1] is report
+    # an algebra given by its table holds the report on its dual coalgebra
+    b = monogenic_algebra(ZZ, [-1, 0, -2, 0])
+    report = binomial_check(b, PRIMES)
+    assert dual_of_algebra(b) is b.dual and b.dual._derived["binomial"] == (PRIMES, report)
+    assert binomial_check(dual_algebra(dual_of_algebra(b)), PRIMES) is report
+
+
+def _noncommutative():
+    good = monogenic_algebra(ZZ, [1, 0])
+    mult = good.mult
+    mult.rows[1][0] = ZZ.one  # e_0 * e_1 != e_1 * e_0
+    return AlgebraPresentation(ZZ, 2, mult, good.unit)
+
+
+def test_a_refused_binomial_check_holds_nothing_and_refuses_again():
+    cases = [
+        (dual_algebra(_corpus(43, 12, 8, ZZ)[-1]), (2, 4), ValidationError, "4 is not prime"),
+        (dual_algebra(_corpus(43, 12, 8, ZZ)[-1]), (2, 2**64 + 13), ValidationError, "below 2\\*\\*64"),
+        (dual_algebra(_corpus(41, 5, 6, ZS)[-1]), (5, 3), PrimeInverted, "3 is inverted"),
+        (dual_algebra(_corpus(44, 10, 6, QQ)[-1]), PRIMES, UnsupportedRing, "needs an algebra over Z"),
+        (_noncommutative(), PRIMES, InvalidAlgebra, "commutativity"),
+    ]
+    for a, primes, error, message in cases:
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                binomial_check(a, primes)
+            assert "binomial" not in a.dual._derived
+
+
+def test_a_bad_prime_is_refused_on_a_coalgebra_that_holds_a_report():
+    c = _corpus(43, 12, 8, ZZ)[-1]
+    first = binomial_check(dual_algebra(c), PRIMES)
+    for primes, message in (((4,), "4 is not prime"), (PRIMES + (1,), "1 is not a prime"), ((2, 6), "6 is not prime")):
+        with pytest.raises(ValidationError, match=message):
+            binomial_check(dual_algebra(c), primes)
+        assert c._derived["binomial"] == (PRIMES, first)
+    assert binomial_check(dual_algebra(c), PRIMES) is first
+
+
+def test_binomial_results_are_frozen():
+    report = binomial_check(monogenic_algebra(ZZ, [-1, 0]), (3,))
+    result = report.results[0]
+    for obj, field, value in ((result, "reduced", False), (result, "nilradical_rank", 1),
+                              (report, "results", ()), (report, "tested_primes", (2,))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, value)
+    assert str(report) == ("p=3: reduced=yes (nilradical rank 0), residue fields F_p=no -> fails\n"
+                           "verdict: not binomial up to the tested primes {3}")

@@ -1,4 +1,4 @@
-"""The package's surface: what the benchmark reaches into, and no dead imports.
+"""The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys.
 
 The benchmark in ``perfbench/`` rebinds named functions and methods of
 the package to trace them, and calls the package through ``pc.<name>``
@@ -182,3 +182,26 @@ def test_unreferenced_private_check_fires():
 def test_every_private_definition_is_referenced_in_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_private_defs(sources) == []
+
+
+def _undocumented_derived_keys(sources: dict, doc: str) -> list:
+    """"module: key" for each string key written as ``_derived["key"]`` that the docstring does not name as "key"."""
+    missing = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "_derived" and isinstance(node.slice, ast.Constant)
+                    and isinstance(node.slice.value, str) and f'"{node.slice.value}"' not in doc):
+                missing.add(f"{module}: {node.slice.value}")
+    return sorted(missing)
+
+
+def test_undocumented_derived_key_check_fires():
+    sources = {"a": 'c._derived["kept"] = 1\nx = c._derived["new"]\n', "b": 'd.dual._derived["other"] = 2\n'}
+    assert _undocumented_derived_keys(sources, 'holds "kept"; also other') == ["a: new", "b: other"]
+    assert _undocumented_derived_keys({"c": 'c._derived.get("any")\nc._derived[k] = 1\n'}, "") == []
+
+
+def test_every_derived_key_is_named_in_the_coalgebra_docstring():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _undocumented_derived_keys(sources, purecoalg.Coalgebra.__doc__) == []
