@@ -253,7 +253,7 @@ def _cmd_binomial(args) -> tuple[int, str]:
     thing = serialize.load_coalgebra_or_algebra(args.file)
     if args.primes is not None:
         primes = _prime_list(args.primes, "--primes")
-    elif os.environ.get("COALG_PRIMES"):
+    elif "COALG_PRIMES" in os.environ:
         primes = _prime_list(os.environ["COALG_PRIMES"], "COALG_PRIMES")
     else:
         primes = DEFAULT_PRIMES

@@ -101,14 +101,18 @@ class Coalgebra:
     checked: "valid", set once the axioms pass (``require_valid``);
     "search", the semisimple dimension and the characters from
     one character search (``grouplike``); "group_likes", the certified
-    GroupLikeSet; "components", the validated ComponentDecomposition
+    GroupLikeSet; "components", the validated ComponentDecomposition,
+    with "coradical", its group-like span, and "idempotents", the lifted
+    primitive idempotent (g, E, d) of each group-like, held beside it
     (``structure.components``); "filtration", the validated coradical
     Filtration (``structure.coradical_filtration``); "binomial", the
     tuple of primes last checked on the dual algebra and its frozen
-    BinomialReport (``binomial.binomial_check``).  A call that raises
-    stores nothing, and equality and hashing ignore the slot.  What is
-    held is shared by every caller, so a held Filtration, like a held
-    lattice, is immutable by convention too.
+    BinomialReport (``binomial.binomial_check``); "entry_bounds", the
+    largest stored entry and the largest block nnz, which bound the
+    slots of ``validate_map``.  A call that raises stores nothing, and
+    equality and hashing ignore the slot.  What is held is shared by
+    every caller, so a held Filtration, like a held lattice, is
+    immutable by convention too.
     """
 
     __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit", "_derived")
@@ -677,9 +681,16 @@ def conjugate(c: Coalgebra, w: Matrix) -> Coalgebra:
 
 
 class CoalgebraMap:
-    """Linear map between coalgebras, acting on row vectors as x -> x*F."""
+    """Linear map between coalgebras, acting on row vectors as x -> x*F.
 
-    __slots__ = ("domain", "codomain", "matrix")
+    A map is immutable by convention: nothing assigns to its matrix or
+    its ends after construction, so it holds its verdict.
+    ``require_valid`` runs ``validate_map`` once per map object and keeps
+    only a pass; a failure holds nothing and raises again on the next
+    call.  ``validate`` and ``validate_map`` compute a fresh report.
+    """
+
+    __slots__ = ("domain", "codomain", "matrix", "_valid")
 
     def __init__(self, domain: Coalgebra, codomain: Coalgebra, matrix: Matrix):
         if domain.ring != codomain.ring:
@@ -691,6 +702,7 @@ class CoalgebraMap:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self._valid = False
 
     def __eq__(self, other):
         return (
@@ -710,7 +722,11 @@ class CoalgebraMap:
         return validate_map(self)
 
     def require_valid(self):
-        return self.validate().require(self, "coalgebra map axiom failed")
+        """self once the square and the triangle pass; the verdict is held, so later calls check nothing."""
+        if not self._valid:
+            self.validate().require(self, "coalgebra map axiom failed")
+            self._valid = True
+        return self
 
 
 def identity_map(c: Coalgebra) -> CoalgebraMap:
@@ -725,8 +741,12 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     X of the domain and Y of the codomain, in integers (mod p over F_p).
     Each side is summed into one packed row per pair (i, a), read by
     ``_first_slot``, with slots bounded by D_D * nnz(X_i) * max|X| *
-    max|F'|^2 + D_C * E * n * max|F'| * max|Y|, n the codomain rank.  A
-    failure names the first basis index and its smallest tensor slot.
+    max|F'|^2 + D_C * E * n * max|F'| * max|Y|, n the codomain rank;
+    max|X|, max|Y| and the largest nnz(X_i) are held on each coalgebra
+    (``_entry_bounds``).  Only F's support is visited: a row j of X_i
+    whose row F'_j is zero adds nothing, and only the blocks Y_m of the
+    columns m that F' touches are packed.  A failure names the first
+    basis index and its smallest tensor slot.
     """
     ring = f.domain.ring
     nd = f.codomain.rank
@@ -735,19 +755,22 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
     report = ValidationReport()
 
     square_loc = ""
-    X, Y = f.domain.blocks, f.codomain.blocks
-    top = max((abs(v) for row in F for v in row), default=0)
-    bound = lhs_scale * max((sum(map(len, x.values())) for x in X), default=0) * _largest(X) * top * top
-    width = _width(bound + rhs_scale * nd * top * _largest(Y), ring)
-    packed_f = [lhs_scale * _packed(enumerate(row), width) for row in F]
+    largest_x, nnz_x = _entry_bounds(f.domain)
+    largest_y, _ = _entry_bounds(f.codomain)
     columns = [[(a, v) for a, v in enumerate(row) if v] for row in F]
-    packed_y = [{a: rhs_scale * _packed(entries, width) for a, entries in y.items()} for y in Y]
-    for i, x in enumerate(X):
+    top = max((abs(v) for entries in columns for _, v in entries), default=0)
+    width = _width(lhs_scale * nnz_x * largest_x * top * top + rhs_scale * nd * top * largest_y, ring)
+    packed_f = [lhs_scale * _packed(entries, width) for entries in columns]
+    Y = f.codomain.blocks
+    packed_y = {m: {a: rhs_scale * _packed(entries, width) for a, entries in Y[m].items()}
+                for m in {m for entries in columns for m, _ in entries}}
+    for i, x in enumerate(f.domain.blocks):
         diff = {}
         for j, entries in x.items():
-            image = sum(v * packed_f[k] for k, v in entries)
-            for a, v in columns[j]:
-                diff[a] = diff.get(a, 0) + v * image
+            if columns[j]:
+                image = sum(v * packed_f[k] for k, v in entries)
+                for a, v in columns[j]:
+                    diff[a] = diff.get(a, 0) + v * image
         for m, v in columns[i]:
             for a, row in packed_y[m].items():
                 diff[a] = diff.get(a, 0) - v * row
@@ -767,6 +790,15 @@ def validate_map(f: CoalgebraMap) -> ValidationReport:
 def _largest(blocks) -> int:
     """The largest absolute value of a stored entry, 0 for no entries."""
     return max((abs(v) for block in blocks for row in block.values() for _, v in row), default=0)
+
+
+def _entry_bounds(c: Coalgebra) -> tuple:
+    """(largest |stored entry|, largest nnz of a block) of c, read off the blocks once and held on c."""
+    held = c._derived.get("entry_bounds")
+    if held is None:
+        nnz = max((sum(map(len, x.values())) for x in c.blocks), default=0)
+        held = c._derived["entry_bounds"] = (_largest(c.blocks), nnz)
+    return held
 
 
 def _packed(entries, width: int) -> int:

@@ -16,8 +16,9 @@ Central objects:
   until stabilization.  The lift runs in integers for every ring, on
   one ``dual_columns`` table of D * Delta, with an idempotent held as
   an integer vector over one common denominator (residues mod p over F_p);
-* the natural retraction of C onto its coradical, given on each
-  component by x -> eps(x) * g.
+* the natural retraction of C onto its coradical, x -> sum_g e_g(x) * g
+  for the primitive idempotents e_g of the dual algebra: on each
+  component it is x -> eps(x) * g.
 
 Every Filtration is machine-checked at construction: stages must be
 pure subcoalgebra lattices, increase monotonically, and satisfy the
@@ -33,10 +34,11 @@ are nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
 
 The coradical filtration and the component decomposition are each built
 and checked once per coalgebra and held on it (``Coalgebra._derived``):
-repeated calls read them back, and ``split_coradical`` builds on the
-held decomposition.  A call that raises holds nothing, and the next
-call runs every check again.  A retraction is built and checked on
-every call.
+repeated calls read them back.  The decomposition is held with its
+coradical lattice and the idempotents it was carved out with, and
+``split_coradical`` builds its retraction from those.  A call that
+raises holds nothing, and the next call runs every check again.  A
+retraction is built and checked on every call.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .errors import (
 )
 from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
-from .matrix import Matrix, elementary_divisors, from_integer_hermite, hnf
+from .matrix import Matrix, _fractions, elementary_divisors, from_integer_hermite, hnf
 from .rings import ZZ, cleared_rows
 
 
@@ -423,7 +425,9 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     integers, on one ``dual_columns`` table of D * Delta with e held as
     an integer vector E over one common denominator d (d = 1 over F_p).
     The validated decomposition is held on c, so the lift and the
-    validation run once per coalgebra; a refusal holds nothing.
+    validation run once per coalgebra; beside it are held its coradical
+    lattice and the idempotents (g, E, d) for ``split_coradical``.  A
+    refusal holds nothing.
     """
     held = c._derived.get("components")
     if held is not None:
@@ -433,7 +437,7 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     if n == 0:
         return ComponentDecomposition(c, ())
     columns = dual_columns(c)
-    parts = []
+    parts, idempotents = [], []
     for g, (e, d) in zip(gl.vectors, _interpolating_elements(gl, c.base)):
         e, d = _lifted_idempotent(c, e, d, columns)
         # act(e / d) - 1 is (act(E) - D d) / (D d)
@@ -441,7 +445,11 @@ def components(c: Coalgebra) -> ComponentDecomposition:
         for i in range(n):
             act[i][i] -= c.denom * d
         parts.append((tuple(g), _integer_kernel(Matrix(c.base, act, n), c.ring)))
-    decomposition = c._derived["components"] = _validated_decomposition(c, parts)
+        idempotents.append((tuple(g), tuple(e), d))
+    decomposition = _validated_decomposition(c, parts)
+    c._derived["coradical"] = decomposition.coradical()
+    c._derived["idempotents"] = tuple(idempotents)
+    c._derived["components"] = decomposition
     return decomposition
 
 
@@ -468,38 +476,49 @@ def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
 def split_coradical(c: Coalgebra) -> CoalgebraMap:
     """Natural retraction of C onto its coradical.
 
-    On each irreducible component the retraction is x -> eps(x) * g;
-    the component decomposition glues these into one idempotent
-    coalgebra endomorphism with image the group-like span.  The
-    decomposition is the one ``components`` holds on c; the retraction
-    is checked as a coalgebra map, an idempotent, a projection onto the
-    coradical and a map fixing the group-likes on every call.
+    The retraction is x -> sum_g e_g(x) * g for the primitive idempotents
+    e_g of the dual algebra: e_g is the counit on the component of g and
+    zero on the others, so on each irreducible component this is
+    x -> eps(x) * g.  With e_g = E_g / d_g as ``components`` holds it,
+    row i is sum_g (E_g[i] / d_g) * g, formed in integers over one
+    common denominator (residues mod p over F_p).  It is checked as a
+    coalgebra map, an idempotent, a map fixing the group-likes and a
+    projection onto the held coradical on every call.
     """
     decomposition = components(c)
     ring = c.ring
     n = c.rank
     if n == 0:
         return CoalgebraMap(c, c, Matrix(ring, [], 0))
-    basis_rows = []
-    image_rows = []
-    for g, lat in decomposition.parts:
-        for row in lat.basis.rows:
-            basis_rows.append(row)
-            eps = c.counit_of(row)
-            image_rows.append(ring.reduce_row([eps * x for x in g]))
-    w = Matrix(ring, basis_rows, n)
-    r = w.inverse() * Matrix(ring, image_rows, n)
+    idempotents = c._derived["idempotents"]
+    # G = G' / scale in integers; E_g / d_g = E_g * (common / d_g) / common
+    scale, cleared = cleared_rows([g for g, _, _ in idempotents])
+    common = math.lcm(*(d for _, _, d in idempotents))
+    num = [[0] * n for _ in range(n)]
+    for (_, e, d), grow in zip(idempotents, cleared):
+        weight = common // d
+        for i, v in enumerate(e):
+            if v:
+                num[i] = [x + weight * v * y for x, y in zip(num[i], grow)]
+    if c.base == ring:
+        # over Z an integral decomposition makes every e_g integral, and over F_p d_g is 1
+        if scale * common != 1:
+            raise AssertionError("the component idempotents must be integral")
+        rows = [ring.reduce_row(row) for row in num]
+    else:
+        rows = [_fractions(row, scale * common) for row in num]
+    r = Matrix(ring, rows, n)
     retraction = CoalgebraMap(c, c, r)
     bad = validate_map(retraction).first_failure()
     if bad is not None:
         raise AssertionError(f"coradical retraction failed validation: {bad}")
     if r * r != r:
         raise AssertionError("coradical retraction must be idempotent")
-    if Lattice.from_rows(ring, n, r.rows) != decomposition.coradical():
+    gs = Matrix(ring, [list(g) for g, _ in decomposition.parts], n)
+    if gs * r != gs:
+        raise AssertionError("retraction must fix the group-likes")
+    if Lattice.from_rows(ring, n, r.rows) != c._derived["coradical"]:
         raise AssertionError("retraction image must be the coradical")
-    for g, _ in decomposition.parts:
-        if retraction.apply(list(g)) != list(g):
-            raise AssertionError("retraction must fix the group-likes")
     return retraction
 
 

@@ -17,8 +17,9 @@ wedge), which work in the n^2-dimensional ambient space C (x) C through
 Kronecker products, Hermite forms and ``Lattice.solve``; its former
 stage-by-stage and part-by-part validation of filtrations and component
 decompositions on n x n blocks of Delta; its former constructions on
-the dense n x n^2 matrix of Delta, and its former map check on lists
-formed by ``sandwich``; its former Hermite, Smith and membership
+the dense n x n^2 matrix of Delta, its former map check on lists
+formed by ``sandwich``, and its former coradical retraction
+W^-1 * image on the stacked component bases; its former Hermite, Smith and membership
 kernels on each ring's own Fraction arithmetic; its former per-prime
 binomial test on the quotient by the nilradical, with A/pA, its
 products and its Frobenius formed on the dense table
@@ -1014,6 +1015,26 @@ def sandwich_map_report(f):
     tri_loc = "" if bad is None else f"basis {bad}"
     report.add("counit triangle", not tri_loc, tri_loc)
     return report
+
+
+def inverse_retraction(decomposition):
+    """The package's former ``split_coradical`` matrix: W^-1 * image on a component decomposition.
+
+    W stacks the component bases, and the image of a basis row x of the
+    component of g is eps(x) * g, so W^-1 * image sends each component
+    to eps times its group-like.
+    """
+    from purecoalg import Matrix
+
+    c = decomposition.coalgebra
+    ring, n = c.ring, c.rank
+    basis_rows, image_rows = [], []
+    for g, lat in decomposition.parts:
+        for row in lat.basis.rows:
+            basis_rows.append(row)
+            eps = c.counit_of(row)
+            image_rows.append(ring.reduce_row([eps * x for x in g]))
+    return Matrix(ring, basis_rows, n).inverse() * Matrix(ring, image_rows, n)
 
 
 # --- former Fraction kernels ---------------------------------------------------

@@ -9,7 +9,6 @@ from purecoalg import (
     AlgebraPresentation,
     Coalgebra,
     CoalgebraMap,
-    ComponentDecomposition,
     Filtration,
     InvalidAlgebra,
     Lattice,
@@ -44,7 +43,7 @@ from purecoalg import (
     tensor_filtration,
     truncated_polynomial_algebra,
 )
-from purecoalg import binomial, grouplike, structure
+from purecoalg import binomial, coalgebra, grouplike, structure
 from purecoalg.corpus import generate_coalgebras, generate_maps
 
 import oracles
@@ -159,7 +158,7 @@ def test_refused_candidate_holds_no_group_likes(monkeypatch):
         assert set(c._derived) == {"search"}
     monkeypatch.undo()
     assert components(c) == components(_twin(c))
-    assert set(c._derived) == {"search", "group_likes", "components"}
+    assert set(c._derived) == {"search", "group_likes", "components", "coradical", "idempotents"}
 
 
 def test_failed_search_holds_nothing(monkeypatch):
@@ -185,7 +184,7 @@ def test_refused_decomposition_holds_no_components(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="idempotent lifting did not converge"):
             split_coradical(c)
-        assert "components" not in c._derived
+        assert not {"components", "coradical", "idempotents"} & set(c._derived)
     monkeypatch.undo()
     assert split_coradical(c) == split_coradical(_twin(c))
 
@@ -305,33 +304,84 @@ def test_a_filtration_past_the_rank_bound_is_refused_and_not_held(monkeypatch):
     assert coradical_filtration(c).stage_ranks == (1, 2, 3)
 
 
-def _broken_parts(c, breakage):
-    g, h = group_likes(c).vectors
-    if breakage == "validation":
-        # e_a + e_b has counit 2, so e_a goes to 2a - b, which is not a coalgebra map
-        return ((g, Lattice.from_rows(ZZ, 2, [[1, 1]])), (h, Lattice.from_rows(ZZ, 2, [[0, 1]])))
-    # each point goes to the other: a coalgebra map, not an idempotent
-    return ((h, Lattice.from_rows(ZZ, 2, [list(g)])), (g, Lattice.from_rows(ZZ, 2, [list(h)])))
+# the held idempotents (g, E, d) of set_like(ZZ, ["a", "b"]) that make row i of the retraction
+# sum_g E[i] * g: e_a -> 2a - b is no coalgebra map; swapping the points is one but no idempotent;
+# sending both points to a is an idempotent coalgebra map that moves b
+BROKEN_IDEMPOTENTS = {
+    "validation": (((0, 1), [-1, 0], 1), ((1, 0), [2, 1], 1)),
+    "idempotent": (((0, 1), [1, 0], 1), ((1, 0), [0, 1], 1)),
+    "fixed": (((0, 1), [0, 0], 1), ((1, 0), [1, 1], 1)),
+    # over Z a denominator can only come from a wrong lift
+    "integral": (((0, 1), [1, 1], 2), ((1, 0), [1, 1], 2)),
+}
 
 
 @pytest.mark.parametrize("breakage, message", [
     ("validation", "coradical retraction failed validation"),
     ("idempotent", "coradical retraction must be idempotent"),
     ("fixed", "retraction must fix the group-likes"),
+    ("image", "retraction image must be the coradical"),
+    ("integral", "the component idempotents must be integral"),
 ])
-def test_each_retraction_check_still_rejects(monkeypatch, breakage, message):
+def test_each_retraction_check_still_rejects(breakage, message):
     c = set_like(ZZ, ["a", "b"])
-    if breakage == "fixed":
-        # an idempotent with image the coradical fixes it, so only a broken evaluation reaches this check
-        monkeypatch.setattr(CoalgebraMap, "apply", lambda self, vector: [0] * len(vector))
+    components(c)
+    assert c._derived["idempotents"] == (((0, 1), (0, 1), 1), ((1, 0), (1, 0), 1))
+    if breakage == "image":
+        c._derived["coradical"] = Lattice.from_rows(ZZ, 2, [[1, 0]])
     else:
-        decomposition = ComponentDecomposition(c, _broken_parts(c, breakage))
-        monkeypatch.setattr(structure, "components", lambda c: decomposition)
+        c._derived["idempotents"] = BROKEN_IDEMPOTENTS[breakage]
     for _ in range(2):
         with pytest.raises(AssertionError, match=message):
             split_coradical(c)
-    monkeypatch.undo()
+    c._derived.clear()
     assert split_coradical(c).matrix == Matrix.identity(ZZ, 2)
+
+
+@pytest.mark.parametrize("ring", list(CORPORA))
+def test_retractions_equal_the_inverse_oracle_entry_types_included(ring):
+    built = 0
+    for c in CORPORA[ring]():
+        try:
+            got = split_coradical(c).matrix
+        except WorkbenchError:
+            continue
+        want = oracles.inverse_retraction(components(c))
+        assert got == want
+        assert [list(map(type, row)) for row in got.rows] == [list(map(type, row)) for row in want.rows]
+        built += 1
+    assert built >= 5
+
+
+def test_a_second_require_valid_on_a_map_validates_nothing(monkeypatch):
+    maps = [record.map for record in generate_maps(5, 20, max_rank=6)]
+    checked = _counted(monkeypatch, coalgebra, "validate_map")
+    for f in maps:
+        assert f.require_valid() is f
+    assert [id(f) for f in checked] == [id(f) for f in maps]
+    checked.clear()
+    for f in maps:
+        assert f.require_valid() is f
+        assert check_splitting_naturality(f)
+        push_filtration(f, coradical_filtration(f.domain))
+    # the retractions of the naturality check are validated through structure's own name, on every call
+    assert checked == []
+    # an equal map is another object and checks again; a report is fresh on every call
+    twin = CoalgebraMap(maps[0].domain, maps[0].codomain, maps[0].matrix)
+    checked.clear()
+    assert twin.require_valid() is twin and len(checked) == 1
+    assert maps[0].validate() is not maps[0].validate() and len(checked) == 3
+
+
+def test_an_invalid_map_raises_again_on_its_next_require_valid(monkeypatch):
+    c = set_like(ZZ, ["a", "b"])
+    f = CoalgebraMap(c, c, Matrix(ZZ, [[2, -1], [1, 0]], 2))
+    checked = _counted(monkeypatch, coalgebra, "validate_map")
+    for calls in (1, 2):
+        with pytest.raises(ValidationError, match="coalgebra map axiom failed: comultiplication square: FAIL"):
+            f.require_valid()
+        assert len(checked) == calls
+    assert identity_map(c).require_valid() and len(checked) == 3
 
 
 # --- the binomial report, held on the dual coalgebra -------------------------------

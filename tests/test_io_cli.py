@@ -337,6 +337,9 @@ def test_degrees_are_checked_before_building_chains(monkeypatch):
      "error: --primes entry '' is not an integer"),
     (["check", data("zxz-algebra.json")], "binomial", "2,x",
      "error: COALG_PRIMES entry 'x' is not an integer"),
+    # a set but empty COALG_PRIMES is read like an empty --primes, not as unset
+    (["check", data("zxz-algebra.json")], "binomial", "",
+     "error: COALG_PRIMES entry '' is not an integer"),
     # a given --primes is read even when empty: no fallback to COALG_PRIMES or the defaults
     (["check", data("zxz-algebra.json"), "--primes", ""], "binomial", None,
      "error: --primes entry '' is not an integer"),
@@ -344,8 +347,8 @@ def test_degrees_are_checked_before_building_chains(monkeypatch):
      "error: --primes entry '' is not an integer"),
     (["chains", data("circle.json"), "--ring", "F7x"], "sset", None,
      "error: unknown ring flag 'F7x' (use Z, Q, Fp as F7, or Z[2,3])"),
-], ids=["primes-letter", "primes-empty", "env-primes-letter", "primes-given-empty", "primes-given-empty-over-env",
-        "ring-flag"])
+], ids=["primes-letter", "primes-empty", "env-primes-letter", "env-primes-empty", "primes-given-empty",
+        "primes-given-empty-over-env", "ring-flag"])
 def test_cli_names_a_bad_prime_list_or_ring_flag(monkeypatch, argv, prog, env, message):
     if env is not None:
         monkeypatch.setenv("COALG_PRIMES", env)
