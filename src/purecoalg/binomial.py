@@ -305,10 +305,10 @@ def binomial_check(a: AlgebraPresentation, primes=DEFAULT_PRIMES) -> BinomialRep
     for group, m, rows in _frobenius_groups(a.dual, primes):
         power = _stable_power(rows, m, min(group), n)
         step = _product(power, rows, m)
-        moved = math.gcd(m, *(x - y for srow, prow in zip(step, power) for x, y in zip(srow, prow)))
+        moved = math.gcd(m, *[x - y for srow, prow in zip(step, power) for x, y in zip(srow, prow)])
         for p in group:
             nil_rank = n - Matrix._owning(prime_field(p), [[v % p for v in row] for row in power], n).rank()
             results[p] = BinomialPrimeResult(p, nil_rank == 0, moved % p == 0, nil_rank)
-    report = BinomialReport(primes, tuple(results[p] for p in primes))
+    report = BinomialReport(primes, tuple([results[p] for p in primes]))
     a.dual._derived["binomial"] = (primes, report)
     return report

@@ -101,18 +101,20 @@ class Coalgebra:
     checked: "valid", set once the axioms pass (``require_valid``);
     "search", the semisimple dimension and the characters from
     one character search (``grouplike``); "group_likes", the certified
-    GroupLikeSet; "components", the validated ComponentDecomposition,
-    with "coradical", its group-like span, and "idempotents", the lifted
-    primitive idempotent (g, E, d) of each group-like, held beside it
+    GroupLikeSet; "components", the validated ComponentDecomposition
+    with its coradical lattice (the group-like span) and the lifted
+    primitive idempotent (g, E, d) of each group-like, one tuple
     (``structure.components``); "filtration", the validated coradical
     Filtration (``structure.coradical_filtration``); "binomial", the
     tuple of primes last checked on the dual algebra and its frozen
-    BinomialReport (``binomial.binomial_check``); "entry_bounds", the
-    largest stored entry and the largest block nnz, which bound the
-    slots of ``validate_map``.  A call that raises stores nothing, and
-    equality and hashing ignore the slot.  What is held is shared by
-    every caller, so a held Filtration, like a held lattice, is
-    immutable by convention too.
+    BinomialReport (``binomial.binomial_check``).  A call that raises
+    stores nothing, and equality and hashing ignore the slot.  One key
+    is no checked invariant: "entry_bounds", the largest stored entry
+    and the largest block nnz, which bound the slots of
+    ``validate_map``, is a plain read of the blocks, held on the first
+    map check that reads them, whether or not the axioms were checked.
+    What is held is shared by every caller, so a held Filtration, like
+    a held lattice, is immutable by convention too.
     """
 
     __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit", "_derived")
@@ -147,13 +149,13 @@ class Coalgebra:
                 if entries:
                     rows[j] = entries
             reduced.append(rows)
-        g = math.gcd(scale, *(v for rows in reduced for e in rows.values() for _, v in e)) if scale != 1 else 1
+        g = math.gcd(scale, *[v for rows in reduced for e in rows.values() for _, v in e]) if scale != 1 else 1
         if g != 1:
             scale //= g
             reduced = [{j: [(k, v // g) for k, v in e] for j, e in rows.items()} for rows in reduced]
         # the blocks repeat their (k, v) entries a lot, so each distinct one is held once
         shared: dict[tuple, tuple] = {}
-        stored = [{j: tuple(map(shared.setdefault, e, e)) for j, e in rows.items()} for rows in reduced]
+        stored = [{j: tuple([shared.setdefault(p, p) for p in e]) for j, e in rows.items()} for rows in reduced]
         self.ring = ring
         self.rank = rank
         self.denom = scale
@@ -235,7 +237,7 @@ def stored_coordinates(c: Coalgebra, weights, zero=0) -> list:
 
 def _cleared_entries(rank: int, entries):
     """(D, blocks) for Delta given as (i, j, k, v) entries with v in the ring, D the lcm of the denominators."""
-    denom = math.lcm(*(v.denominator for *_, v in entries))
+    denom = math.lcm(*[v.denominator for *_, v in entries])
     blocks = [{} for _ in range(rank)]
     for i, j, k, v in entries:
         blocks[i].setdefault(j, {})[k] = v.numerator * (denom // v.denominator)
@@ -421,7 +423,7 @@ class AlgebraPresentation:
 
 def _toggled(names):
     """Basis names across the duality: a trailing * dropped, or one added; None for no names."""
-    return tuple(s[:-1] if s.endswith("*") else f"{s}*" for s in names) if names else None
+    return tuple([s[:-1] if s.endswith("*") else f"{s}*" for s in names]) if names else None
 
 
 def algebra_from_entries(ring: Ring, rank: int, entries, unit, basis_names=None) -> AlgebraPresentation:

@@ -222,7 +222,7 @@ def _characters(c: Coalgebra, start: Lattice) -> list[tuple]:
     tuples = _character_tuples(c.blocks, start)
     if c.ring.kind == "Fp":
         return tuples
-    return [tuple(Fraction(lam, c.denom) for lam in t) for t in tuples]
+    return [tuple([Fraction(lam, c.denom) for lam in t]) for t in tuples]
 
 
 def _in_ring(ring: Ring, values) -> bool:

@@ -89,7 +89,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.nrows, self.ncols, tuple(map(tuple, self.rows))))
+        return hash((self.ring, self.nrows, self.ncols, tuple([tuple(row) for row in self.rows])))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"

@@ -31,7 +31,7 @@ def _small_primes(bound: int) -> tuple[int, ...]:
     for i in range(2, int(math.isqrt(bound)) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(bound) if sieve[i])
+    return tuple([i for i in range(bound) if sieve[i]])
 
 
 SMALL_PRIMES = _small_primes(1000)

@@ -442,7 +442,7 @@ def cleared_rows(rows):
     Scaling by one nonzero integer changes no zero test and no kernel.
     When every denominator is 1 the numerators are the rows.
     """
-    d = math.lcm(*(v.denominator for row in rows for v in row))
+    d = math.lcm(*[v.denominator for row in rows for v in row])
     if d == 1:
         return 1, [list(map(_NUMERATOR, row)) for row in rows]
     return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]

@@ -241,8 +241,8 @@ def simplicial_set_from_cells(dimension_bound: int, cells) -> FiniteSimplicialSe
             return t2, base
         v = t[i]
         ft, fbase = face_table[(m, base)][v]
-        t3 = tuple(w if w < v else w - 1 for w in t2)
-        return tuple(ft[w] for w in t3), fbase
+        t3 = tuple([w if w < v else w - 1 for w in t2])
+        return tuple([ft[w] for w in t3]), fbase
 
     levels = []
     elements = []

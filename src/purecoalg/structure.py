@@ -136,7 +136,7 @@ class Filtration:
 
     @property
     def stage_ranks(self) -> tuple[int, ...]:
-        return tuple(v.rank for v in self.stages)
+        return tuple([v.rank for v in self.stages])
 
     @property
     def exhaustive(self) -> bool:
@@ -148,7 +148,7 @@ class Filtration:
 
     def graded_ranks(self) -> tuple[int, ...]:
         ranks = self.stage_ranks
-        return (ranks[0],) + tuple(b - a for a, b in zip(ranks, ranks[1:]))
+        return (ranks[0],) + tuple([b - a for a, b in zip(ranks, ranks[1:])])
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
         flag, witness = lat.is_pure()
         if not flag:
             raise AssertionError(f"component {idx} is impure (witness {witness})")
-    decomposition = ComponentDecomposition(c, tuple((tuple(g), lat) for g, lat in parts))
+    decomposition = ComponentDecomposition(c, tuple([(tuple(g), lat) for g, lat in parts]))
     stacked = decomposition.stacked_basis()
     divs = elementary_divisors(stacked)
     # each Hermite basis is independent, so a dependent stack means some
@@ -425,13 +425,13 @@ def components(c: Coalgebra) -> ComponentDecomposition:
     integers, on one ``dual_columns`` table of D * Delta with e held as
     an integer vector E over one common denominator d (d = 1 over F_p).
     The validated decomposition is held on c, so the lift and the
-    validation run once per coalgebra; beside it are held its coradical
-    lattice and the idempotents (g, E, d) for ``split_coradical``.  A
-    refusal holds nothing.
+    validation run once per coalgebra; it is held in one entry with its
+    coradical lattice and the idempotents (g, E, d), which
+    ``split_coradical`` reads.  A refusal holds nothing.
     """
     held = c._derived.get("components")
     if held is not None:
-        return held
+        return held[0]
     gl = _require_pure(pointed_group_likes(c, "component decomposition needs a pointed coalgebra"))
     n = c.rank
     if n == 0:
@@ -444,12 +444,11 @@ def components(c: Coalgebra) -> ComponentDecomposition:
         act = _dual_action(columns, e)
         for i in range(n):
             act[i][i] -= c.denom * d
-        parts.append((tuple(g), _integer_kernel(Matrix(c.base, act, n), c.ring)))
-        idempotents.append((tuple(g), tuple(e), d))
+        g = tuple(g)
+        parts.append((g, _integer_kernel(Matrix(c.base, act, n), c.ring)))
+        idempotents.append((g, tuple(e), d))
     decomposition = _validated_decomposition(c, parts)
-    c._derived["coradical"] = decomposition.coradical()
-    c._derived["idempotents"] = tuple(idempotents)
-    c._derived["components"] = decomposition
+    c._derived["components"] = (decomposition, decomposition.coradical(), tuple(idempotents))
     return decomposition
 
 
@@ -485,15 +484,16 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     coalgebra map, an idempotent, a map fixing the group-likes and a
     projection onto the held coradical on every call.
     """
-    decomposition = components(c)
+    components(c)
     ring = c.ring
     n = c.rank
     if n == 0:
         return CoalgebraMap(c, c, Matrix(ring, [], 0))
-    idempotents = c._derived["idempotents"]
+    _, coradical, idempotents = c._derived["components"]
+    gs = [list(g) for g, _, _ in idempotents]
     # G = G' / scale in integers; E_g / d_g = E_g * (common / d_g) / common
-    scale, cleared = cleared_rows([g for g, _, _ in idempotents])
-    common = math.lcm(*(d for _, _, d in idempotents))
+    scale, cleared = cleared_rows(gs)
+    common = math.lcm(*[d for _, _, d in idempotents])
     num = [[0] * n for _ in range(n)]
     for (_, e, d), grow in zip(idempotents, cleared):
         weight = common // d
@@ -514,10 +514,10 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
         raise AssertionError(f"coradical retraction failed validation: {bad}")
     if r * r != r:
         raise AssertionError("coradical retraction must be idempotent")
-    gs = Matrix(ring, [list(g) for g, _ in decomposition.parts], n)
+    gs = Matrix(ring, gs, n)
     if gs * r != gs:
         raise AssertionError("retraction must fix the group-likes")
-    if Lattice.from_rows(ring, n, r.rows) != c._derived["coradical"]:
+    if Lattice.from_rows(ring, n, r.rows) != coradical:
         raise AssertionError("retraction image must be the coradical")
     return retraction
 

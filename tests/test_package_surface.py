@@ -1,4 +1,5 @@
-"""The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys.
+"""The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys,
+no tuples grown from iterators.
 
 The benchmark in ``perfbench/`` rebinds named functions and methods of
 the package to trace them, and calls the package through ``pc.<name>``
@@ -205,3 +206,38 @@ def test_undocumented_derived_key_check_fires():
 def test_every_derived_key_is_named_in_the_coalgebra_docstring():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _undocumented_derived_keys(sources, purecoalg.Coalgebra.__doc__) == []
+
+
+def _tuples_from_iterators(sources: dict) -> list:
+    """"module:line" for each tuple grown from an iterator: ``tuple(<generator>)``, ``tuple(map(...))`` or ``f(*<generator>)``.
+
+    CPython builds such a tuple at a guessed size and resizes it, so it is
+    taken from the free list of one size and returned to that of another;
+    the spare tuples of each size then pile up, up to 2,000 of them, and
+    the process holds that memory for good.  Built from a list, a tuple is
+    taken and returned at one size.
+    """
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            args = [a.value for a in node.args if isinstance(a, ast.Starred)]
+            if isinstance(node.func, ast.Name) and node.func.id == "tuple" and len(node.args) == 1:
+                args.append(node.args[0])
+            for a in args:
+                if isinstance(a, ast.GeneratorExp) or (
+                        isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id in ("map", "filter")):
+                    found.add(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_tuple_from_iterator_check_fires():
+    sources = {"a": "x = tuple(v for v in r)\ny = f(1, *(v for v in r))\n", "b": "z = tuple(map(int, r))\n"}
+    assert _tuples_from_iterators(sources) == ["a:1", "a:2", "b:1"]
+    assert _tuples_from_iterators({"c": "x = tuple([v for v in r])\ny = f(*[v for v in r])\nz = tuple(r)\n"}) == []
+
+
+def test_no_tuple_is_grown_from_an_iterator():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _tuples_from_iterators(sources) == []
