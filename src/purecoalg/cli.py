@@ -86,11 +86,16 @@ def _lattice_lines(name, lat):
     return lines
 
 
-def _write_output(args, obj) -> list[str]:
-    if getattr(args, "output", None):
-        serialize.save_text(args.output, serialize.canonical_dumps(obj))
-        return [f"wrote {args.output}"]
-    return [serialize.canonical_dumps(obj).rstrip("\n")]
+def _written(args, to_obj, thing) -> list[str]:
+    """Write to_obj(thing) to the -o path and return ["wrote PATH"]; [] when no path is given."""
+    if not args.output:
+        return []
+    serialize.save_text(args.output, serialize.canonical_dumps(to_obj(thing)))
+    return [f"wrote {args.output}"]
+
+
+def _write_output(args, to_obj, thing) -> list[str]:
+    return _written(args, to_obj, thing) or [serialize.canonical_dumps(to_obj(thing)).rstrip("\n")]
 
 
 # --- coalg ------------------------------------------------------------------
@@ -110,18 +115,18 @@ def _cmd_coalg(args) -> tuple[int, str]:
             raise TooLarge(f"tensor product rank {a.rank * b.rank} exceeds the bound {serialize.MAX_RANK}")
         product = tensor(a, b)
         lines = [f"tensor product: rank {product.rank} over {product.ring}"]
-        lines += _write_output(args, serialize.coalgebra_to_obj(product))
+        lines += _write_output(args, serialize.coalgebra_to_obj, product)
         return _EXIT_OK, "\n".join(lines)
     if verb == "dual":
         thing = serialize.load_coalgebra_or_algebra(args.file)
         if isinstance(thing, AlgebraPresentation):
             out = dual_of_algebra(thing)
             lines = [f"dual coalgebra: rank {out.rank} over {out.ring}"]
-            lines += _write_output(args, serialize.coalgebra_to_obj(out))
+            lines += _write_output(args, serialize.coalgebra_to_obj, out)
         else:
             out = dual_algebra(thing)
             lines = [f"dual algebra: rank {out.rank} over {out.ring}"]
-            lines += _write_output(args, serialize.algebra_to_obj(out))
+            lines += _write_output(args, serialize.algebra_to_obj, out)
         return _EXIT_OK, "\n".join(lines)
 
     c = serialize.load_coalgebra(args.file)
@@ -179,9 +184,7 @@ def _cmd_coalg(args) -> tuple[int, str]:
         f = serialize.load_lattice(args.sub[1], ring)
         out = wedge(d, f, c)
         lines = _lattice_lines("wedge", out)
-        if args.output:
-            serialize.save_text(args.output, serialize.canonical_dumps(serialize.lattice_to_obj(out)))
-            lines.append(f"wrote {args.output}")
+        lines += _written(args, serialize.lattice_to_obj, out)
         return _EXIT_OK, "\n".join(lines)
     if verb == "purify":
         if len(args.sub) != 1:
@@ -189,9 +192,7 @@ def _cmd_coalg(args) -> tuple[int, str]:
         lat = serialize.load_lattice(args.sub[0], ring)
         out = purify_subcoalgebra(lat, c)
         lines = _lattice_lines("purification", out)
-        if args.output:
-            serialize.save_text(args.output, serialize.canonical_dumps(serialize.lattice_to_obj(out)))
-            lines.append(f"wrote {args.output}")
+        lines += _written(args, serialize.lattice_to_obj, out)
         return _EXIT_OK, "\n".join(lines)
     raise WorkbenchError(f"unknown coalg verb {verb!r}")
 
@@ -290,9 +291,7 @@ def _cmd_sset(args) -> tuple[int, str]:
     if args.verb == "chains":
         sc = chains_functor(x, ring)
         lines = ["chains: level ranks " + ", ".join(str(l.rank) for l in sc.levels)]
-        if args.output:
-            serialize.save_text(args.output, serialize.canonical_dumps(serialize.scoalg_to_obj(sc)))
-            lines.append(f"wrote {args.output}")
+        lines += _written(args, serialize.scoalg_to_obj, sc)
         return _EXIT_OK, "\n".join(lines)
     if args.verb == "homology":
         require_degree(args.top_degree, x.dimension_bound)

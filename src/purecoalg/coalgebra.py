@@ -168,7 +168,7 @@ class Coalgebra:
     @property
     def base(self) -> Ring:
         """The ring the stored entries live in: F_p over F_p, Z otherwise."""
-        return self.ring if self.ring.kind == "Fp" else ZZ
+        return self.ring if self.ring.modulus else ZZ
 
     @property
     def delta(self) -> Matrix:
@@ -810,7 +810,7 @@ def _packed(entries, width: int) -> int:
 
 def _width(bound: int, ring) -> int:
     """The slot width for packed rows whose slots are at most bound in absolute value (``_first_slot``)."""
-    return bound.bit_length() + 1 + (ring.p.bit_length() if ring.kind == "Fp" else 0)
+    return bound.bit_length() + 1 + ring.modulus.bit_length()
 
 
 def _first_slot(rows: dict, width: int, count: int, ring):
@@ -829,7 +829,7 @@ def _first_slot(rows: dict, width: int, count: int, ring):
         return None
     half, mask = 1 << (width - 1), (1 << width) - 1
     ones = ((1 << (width * count)) - 1) // mask
-    p = ring.p if ring.kind == "Fp" else 0
+    p = ring.modulus
     if p:
         k = width - 1 - p.bit_length()
         lift, high = ones << k, (mask ^ ((2 << k) - 1)) * ones

@@ -131,8 +131,8 @@ def _restriction(space: Lattice, image: Matrix) -> Matrix:
 
 def _roots(coeffs, ring: Ring) -> list[int]:
     """Roots in Z or F_p of a monic characteristic polynomial over that ring."""
-    if ring.kind == "Fp":
-        return prime_field_roots(coeffs, ring.p)
+    if ring.modulus:
+        return prime_field_roots(coeffs, ring.modulus)
     return integer_roots(coeffs)
 
 
@@ -230,7 +230,11 @@ def _in_ring(ring: Ring, values) -> bool:
 
 
 def _verified_group_likes(c: Coalgebra, tuples) -> list:
-    """The characters with coordinates in the ground ring, each reverified exactly."""
+    """The characters with coordinates in the ground ring, each reverified exactly.
+
+    With ``_certified`` it certifies the group-likes of a finder whose
+    candidates include every character: each one kept is proved here.
+    """
     ring = c.ring
     vectors = []
     for tup in tuples:
@@ -272,10 +276,11 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
 
 
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
-    # Independence always holds (the classical argument is valid over any
-    # domain); purity of the span can fail for exotic inputs, e.g. the dual
-    # of Z[x]/(x^2 - 2x), whose group-likes (1,0) and (1,2) collide mod 2.
-    # The certificate records that instead of pretending otherwise.
+    """Verified group-likes, with their independence proved (it holds over any domain) and span purity decided.
+
+    Purity can fail, e.g. for the dual of Z[x]/(x^2 - 2x), whose
+    group-likes (1,0) and (1,2) collide mod 2; the set records it.
+    """
     if vectors:
         stacked = Matrix(c.ring, [list(v) for v in vectors], c.rank)
         divisors = tuple(elementary_divisors(stacked))
@@ -312,7 +317,7 @@ def _coradical_span(c: Coalgebra) -> Lattice:
     the same for every such K.
     """
     n = c.rank
-    if c.ring.kind == "Fp" and c.ring.p <= n:
+    if 0 < c.ring.modulus <= n:
         return Lattice.from_rows(c.base, n, stable_frobenius(dual_algebra(c)).transpose().rows)
     # column a of block b, as its nonzero (j, X_b[j][a])
     columns = [[[] for _ in range(n)] for _ in range(n)]

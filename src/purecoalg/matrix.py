@@ -209,7 +209,7 @@ class Matrix:
 
 def _post_fn(ring: Ring):
     """The row reduction mod p over F_p, None elsewhere, so the kernels skip the call."""
-    return ring.reduce_row if ring.kind == "Fp" else None
+    return ring.reduce_row if ring.modulus else None
 
 
 def _elim(ring: Ring, rows, ncols: int, canonical: bool = True):

@@ -65,6 +65,7 @@ class Ring:
 
     kind: str
     is_field: bool
+    modulus = 0  # the characteristic: p on F_p, 0 on Z, Q and Z[S^-1]
 
     # --- identity ---------------------------------------------------
     def _key(self):
@@ -247,7 +248,7 @@ class PrimeField(_EuclideanRing):
     one = 1
 
     def __init__(self, p: int):
-        self.p = _check_user_prime(p)
+        self.p = self.modulus = _check_user_prime(p)
 
     def _key(self):
         return ("Fp", self.p)

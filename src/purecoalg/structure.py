@@ -20,17 +20,18 @@ Central objects:
   for the primitive idempotents e_g of the dual algebra: on each
   component it is x -> eps(x) * g.
 
-Every Filtration is machine-checked at construction: stages must be
-pure subcoalgebra lattices, increase monotonically, and satisfy the
-comultiplication compatibility Delta(V_n) <= sum V_{n-i} (x) V_i.  Every
-component decomposition is checked too: pure parts whose stacked bases
-form a unimodular basis of C, each a subcoalgebra holding its own
-group-like and no other.  These two checks and ``is_subcoalgebra`` all
-read the subcoalgebra, compatibility and membership conditions off the
-support of Delta in one basis adapted to the flag, to the direct sum or
-to the one-stage flag [V] (``coalgebra._adapted_support``): Delta is
-carried into that basis once, in integers, and only which coefficients
-are nonzero is read.  Nothing is built in the n^2-dimensional C (x) C.
+Each answer is found by one algorithm and decided by one certifier: a
+Filtration is checked at construction (pure subcoalgebra stages that
+increase and satisfy Delta(V_n) <= sum V_{n-i} (x) V_i), and a computed
+one that it refuses is an AssertionError; a component decomposition has
+pure parts whose stacked bases form a unimodular basis of C, each a
+subcoalgebra holding its own group-like and no other.  These two
+checks and ``is_subcoalgebra`` all read the subcoalgebra, compatibility
+and membership conditions off the support of Delta in one basis
+adapted to the flag, to the direct sum or to the one-stage flag [V]
+(``coalgebra._adapted_support``): Delta is carried into that basis
+once, in integers, and only which coefficients are nonzero is read.
+Nothing is built in the n^2-dimensional C (x) C.
 
 The coradical filtration and the component decomposition are each built
 and checked once per coalgebra and held on it (``Coalgebra._derived``):
@@ -91,6 +92,11 @@ class Filtration:
     stage deg r is not a subcoalgebra, and one with
     deg s + deg t > deg r that it is not compatible; the smallest such
     stage is reported.
+
+    It certifies every computed filtration whose stages V'_m contain
+    V'_{m-1} ^ V_0, V_0 the certified coradical: as the stages increase,
+    compatibility puts Delta(V'_m) in V'_{m-1} (x) C + C (x) V_0, so
+    V'_m <= V'_{m-1} ^ V_0 and by induction every stage is exact.
     """
 
     __slots__ = ("coalgebra", "stages")
@@ -142,10 +148,6 @@ class Filtration:
     def exhaustive(self) -> bool:
         return self.stages[-1].rank == self.coalgebra.rank
 
-    def stage(self, n: int) -> Lattice:
-        """Stage V_n, constant beyond the last computed one."""
-        return self.stages[min(n, len(self.stages) - 1)]
-
     def graded_ranks(self) -> tuple[int, ...]:
         ranks = self.stage_ranks
         return (ranks[0],) + tuple([b - a for a, b in zip(ranks, ranks[1:])])
@@ -181,7 +183,9 @@ def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
     The stacked component bases then form a basis t of C, and Delta in
     that basis decides the rest: component idx is a subcoalgebra when
     Delta of each of its rows has support inside idx x idx, and a
-    group-like lies in component idx when its t-coordinates do.
+    group-like lies in component idx when its t-coordinates do.  Given one
+    part per certified group-like, that proves them the components: in a
+    pointed coalgebra a subcoalgebra with one group-like is irreducible.
     """
     parts = sorted(parts, key=lambda p: tuple(p[0]))
     for idx, (g, lat) in enumerate(parts):
@@ -236,7 +240,8 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     projections are then integral matrices and the kernel is pure.  The
     kernel is taken in integers, of Delta * (P_D (x) P_F) with rows and
     columns scaled by nonzero integers, and carried back to the ring;
-    the canonical Hermite basis makes it the same lattice.
+    the canonical Hermite basis makes it the same lattice.  Nothing else
+    certifies this answer, so it is checked to contain both arguments.
     """
     for name, lat in (("first", d), ("second", f)):
         if lat.ambient_rank != c.rank:
@@ -246,20 +251,28 @@ def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
             raise NotPure(f"{name} wedge argument is impure (witness prime {witness})")
         if not is_subcoalgebra(lat, c):
             raise NotSubcoalgebra(f"{name} wedge argument is not a subcoalgebra")
-    return _unchecked_wedge(d, f, c)
+    out = _unchecked_wedge(d, f, c)
+    if not (out.contains_lattice(d) and out.contains_lattice(f)):
+        raise AssertionError("wedge must contain both arguments")
+    return out
 
 
 def _unchecked_wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
-    """The wedge of two lattices already known to be pure subcoalgebras, unchecked."""
+    """The wedge of two lattices already known to be pure subcoalgebras, uncertified."""
     left, right = d.integral_projection(), f.integral_projection()
     n = c.rank
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
     rows = [[v for row in sandwich(left, x, right) for v in row] for x in c.blocks]
     width = (n - d.rank) * (n - f.rank)
-    out = _integer_kernel(Matrix(c.base, rows, width), c.ring)
-    if not (out.contains_lattice(d) and out.contains_lattice(f)):
-        raise AssertionError("wedge must contain both arguments")
-    return out
+    return _integer_kernel(Matrix(c.base, rows, width), c.ring)
+
+
+def _computed_filtration(c: Coalgebra, stages) -> Filtration:
+    """Filtration(c, stages) for stages the package computed: a refusal is the finder's fault, an AssertionError."""
+    try:
+        return Filtration(c, stages)
+    except (ValidationError, NotPure, NotSubcoalgebra, AmbientMismatch) as exc:
+        raise AssertionError(f"computed filtration refused: {exc}") from exc
 
 
 def _require_pure(gl: GroupLikeSet) -> GroupLikeSet:
@@ -289,19 +302,17 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
 
     V_0 is the group-like span and V_{n+1} = V_n ^ V_0; the chain must
     reach the full lattice, and a stall below full rank is reported as
-    NotExhaustive (it would contradict pointedness).  V_0 is pure and is
-    checked once to be a subcoalgebra; the wedge of two pure
-    subcoalgebras is again one, so the stages skip ``wedge``'s argument
-    checks, and the Filtration then validates every stage.  The
-    validated filtration is held on c, so the wedges and the validation
-    run once per coalgebra; a refusal holds nothing.
+    NotExhaustive (it would contradict pointedness).  V_0, the pure span
+    of exactly verified group-likes, is a subcoalgebra, and so is the
+    wedge of two pure subcoalgebras, so the stages skip ``wedge``'s
+    checks; the Filtration certifies every stage, stage 0 included.  It
+    is held on c, so the wedges and the validation run once per
+    coalgebra; a refusal holds nothing.
     """
     held = c._derived.get("filtration")
     if held is not None:
         return held
     v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
-    if not is_subcoalgebra(v0, c):
-        raise AssertionError("the group-like span must be a subcoalgebra")
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
@@ -310,7 +321,7 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
         if nxt == stages[-1]:
             raise NotExhaustive("coradical filtration stabilized below full rank")
         stages.append(nxt)
-    filtration = c._derived["filtration"] = Filtration(c, stages)
+    filtration = c._derived["filtration"] = _computed_filtration(c, stages)
     return filtration
 
 
@@ -319,7 +330,8 @@ def primitives(c: Coalgebra, g) -> Lattice:
 
     These are the solutions of Delta(x) = g (x) x + x (x) g; together
     with the group-like line they exhaust stage one of the coradical
-    filtration, which is verified before returning.
+    filtration, which is verified before returning; that check also
+    certifies the uncertified wedge of the group-like line with itself.
     """
     gl = pointed_group_likes(c, "primitives need a pointed irreducible coalgebra")
     if len(gl) != 1:
@@ -336,7 +348,7 @@ def primitives(c: Coalgebra, g) -> Lattice:
             row[i * n + j] -= c.denom * a[j]
     pr = _integer_kernel(Matrix(c.base, rows, n * n), c.ring)
     v0 = Lattice.from_rows(c.ring, n, [list(g)])
-    v1 = wedge(v0, v0, c)
+    v1 = _unchecked_wedge(v0, v0, c)
     if v1.rank != v0.rank + pr.rank or v1 != v0.add(pr):
         raise AssertionError("stage one must split as coradical plus primitives")
     return pr
@@ -480,9 +492,10 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     zero on the others, so on each irreducible component this is
     x -> eps(x) * g.  With e_g = E_g / d_g as ``components`` holds it,
     row i is sum_g (E_g[i] / d_g) * g, formed in integers over one
-    common denominator (residues mod p over F_p).  It is checked as a
-    coalgebra map, an idempotent, a map fixing the group-likes and a
-    projection onto the held coradical on every call.
+    common denominator (residues mod p over F_p).  Every call certifies
+    it as a coalgebra map that fixes the group-likes and has the held
+    coradical as image; each row of r then lies in the span of the
+    group-likes, which r fixes, so r is idempotent.
     """
     components(c)
     ring = c.ring
@@ -512,8 +525,6 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     bad = validate_map(retraction).first_failure()
     if bad is not None:
         raise AssertionError(f"coradical retraction failed validation: {bad}")
-    if r * r != r:
-        raise AssertionError("coradical retraction must be idempotent")
     gs = Matrix(ring, gs, n)
     if gs * r != gs:
         raise AssertionError("retraction must fix the group-likes")
@@ -538,42 +549,27 @@ def tensor_filtration(fc: Filtration, fd: Filtration) -> Filtration:
 
     The graded rank identity
     rank(U_n/U_{n-1}) = sum rank(C_i/C_{i-1}) * rank(D_j/D_{j-1})
-    is asserted stage by stage, and the result is exhaustive exactly
-    when both inputs are.
+    is asserted stage by stage.  Summed over n it gives
+    rank U_top = rank C_top * rank D_top, so the result is exhaustive
+    exactly when both inputs are.
     """
     c, d = fc.coalgebra, fd.coalgebra
     if c.ring != d.ring:
         raise RingMismatch(f"{c.ring} vs {d.ring}")
     product = tensor(c, d)
-    ring = c.ring
-    ambient = product.rank
     top = (fc.length - 1) + (fd.length - 1)
     stages = []
     for n in range(top + 1):
-        seen = set()
-        rows = []
-        for i in range(n + 1):
-            a = min(i, fc.length - 1)
-            b = min(n - i, fd.length - 1)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            rows.extend(fc.stages[a].basis.kron(fd.stages[b].basis).rows)
-        stages.append(Lattice.from_rows(ring, ambient, rows))
-    filt = Filtration(product, stages)
-    graded_c = fc.graded_ranks()
-    graded_d = fd.graded_ranks()
-    graded_u = filt.graded_ranks()
+        pairs = dict.fromkeys([(min(i, fc.length - 1), min(n - i, fd.length - 1)) for i in range(n + 1)])
+        rows = [row for a, b in pairs for row in fc.stages[a].basis.kron(fd.stages[b].basis).rows]
+        stages.append(Lattice.from_rows(c.ring, product.rank, rows))
+    filt = _computed_filtration(product, stages)
+    graded_c, graded_d, graded_u = fc.graded_ranks(), fd.graded_ranks(), filt.graded_ranks()
     for n in range(top + 1):
-        expected = sum(
-            graded_c[i] * graded_d[n - i]
-            for i in range(n + 1)
-            if i < len(graded_c) and n - i < len(graded_d)
-        )
+        expected = sum(graded_c[i] * graded_d[n - i] for i in range(n + 1)
+                       if i < len(graded_c) and n - i < len(graded_d))
         if graded_u[n] != expected:
             raise AssertionError(f"tensor filtration graded rank mismatch at stage {n}")
-    if fc.exhaustive and fd.exhaustive and not filt.exhaustive:
-        raise AssertionError("tensor filtration of exhaustive filtrations must be exhaustive")
     return filt
 
 
@@ -587,8 +583,6 @@ def push_filtration(f: CoalgebraMap, v: Filtration) -> Filtration:
     f.require_valid()
     if v.coalgebra != f.domain:
         raise AmbientMismatch("filtration does not live on the domain of the map")
-    stages = []
-    for stage in v.stages:
-        pushed = Lattice.from_rows(f.domain.ring, f.codomain.rank, (stage.basis * f.matrix).rows)
-        stages.append(pushed.saturate())
-    return Filtration(f.codomain, stages)
+    ring, n = f.domain.ring, f.codomain.rank
+    stages = [Lattice.from_rows(ring, n, (stage.basis * f.matrix).rows).saturate() for stage in v.stages]
+    return _computed_filtration(f.codomain, stages)

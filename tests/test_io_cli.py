@@ -380,6 +380,22 @@ def test_internal_failures_exit_4(monkeypatch, error):
     assert code == 2 and text.startswith("error: cannot read ")
 
 
+def test_a_refused_computed_filtration_exits_4(monkeypatch):
+    # a finder that enlarges a stage is a fault of the program, not of the input
+    from purecoalg import Lattice, structure
+
+    def enlarged(d, f, c):
+        return Lattice.full(c.ring, c.rank)
+
+    monkeypatch.setattr(structure, "_unchecked_wedge", enlarged)
+    code, text = run_command(["filtration", data("zx3-dual.json")], "coalg")
+    assert code == 4
+    assert text == ("internal error: AssertionError('computed filtration refused:"
+                    " Delta is not compatible with filtration stage 1')")
+    monkeypatch.undo()
+    assert run_command(["filtration", data("zx3-dual.json")], "coalg")[0] == 0
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -1,5 +1,5 @@
 """The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys,
-no tuples grown from iterators.
+no tuples grown from iterators, no ring-kind tests that a ring attribute serves.
 
 The benchmark in ``perfbench/`` rebinds named functions and methods of
 the package to trace them, and calls the package through ``pc.<name>``
@@ -241,3 +241,38 @@ def test_tuple_from_iterator_check_fires():
 def test_no_tuple_is_grown_from_an_iterator():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _tuples_from_iterators(sources) == []
+
+
+def _kind_tests(sources: dict) -> list:
+    """"module.definition" for each ``.kind`` read outside ``rings``, named by the top-level definition holding it."""
+    found = []
+    for module, source in sources.items():
+        if module != "rings":
+            for node in ast.parse(source).body:
+                owner = getattr(node, "name", "<module>")
+                found += [f"{module}.{owner}" for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute) and sub.attr == "kind"]
+    return sorted(found)
+
+
+def test_kind_test_check_fires():
+    sources = {
+        "a": "def f(r):\n    return r.kind == 'Fp'\n\nclass K:\n    def g(self):\n        return self.ring.kind\n",
+        "b": "x = ring.kind\n",
+        "rings": "def h(r):\n    return r.kind\n",
+    }
+    assert _kind_tests(sources) == ["a.K", "a.f", "b.<module>"]
+    assert _kind_tests({"c": "def f(r):\n    return r.modulus, r.kinds, kind\n"}) == []
+
+
+def test_no_ring_kind_test_that_the_modulus_serves():
+    # the two UnsupportedRing input checks, and the three branches that embed F_p values
+    # without Fractions; every other ring dispatch reads Ring.modulus or a ring method
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _kind_tests(sources) == [
+        "binomial._check_primes",
+        "binomial.frobenius_matrix",
+        "grouplike._characters",
+        "grouplike._in_ring",
+        "grouplike._verified_group_likes",
+    ]

@@ -46,6 +46,10 @@ def test_reduce_mod_p_is_ring_hom():
     assert reduce_mod_p(z6, Fraction(1), 5) == 1
 
 
+def test_the_modulus_is_p_on_a_prime_field_and_0_elsewhere():
+    assert [r.modulus for r in (ZZ, QQ, localized_integers([2, 3]), prime_field(2), prime_field(101))] == [0, 0, 0, 2, 101]
+
+
 def test_is_unit():
     assert ZZ.is_unit(1) and ZZ.is_unit(-1)
     assert not ZZ.is_unit(2) and not ZZ.is_unit(0)

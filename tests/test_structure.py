@@ -7,6 +7,7 @@ import pytest
 from purecoalg import (
     Coalgebra,
     CoalgebraMap,
+    GroupLikeSet,
     Lattice,
     Matrix,
     NotIrreducible,
@@ -64,6 +65,18 @@ def test_wedge_examples():
     assert wedge(zero, zero, c).rank == 0
 
 
+def test_the_public_wedge_is_checked_to_contain_both_arguments(monkeypatch):
+    from purecoalg import structure
+
+    c = dual_zxk(3)
+    one = line(c, [1, 0, 0])
+    monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: Lattice.zero(c.ring, c.rank))
+    with pytest.raises(AssertionError, match="wedge must contain both arguments"):
+        wedge(one, one, c)
+    monkeypatch.undo()
+    assert wedge(one, one, c).rank == 2
+
+
 def test_wedge_preconditions():
     c = dual_zxk(2)
     impure = Lattice.from_rows(ZZ, 2, [[2, 0]])
@@ -77,8 +90,9 @@ def test_wedge_preconditions():
 
 
 def test_coradical_filtration_checks_the_coradical_once(monkeypatch):
-    # the stages come from unchecked wedges of pure subcoalgebras, the
-    # same lattices the checked public wedge gives
+    # the stages come from uncertified wedges of pure subcoalgebras, the
+    # same lattices the checked public wedge gives, and only the
+    # Filtration checks that the coradical is a subcoalgebra
     from purecoalg import structure
 
     calls = []
@@ -94,16 +108,21 @@ def test_coradical_filtration_checks_the_coradical_once(monkeypatch):
         c = entry.coalgebra
         calls.clear()
         filt = coradical_filtration(c)
-        assert len(calls) <= 1
+        assert calls == []
         stages = [filt.stages[0]]
         while len(stages) < filt.length:
             stages.append(wedge(stages[-1], stages[0], c))
         assert tuple(stages) == filt.stages
         lengths.add(filt.length)
     assert max(lengths) >= 3
-    monkeypatch.setattr(structure, "is_subcoalgebra", lambda lat, c: False)
-    with pytest.raises(AssertionError, match="the group-like span must be a subcoalgebra"):
-        coradical_filtration(dual_zxk(3))
+    # a span that is no subcoalgebra, fed in as the group-likes, is refused by the Filtration's stage-0 test
+    c = dual_zxk(3)
+    fake = GroupLikeSet(c, ((0, 1, 0),), (1,), True)
+    monkeypatch.setattr(structure, "pointed_group_likes", lambda c, need: fake)
+    monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: Lattice.full(c.ring, c.rank))
+    with pytest.raises(AssertionError, match="filtration stage 0 is not a subcoalgebra"):
+        coradical_filtration(c)
+    assert "filtration" not in c._derived
 
 
 def test_coradical_filtration_examples():
@@ -220,6 +239,51 @@ def test_tensor_filtration_examples():
     other = coradical_filtration(dual_zxk(3))
     mixed = tensor_filtration(other, trivial)
     assert mixed.stage_ranks == tuple(2 * r for r in other.stage_ranks)
+
+
+def test_tensor_filtration_asserts_the_graded_ranks(monkeypatch):
+    # a tensor stage that lost one kron row is still a pure subcoalgebra, so only the graded ranks refuse it
+    points = coradical_filtration(set_like(ZZ, ["a", "b"]))
+    kron = Matrix.kron
+    monkeypatch.setattr(Matrix, "kron", lambda a, b: Matrix(a.ring, kron(a, b).rows[:-1], a.ncols * b.ncols))
+    with pytest.raises(AssertionError, match="tensor filtration graded rank mismatch at stage 0"):
+        tensor_filtration(points, points)
+    monkeypatch.undo()
+    assert tensor_filtration(points, points).stage_ranks == (4,)
+
+
+def _enlarged(lat):
+    """lat with the last basis vector of its ambient lattice added."""
+    n = lat.ambient_rank
+    return Lattice.from_rows(lat.ring, n, lat.basis.rows + [[0] * (n - 1) + [1]])
+
+
+@pytest.mark.parametrize("entry", ["coradical", "tensor", "push"])
+def test_a_computed_filtration_with_an_enlarged_stage_is_an_internal_failure(monkeypatch, entry):
+    # each finder's stages are enlarged; the Filtration refuses them, and the entry point raises AssertionError
+    from purecoalg import structure
+
+    c = dual_zxk(3)
+    filt = coradical_filtration(c)
+    call, want = {
+        "coradical": (lambda: coradical_filtration(dual_zxk(3)), (1, 2, 3)),
+        "tensor": (lambda: tensor_filtration(filt, filt), (1, 3, 6, 8, 9)),
+        "push": (lambda: push_filtration(identity_map(c), filt), (1, 2, 3)),
+    }[entry]
+    if entry == "coradical":
+        wedge_of = structure._unchecked_wedge
+        monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: _enlarged(wedge_of(d, f, c)))
+    elif entry == "tensor":
+        kron = Matrix.kron
+        monkeypatch.setattr(Matrix, "kron", lambda a, b: Matrix(
+            a.ring, kron(a, b).rows + [[0] * (a.ncols * b.ncols - 1) + [1]], a.ncols * b.ncols))
+    else:
+        saturate = Lattice.saturate
+        monkeypatch.setattr(Lattice, "saturate", lambda lat: _enlarged(saturate(lat)))
+    with pytest.raises(AssertionError, match="computed filtration refused: "):
+        call()
+    monkeypatch.undo()
+    assert call().stage_ranks == want
 
 
 def test_tensor_filtration_stage_zero_is_kron_of_coradicals():
