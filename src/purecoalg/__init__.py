@@ -40,9 +40,7 @@ from .errors import (
     AmbientMismatch,
     DegreeTooHigh,
     InvalidAlgebra,
-    NotExhaustive,
     NotGroupLike,
-    NotGroupLikeImage,
     NotIrreducible,
     NotPointed,
     NotPure,

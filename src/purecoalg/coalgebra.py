@@ -873,22 +873,13 @@ def purify_subcoalgebra(l: Lattice, c: Coalgebra) -> Lattice:
     return sat
 
 
-def _section(l: Lattice) -> list:
-    """Rows of an n x r matrix T over the ring with B * T = I, B the basis of a pure lattice.
-
-    Purity makes the Hermite transform of B^T satisfy U * B^T = [I; 0],
-    so B * U^T = [I | 0] and T is the first r columns of U^T.
-    """
-    _, u = hnf(l.basis.transpose())
-    return [row[: l.rank] for row in u.transpose().rows]
-
-
 def restrict_to_subcoalgebra(l: Lattice, c: Coalgebra):
     """Coalgebra structure on a pure subcoalgebra lattice plus its inclusion.
 
-    With T an integral section of the basis B (B * T = I), Delta(b_i) =
-    B^T S_i B gives the structure constants S_i = T^T Delta(b_i) T on
-    n x n blocks; purity makes T integral.
+    With T an integral section of the basis B (B * T = I, read off the
+    lattice's held transform), Delta(b_i) = B^T S_i B gives the
+    structure constants S_i = T^T Delta(b_i) T on n x n blocks; purity
+    makes T integral.
     """
     flag, _ = l.is_pure()
     if not flag:
@@ -897,6 +888,6 @@ def restrict_to_subcoalgebra(l: Lattice, c: Coalgebra):
         raise NotSubcoalgebra("restriction requires a subcoalgebra lattice")
     basis = l.basis.rows
     counit = [c.counit_of(row) for row in basis]
-    sub = _built(c.ring, l.rank, *_transported(c, basis, _section(l)), counit)
+    sub = _built(c.ring, l.rank, *_transported(c, basis, l.section().rows), counit)
     incl = CoalgebraMap(sub, c, Matrix(c.ring, basis, c.rank))
     return sub, incl

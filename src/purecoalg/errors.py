@@ -54,20 +54,12 @@ class NotGroupLike(WorkbenchError):
     """Vector is not a group-like element of the coalgebra."""
 
 
-class NotGroupLikeImage(WorkbenchError):
-    """Image of a group-like failed to be group-like (defensive; cannot occur for valid maps)."""
-
-
 class NotPointed(WorkbenchError):
     """Coalgebra has pure simple subcoalgebras not isomorphic to the ground ring."""
 
 
 class NotIrreducible(WorkbenchError):
     """Coalgebra has more than one irreducible component where one is required."""
-
-
-class NotExhaustive(WorkbenchError):
-    """A filtration stabilized strictly below the full lattice (internal invariant breach)."""
 
 
 class TooLarge(WorkbenchError):

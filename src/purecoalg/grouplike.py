@@ -58,9 +58,9 @@ from fractions import Fraction
 
 from .binomial import stable_frobenius
 from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
-from .errors import NotGroupLike, NotGroupLikeImage, NotPointed
-from .lattice import Lattice
-from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis, left_kernel_rows
+from .errors import NotGroupLike, NotPointed
+from .lattice import Lattice, kernel_lattice
+from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis
 from .polyroots import integer_roots, prime_field_roots
 from .rings import Ring, cleared_rows
 
@@ -179,10 +179,9 @@ def _eigenspaces(space: Lattice, op, ring: Ring) -> list[tuple]:
     ident = Matrix.identity(ring, space.rank)
     out = []
     for lam in _roots(charpoly(restriction), ring):
-        ker_rows = left_kernel_rows(restriction - ident.scale(lam))
-        if ker_rows:
-            newbasis = hnf_basis(Matrix(ring, ker_rows, space.rank) * space.basis)
-            out.append((lam, Lattice(ring, space.ambient_rank, newbasis)))
+        ker = kernel_lattice(restriction - ident.scale(lam))
+        if ker.rank:
+            out.append((lam, Lattice(ring, space.ambient_rank, hnf_basis(ker.basis * space.basis))))
     return out
 
 
@@ -378,13 +377,17 @@ def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:
 
 
 def gr_of_map(f: CoalgebraMap):
-    """Induced map on group-likes, returned as sorted (source, image) pairs."""
+    """Induced map on group-likes, returned as sorted (source, image) pairs.
+
+    A coalgebra map sends group-likes to group-likes, so an image outside
+    the codomain's set is a fault of the program, an AssertionError.
+    """
     f.require_valid()
     codomain_set = set(group_likes(f.codomain).vectors)
     pairs = []
     for g in group_likes(f.domain).vectors:
         img = tuple(f.apply(list(g)))
         if img not in codomain_set:
-            raise NotGroupLikeImage(f"image of {g} is not group-like")
+            raise AssertionError(f"image of {g} is not group-like")
         pairs.append((g, img))
     return pairs

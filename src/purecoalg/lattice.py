@@ -4,8 +4,8 @@ A Lattice is a finitely generated submodule of the free module R^n,
 stored by its canonical Hermite basis, so lattice equality is equality
 of bases.  The operations here are the purity toolkit: saturation (the
 smallest pure overlattice), intersections, two cross-checked purity
-tests, membership with certificates, quotient projections (the
-integral one cached per lattice), and Kronecker products under the
+tests, membership with certificates, quotient projections and
+sections, and Kronecker products under the
 fixed row-major basis ordering e_i (x) e_j -> i*n2 + j.
 
 Purity of N in R^n means r*N = r*R^n `intersect` N for every scalar r;
@@ -16,14 +16,19 @@ every prime p".  Both characterizations are computed and compared.
 Over Q and Z[S^-1] a lattice keeps, next to its canonical basis, a
 cleared integer copy: each basis row times the lcm of its denominators,
 a unit of the ring.  Membership, coordinates, the Smith test of purity
-and the integral projection all work on that copy in integers; a
-coordinate becomes a Fraction only when it is returned.
+and the quotient all work on that copy in integers; a coordinate
+becomes a Fraction only when it is returned.
 
-Both quotient projections come from one Hermite transform U of the
-transposed basis, U * B^T = [H; 0]: the transposed rows r.. of U kill
-the basis, and when H is the identity (the lattice is pure) U^T is
-invertible over the ring with B * U^T = [I | 0], which gives a section.
-No Smith transform is needed.
+Quotients and saturation read one held Hermite transform U of the
+transposed cleared basis, U * B^T = [H; 0], taken once per lattice,
+and whether every pivot of H is a unit of the ring (Cohen, GTM 138,
+2.4).  With V = U^T, B * V = [H^T | 0]: the last n - r columns of V
+are the integral projection, whose kernel over the ring is the
+saturation; the lattice is pure exactly when those pivots are units,
+and then the rows r.. of V^-1 are a section of the projection and
+V[:, :r] * (B * V[:, :r])^-1 one of the basis.  A saturation inherits
+the transform, marked pure.  Kernels over every ring are formed once,
+in ``kernel_lattice``.  No Smith transform is needed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .errors import AmbientMismatch, NotPure, RingMismatch
-from .matrix import Matrix, elementary_divisors, hnf, hnf_basis, left_kernel_rows
+from .matrix import Matrix, _fractions, elementary_divisors, from_integer_hermite, hnf, hnf_basis, left_kernel_rows
 from .numtheory import factorize
 from .rings import ZZ, Ring
 
@@ -40,7 +45,7 @@ _UNSET = object()
 
 
 class Lattice:
-    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_projection")
+    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_transform")
 
     def __init__(self, ring: Ring, ambient_rank: int, basis: Matrix):
         if basis.ncols != ambient_rank:
@@ -50,7 +55,7 @@ class Lattice:
         self.basis = basis
         self._pivots = None
         self._cleared = _UNSET
-        self._projection = None
+        self._transform = None
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -207,17 +212,22 @@ class Lattice:
     def saturate(self) -> "Lattice":
         """Smallest pure sub-lattice containing this one.
 
-        Computed as the integral points of the rational row span: the
-        left kernel of a right-kernel matrix.  Rank is preserved; over a
-        field (and for already-pure input) this is the identity.
+        The kernel over the ring of the integral projection: the integral
+        points of the rational row span.  Rank is preserved; over a field
+        and for pure input this is the lattice itself.  The saturation
+        inherits the held transform, marked pure, so its projection is
+        this lattice's, computed once.
         """
         if self.ring.is_field or self.rank == 0:
             return self
         if self.rank == self.ambient_rank:
             return Lattice.full(self.ring, self.ambient_rank)
-        cokernel = left_kernel_rows(self.basis.transpose())
-        cmat = Matrix(self.ring, cokernel, self.ambient_rank).transpose()
-        return kernel_lattice(cmat)
+        v, proj, pure = self._hermite()
+        if pure:
+            return self
+        out = kernel_lattice(Matrix(v.ring, proj, self.ambient_rank - self.rank), self.ring)
+        out._transform = (v, proj, True)
+        return out
 
     def is_pure(self):
         """(flag, witness): purity decided two independent ways.
@@ -263,50 +273,79 @@ class Lattice:
         )
 
     # --- quotients -------------------------------------------------------
+    def _hermite(self):
+        """(V, P, pure), held: V = U^T for the Hermite transform U * B^T = [H; 0] of the cleared basis B.
+
+        P is the last n - r columns of V as rows, and pure says that every
+        pivot of H is a unit of the ring.  Over Q and Z[S^-1] V is an
+        integer matrix; over F_p its entries are residues.
+        """
+        if self._transform is None:
+            h, u = hnf(self._integer_basis().transpose())
+            v = u.transpose()
+            pure = all(self.ring.is_unit(row[k]) for k, row in enumerate(h.rows))
+            self._transform = (v, [row[self.rank:] for row in v.rows], pure)
+        return self._transform
+
+    def _pure_transform(self, need: str) -> Matrix:
+        v, _, pure = self._hermite()
+        if not pure:
+            raise NotPure(f"{need} requires a pure lattice")
+        return v
+
+    def _in_ring(self, rows) -> list:
+        """Integer rows as rows over the ring: Fractions over Q and Z[S^-1]."""
+        return rows if self._integral() is None else [_fractions(row, 1) for row in rows]
+
     def complement_projection(self):
         """(projection, section) for the quotient by a pure lattice.
 
         Purity makes the quotient free, so there is an integral matrix P
         of shape n x (n - r) with x*P = 0 exactly on the lattice, and a
-        section s with s*P = I.  With U the Hermite transform of the
-        transposed basis, U * B^T = [H; 0], the lattice is pure exactly
-        when H is the identity; then V = U^T has B * V = [I | 0], P is the
-        last n - r columns of V and s the last n - r rows of V^-1.
+        section s with s*P = I: P is the integral projection, the last
+        n - r columns of the held V, and s the last n - r rows of V^-1.
+        A pivot of H that is not a unit raises NotPure.
         """
         n, r = self.ambient_rank, self.rank
-        h, u = hnf(self.basis.transpose())
-        if h != Matrix.identity(self.ring, r):
-            raise NotPure("quotient projection requires a pure lattice")
-        v = u.transpose()
-        proj = Matrix(self.ring, [row[r:] for row in v.rows], n - r)
-        section = Matrix(self.ring, v.inverse().rows[r:], n)
-        return proj, section
+        v = self._pure_transform("quotient projection")
+        proj = Matrix(self.ring, self._in_ring(self.integral_projection()), n - r)
+        return proj, Matrix(self.ring, self._in_ring(v.inverse().rows[r:]), n)
+
+    def section(self) -> Matrix:
+        """An n x r matrix T over the ring with B * T = I, for the basis B of a pure lattice.
+
+        With W the first r columns of the held V, B * W is invertible over
+        the ring exactly when the lattice is pure, and T = W * (B * W)^-1;
+        over Z and F_p, B * W is the identity.
+        """
+        r = self.rank
+        w = Matrix(self.ring, self._in_ring([row[:r] for row in self._pure_transform("a section").rows]), r)
+        return w * (self.basis * w).inverse()
 
     def integral_projection(self) -> list:
         """Rows of an integral n x (n - r) matrix P with x * P = 0 exactly on the saturation.
 
-        With U the Hermite transform of the transposed basis, U * B^T =
-        [H; 0], the transposed rows r.. of U kill the basis B, and U is
+        The transposed rows r.. of U kill the basis B, and U is
         invertible, so their kernel is the pure lattice of rank r
         containing this one: its saturation.  Over Q and Z[S^-1] B is the
-        cleared integer basis, which spans the same module, and U is an
-        integer matrix; over F_p the entries are residues.  Computed once
-        per lattice.
+        cleared integer basis, which spans the same module, and P is an
+        integer matrix; over F_p the entries are residues.
         """
-        if self._projection is None:
-            _, u = hnf(self._integer_basis().transpose())
-            self._projection = [row[self.rank:] for row in u.transpose().rows]
-        return self._projection
+        return self._hermite()[1]
 
 
-def kernel_lattice(mat: Matrix) -> Lattice:
-    """Lattice of all vectors x with x * mat = 0.
+def kernel_lattice(mat: Matrix, ring: Ring = None) -> Lattice:
+    """Lattice over the ring (the matrix's own by default) of all vectors x with x * mat = 0.
 
     Kernels of maps into torsion-free modules are pure, so the result
-    is always saturated.
+    is always saturated.  A matrix over Z may have its kernel taken over
+    Q or Z[S^-1], as its span there: the integer Hermite rows of the
+    kernel go straight to the boundary pass that makes them canonical.
     """
     rows = left_kernel_rows(mat)
-    return Lattice(mat.ring, mat.nrows, Matrix(mat.ring, rows, mat.nrows))
+    if ring is None or ring == mat.ring:
+        return Lattice(mat.ring, mat.nrows, Matrix(mat.ring, rows, mat.nrows))
+    return Lattice(ring, mat.nrows, from_integer_hermite(ring, rows, mat.nrows))
 
 
 def solve_in_rows(mat: Matrix, vector):

@@ -66,27 +66,26 @@ def _pmul(f, g, p):
     return _trim(out)
 
 
-def _pmod(f, g, p):
-    f = _trim(list(f))
-    g = _trim(list(g))
+def _pdivmod(f, g, p):
+    """(quotient, remainder) of f by a nonzero g over F_p, by long division."""
+    f, g = _trim(list(f)), _trim(list(g))
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
+    quo = [0] * (len(f) - dg)
     while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
         coeff = f[-1] * inv % p
         shift = len(f) - 1 - dg
+        quo[shift] = coeff
         for i, b in enumerate(g):
             f[shift + i] = (f[shift + i] - coeff * b) % p
         _trim(f)
-    return f
+    return _trim(quo), f
 
 
 def _pgcd(f, g, p):
     f, g = _trim(list(f)), _trim(list(g))
     while g:
-        f, g = g, _pmod(f, g, p)
+        f, g = g, _pdivmod(f, g, p)[1]
     if f:
         inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
@@ -95,13 +94,13 @@ def _pgcd(f, g, p):
 
 def _ppow_mod(base, e, mod, p):
     result = [1]
-    b = _pmod(base, mod, p)
+    b = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, b, p), mod, p)
+            result = _pdivmod(_pmul(result, b, p), mod, p)[1]
         e >>= 1
         if e:
-            b = _pmod(_pmul(b, b, p), mod, p)
+            b = _pdivmod(_pmul(b, b, p), mod, p)[1]
     return result
 
 
@@ -151,23 +150,6 @@ def _split_linear(f, p, rng):
         _trim(h)
         g = _pgcd(h, f, p)
         if 0 < len(g) - 1 < deg:
-            rest = _pquo(f, g, p)
+            rest, _ = _pdivmod(f, g, p)
             return _split_linear(g, p, rng) + _split_linear(rest, p, rng)
 
-
-def _pquo(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    out = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        coeff = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        out[shift] = coeff
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - coeff * b) % p
-        _trim(f)
-    return _trim(out)

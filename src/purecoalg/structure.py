@@ -62,7 +62,6 @@ from .coalgebra import (
 )
 from .errors import (
     AmbientMismatch,
-    NotExhaustive,
     NotGroupLike,
     NotIrreducible,
     NotPure,
@@ -72,7 +71,7 @@ from .errors import (
 )
 from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
-from .matrix import Matrix, _fractions, elementary_divisors, from_integer_hermite, hnf
+from .matrix import Matrix, _fractions, elementary_divisors, hnf
 from .rings import ZZ, cleared_rows
 
 
@@ -221,18 +220,6 @@ def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
     return decomposition
 
 
-def _integer_kernel(mat: Matrix, ring) -> Lattice:
-    """Kernel of a matrix over Z (or F_p), as a lattice over the ring: its span over Q or Z[S^-1].
-
-    The integer Hermite rows of the kernel go straight to the boundary
-    pass that makes them the canonical basis over the ring.
-    """
-    out = kernel_lattice(mat)
-    if mat.ring == ring:
-        return out
-    return Lattice(ring, mat.nrows, from_integer_hermite(ring, out.basis.rows, mat.nrows))
-
-
 def wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     """Wedge product: kernel of C -> C (x) C -> C/D (x) C/F.
 
@@ -264,7 +251,7 @@ def _unchecked_wedge(d: Lattice, f: Lattice, c: Coalgebra) -> Lattice:
     # row i is vec(P_D^T X_i P_F): row i of Delta * (P_D (x) P_F) up to scalars
     rows = [[v for row in sandwich(left, x, right) for v in row] for x in c.blocks]
     width = (n - d.rank) * (n - f.rank)
-    return _integer_kernel(Matrix(c.base, rows, width), c.ring)
+    return kernel_lattice(Matrix(c.base, rows, width), c.ring)
 
 
 def _computed_filtration(c: Coalgebra, stages) -> Filtration:
@@ -301,8 +288,9 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     """The pure coradical filtration of a pointed coalgebra.
 
     V_0 is the group-like span and V_{n+1} = V_n ^ V_0; the chain must
-    reach the full lattice, and a stall below full rank is reported as
-    NotExhaustive (it would contradict pointedness).  V_0, the pure span
+    reach the full lattice, and a stall below full rank or past the rank
+    bound is an AssertionError (it would contradict pointedness, so the
+    finder is at fault).  V_0, the pure span
     of exactly verified group-likes, is a subcoalgebra, and so is the
     wedge of two pure subcoalgebras, so the stages skip ``wedge``'s
     checks; the Filtration certifies every stage, stage 0 included.  It
@@ -316,10 +304,10 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
-            raise NotExhaustive("coradical filtration exceeded the rank bound")
+            raise AssertionError("coradical filtration exceeded the rank bound")
         nxt = _unchecked_wedge(stages[-1], v0, c)
         if nxt == stages[-1]:
-            raise NotExhaustive("coradical filtration stabilized below full rank")
+            raise AssertionError("coradical filtration stabilized below full rank")
         stages.append(nxt)
     filtration = c._derived["filtration"] = _computed_filtration(c, stages)
     return filtration
@@ -346,7 +334,7 @@ def primitives(c: Coalgebra, g) -> Lattice:
         for j in range(n):
             row[j * n + i] -= c.denom * a[j]
             row[i * n + j] -= c.denom * a[j]
-    pr = _integer_kernel(Matrix(c.base, rows, n * n), c.ring)
+    pr = kernel_lattice(Matrix(c.base, rows, n * n), c.ring)
     v0 = Lattice.from_rows(c.ring, n, [list(g)])
     v1 = _unchecked_wedge(v0, v0, c)
     if v1.rank != v0.rank + pr.rank or v1 != v0.add(pr):
@@ -457,7 +445,7 @@ def components(c: Coalgebra) -> ComponentDecomposition:
         for i in range(n):
             act[i][i] -= c.denom * d
         g = tuple(g)
-        parts.append((g, _integer_kernel(Matrix(c.base, act, n), c.ring)))
+        parts.append((g, kernel_lattice(Matrix(c.base, act, n), c.ring)))
         idempotents.append((g, tuple(e), d))
     decomposition = _validated_decomposition(c, parts)
     c._derived["components"] = (decomposition, decomposition.coradical(), tuple(idempotents))
@@ -479,7 +467,7 @@ def components_by_wedge(c: Coalgebra) -> ComponentDecomposition:
                 break
             cur = nxt
         else:
-            raise NotExhaustive("wedge iteration failed to stabilize within the rank bound")
+            raise AssertionError("wedge iteration failed to stabilize within the rank bound")
         parts.append((tuple(g), cur))
     return _validated_decomposition(c, parts)
 

@@ -11,7 +11,7 @@ lattices that the lattice tests draw are built with the package's
 ``Lattice.from_rows`` and ``saturate``, and the big-entry coalgebras
 with its corpus generator and ``conjugate``.
 
-The exceptions are the last six sections: the package's former
+The exceptions are the last seven sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
 wedge), which work in the n^2-dimensional ambient space C (x) C through
 Kronecker products, Hermite forms and ``Lattice.solve``; its former
@@ -23,8 +23,10 @@ W^-1 * image on the stacked component bases; its former Hermite, Smith and membe
 kernels on each ring's own Fraction arithmetic; its former per-prime
 binomial test on the quotient by the nilradical, with A/pA, its
 products and its Frobenius formed on the dense table
-``a.mult.reduce_mod(p)``; and its former binomial check with every
-Frobenius row taken by binary powering.  Their logic is kept unchanged so the current
+``a.mult.reduce_mod(p)``; its former binomial check with every
+Frobenius row taken by binary powering; and its former saturation (the
+left kernel of a right kernel) and quotient projection, section and
+basis section, each from its own Hermite transform over the ring.  Their logic is kept unchanged so the current
 versions can be compared with them bit for bit, and they use the
 package's ``Lattice``, ``Matrix``, block products, dense ``Coalgebra``
 and ``AlgebraPresentation`` constructors and ring methods, which
@@ -1534,3 +1536,37 @@ def powering_binomial_report(a, primes):
         nil_rank = n - power.rank()
         results.append(BinomialPrimeResult(p, nil_rank == 0, power * fro == power, nil_rank))
     return BinomialReport(tuple(primes), tuple(results))
+
+
+# --- former lattice quotients ------------------------------------------------------
+
+
+def saturation(lat):
+    """The saturation as the integral points of the rational row span: the left kernel of a right-kernel matrix."""
+    from purecoalg import Lattice, Matrix, kernel_lattice
+    from purecoalg.matrix import left_kernel_rows
+
+    if lat.ring.is_field or lat.rank == 0:
+        return lat
+    if lat.rank == lat.ambient_rank:
+        return Lattice.full(lat.ring, lat.ambient_rank)
+    cokernel = left_kernel_rows(lat.basis.transpose())
+    return kernel_lattice(Matrix(lat.ring, cokernel, lat.ambient_rank).transpose())
+
+
+def hermite_quotient(lat):
+    """(projection, section, basis section) of a pure lattice from its own Hermite transform over its ring.
+
+    U * B^T = [I; 0] with V = U^T: the projection is the last n - r columns
+    of V, its section the last n - r rows of V^-1, and the basis section
+    (B * T = I) the first r columns of V.  An impure lattice raises NotPure.
+    """
+    from purecoalg import Matrix, NotPure, hnf
+
+    n, r = lat.ambient_rank, lat.rank
+    h, u = hnf(lat.basis.transpose())
+    if h != Matrix.identity(lat.ring, r):
+        raise NotPure("quotient projection requires a pure lattice")
+    v = u.transpose()
+    proj = Matrix(lat.ring, [row[r:] for row in v.rows], n - r)
+    return proj, Matrix(lat.ring, v.inverse().rows[r:], n), Matrix(lat.ring, [row[:r] for row in v.rows], r)

@@ -182,6 +182,20 @@ def test_gr_of_map_examples_and_functoriality():
     assert direct == chained
 
 
+def test_gr_of_map_reports_an_image_outside_the_group_likes_as_internal(monkeypatch):
+    from types import SimpleNamespace
+
+    ab, pt = set_like(ZZ, ["a", "b"]), set_like(ZZ, ["pt"])
+    collapse = CoalgebraMap(ab, pt, Matrix(ZZ, [[1], [1]], 1))
+    found = grouplike.group_likes
+    # the codomain's set misses the image (1,) of both points
+    monkeypatch.setattr(grouplike, "group_likes", lambda c: SimpleNamespace(vectors=()) if c is pt else found(c))
+    with pytest.raises(AssertionError, match=r"image of \(0, 1\) is not group-like"):
+        gr_of_map(collapse)
+    monkeypatch.undo()
+    assert gr_of_map(collapse) == [((0, 1), (1,)), ((1, 0), (1,))]
+
+
 def test_unit_isomorphism_small_sets():
     for size in range(7):
         names = [f"s{i}" for i in range(size)]

@@ -396,6 +396,15 @@ def test_a_refused_computed_filtration_exits_4(monkeypatch):
     assert run_command(["filtration", data("zx3-dual.json")], "coalg")[0] == 0
 
 
+def test_a_stalled_filtration_chain_exits_4(monkeypatch):
+    # a wedge finder that never grows a stage stalls the chain below full rank: a fault of the program
+    from purecoalg import structure
+
+    monkeypatch.setattr(structure, "_unchecked_wedge", lambda d, f, c: d)
+    code, text = run_command(["filtration", data("zx3-dual.json")], "coalg")
+    assert (code, text) == (4, "internal error: AssertionError('coradical filtration stabilized below full rank')")
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

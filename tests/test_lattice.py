@@ -1,5 +1,6 @@
 """Lattice toolkit: saturation, intersection, purity, membership, Kronecker."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -12,11 +13,14 @@ from purecoalg import (
     NotPure,
     QQ,
     ZZ,
+    coradical_filtration,
     kernel_lattice,
     localized_integers,
     prime_field,
+    restrict_to_subcoalgebra,
 )
-from oracles import random_lattices, random_pure_lattices
+from purecoalg.serialize import load_coalgebra
+from oracles import hermite_quotient, random_lattices, random_pure_lattices, saturation
 
 
 def L(rows, n, ring=ZZ):
@@ -201,4 +205,86 @@ def test_integral_projection_kernel_is_the_saturation():
             width = n - lat.rank
             assert len(proj) == n and all(len(row) == width for row in proj)
             kernel = kernel_lattice(Matrix(ring, [[ring.normalize(v) for v in row] for row in proj], width))
-            assert kernel == lat.saturate()
+            assert kernel == saturation(lat)
+            assert lat.saturate() == saturation(lat)
+
+
+def _random_lattices(rng, ring, count):
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield Lattice.from_rows(ring, n, [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, n))])
+
+
+def test_quotient_and_sections_over_z_and_fp_are_those_of_the_own_hermite_transform():
+    rng = random.Random(61)
+    seen = 0
+    for ring in (ZZ, prime_field(7), prime_field(2)):
+        for lat in _random_lattices(rng, ring, 60):
+            if not lat.is_pure()[0]:
+                continue
+            proj, section, basis_section = hermite_quotient(lat)
+            assert lat.complement_projection() == (proj, section)
+            assert lat.integral_projection() == proj.rows
+            assert lat.section() == basis_section
+            seen += 1
+    assert seen > 100
+
+
+def test_one_hermite_transform_serves_the_projections_and_the_restriction_section(monkeypatch):
+    from purecoalg import coalgebra as coalgebra_mod
+    from purecoalg import lattice as lattice_mod
+
+    c = load_coalgebra(os.path.join(os.path.dirname(__file__), "..", "data", "zx3-dual.json"))
+    stage = coradical_filtration(c).stages[1]
+    lat = Lattice.from_rows(ZZ, c.rank, stage.basis.rows)
+    assert lat.is_pure()[0] and 0 < lat.rank < c.rank
+    passes = []
+    for module in (lattice_mod, coalgebra_mod):
+        def counted(mat, original=module.hnf):
+            passes.append(mat == lat.basis.transpose())
+            return original(mat)
+
+        monkeypatch.setattr(module, "hnf", counted)
+    lat.integral_projection()
+    proj, section = lat.complement_projection()
+    sub, incl = restrict_to_subcoalgebra(lat, c)
+    # V^-1 and (B * W)^-1 are eliminations too, of other matrices
+    assert passes.count(True) == 1
+    assert (lat.basis * proj).is_zero() and incl.matrix == lat.basis and sub.validate().overall
+
+
+def test_a_saturation_holds_the_transform_of_its_source():
+    rng = random.Random(67)
+    zs = localized_integers([2, 3])
+    impure = 0
+    for ring in (ZZ, zs):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            rows[0] = [rng.choice([5, 7]) * v for v in rows[0]]  # 5 and 7 are units of neither ring
+            lat = Lattice.from_rows(ring, n, [[ring.normalize(v) for v in row] for row in rows])
+            sat = lat.saturate()
+            if sat is lat:
+                continue
+            impure += 1
+            assert sat.integral_projection() is lat.integral_projection()
+            assert sat == saturation(lat) and sat.saturate() is sat
+            proj, section = sat.complement_projection()
+            assert kernel_lattice(proj) == sat
+            assert section * proj == Matrix.identity(ring, proj.ncols)
+            assert sat.basis * sat.section() == Matrix.identity(ring, sat.rank)
+    assert impure > 30
+    pure = L([[1, 2, 0], [0, 3, 1]], 3)
+    assert pure.saturate() is pure
+
+
+def test_a_section_is_a_right_inverse_of_a_pure_basis_and_refused_on_an_impure_one():
+    rng = random.Random(71)
+    zs = localized_integers([2, 3])
+    for ring in (ZZ, QQ, zs, prime_field(5)):
+        for lat in _random_lattices(rng, ring, 30):
+            if lat.is_pure()[0]:
+                assert lat.basis * lat.section() == Matrix.identity(ring, lat.rank)
+            else:
+                with pytest.raises(NotPure, match="a section requires a pure lattice"):
+                    lat.section()

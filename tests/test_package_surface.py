@@ -1,5 +1,6 @@
 """The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys,
-no tuples grown from iterators, no ring-kind tests that a ring attribute serves.
+no tuples grown from iterators, no ring-kind tests that a ring attribute serves, no kernel formed
+outside ``lattice``.
 
 The benchmark in ``perfbench/`` rebinds named functions and methods of
 the package to trace them, and calls the package through ``pc.<name>``
@@ -276,3 +277,30 @@ def test_no_ring_kind_test_that_the_modulus_serves():
         "grouplike._in_ring",
         "grouplike._verified_group_likes",
     ]
+
+
+def _hermite_importers(sources: dict) -> list:
+    """"module.name" for each import of ``left_kernel_rows`` or ``from_integer_hermite`` outside ``matrix`` and ``lattice``."""
+    found = []
+    for module, source in sources.items():
+        if module not in ("matrix", "lattice"):
+            found += [f"{module}.{alias.name}" for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name in ("left_kernel_rows", "from_integer_hermite")]
+    return sorted(found)
+
+
+def test_hermite_importer_check_fires():
+    sources = {
+        "a": "from .matrix import Matrix, left_kernel_rows\n",
+        "b": "def f():\n    from purecoalg.matrix import from_integer_hermite\n",
+        "lattice": "from .matrix import from_integer_hermite, left_kernel_rows\n",
+    }
+    assert _hermite_importers(sources) == ["a.left_kernel_rows", "b.from_integer_hermite"]
+    assert _hermite_importers({"c": "from .lattice import kernel_lattice\nx = left_kernel_rows\n"}) == []
+
+
+def test_only_the_lattice_module_forms_kernels_from_integer_eliminations():
+    # every other module takes its kernels through lattice.kernel_lattice, over whichever ring it needs
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _hermite_importers(sources) == []

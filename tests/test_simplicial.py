@@ -1,10 +1,13 @@
 """Simplicial sets, chains, normalized homology, the two predicates."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from purecoalg import (
+    QQ,
+    ChainComplex,
     Coalgebra,
     DegreeTooHigh,
     FiniteSimplicialSet,
@@ -22,6 +25,7 @@ from purecoalg import (
     identity_simplicial_map,
     is_cofibration,
     is_weak_equivalence,
+    localized_integers,
     normalized_complex,
     prime_field,
     projective_plane,
@@ -35,6 +39,7 @@ from purecoalg import (
 
 from oracles import direct_homology, simplicial_failure_locations
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 CORPUS = {
     "point": standard_point(2),
@@ -129,6 +134,56 @@ def test_homology_over_prime_field():
     # mod 2 the torsion class contributes in degrees 1 and 2
     assert [h.betti for h in got] == [1, 1, 1]
     assert all(not h.torsion for h in got)
+
+
+def _data_ssets():
+    from purecoalg.serialize import load_json, load_sset
+
+    paths = sorted(DATA.glob("*.json"))
+    return {f"data/{path.name}": load_sset(str(path)) for path in paths if "levels" in load_json(str(path))}
+
+
+def _strip(order, primes):
+    for p in primes:
+        while order % p == 0:
+            order //= p
+    return order
+
+
+def test_homology_over_every_ring_is_the_universal_coefficient_image_of_the_integral_one():
+    # over F_p: dim H_n = b_n + t_p(H_n) + t_p(H_{n-1}), t_p counting the torsion orders p divides;
+    # over Z[S^-1]: the free rank b_n and the torsion orders with the primes of S stripped
+    sets = {**CORPUS, **_data_ssets()}
+    assert len(sets) == 10
+    zs = localized_integers([2, 3])
+    for name, x in sets.items():
+        top = x.dimension_bound - 1
+        integral = direct_homology(x, top)
+        assert [(h.betti, h.torsion) for h in homology(chains_functor(x, ZZ), top)] == integral, name
+        for ring in (QQ, prime_field(2), prime_field(3), zs):
+            got = [(h.betti, h.torsion) for h in homology(chains_functor(x, ring), top)]
+            want = []
+            for n, (betti, torsion) in enumerate(integral):
+                if ring.modulus:
+                    below = integral[n - 1][1] if n else ()
+                    betti += sum(t % ring.modulus == 0 for t in torsion + below)
+                    torsion = ()
+                elif ring == QQ:
+                    torsion = ()
+                else:
+                    torsion = tuple([t for t in (_strip(t, (2, 3)) for t in torsion) if t != 1])
+                want.append((betti, torsion))
+            assert got == want, (name, ring)
+
+
+def test_homology_refuses_boundaries_that_are_not_cycles():
+    one = Matrix.identity(ZZ, 1)
+    cx = ChainComplex(ZZ, [1, 1, 1], {1: one, 2: one})
+    assert str(cx.homology(0)) == "0"  # degree 0 asks nothing of d_1 * d_0
+    with pytest.raises(AssertionError, match="boundary image must consist of cycles"):
+        cx.homology(1)
+    with pytest.raises(AssertionError, match="boundary squared is nonzero in degree 2"):
+        cx.check_square_zero()
 
 
 def test_weak_equivalence_examples():
