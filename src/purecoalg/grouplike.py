@@ -53,7 +53,7 @@ nothing, so it raises again on the next call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binomial import stable_frobenius
@@ -67,22 +67,28 @@ from .rings import Ring, cleared_rows
 
 @dataclass(frozen=True)
 class GroupLikeSet:
-    """The group-likes of a coalgebra plus independence and purity certificates."""
+    """The group-likes of a coalgebra plus independence and purity certificates.
+
+    ``span``, the lattice they span, is built once per set; the coradical, the first
+    filtration stage and the primitives read it, its purity verdict and its one transform.
+    """
 
     coalgebra: Coalgebra
     vectors: tuple
     independence_divisors: tuple
     pure: bool
     purity_witness: object = None
+    span: Lattice = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.span is None:
+            object.__setattr__(self, "span", Lattice.from_rows(self.coalgebra.ring, self.coalgebra.rank, self.vectors))
 
     def __len__(self):
         return len(self.vectors)
 
     def __iter__(self):
         return iter(self.vectors)
-
-    def lattice(self) -> Lattice:
-        return Lattice.from_rows(self.coalgebra.ring, self.coalgebra.rank, [list(v) for v in self.vectors])
 
 
 @dataclass
@@ -280,17 +286,11 @@ def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
     Purity can fail, e.g. for the dual of Z[x]/(x^2 - 2x), whose
     group-likes (1,0) and (1,2) collide mod 2; the set records it.
     """
-    if vectors:
-        stacked = Matrix(c.ring, [list(v) for v in vectors], c.rank)
-        divisors = tuple(elementary_divisors(stacked))
-        if len(divisors) != len(vectors):
-            raise AssertionError("group-likes failed the independence certificate")
-        lat = Lattice.from_rows(c.ring, c.rank, [list(v) for v in vectors])
-        pure, witness = lat.is_pure()
-    else:
-        divisors = ()
-        pure, witness = True, None
-    return GroupLikeSet(c, tuple(vectors), divisors, pure, witness)
+    divisors = tuple(elementary_divisors(Matrix(c.ring, vectors, c.rank)))
+    if len(divisors) != len(vectors):
+        raise AssertionError("group-likes failed the independence certificate")
+    span = Lattice.from_rows(c.ring, c.rank, vectors)
+    return GroupLikeSet(c, tuple(vectors), divisors, *span.is_pure(), span)
 
 
 def _coradical_span(c: Coalgebra) -> Lattice:

@@ -3,15 +3,18 @@
 A Lattice is a finitely generated submodule of the free module R^n,
 stored by its canonical Hermite basis, so lattice equality is equality
 of bases.  The operations here are the purity toolkit: saturation (the
-smallest pure overlattice), intersections, two cross-checked purity
-tests, membership with certificates, quotient projections and
-sections, and Kronecker products under the
-fixed row-major basis ordering e_i (x) e_j -> i*n2 + j.
+smallest pure overlattice), intersections, a purity verdict decided
+once per lattice by two cross-checked tests, membership with
+certificates, quotient projections and sections, and Kronecker
+products under the fixed row-major basis ordering
+e_i (x) e_j -> i*n2 + j.
 
 Purity of N in R^n means r*N = r*R^n `intersect` N for every scalar r;
 over the supported rings that is exactly "all elementary divisors of a
-basis are units", and equivalently "reduction mod p stays injective at
-every prime p".  Both characterizations are computed and compared.
+basis are units", and equivalently "every pivot of the Hermite form of
+the transposed basis is a unit".  Both are computed and compared, and
+only an impure lattice factors a number: its largest divisor, to name
+the least prime at which reduction fails to inject.
 
 Over Q and Z[S^-1] a lattice keeps, next to its canonical basis, a
 cleared integer copy: each basis row times the lcm of its denominators,
@@ -45,7 +48,7 @@ _UNSET = object()
 
 
 class Lattice:
-    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_transform")
+    __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_transform", "_purity")
 
     def __init__(self, ring: Ring, ambient_rank: int, basis: Matrix):
         if basis.ncols != ambient_rank:
@@ -56,6 +59,7 @@ class Lattice:
         self._pivots = None
         self._cleared = _UNSET
         self._transform = None
+        self._purity = None
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -230,37 +234,29 @@ class Lattice:
         return out
 
     def is_pure(self):
-        """(flag, witness): purity decided two independent ways.
+        """(flag, witness): purity decided two independent ways, once per lattice.
 
-        Method one asks that every elementary divisor of the basis be a
-        unit; method two reduces the basis mod p for each prime p
-        dividing a divisor and asks that the rank not drop.  The two
-        verdicts are cross-checked, and on failure the witness is a
-        prime at which reduction fails to inject.
+        The held Hermite transform says whether every pivot of H is a
+        unit; one Smith form of the cleared basis says whether every
+        elementary divisor is.  The two verdicts are cross-checked, and
+        the verdict is held.  The divisors form a chain d_1 | ... | d_r,
+        so every prime of a divisor's S-free part divides that of d_r,
+        and reduction mod each of them drops the rank: the witness of an
+        impure lattice, the least prime at which reduction fails to
+        inject, is the least prime of d_r, found with one ``factorize``.
         """
         if self.ring.is_field or self.rank == 0:
             return True, None
-        ring = self.ring
-        # over Z[S^-1] the test reads: the divisors of the cleared basis are S-smooth
-        basis = self._integer_basis()
-        divs = elementary_divisors(basis)
-        unit_ok = all(ring.is_unit(d) for d in divs)
-        primes: set[int] = set()
-        for d in divs:
-            n = int(ring.canonicalize_unit(d)[1])
-            if n != 1:
-                primes.update(factorize(n))
-        witness = None
-        mod_ok = True
-        for p in sorted(primes):
-            reduced = basis.reduce_mod(p)
-            if reduced.rank() < self.rank:
-                mod_ok = False
-                witness = p
-                break
-        if unit_ok != mod_ok:
-            raise AssertionError("purity tests disagree: divisors vs reduction mod p")
-        return unit_ok, witness
+        if self._purity is None:
+            ring = self.ring
+            # over Z[S^-1] the test reads: the divisors of the cleared basis are S-smooth
+            divs = elementary_divisors(self._integer_basis())
+            pure = all(ring.is_unit(d) for d in divs)
+            if pure != self._hermite()[2]:
+                raise AssertionError("purity tests disagree: Smith divisors vs Hermite pivots")
+            witness = None if pure else min(factorize(int(ring.canonicalize_unit(divs[-1])[1])))
+            self._purity = (pure, witness)
+        return self._purity
 
     def kron(self, other: "Lattice") -> "Lattice":
         """Kronecker product lattice under the row-major ordering."""

@@ -5,7 +5,8 @@ division by small primes, then Miller-Rabin with the fixed witness set
 {2, 3, ..., 41}, a proven deterministic test for all n below
 3.3 * 10**24 (comfortably above the 2**64 bound enforced for
 user-supplied primes).  Factoring combines trial division with Brent's
-variant of Pollard's rho; it is used on elementary divisors and on
+variant of Pollard's rho; it is used on the largest elementary divisor
+of an impure lattice, to name its witness prime, and on
 characteristic-polynomial constant terms, which stay far below the
 proven primality bound at desk scale.  A cofactor at or above that
 bound, with no prime factor below 1000, is refused with ``TooLarge``:

@@ -21,7 +21,7 @@ by elementary divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coalgebra import (
@@ -454,11 +454,12 @@ class HomologyGroup:
 
 @dataclass
 class ChainComplex:
-    """Free chain complex: ranks per degree and boundary matrices."""
+    """Free chain complex: ranks per degree and boundary matrices, with each boundary's Smith divisors held."""
 
     ring: Ring
     ranks: list
     boundaries: dict  # degree n -> Matrix (ranks[n] x ranks[n-1])
+    _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def check_square_zero(self):
         for n in range(2, len(self.ranks)):
@@ -466,15 +467,21 @@ class ChainComplex:
             if not prod.is_zero():
                 raise AssertionError(f"boundary squared is nonzero in degree {n}")
 
+    def _smith(self, n: int) -> list:
+        """The Smith divisors of d_n, held: each boundary is eliminated once."""
+        if n not in self._divisors:
+            self._divisors[n] = elementary_divisors(self.boundaries[n])
+        return self._divisors[n]
+
     def homology(self, n: int) -> HomologyGroup:
-        """H_n = ker d_n / im d_{n+1}, read off the Smith form of d_{n+1}.
+        """H_n = ker d_n / im d_{n+1}, read off the Smith forms of d_n and d_{n+1}.
 
         The cycles are a kernel into a free module, so they are pure, of
-        rank ranks[n] - rank d_n, and C_n / cycles is free: the torsion of
-        H_n is that of C_n / im d_{n+1}, the non-unit Smith divisors of
-        d_{n+1}, and its free rank is the cycle rank less the number of
-        divisors.  The boundaries are cycles when d_{n+1} * d_n = 0, which
-        is checked at the degree asked.
+        rank ranks[n] less the number of divisors of d_n, and C_n / cycles
+        is free: the torsion of H_n is that of C_n / im d_{n+1}, the
+        non-unit divisors of d_{n+1}, and its free rank is the cycle rank
+        less their number.  The boundaries are cycles when
+        d_{n+1} * d_n = 0, which is checked at the degree asked.
         """
         if n + 1 >= len(self.ranks):
             raise DegreeTooHigh(f"degree {n} homology needs chain degree {n + 1}")
@@ -483,8 +490,8 @@ class ChainComplex:
         if n:
             if not (image * self.boundaries[n]).is_zero():
                 raise AssertionError("boundary image must consist of cycles")
-            cycle_rank -= self.boundaries[n].rank()
-        divs = elementary_divisors(image)
+            cycle_rank -= len(self._smith(n))
+        divs = self._smith(n + 1)
         torsion = [int(ring.to_fraction(dv)) for dv in divs if not ring.is_unit(dv)]
         return HomologyGroup(cycle_rank - len(divs), tuple(torsion), ring)
 

@@ -24,14 +24,14 @@ Each answer is found by one algorithm and decided by one certifier: a
 Filtration is checked at construction (pure subcoalgebra stages that
 increase and satisfy Delta(V_n) <= sum V_{n-i} (x) V_i), and a computed
 one that it refuses is an AssertionError; a component decomposition has
-pure parts whose stacked bases form a unimodular basis of C, each a
-subcoalgebra holding its own group-like and no other.  These two
-checks and ``is_subcoalgebra`` all read the subcoalgebra, compatibility
-and membership conditions off the support of Delta in one basis
-adapted to the flag, to the direct sum or to the one-stage flag [V]
-(``coalgebra._adapted_support``): Delta is carried into that basis
-once, in integers, and only which coefficients are nonzero is read.
-Nothing is built in the n^2-dimensional C (x) C.
+parts whose stacked bases form a unimodular basis of C, so each is
+pure, and each a subcoalgebra holding its own group-like and no other.
+These two checks and ``is_subcoalgebra`` all read the subcoalgebra,
+compatibility and membership conditions off the support of Delta in
+one basis adapted to the flag, to the direct sum or to the one-stage
+flag [V] (``coalgebra._adapted_support``): Delta is carried into that
+basis once, in integers, and only which coefficients are nonzero is
+read.  Nothing is built in the n^2-dimensional C (x) C.
 
 The coradical filtration and the component decomposition are each built
 and checked once per coalgebra and held on it (``Coalgebra._derived``):
@@ -110,15 +110,10 @@ class Filtration:
         for lower, upper in zip(stages, stages[1:]):
             if not upper.contains_lattice(lower):
                 raise ValidationError("filtration stages must increase")
-        impure = None
-        for idx, v in enumerate(stages):
-            flag, witness = v.is_pure()
-            if not flag:
-                impure = NotPure(f"filtration stage {idx} is not pure (witness prime {witness})")
-                break
         # the checks run on the pure prefix; a subcoalgebra failure below
         # the first impure stage is reported ahead of it
-        prefix = stages[: idx if impure else len(stages)]
+        impure = next((idx for idx, v in enumerate(stages) if not v.is_pure()[0]), len(stages))
+        prefix = stages[:impure]
         incompatible = None
         if prefix and prefix[-1].rank:
             rows, deg = _flag_basis(coalgebra, prefix)
@@ -128,8 +123,8 @@ class Filtration:
                         raise NotSubcoalgebra(f"filtration stage {deg[r]} is not a subcoalgebra")
                     if incompatible is None and deg[s] + deg[t] > deg[r]:
                         incompatible = deg[r]
-        if impure:
-            raise impure
+        if impure < len(stages):
+            raise NotPure(f"filtration stage {impure} is not pure (witness prime {stages[impure].is_pure()[1]})")
         if incompatible is not None:
             raise ValidationError(f"Delta is not compatible with filtration stage {incompatible}")
         self.coalgebra = coalgebra
@@ -166,8 +161,8 @@ class ComponentDecomposition:
         return len(self.parts)
 
     def coradical(self) -> Lattice:
-        """Span of the group-likes, certified when the decomposition was built."""
-        return Lattice.from_rows(self.coalgebra.ring, self.coalgebra.rank, [list(g) for g, _ in self.parts])
+        """Span of the group-likes: the one lattice that the coalgebra's certified group-likes hold."""
+        return group_likes(self.coalgebra).span
 
     def stacked_basis(self) -> Matrix:
         rows = []
@@ -177,20 +172,18 @@ class ComponentDecomposition:
 
 
 def _validated_decomposition(c: Coalgebra, parts) -> ComponentDecomposition:
-    """The decomposition, once every component is checked pure and the sum direct and unimodular.
+    """The decomposition, once the stacked component bases are checked independent, full and unimodular.
 
-    The stacked component bases then form a basis t of C, and Delta in
-    that basis decides the rest: component idx is a subcoalgebra when
-    Delta of each of its rows has support inside idx x idx, and a
-    group-like lies in component idx when its t-coordinates do.  Given one
-    part per certified group-like, that proves them the components: in a
-    pointed coalgebra a subcoalgebra with one group-like is irreducible.
+    Those bases then form a basis t of R^n, so C is the direct sum of the
+    components, and each is pure: a direct summand N of R^n meets r*R^n
+    in r*N.  Delta in that basis decides the rest: component idx is a
+    subcoalgebra when Delta of each of its rows has support inside
+    idx x idx, and a group-like lies in component idx when its
+    t-coordinates do.  Given one part per certified group-like, that
+    proves them the components: in a pointed coalgebra a subcoalgebra
+    with one group-like is irreducible.
     """
     parts = sorted(parts, key=lambda p: tuple(p[0]))
-    for idx, (g, lat) in enumerate(parts):
-        flag, witness = lat.is_pure()
-        if not flag:
-            raise AssertionError(f"component {idx} is impure (witness {witness})")
     decomposition = ComponentDecomposition(c, tuple([(tuple(g), lat) for g, lat in parts]))
     stacked = decomposition.stacked_basis()
     divs = elementary_divisors(stacked)
@@ -281,7 +274,7 @@ def _require_pure(gl: GroupLikeSet) -> GroupLikeSet:
 
 def coradical_lattice(c: Coalgebra) -> Lattice:
     """Stage zero of the coradical filtration: the span of the group-likes."""
-    return _require_pure(group_likes(c)).lattice()
+    return _require_pure(group_likes(c)).span
 
 
 def coradical_filtration(c: Coalgebra) -> Filtration:
@@ -300,7 +293,7 @@ def coradical_filtration(c: Coalgebra) -> Filtration:
     held = c._derived.get("filtration")
     if held is not None:
         return held
-    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).lattice()
+    v0 = _require_pure(pointed_group_likes(c, "coradical filtration needs a pointed coalgebra")).span
     stages = [v0]
     while stages[-1].rank < c.rank:
         if len(stages) > c.rank + 1:
@@ -335,7 +328,7 @@ def primitives(c: Coalgebra, g) -> Lattice:
             row[j * n + i] -= c.denom * a[j]
             row[i * n + j] -= c.denom * a[j]
     pr = kernel_lattice(Matrix(c.base, rows, n * n), c.ring)
-    v0 = Lattice.from_rows(c.ring, n, [list(g)])
+    v0 = gl.span
     v1 = _unchecked_wedge(v0, v0, c)
     if v1.rank != v0.rank + pr.rank or v1 != v0.add(pr):
         raise AssertionError("stage one must split as coradical plus primitives")

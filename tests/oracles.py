@@ -9,7 +9,9 @@ linear algebra; the rational eigenvalues use the package's integer root
 finder, which ``test_polyroots`` checks on its own.  The seeded random
 lattices that the lattice tests draw are built with the package's
 ``Lattice.from_rows`` and ``saturate``, and the big-entry coalgebras
-with its corpus generator and ``conjugate``.
+with its corpus generator and ``conjugate``.  The package's former
+purity test, ``purity_by_reduction``, factors the package's Smith
+divisors and reduces the cleared basis mod each of their primes.
 
 The exceptions are the last seven sections: the package's former
 tensor-square routines (subcoalgebra test, filtration compatibility,
@@ -627,6 +629,33 @@ def random_lattices(seed: int, count: int, ambient_max: int = 6):
     return out
 
 
+def purity_by_reduction(lat):
+    """(flag, witness) by the package's former purity test: Smith divisors, then reduction mod each of their primes.
+
+    The flag says every elementary divisor of the cleared basis is a
+    unit; the witness is the least prime, among the primes of the
+    divisors' S-free parts, at which the reduced basis loses rank.  The
+    two halves must agree.
+    """
+    from purecoalg import elementary_divisors
+    from purecoalg.numtheory import factorize
+
+    if lat.ring.is_field or lat.rank == 0:
+        return True, None
+    ring = lat.ring
+    basis = lat._integer_basis()
+    divs = elementary_divisors(basis)
+    unit_ok = all(ring.is_unit(d) for d in divs)
+    primes = set()
+    for d in divs:
+        n = int(ring.canonicalize_unit(d)[1])
+        if n != 1:
+            primes.update(factorize(n))
+    witness = next((p for p in sorted(primes) if basis.reduce_mod(p).rank() < lat.rank), None)
+    assert unit_ok == (witness is None), "purity tests disagree: divisors vs reduction mod p"
+    return unit_ok, witness
+
+
 def random_pure_lattices(seed: int, count: int, ambient: int):
     """Saturated lattices over Z of random rank in one ambient rank."""
     from purecoalg import ZZ, Lattice
@@ -791,9 +820,9 @@ def block_incompatible_stage(stages, c):
 def decomposition_failure(c, parts):
     """The first failing check on (group-like, component) parts, as its message, or None.
 
-    The checks and their order are the package's: purity of each part;
-    then the stacked bases, which must have an independent sum, fill the
-    coalgebra and be unimodular; then per part the subcoalgebra test,
+    The checks and their order are the package's: the stacked bases
+    must have an independent sum, fill the coalgebra and be unimodular
+    (which makes each part pure); then per part the subcoalgebra test,
     its own group-like, and no second group-like.  Independence is
     tested with ``Lattice.intersect``, part by part against the sum of
     the others (for two parts, the pairwise intersection).
@@ -801,10 +830,6 @@ def decomposition_failure(c, parts):
     from purecoalg import Lattice, Matrix, elementary_divisors, is_subcoalgebra
 
     parts = sorted(parts, key=lambda p: tuple(p[0]))
-    for idx, (_, lat) in enumerate(parts):
-        flag, witness = lat.is_pure()
-        if not flag:
-            return f"component {idx} is impure (witness {witness})"
     for idx, (_, lat) in enumerate(parts):
         others = Lattice.zero(c.ring, c.rank)
         for j, (_, other) in enumerate(parts):

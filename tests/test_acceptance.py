@@ -214,7 +214,7 @@ def test_acceptance_10_purity_cross_check():
     lattices = random_lattices(ACCEPTANCE_SEED + 3, 500)
     assert len(lattices) >= 500
     for lat in lattices:
-        lat.is_pure()  # raises if the divisor and mod-p methods disagree
+        lat.is_pure()  # raises if the Smith divisors and the Hermite pivots disagree
     print("[acceptance 10] PASS: purity decided identically by both methods on 500 lattices")
 
 

@@ -201,6 +201,37 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q", "Z[1/2,1/3]", "F3"])
+def test_the_group_like_span_is_built_and_transformed_once(monkeypatch, ring):
+    # group_likes builds the span; the coradical, V_0 and its wedge projection,
+    # the components' coradical and the primitives all read that one lattice
+    from purecoalg import lattice as lattice_mod
+
+    base = {"Z": ZZ, "Q": QQ, "Z[1/2,1/3]": ZS, "F3": prime_field(3)}[ring]
+    irreducible = dual_of_algebra(truncated_polynomial_algebra(base, 3))
+    # past rank 1 no other lattice the entries build has the group-likes as its rows
+    cs = [c for c in CORPORA[ring]() + [irreducible]
+          if c.rank > 1 and is_pointed(c)[0] and group_likes(_twin(c)).pure]
+    assert any(len(group_likes(c)) == 1 for c in cs) and any(len(group_likes(c)) > 1 for c in cs)
+    builds = _counted(monkeypatch, lattice_mod, "hnf_basis")
+    transforms = _counted(monkeypatch, lattice_mod, "hnf")
+    for c in cs:
+        c = _twin(c)
+        builds.clear()
+        transforms.clear()
+        for call in (group_likes, coradical_lattice, coradical_filtration, components, split_coradical):
+            call(c)
+        gl = group_likes(c)
+        if len(gl) == 1:
+            primitives(c, gl.vectors[0])
+        stacked = [list(g) for g in gl]
+        assert [m.rows for m in builds].count(stacked) == 1
+        if gl.span.rank < c.rank:
+            assert transforms.count(gl.span._integer_basis().transpose()) == 1
+        assert coradical_lattice(c) is gl.span is components(c).coradical()
+        assert coradical_filtration(c).stages[0] is gl.span
+
+
 def test_naturality_reuses_both_decompositions(monkeypatch):
     # the retractions are rebuilt and validated, the decompositions are not
     cs = [c for c in _corpus(43, 12, 8, ZZ) if is_pointed(c)[0]]

@@ -20,7 +20,7 @@ from purecoalg import (
     restrict_to_subcoalgebra,
 )
 from purecoalg.serialize import load_coalgebra
-from oracles import hermite_quotient, random_lattices, random_pure_lattices, saturation
+from oracles import hermite_quotient, purity_by_reduction, random_lattices, random_pure_lattices, saturation
 
 
 def L(rows, n, ring=ZZ):
@@ -174,18 +174,80 @@ def test_complement_projection_refuses_an_impure_lattice():
 def test_is_pure_raises_when_its_two_tests_disagree(monkeypatch):
     from purecoalg import lattice as lattice_mod
 
-    pure, impure = L([[1, 2, 0], [0, 1, 5]], 3), L([[2, 0], [0, 3]], 2)
-    assert pure.is_pure() == (True, None) and impure.is_pure() == (False, 2)
+    def pure():
+        return L([[1, 2, 0], [0, 1, 5]], 3)
+
+    def impure():
+        return L([[2, 0], [0, 3]], 2)
+
+    assert pure().is_pure() == (True, None) and impure().is_pure() == (False, 2)
     with monkeypatch.context() as patch:
-        # the divisors claim a factor 2 that reduction mod 2 does not see
+        # the Smith divisors claim a factor 2 that the Hermite pivots do not show
         patch.setattr(lattice_mod, "elementary_divisors", lambda mat: [1, 2])
         with pytest.raises(AssertionError, match="purity tests disagree"):
-            pure.is_pure()
-    with monkeypatch.context() as patch:
-        # reduction mod p claims full rank at every prime the divisors name
-        patch.setattr(Matrix, "rank", lambda self: self.nrows)
-        with pytest.raises(AssertionError, match="purity tests disagree"):
-            impure.is_pure()
+            pure().is_pure()
+    # the held transform claims unit pivots that the Smith divisors deny
+    lat = impure()
+    v, proj, flag = lat._hermite()
+    assert not flag
+    lat._transform = (v, proj, True)
+    with pytest.raises(AssertionError, match="purity tests disagree"):
+        lat.is_pure()
+
+
+def _lattices_over_five_rings(seed, count):
+    """Seeded random lattices over Z, Z[1/2,1/3], Z[1/5], F_7 and Q, a row often scaled to make them impure."""
+    rng = random.Random(seed)
+    # each ring with the denominators its entries may carry
+    rings = [(ZZ, [1]), (localized_integers([2, 3]), [1, 1, 2, 3]), (localized_integers([5]), [1, 1, 5]),
+             (prime_field(7), [1]), (QQ, [1, 1, 2, 3, 5])]
+    for k in range(count):
+        ring, dens = rings[k % len(rings)]
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        if ring.modulus:
+            rows = [[int(v) for v in row] for row in rows]
+        if rows and rng.random() < 0.6:
+            scale = rng.choice([2, 3, 4, 5, 6, 7, 10, 12, 35])
+            rows[0] = [scale * v for v in rows[0]]
+        yield Lattice.from_rows(ring, n, [[ring.normalize(v) for v in row] for row in rows])
+
+
+def test_is_pure_matches_the_reduction_mod_p_reference():
+    impure = 0
+    for lat in _lattices_over_five_rings(71, 2000):
+        got = lat.is_pure()
+        assert got == purity_by_reduction(lat), (lat.ring, lat.basis.rows)
+        impure += not got[0]
+    assert impure > 400
+
+
+def test_is_pure_on_a_pure_lattice_factors_nothing_and_decides_once(monkeypatch):
+    from purecoalg import lattice as lattice_mod
+    from purecoalg import matrix as matrix_mod
+
+    def refused(*args):
+        raise AssertionError("called")
+
+    eliminations = []
+    original = matrix_mod._elim
+
+    def counted(*args, **kwargs):
+        eliminations.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "factorize", refused)
+    monkeypatch.setattr(Matrix, "rank", refused)
+    monkeypatch.setattr(matrix_mod, "_elim", counted)
+    seen = 0
+    for lat in _lattices_over_five_rings(73, 200):
+        lat = lat.saturate()
+        assert lat.is_pure() == (True, None)
+        eliminations.clear()
+        assert lat.is_pure() == (True, None)
+        assert eliminations == []
+        seen += lat.rank > 0 and not lat.ring.is_field
+    assert seen > 50
 
 
 def test_integral_projection_kernel_is_the_saturation():
@@ -237,7 +299,7 @@ def test_one_hermite_transform_serves_the_projections_and_the_restriction_sectio
     c = load_coalgebra(os.path.join(os.path.dirname(__file__), "..", "data", "zx3-dual.json"))
     stage = coradical_filtration(c).stages[1]
     lat = Lattice.from_rows(ZZ, c.rank, stage.basis.rows)
-    assert lat.is_pure()[0] and 0 < lat.rank < c.rank
+    assert 0 < lat.rank < c.rank
     passes = []
     for module in (lattice_mod, coalgebra_mod):
         def counted(mat, original=module.hnf):
@@ -245,6 +307,7 @@ def test_one_hermite_transform_serves_the_projections_and_the_restriction_sectio
             return original(mat)
 
         monkeypatch.setattr(module, "hnf", counted)
+    assert lat.is_pure()[0]
     lat.integral_projection()
     proj, section = lat.complement_projection()
     sub, incl = restrict_to_subcoalgebra(lat, c)

@@ -176,6 +176,23 @@ def test_homology_over_every_ring_is_the_universal_coefficient_image_of_the_inte
             assert got == want, (name, ring)
 
 
+def test_homology_eliminates_each_boundary_once_and_takes_no_rank(monkeypatch):
+    from purecoalg import simplicial
+
+    smith, ranks = [], []
+    original = simplicial.elementary_divisors
+
+    def counted(mat):
+        smith.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(simplicial, "elementary_divisors", counted)
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self))
+    got = homology(chains_functor(projective_plane(3), ZZ), 2)
+    assert [str(h) for h in got] == ["Z", "Z/2", "0"]
+    assert len(smith) == 3 and ranks == []
+
+
 def test_homology_refuses_boundaries_that_are_not_cycles():
     one = Matrix.identity(ZZ, 1)
     cx = ChainComplex(ZZ, [1, 1, 1], {1: one, 2: one})

@@ -334,7 +334,7 @@ def test_pushed_image_stage_zero_is_grouplike_span():
                 pushed.stages[0]
             )
         )
-        assert pushed.stages[0] == gl.lattice().intersect(pushed.stages[0])
+        assert pushed.stages[0] == gl.span.intersect(pushed.stages[0])
         assert is_wedge_filtration(pushed)
 
 
