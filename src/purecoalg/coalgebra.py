@@ -686,13 +686,14 @@ class CoalgebraMap:
     """Linear map between coalgebras, acting on row vectors as x -> x*F.
 
     A map is immutable by convention: nothing assigns to its matrix or
-    its ends after construction, so it holds its verdict.
-    ``require_valid`` runs ``validate_map`` once per map object and keeps
-    only a pass; a failure holds nothing and raises again on the next
-    call.  ``validate`` and ``validate_map`` compute a fresh report.
+    its ends after construction, so it holds its verdict and its last
+    pushed filtration.  ``require_valid`` runs ``validate_map`` once per
+    map object and keeps only a pass; a failure holds nothing and raises
+    again on the next call.  ``validate`` and ``validate_map`` compute a
+    fresh report.  ``structure.push_filtration`` keeps the push.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_valid")
+    __slots__ = ("domain", "codomain", "matrix", "_valid", "_pushed")
 
     def __init__(self, domain: Coalgebra, codomain: Coalgebra, matrix: Matrix):
         if domain.ring != codomain.ring:
@@ -705,6 +706,7 @@ class CoalgebraMap:
         self.codomain = codomain
         self.matrix = matrix
         self._valid = False
+        self._pushed = None
 
     def __eq__(self, other):
         return (

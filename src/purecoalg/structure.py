@@ -37,8 +37,10 @@ The coradical filtration and the component decomposition are each built
 and checked once per coalgebra and held on it (``Coalgebra._derived``):
 repeated calls read them back.  The decomposition is held with its
 coradical lattice and the idempotents it was carved out with, and
-``split_coradical`` builds its retraction from those.  A call that
-raises holds nothing, and the next call runs every check again.  A
+``split_coradical`` builds its retraction from those.  A map holds the
+filtration it last pushed with the certified push, so pushing the same
+filtration object along the same map builds and checks it once.  A call
+that raises holds nothing, and the next call runs every check again.  A
 retraction is built and checked on every call.
 """
 
@@ -560,10 +562,19 @@ def push_filtration(f: CoalgebraMap, v: Filtration) -> Filtration:
     Stages are the saturations of the stagewise images; purification
     keeps both the subcoalgebra property and the wedge compatibility, so
     the result validates as a filtration of the image subcoalgebra.
+    The map holds the pair (v, push) for the last filtration it pushed:
+    a call with that same filtration object returns the held push, and
+    a call with any other one is pushed, certified and replaces the
+    pair.  A refusal holds nothing.
     """
+    held = f._pushed
+    if held is not None and held[0] is v:
+        return held[1]
     f.require_valid()
     if v.coalgebra != f.domain:
         raise AmbientMismatch("filtration does not live on the domain of the map")
     ring, n = f.domain.ring, f.codomain.rank
     stages = [Lattice.from_rows(ring, n, (stage.basis * f.matrix).rows).saturate() for stage in v.stages]
-    return _computed_filtration(f.codomain, stages)
+    pushed = _computed_filtration(f.codomain, stages)
+    f._pushed = (v, pushed)
+    return pushed

@@ -7,6 +7,7 @@ import pytest
 
 from purecoalg import (
     AlgebraPresentation,
+    AmbientMismatch,
     Coalgebra,
     CoalgebraMap,
     Filtration,
@@ -271,10 +272,79 @@ def test_filtrations_over_a_map_corpus_check_each_domain_once(monkeypatch):
     for _ in range(2):
         for f in maps:
             push_filtration(f, coradical_filtration(f.domain))
-    # each domain's filtration is validated once; every other Filtration is a pushed one, one per call
+    # each domain's filtration is validated once; every other Filtration is a pushed one, one per map,
+    # held on the map and returned by the second pass
     held = sorted(id(c._derived["filtration"]) for c in domains.values())
     assert sorted(id(filt) for filt in built if id(filt) in held) == held
-    assert len(built) == len(held) + 2 * len(maps)
+    assert len(built) == len(held) + len(maps)
+    assert sorted(id(filt) for filt in built if id(filt) not in held) == sorted(id(f._pushed[1]) for f in maps)
+
+
+PUSH_RINGS = {"Z": ZZ, "Q": QQ, "Z[1/2,1/3]": ZS, "F101": prime_field(101)}
+
+
+@pytest.mark.parametrize("ring", list(PUSH_RINGS))
+def test_a_pushed_filtration_is_built_and_certified_once_per_map_and_filtration(monkeypatch, ring):
+    maps = [record.map for record in generate_maps(13, 15, max_rank=6, ring=PUSH_RINGS[ring])]
+    held = [coradical_filtration(f.domain) for f in maps]
+    # another filtration object on each domain, with a different answer where the domain has two stages
+    others = [Filtration(f.domain, v.stages[:1]) for f, v in zip(maps, held)]
+    assert sum(v.length > 1 for v in held) >= 5
+    built = _counted(monkeypatch, structure.Filtration, "__init__")
+    for f, v, other in zip(maps, held, others):
+        first = push_filtration(f, v)
+        assert len(built) == 1 and f._pushed == (v, first)
+        assert push_filtration(f, v) is first and len(built) == 1
+        twin = CoalgebraMap(_twin(f.domain), _twin(f.codomain), f.matrix)
+        fresh = push_filtration(twin, coradical_filtration(twin.domain))
+        assert (first.coalgebra, first.stages) == (fresh.coalgebra, fresh.stages)
+        # an equal map is another object and builds its own
+        equal = CoalgebraMap(f.domain, f.codomain, f.matrix)
+        built.clear()
+        own = push_filtration(equal, v)
+        assert own is not first and (own.coalgebra, own.stages) == (first.coalgebra, first.stages)
+        assert len(built) == 1 and f._pushed[1] is first
+        # another filtration object is certified afresh and replaces the held pair
+        built.clear()
+        replaced = push_filtration(f, other)
+        assert replaced is not first and replaced.stages == first.stages[:1]
+        assert len(built) == 1 and f._pushed == (other, replaced)
+        assert push_filtration(f, other) is replaced and len(built) == 1
+        built.clear()
+
+
+def test_a_refused_push_holds_nothing_and_certifies_afresh_once_mended(monkeypatch):
+    c = _local(3)
+    filt = coradical_filtration(c)
+    # a filtration on another coalgebra: AmbientMismatch on every call, nothing held
+    f = identity_map(_local(2))
+    for _ in range(2):
+        with pytest.raises(AmbientMismatch, match="filtration does not live on the domain of the map"):
+            push_filtration(f, filt)
+        assert f._pushed is None
+    pushed = push_filtration(f, coradical_filtration(f.domain))
+    assert f._pushed[1] is pushed and pushed.stage_ranks == (1, 2)
+    # a map that fails its axioms is refused by require_valid on every call
+    points = set_like(ZZ, ["a", "b"])
+    bad = CoalgebraMap(points, points, Matrix(ZZ, [[2, -1], [1, 0]], 2))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="coalgebra map axiom failed"):
+            push_filtration(bad, coradical_filtration(points))
+        assert bad._pushed is None
+    # an enlarged computed stage: the certifier refuses it as an internal failure on every call
+    f = identity_map(c)
+    saturate = Lattice.saturate
+    monkeypatch.setattr(Lattice, "saturate", lambda lat: _enlarged(saturate(lat)))
+    built = _counted(monkeypatch, structure.Filtration, "__init__")
+    for calls in (1, 2):
+        with pytest.raises(AssertionError, match="computed filtration refused: "):
+            push_filtration(f, filt)
+        assert f._pushed is None and len(built) == calls
+    monkeypatch.setattr(Lattice, "saturate", saturate)
+    built.clear()
+    pushed = push_filtration(f, filt)
+    assert len(built) == 1 and f._pushed == (filt, pushed) and pushed.stage_ranks == (1, 2, 3)
+    assert push_filtration(f, filt) is pushed and len(built) == 1
 
 
 @pytest.mark.parametrize("coalgebra, error, message", [
@@ -308,6 +378,12 @@ def test_push_and_tensor_filtrations_on_held_filtrations_match_fresh_twins():
 
 def _local(k):
     return dual_of_algebra(truncated_polynomial_algebra(ZZ, k))
+
+
+def _enlarged(lat):
+    """lat with the last basis vector of its ambient lattice added."""
+    n = lat.ambient_rank
+    return Lattice.from_rows(lat.ring, n, lat.basis.rows + [[0] * (n - 1) + [1]])
 
 
 def test_a_filtration_that_stalls_below_full_rank_is_refused_and_not_held(monkeypatch):
