@@ -351,6 +351,8 @@ def _corpus_parser():
 def _cmd_corpus(args) -> tuple[int, str]:
     if args.count < 0:
         raise ValidationError(f"--count must be at least 0, got {args.count}")
+    if args.count > serialize.MAX_CORPUS_COUNT:
+        raise TooLarge(f"--count {args.count} exceeds the bound {serialize.MAX_CORPUS_COUNT}")
     if args.max_rank < 1:
         raise ValidationError(f"--max-rank must be at least 1, got {args.max_rank}")
     if args.max_rank > serialize.MAX_RANK:

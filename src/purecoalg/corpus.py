@@ -28,6 +28,9 @@ from .errors import ValidationError
 from .matrix import Matrix
 from .rings import ZZ, Ring
 
+# the largest absolute entry of a random change of basis
+ENTRY_BOUND = 6
+
 
 @dataclass
 class CorpusCoalgebra:
@@ -44,8 +47,8 @@ class CorpusMap:
     kind: str
 
 
-def random_unimodular(rng: random.Random, ring: Ring, n: int, entry_bound: int = 6) -> Matrix:
-    """Product of elementary shears and swaps with capped entries."""
+def random_unimodular(rng: random.Random, ring: Ring, n: int) -> Matrix:
+    """Product of elementary shears and swaps, a shear kept only while no entry exceeds ENTRY_BOUND."""
     rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     if n <= 1:
         return Matrix(ring, rows, n)
@@ -59,7 +62,7 @@ def random_unimodular(rng: random.Random, ring: Ring, n: int, entry_bound: int =
         else:
             coeff = rng.choice((1, -1))
             cand = [a + coeff * b for a, b in zip(rows[i], rows[j])]
-            if max(abs(int(v)) for v in cand) <= entry_bound:
+            if max(abs(int(v)) for v in cand) <= ENTRY_BOUND:
                 rows[i] = cand
     return Matrix(ring, rows, n)
 

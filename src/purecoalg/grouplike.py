@@ -60,7 +60,7 @@ from .binomial import stable_frobenius
 from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
 from .errors import NotGroupLike, NotPointed
 from .lattice import Lattice, kernel_lattice
-from .matrix import Matrix, charpoly, elementary_divisors, hnf_basis
+from .matrix import Matrix, charpoly, hnf_basis
 from .polyroots import integer_roots, prime_field_roots
 from .rings import Ring, cleared_rows
 
@@ -283,14 +283,17 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
     """Verified group-likes, with their independence proved (it holds over any domain) and span purity decided.
 
-    Purity can fail, e.g. for the dual of Z[x]/(x^2 - 2x), whose
-    group-likes (1,0) and (1,2) collide mod 2; the set records it.
+    Independence is the span's rank equal to the number of group-likes;
+    the vectors are then a basis of the span, so its Smith divisors,
+    which ``is_pure`` takes and holds (all ones over a field, with
+    nothing eliminated), are theirs, the independence divisors.  Purity
+    can fail, e.g. for the dual of Z[x]/(x^2 - 2x), whose group-likes
+    (1,0) and (1,2) collide mod 2; the set records it.
     """
-    divisors = tuple(elementary_divisors(Matrix(c.ring, vectors, c.rank)))
-    if len(divisors) != len(vectors):
-        raise AssertionError("group-likes failed the independence certificate")
     span = Lattice.from_rows(c.ring, c.rank, vectors)
-    return GroupLikeSet(c, tuple(vectors), divisors, *span.is_pure(), span)
+    if span.rank != len(vectors):
+        raise AssertionError("group-likes failed the independence certificate")
+    return GroupLikeSet(c, tuple(vectors), span.divisors(), *span.is_pure(), span)
 
 
 def _coradical_span(c: Coalgebra) -> Lattice:
@@ -366,10 +369,7 @@ def counit_retraction(g, c: Coalgebra) -> CoalgebraMap:
     g = list(g)
     if tuple(g) not in set(group_likes(c).vectors):
         raise NotGroupLike(f"{g} is not group-like in {c}")
-    rows = []
-    for e in c.counit:
-        rows.append(c.ring.reduce_row([e * x for x in g]))
-    f = CoalgebraMap(c, c, Matrix(c.ring, rows, c.rank))
+    f = CoalgebraMap(c, c, Matrix(c.ring, [[e] for e in c.counit], 1) * Matrix(c.ring, [g], c.rank))
     bad = validate_map(f).first_failure()
     if bad is not None:
         raise AssertionError(f"counit retraction failed validation: {bad}")

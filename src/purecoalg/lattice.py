@@ -4,7 +4,8 @@ A Lattice is a finitely generated submodule of the free module R^n,
 stored by its canonical Hermite basis, so lattice equality is equality
 of bases.  The operations here are the purity toolkit: saturation (the
 smallest pure overlattice), intersections, a purity verdict decided
-once per lattice by two cross-checked tests, membership with
+once per lattice by two cross-checked tests and held with the Smith
+divisors one of them reads, membership with
 certificates, quotient projections and sections, and Kronecker
 products under the fixed row-major basis ordering
 e_i (x) e_j -> i*n2 + j.
@@ -203,15 +204,8 @@ class Lattice:
         self._check_compatible(other)
         ra = self.rank
         stacked = self.basis.vstack(other.basis)
-        rows = []
-        for rel in left_kernel_rows(stacked):
-            vec = [self.ring.zero] * self.ambient_rank
-            for c, brow in zip(rel[:ra], self.basis.rows):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, brow)]
-            rows.append(vec)
-        out = Lattice.from_rows(self.ring, self.ambient_rank, rows)
-        return out
+        coeffs = Matrix(self.ring, [rel[:ra] for rel in left_kernel_rows(stacked)], ra)
+        return Lattice.from_rows(self.ring, self.ambient_rank, (coeffs * self.basis).rows)
 
     def saturate(self) -> "Lattice":
         """Smallest pure sub-lattice containing this one.
@@ -239,23 +233,34 @@ class Lattice:
         The held Hermite transform says whether every pivot of H is a
         unit; one Smith form of the cleared basis says whether every
         elementary divisor is.  The two verdicts are cross-checked, and
-        the verdict is held.  The divisors form a chain d_1 | ... | d_r,
-        so every prime of a divisor's S-free part divides that of d_r,
-        and reduction mod each of them drops the rank: the witness of an
-        impure lattice, the least prime at which reduction fails to
-        inject, is the least prime of d_r, found with one ``factorize``.
+        the verdict is held with the divisors (``divisors``).  They form
+        a chain d_1 | ... | d_r, so every prime of a divisor's S-free
+        part divides that of d_r, and reduction mod each of them drops
+        the rank: the witness of an impure lattice, the least prime at
+        which reduction fails to inject, is the least prime of d_r,
+        found with one ``factorize``.
         """
-        if self.ring.is_field or self.rank == 0:
-            return True, None
-        if self._purity is None:
-            ring = self.ring
-            # over Z[S^-1] the test reads: the divisors of the cleared basis are S-smooth
-            divs = elementary_divisors(self._integer_basis())
-            pure = all(ring.is_unit(d) for d in divs)
-            if pure != self._hermite()[2]:
-                raise AssertionError("purity tests disagree: Smith divisors vs Hermite pivots")
-            witness = None if pure else min(factorize(int(ring.canonicalize_unit(divs[-1])[1])))
-            self._purity = (pure, witness)
+        return self._smith()[:2]
+
+    def divisors(self) -> tuple:
+        """The elementary divisors of the basis as canonical associates over the ring, held with ``is_pure``."""
+        return self._smith()[2]
+
+    def _smith(self):
+        """(pure, witness, divisors), held; over a field or at rank 0 every divisor is one and nothing is eliminated."""
+        if self._purity is not None:
+            return self._purity
+        ring = self.ring
+        if ring.is_field or self.rank == 0:
+            self._purity = (True, None, (ring.one,) * self.rank)
+            return self._purity
+        # over Z[S^-1] the test reads: the divisors of the cleared basis are S-smooth
+        divs = elementary_divisors(self._integer_basis())
+        pure = all(ring.is_unit(d) for d in divs)
+        if pure != self._hermite()[2]:
+            raise AssertionError("purity tests disagree: Smith divisors vs Hermite pivots")
+        canon = tuple([ring.canonicalize_unit(d)[1] for d in divs])
+        self._purity = (pure, None if pure else min(factorize(int(canon[-1]))), canon)
         return self._purity
 
     def kron(self, other: "Lattice") -> "Lattice":
@@ -356,9 +361,4 @@ def solve_in_rows(mat: Matrix, vector):
     coords = Lattice(mat.ring, mat.ncols, h).solve(vector)
     if coords is None:
         return None
-    ring = mat.ring
-    out = [ring.zero] * mat.nrows
-    for c, urow in zip(coords, u.rows):
-        if c:
-            out = [x + c * y for x, y in zip(out, urow)]
-    return ring.reduce_row(out)
+    return (Matrix(mat.ring, [coords], h.nrows) * Matrix(mat.ring, u.rows[: h.nrows], mat.nrows)).rows[0]

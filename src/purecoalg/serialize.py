@@ -40,6 +40,12 @@ from .simplicial import (
 # for a dense input.  144 is the rank of the tensor square of a rank-12
 # corpus coalgebra.
 MAX_RANK = 144
+# The most coalgebras one ``corpus generate`` command may make.  The
+# generator holds every entry before anything is printed or written, at
+# about 0.55 ms each at the default rank bound of 12 (2-vCPU VM, Python
+# 3.11), so the bound is a few seconds of work; the library generator
+# has none.
+MAX_CORPUS_COUNT = 10_000
 # The largest dimension a simplicial set file may declare.  Checking the
 # simplicial identities of a d-truncation walks O(d^3) identities even
 # when every level holds one simplex: a one-vertex set at d = 32

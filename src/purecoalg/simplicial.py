@@ -410,22 +410,15 @@ def _gr_simplicial(c: SimplicialCoalgebra):
     names = [[_vector_name(g, level) for g in vectors] for vectors, level in zip(level_sets, c.levels)]
     lookup = [dict(zip(vectors, level_names)) for vectors, level_names in zip(level_sets, names)]
     out = FiniteSimplicialSet(c.dimension_bound, names, *_converted(
-        c, lambda mat, n, target: _induced(mat, level_sets[n], names[n], lookup[target], c.ring)))
+        c, lambda mat, n, target: _induced(mat, level_sets[n], names[n], lookup[target])))
     out.require_valid()
     return out, level_sets
 
 
-def _induced(mat: Matrix, vectors, names, lookup, ring) -> dict:
+def _induced(mat: Matrix, vectors, names, lookup) -> dict:
     """Each name to the name, under lookup, of the image under mat of its group-like."""
-    return {name: lookup[tuple(_apply_rows(mat, list(g), ring))] for g, name in zip(vectors, names)}
-
-
-def _apply_rows(mat: Matrix, vector, ring):
-    out = [ring.zero] * mat.ncols
-    for coeff, row in zip(vector, mat.rows):
-        if coeff:
-            out = [x + coeff * y for x, y in zip(out, row)]
-    return ring.reduce_row(out)
+    images = Matrix(mat.ring, vectors, mat.nrows) * mat
+    return {name: lookup[tuple(image)] for image, name in zip(images.rows, names)}
 
 
 # --- chain complexes and homology ----------------------------------------------
@@ -647,7 +640,7 @@ def gr_simplicial_map(f: SimplicialCoalgebraMap) -> SimplicialMap:
     f.require_valid()
     dom, dom_sets = _gr_simplicial(f.domain)
     cod, cod_sets = _gr_simplicial(f.codomain)
-    maps = [_induced(f.levels[n], dom_sets[n], dom.levels[n], dict(zip(cod_sets[n], cod.levels[n])), f.domain.ring)
+    maps = [_induced(f.levels[n], dom_sets[n], dom.levels[n], dict(zip(cod_sets[n], cod.levels[n])))
             for n in range(f.domain.dimension_bound + 1)]
     out = SimplicialMap(dom, cod, maps)
     out.require_valid()

@@ -13,12 +13,14 @@ Central objects:
   primary algorithm lifts the primitive idempotents of the semisimple
   quotient of the dual algebra and carves out the components with the
   dual action, while the oracle iterates wedges of each group-like line
-  until stabilization.  The lift runs in integers for every ring, on
-  one ``dual_columns`` table of D * Delta, with an idempotent held as
-  an integer vector over one common denominator (residues mod p over F_p);
+  until stabilization.  The lift starts from the interpolating elements,
+  read off the section of the pure group-like span, and runs in
+  integers for every ring, on one ``dual_columns`` table of D * Delta,
+  with an idempotent held as an integer vector over one common
+  denominator (residues mod p over F_p);
 * the natural retraction of C onto its coradical, x -> sum_g e_g(x) * g
-  for the primitive idempotents e_g of the dual algebra: on each
-  component it is x -> eps(x) * g.
+  for the primitive idempotents e_g of the dual algebra, one Matrix
+  product: on each component it is x -> eps(x) * g.
 
 Each answer is found by one algorithm and decided by one certifier: a
 Filtration is checked at construction (pure subcoalgebra stages that
@@ -73,7 +75,7 @@ from .errors import (
 )
 from .grouplike import GroupLikeSet, group_likes, pointed_group_likes
 from .lattice import Lattice, kernel_lattice
-from .matrix import Matrix, _fractions, elementary_divisors, hnf
+from .matrix import Matrix, _fractions, elementary_divisors
 from .rings import ZZ, cleared_rows
 
 
@@ -363,31 +365,21 @@ def _lift_steps(n: int) -> int:
 def _interpolating_elements(gl: GroupLikeSet, base):
     """For each group-like g, (E, d) with E / d in the dual algebra taking 1 at g, 0 at the others.
 
-    The group-like rows are cleared of denominators by their lcm C, and
-    the columns of the resulting integer matrix M are the conditions.
-    One Hermite elimination U * M = [H; 0] serves every group-like: the
-    solution of y * H = C * e_g comes from one forward substitution on
-    the triangular H, and y * U is the interpolating element.
+    The group-like rows G are a basis of their pure span, so with T the
+    span's section (B * T = I for its Hermite basis B) the matrix
+    C = G * T is invertible over the ring, and G * T * C^-1 = I: column g
+    of T * C^-1 is the interpolating element of g, cleared of
+    denominators.
     """
-    m = len(gl)
-    n = gl.coalgebra.rank
-    scale, vectors = cleared_rows(list(gl))
-    h, u = hnf(Matrix(base, [[g[k] for g in vectors] for k in range(n)], m))
-    if h.nrows != m:
+    span = gl.span
+    if span.rank != len(gl):
         raise AssertionError("character interpolation must be solvable over the field")
+    t = span.section()
+    e = t * (Matrix(span.ring, gl.vectors, span.ambient_rank) * t).inverse()
     out = []
-    for idx in range(m):
-        coeffs, q = [], 1
-        for j in range(m):
-            num = (scale * q if j == idx else 0) - sum(c * row[j] for c, row in zip(coeffs, h.rows))
-            piv = h.rows[j][j]
-            coeffs = [c * piv for c in coeffs] + [num]
-            q *= piv
-        e = [0] * n
-        for c, urow in zip(coeffs, u.rows):
-            if c:
-                e = [x + c * y for x, y in zip(e, urow)]
-        out.append(_content_free(e, q, base))
+    for col in e.transpose().rows:
+        d, (vec,) = cleared_rows([col])
+        out.append(_content_free(vec, d, base))
     return out
 
 
@@ -474,11 +466,12 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     e_g of the dual algebra: e_g is the counit on the component of g and
     zero on the others, so on each irreducible component this is
     x -> eps(x) * g.  With e_g = E_g / d_g as ``components`` holds it,
-    row i is sum_g (E_g[i] / d_g) * g, formed in integers over one
-    common denominator (residues mod p over F_p).  Every call certifies
-    it as a coalgebra map that fixes the group-likes and has the held
-    coradical as image; each row of r then lies in the span of the
-    group-likes, which r fixes, so r is idempotent.
+    row i is sum_g (E_g[i] / d_g) * g, so r = E * G for the n x m matrix
+    E whose column g is E_g / d_g and the group-like rows G: one Matrix
+    product, formed in integers (residues mod p over F_p).  Every call
+    certifies it as a coalgebra map that fixes the group-likes and has
+    the held coradical as image; each row of r then lies in the span of
+    the group-likes, which r fixes, so r is idempotent.
     """
     components(c)
     ring = c.ring
@@ -486,29 +479,19 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     if n == 0:
         return CoalgebraMap(c, c, Matrix(ring, [], 0))
     _, coradical, idempotents = c._derived["components"]
-    gs = [list(g) for g, _, _ in idempotents]
-    # G = G' / scale in integers; E_g / d_g = E_g * (common / d_g) / common
-    scale, cleared = cleared_rows(gs)
-    common = math.lcm(*[d for _, _, d in idempotents])
-    num = [[0] * n for _ in range(n)]
-    for (_, e, d), grow in zip(idempotents, cleared):
-        weight = common // d
-        for i, v in enumerate(e):
-            if v:
-                num[i] = [x + weight * v * y for x, y in zip(num[i], grow)]
     if c.base == ring:
         # over Z an integral decomposition makes every e_g integral, and over F_p d_g is 1
-        if scale * common != 1:
+        if any(d != 1 for _, _, d in idempotents):
             raise AssertionError("the component idempotents must be integral")
-        rows = [ring.reduce_row(row) for row in num]
+        columns = [e for _, e, _ in idempotents]
     else:
-        rows = [_fractions(row, scale * common) for row in num]
-    r = Matrix(ring, rows, n)
+        columns = [_fractions(e, d) for _, e, d in idempotents]
+    gs = Matrix(ring, [g for g, _, _ in idempotents], n)
+    r = Matrix(ring, columns, n).transpose() * gs
     retraction = CoalgebraMap(c, c, r)
     bad = validate_map(retraction).first_failure()
     if bad is not None:
         raise AssertionError(f"coradical retraction failed validation: {bad}")
-    gs = Matrix(ring, gs, n)
     if gs * r != gs:
         raise AssertionError("retraction must fix the group-likes")
     if Lattice.from_rows(ring, n, r.rows) != coradical:

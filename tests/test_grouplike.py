@@ -576,8 +576,15 @@ def _refuse_candidates(monkeypatch):
     monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
 
 
-def _refuse_independence(monkeypatch):
-    monkeypatch.setattr(grouplike, "elementary_divisors", lambda mat: [])
+def _repeat_a_group_like(monkeypatch):
+    # a verified list that names one group-like twice spans less than its length
+    verified = grouplike._verified_group_likes
+
+    def repeated(c, tuples):
+        vectors = verified(c, tuples)
+        return vectors + vectors[:1]
+
+    monkeypatch.setattr(grouplike, "_verified_group_likes", repeated)
 
 
 def _misplace_coradical(monkeypatch):
@@ -590,7 +597,7 @@ def _misplace_coradical(monkeypatch):
     "breakage, message",
     [
         (_refuse_candidates, "failed exact verification"),
-        (_refuse_independence, "independence certificate"),
+        (_repeat_a_group_like, "independence certificate"),
         (_misplace_coradical, "retraction image must be the coradical"),
     ],
     ids=["candidate", "independence", "retraction-image"],

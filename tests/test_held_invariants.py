@@ -1,5 +1,6 @@
 """Invariants held on a Coalgebra: the same answers as a fresh object, refusals that repeat."""
 
+import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -464,6 +465,28 @@ def test_retractions_equal_the_inverse_oracle_entry_types_included(ring):
         assert [list(map(type, row)) for row in got.rows] == [list(map(type, row)) for row in want.rows]
         built += 1
     assert built >= 5
+
+
+@pytest.mark.parametrize("ring", list(CORPORA))
+def test_interpolating_elements_take_their_denominator_at_their_group_like_and_zero_elsewhere(ring):
+    # G * E_i = d_i * e_i, with d_i > 0 and E_i content-free (residues over F_p, where d_i is 1)
+    checked = 0
+    for c in CORPORA[ring]():
+        if not is_pointed(c)[0] or not group_likes(c).pure:
+            continue
+        gl = group_likes(c)
+        elements = structure._interpolating_elements(gl, c.base)
+        assert len(elements) == len(gl)
+        p = c.ring.modulus
+        for i, (e, d) in enumerate(elements):
+            assert d > 0 and math.gcd(d, *e) == 1
+            if p:
+                assert d == 1 and all(0 <= v < p for v in e)
+            for j, g in enumerate(gl.vectors):
+                excess = sum(x * v for x, v in zip(g, e)) - (d if i == j else 0)
+                assert (excess % p if p else excess) == 0
+        checked += 1
+    assert checked >= 5
 
 
 def test_a_second_require_valid_on_a_map_validates_nothing(monkeypatch):

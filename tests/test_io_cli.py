@@ -206,6 +206,22 @@ def test_cli_corpus_refuses_a_max_rank_out_of_range(tmp_path):
     assert (code, text) == (0, "generated 0 coalgebras (seed 1)")
 
 
+def test_cli_corpus_refuses_a_count_past_its_bound(tmp_path, monkeypatch):
+    out = tmp_path / "corp"
+    bound = sz.MAX_CORPUS_COUNT
+    for bad in (bound + 1, 10**9):
+        code, text = run_command(["generate", "--seed", "5", "--count", str(bad), "--out", str(out)], "corpus")
+        assert (code, text) == (2, f"error: --count {bad} exceeds the bound {bound}")
+        assert not out.exists()
+    monkeypatch.setattr(sz, "MAX_CORPUS_COUNT", 3)
+    code, text = run_command(["generate", "--seed", "5", "--count", "4", "--out", str(out)], "corpus")
+    assert (code, text) == (2, "error: --count 4 exceeds the bound 3")
+    assert not out.exists()
+    code, text = run_command(["generate", "--seed", "5", "--count", "3", "--out", str(out)], "corpus")
+    assert code == 0 and text.startswith("generated 3 coalgebras")
+    assert (out / "manifest-5.json").exists()
+
+
 def test_factoring_past_the_primality_bound_is_refused(tmp_path):
     """Z[x]/(x^2 - N) with N = 2 * (10^40 + 121): the cofactor 10^40 + 121 has no certified primality test."""
     cofactor = 10**40 + 121

@@ -280,13 +280,21 @@ def test_no_ring_kind_test_that_the_modulus_serves():
 
 
 def _hermite_importers(sources: dict) -> list:
-    """"module.name" for each import of ``left_kernel_rows`` or ``from_integer_hermite`` outside ``matrix`` and ``lattice``."""
+    """"module.name" for each import of a Hermite kernel that the module may not use.
+
+    Outside ``matrix`` and ``lattice`` no module imports ``left_kernel_rows``
+    or ``from_integer_hermite``, and ``structure`` and ``simplicial``, which
+    work on Matrix and Lattice, import no ``hnf`` either.
+    """
     found = []
     for module, source in sources.items():
-        if module not in ("matrix", "lattice"):
-            found += [f"{module}.{alias.name}" for node in ast.walk(ast.parse(source))
-                      if isinstance(node, ast.ImportFrom) for alias in node.names
-                      if alias.name in ("left_kernel_rows", "from_integer_hermite")]
+        if module in ("matrix", "lattice"):
+            continue
+        banned = {"left_kernel_rows", "from_integer_hermite"}
+        if module in ("structure", "simplicial"):
+            banned.add("hnf")
+        found += [f"{module}.{alias.name}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in banned]
     return sorted(found)
 
 
@@ -298,9 +306,16 @@ def test_hermite_importer_check_fires():
     }
     assert _hermite_importers(sources) == ["a.left_kernel_rows", "b.from_integer_hermite"]
     assert _hermite_importers({"c": "from .lattice import kernel_lattice\nx = left_kernel_rows\n"}) == []
+    structure_layer = {
+        "structure": "from .matrix import Matrix, hnf\n",
+        "simplicial": "def f():\n    from purecoalg.matrix import hnf\n",
+        "coalgebra": "from .matrix import Matrix, hnf\n",
+    }
+    assert _hermite_importers(structure_layer) == ["simplicial.hnf", "structure.hnf"]
 
 
 def test_only_the_lattice_module_forms_kernels_from_integer_eliminations():
-    # every other module takes its kernels through lattice.kernel_lattice, over whichever ring it needs
+    # every other module takes its kernels through lattice.kernel_lattice, over whichever ring it needs,
+    # and the structure layer its eliminations through Matrix and Lattice
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _hermite_importers(sources) == []
