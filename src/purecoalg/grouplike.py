@@ -38,6 +38,19 @@ is a line, so after the first few splits almost every block is such a
 scalar, and the search tests for it first, on the image of the Hermite
 basis, before it forms a characteristic polynomial.
 
+Many coalgebras need no search: their construction names their
+group-likes.  A set-like coalgebra, and every level of the chains of a
+simplicial set, has them as basis vectors, found in one scan of the
+stored blocks; a product built by ``tensor`` has the products g (x) h of
+its factors' characters.  Each such candidate is verified exactly for
+the count (and once more, like any character, before it is certified),
+and distinct group-likes of C (x) K are linearly independent over K (Sweedler,
+*Hopf Algebras*; Montgomery, *Hopf Algebras and Their Actions on Rings*,
+5.1), so they are at most as many as the dimension of rad(A)^perp, the
+semisimple dimension.  When the verified candidates number exactly that,
+there is no other character, and they stand in for the search's answer;
+when they fall short, the search runs.
+
 Pointedness is decided over K: C is pointed iff the semisimple quotient
 of A (x) K has dimension equal to the number of K-valued characters (so
 C (x) K is pointed) and every group-like of C (x) K already has
@@ -47,8 +60,8 @@ dimension and the characters are held on the Coalgebra after its first
 search, and the certified group-likes after their first verification,
 so ``is_pointed``, ``group_likes``, ``pointed_group_likes`` and every
 structure call on one object share one search, and each check runs once
-for the object it guards.  A search or a check that raises holds
-nothing, so it raises again on the next call.
+for the object it guards.  A search, a count or a check that raises
+holds nothing, so it raises again on the next call.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binomial import stable_frobenius
-from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, stored_coordinates, validate_map
+from .coalgebra import Coalgebra, CoalgebraMap, dual_algebra, validate_map
 from .errors import NotGroupLike, NotPointed
 from .lattice import Lattice, kernel_lattice
 from .matrix import Matrix, charpoly, hnf_basis
@@ -110,18 +123,29 @@ class PointednessReport:
 
 
 def _is_group_like(c: Coalgebra, g) -> bool:
-    """Whether Delta(g) = g (x) g and eps(g) = 1.
+    """Whether Delta(g) = g (x) g and eps(g) = 1, for g over the ring or the fraction field.
 
     The comultiplication is compared in integers for every ring: with
     g = a / d, d the lcm of the denominators (1 over Z and F_p), and the
     stored blocks X_i of D * Delta(e_i), Delta(g) = g (x) g is
-    d * sum_i a_i X_i = D * (a (x) a), mod p over F_p.
+    d * sum_i a_i X_i = D * (a (x) a), mod p over F_p, and eps(g) = 1 is
+    eps(a) = d.  Both sides are summed over the support of a only, so a
+    basis vector costs one block.
     """
+    n = c.rank
     d, (a,) = cleared_rows([g])
-    lhs = c.ring.reduce_row([d * u for u in stored_coordinates(c, a)])
-    if lhs != c.ring.reduce_row([c.denom * x * y for x in a for y in a]):
+    support = [(i, x) for i, x in enumerate(a) if x]
+    acc = {}
+    for i, x in support:
+        for j, entries in c.blocks[i].items():
+            for k, v in entries:
+                acc[j * n + k] = acc.get(j * n + k, 0) + d * x * v
+    for j, x in support:
+        for k, y in support:
+            acc[j * n + k] = acc.get(j * n + k, 0) - c.denom * x * y
+    if any(c.ring.reduce_row(list(acc.values()))):
         return False
-    return c.counit_of(g) == c.ring.one
+    return c.counit_of(a) == d
 
 
 def _restriction(space: Lattice, image: Matrix) -> Matrix:
@@ -239,6 +263,9 @@ def _verified_group_likes(c: Coalgebra, tuples) -> list:
 
     With ``_certified`` it certifies the group-likes of a finder whose
     candidates include every character: each one kept is proved here.
+    Counted characters come here verified once already, for the count;
+    checking them again costs a scan of their support and keeps one
+    certifier for both finders.
     """
     ring = c.ring
     vectors = []
@@ -253,12 +280,64 @@ def _verified_group_likes(c: Coalgebra, tuples) -> list:
     return vectors
 
 
+def _candidates(c: Coalgebra) -> list:
+    """Characters that the construction of c names, as tuples in the form ``_characters`` gives.
+
+    A product ``tensor(a, b)`` names g (x) h for the characters g of a
+    and h of b, each factor's held or found once; any other coalgebra
+    names each basis vector e_i whose stored block is D * e_i (x) e_i,
+    {i: ((i, D),)}, and whose counit is 1, in one scan of the blocks.
+    """
+    ring = c.ring
+    factors = c._derived.get("factors")
+    if factors is not None:
+        left, right = _search(factors[0])[1], _search(factors[1])[1]
+        return [tuple(ring.reduce_row([x * y for x in g for y in h])) for g in left for h in right]
+    one, zero = (1, 0) if ring.modulus else (Fraction(1), Fraction(0))
+    out = []
+    for i, block in enumerate(c.blocks):
+        if len(block) == 1 and block.get(i) == ((i, c.denom),) and c.counit[i] == ring.one:
+            e = [zero] * c.rank
+            e[i] = one
+            out.append(tuple(e))
+    return out
+
+
+def _counted(c: Coalgebra, semisimple_dim: int):
+    """The characters of c when its candidates, each verified exactly, number the semisimple dimension; else None.
+
+    Every candidate is proved group-like, and one that is not is a
+    fault of the finder.  Distinct group-likes of C (x) K are linearly
+    independent over K, and all of them lie in rad(A)^perp, of dimension
+    ``semisimple_dim``, so that many verified candidates leave room for
+    no other character; more than that is impossible, and fewer leave the
+    question to the search.
+    """
+    candidates = set(_candidates(c))
+    for g in candidates:
+        if not _is_group_like(c, g):
+            raise AssertionError("group-like candidate failed exact verification")
+    if len(candidates) > semisimple_dim:
+        raise AssertionError("more group-likes than the semisimple dimension")
+    if len(candidates) < semisimple_dim:
+        return None
+    return sorted(candidates)
+
+
 def _search(c: Coalgebra) -> tuple:
-    """(semisimple dimension, characters) of c: one coradical span and one search, held on c."""
+    """(semisimple dimension, characters) of c: one coradical span, then a count or one search, held on c.
+
+    The characters are the candidates of ``_candidates`` when their
+    count certifies them (``_counted``), and otherwise the character
+    search's; either way in the search's ascending order.
+    """
     found = c._derived.get("search")
     if found is None:
         start = _coradical_span(c)
-        found = c._derived["search"] = (start.rank, tuple(_characters(c, start)))
+        characters = _counted(c, start.rank)
+        if characters is None:
+            characters = _characters(c, start)
+        found = c._derived["search"] = (start.rank, tuple(characters))
     return found
 
 
@@ -273,9 +352,10 @@ def _group_like_set(c: Coalgebra) -> GroupLikeSet:
 def group_likes(c: Coalgebra) -> GroupLikeSet:
     """All group-like elements, with certificates.
 
-    The eigen-covector recursion finds the characters over the fraction
-    field; a candidate survives if every coordinate lies in the ground
-    ring, and each survivor is reverified exactly against the definition.
+    The characters over the fraction field are counted candidates or
+    the eigen-covector recursion's; a character survives if every
+    coordinate lies in the ground ring, and each survivor is reverified
+    exactly against the definition.
     """
     return _group_like_set(c)
 
@@ -283,6 +363,12 @@ def group_likes(c: Coalgebra) -> GroupLikeSet:
 def _certified(c: Coalgebra, vectors) -> GroupLikeSet:
     """Verified group-likes, with their independence proved (it holds over any domain) and span purity decided.
 
+    With ``_verified_group_likes`` it certifies the group-likes of a
+    finder whose candidates include every character.  The search's
+    candidates include every character because it splits all of
+    rad(A)^perp; counted candidates (``_counted``) because they are as
+    many distinct verified group-likes as rad(A)^perp has dimensions,
+    and the group-likes of C (x) K are independent, so no other one fits.
     Independence is the span's rank equal to the number of group-likes;
     the vectors are then a basis of the span, so its Smith divisors,
     which ``is_pure`` takes and holds (all ones over a field, with

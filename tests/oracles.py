@@ -689,6 +689,25 @@ def big_entry_coalgebras(seed: int, count: int):
     return out
 
 
+def off_basis_matrix(ring, n: int):
+    """-U for U upper unitriangular with every entry on and above the diagonal 1, unimodular over every ring."""
+    from purecoalg import Matrix
+
+    return Matrix(ring, [[-ring.one if j >= i else ring.zero for j in range(n)] for i in range(n)], n)
+
+
+def off_basis(c):
+    """c conjugated by ``off_basis_matrix``: its new basis vectors -(e_i + ... + e_{n-1}) have counit -eps(...).
+
+    A coalgebra whose group-likes are basis vectors, such as a set-like
+    one or a sum of duals of Z[x]/(x^k), then has no group-like basis
+    vector, so its group-likes can only come from the character search.
+    """
+    from purecoalg import conjugate
+
+    return conjugate(c, off_basis_matrix(c.ring, c.rank))
+
+
 # --- former n^2-ambient routines ---------------------------------------------
 
 

@@ -473,7 +473,8 @@ def test_scalar_blocks_skip_the_characteristic_polynomial(monkeypatch):
     # on the set-like coalgebra of six points block i is the projection onto
     # e_i: it splits one space of rank 6 - i into a line and the rest, and is
     # a scalar on every line split off before it, so only the five splitting
-    # blocks (not 1 + 2 + ... + 6 = 21 block-space pairs) need charpoly
+    # blocks (not 1 + 2 + ... + 6 = 21 block-space pairs) need charpoly; the
+    # search runs on those blocks directly, as group_likes counts set-like input
     calls = []
     original = grouplike.charpoly
 
@@ -483,7 +484,7 @@ def test_scalar_blocks_skip_the_characteristic_polynomial(monkeypatch):
 
     monkeypatch.setattr(grouplike, "charpoly", counted)
     c = set_like(ZZ, [f"s{i}" for i in range(6)])
-    assert len(group_likes(c)) == 6
+    assert len(grouplike._character_tuples(c.blocks, grouplike._coradical_span(c))) == 6
     assert calls == [6, 5, 4, 3, 2]
 
 
@@ -530,7 +531,8 @@ def _count_character_searches(monkeypatch):
 
 def test_structure_calls_run_one_character_search(monkeypatch):
     # the five calls of a structure item share one search and one lift per
-    # group-like on each object; an equal coalgebra built separately runs its own
+    # group-like on each object; an equal coalgebra built separately runs its own.
+    # Taken off the basis, no group-like is a basis vector, so each object searches
     from purecoalg import components, coradical_filtration, split_coradical
     from purecoalg import structure
 
@@ -546,7 +548,7 @@ def test_structure_calls_run_one_character_search(monkeypatch):
     entries = [e for e in generate_coalgebras(43, 20, max_rank=8) if e.grouplike_count >= 2]
     assert entries
     for entry in entries[:3]:
-        c = entry.coalgebra
+        c = oracles.off_basis(entry.coalgebra)
         twin = Coalgebra(c.ring, c.rank, c.delta, c.counit)
         assert twin == c and twin is not c
         for obj in (c, twin):
@@ -563,13 +565,33 @@ def test_structure_calls_run_one_character_search(monkeypatch):
             assert len(calls) == 1, call.__name__
 
 
+def _off_basis_levels(x):
+    """A simplicial coalgebra with each level taken off the basis (``oracles.off_basis``) and its maps carried along."""
+    from purecoalg import SimplicialCoalgebra
+
+    ws = [oracles.off_basis_matrix(x.ring, level.rank) for level in x.levels]
+
+    def carried(table):
+        # face (n, k) goes from level n to level n - 1, degeneracy (n, k) to level n + 1
+        step = -1 if table is x.faces else 1
+        return {(n, k): ws[n] * m * ws[n + step].inverse() for (n, k), m in table.items()}
+
+    levels = [oracles.off_basis(level) for level in x.levels]
+    return SimplicialCoalgebra(x.ring, levels, carried(x.faces), carried(x.degeneracies)), ws
+
+
 def test_gr_simplicial_map_runs_one_character_search_per_level(monkeypatch):
-    from purecoalg import chains_map, constant_map, gr_simplicial_map, standard_interval, standard_point
+    from purecoalg import (SimplicialCoalgebraMap, chains_map, constant_map, gr_simplicial_map, standard_interval,
+                           standard_point)
 
     calls = _count_character_searches(monkeypatch)
     f = chains_map(constant_map(standard_interval(2), standard_point(2), "pt"), ZZ)
-    gr_simplicial_map(f)
-    assert len(calls) == len(f.domain.levels) + len(f.codomain.levels) == 6
+    # off the basis no level is set-like, so each one searches once
+    (dom, ws), (cod, vs) = _off_basis_levels(f.domain), _off_basis_levels(f.codomain)
+    g = SimplicialCoalgebraMap(dom, cod, [w * m * v.inverse() for w, m, v in zip(ws, f.levels, vs)])
+    gr = gr_simplicial_map(g)
+    assert len(calls) == len(g.domain.levels) + len(g.codomain.levels) == 6
+    assert [len(level) for level in gr.domain.levels] == [level.rank for level in f.domain.levels]
 
 
 def _refuse_candidates(monkeypatch):

@@ -151,7 +151,8 @@ def test_impure_group_likes_refuse_on_every_call_and_hold_no_components():
 
 
 def test_refused_candidate_holds_no_group_likes(monkeypatch):
-    c = _corpus(43, 12, 8, ZZ)[3]
+    # off the basis the group-likes come from the search, which is held before its candidates are verified
+    c = oracles.off_basis(_corpus(43, 12, 8, ZZ)[3])
     monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
     for call in (group_likes, components, split_coradical, coradical_filtration):
         with pytest.raises(AssertionError, match="character candidate failed exact verification"):
@@ -162,8 +163,24 @@ def test_refused_candidate_holds_no_group_likes(monkeypatch):
     assert set(c._derived) == {"search", "group_likes", "components"}
 
 
-def test_failed_search_holds_nothing(monkeypatch):
+def test_refused_counted_candidate_holds_nothing(monkeypatch):
+    # both group-likes of this corpus entry are basis vectors, so the count certifies them
+    # only after verifying each: a refused candidate holds not even the search
     c = _corpus(43, 12, 8, ZZ)[3]
+    assert len(grouplike._candidates(c)) == 2
+    monkeypatch.setattr(grouplike, "_is_group_like", lambda c, g: False)
+    for call in (is_pointed, group_likes, components, split_coradical, coradical_filtration):
+        with pytest.raises(AssertionError, match="group-like candidate failed exact verification"):
+            call(c)
+        assert c._derived == {}
+    monkeypatch.undo()
+    assert components(c) == components(_twin(c))
+    assert set(c._derived) == {"search", "group_likes", "components"}
+
+
+def test_failed_search_holds_nothing(monkeypatch):
+    # off the basis no group-like is a basis vector, so the search runs
+    c = oracles.off_basis(_corpus(43, 12, 8, ZZ)[3])
 
     def lost(space, image):
         raise AssertionError("joint eigenspace lost invariance")
