@@ -100,24 +100,22 @@ class Coalgebra:
     ``_derived`` holds each of them once it has been computed and
     checked: "valid", set once the axioms pass (``require_valid``);
     "search", the semisimple dimension and the characters, certified
-    by a count or found by one search (``grouplike``); "group_likes", the certified
-    GroupLikeSet; "components", the validated ComponentDecomposition
-    with its coradical lattice (the group-like span) and the lifted
-    primitive idempotent (g, E, d) of each group-like, one tuple
+    by a count or found by one search (``grouplike``); "group_likes",
+    the certified GroupLikeSet; "components", the validated
+    ComponentDecomposition with its coradical lattice (the group-like
+    span) and the lifted primitive idempotent (g, E, d) of each
+    group-like, one tuple
     (``structure.components``); "filtration", the validated coradical
     Filtration (``structure.coradical_filtration``); "binomial", the
     tuple of primes last checked on the dual algebra and its frozen
     BinomialReport (``binomial.binomial_check``).  A call that raises
-    stores nothing, and equality and hashing ignore the slot.  Two keys
-    are no checked invariants: "entry_bounds", the largest stored entry
+    stores nothing, and equality and hashing ignore the slot.  One key
+    is no checked invariant: "entry_bounds", the largest stored entry
     and the largest block nnz, which bound the slots of
     ``validate_map``, is a plain read of the blocks, held on the first
-    map check that reads them, whether or not the axioms were checked;
-    "factors", the pair (c, d) of a product built by ``tensor``, is two
-    references, whose characters give the product's group-like
-    candidates (``grouplike``).  What is held is shared by every caller,
-    so a held Filtration, like a held lattice, is immutable by
-    convention too.
+    map check that reads them, whether or not the axioms were checked.
+    What is held is shared by every caller, so a held Filtration, like
+    a held lattice, is immutable by convention too.
     """
 
     __slots__ = ("ring", "rank", "denom", "blocks", "counit", "basis_names", "_cleared_counit", "_derived")
@@ -514,8 +512,7 @@ def tensor(c: Coalgebra, d: Coalgebra) -> Coalgebra:
     """Tensor product coalgebra with the row-major basis (a, b) -> a*n_d + b.
 
     The block of e_a (x) f_b is the Kronecker product of the blocks of
-    e_a and f_b, scaled by D_c * D_d.  The product holds its factors as
-    ``_derived["factors"]``, and nothing else derived from them.
+    e_a and f_b, scaled by D_c * D_d.
     """
     if c.ring != d.ring:
         raise RingMismatch(f"{c.ring} vs {d.ring}")
@@ -531,7 +528,6 @@ def tensor(c: Coalgebra, d: Coalgebra) -> Coalgebra:
     names = [f"{s}(x){t}" for s in c.basis_names for t in d.basis_names] if c.basis_names and d.basis_names else None
     out = _built(ring, c.rank * nd, c.denom * d.denom, blocks, counit, names)
     out.require_valid()
-    out._derived["factors"] = (c, d)
     return out
 
 

@@ -38,18 +38,17 @@ is a line, so after the first few splits almost every block is such a
 scalar, and the search tests for it first, on the image of the Hermite
 basis, before it forms a characteristic polynomial.
 
-Many coalgebras need no search: their construction names their
-group-likes.  A set-like coalgebra, and every level of the chains of a
-simplicial set, has them as basis vectors, found in one scan of the
-stored blocks; a product built by ``tensor`` has the products g (x) h of
-its factors' characters.  Each such candidate is verified exactly for
-the count (and once more, like any character, before it is certified),
-and distinct group-likes of C (x) K are linearly independent over K (Sweedler,
-*Hopf Algebras*; Montgomery, *Hopf Algebras and Their Actions on Rings*,
-5.1), so they are at most as many as the dimension of rad(A)^perp, the
-semisimple dimension.  When the verified candidates number exactly that,
-there is no other character, and they stand in for the search's answer;
-when they fall short, the search runs.
+Many coalgebras need no search: their group-likes are basis vectors.
+A set-like coalgebra, every level of the chains of a simplicial set, and
+a product of such coalgebras built by ``tensor`` have them so, and one
+scan of the stored blocks finds them.  Each such candidate is verified
+exactly for the count (and once more, like any character, before it is
+certified), and distinct group-likes of C (x) K are linearly independent
+over K (Sweedler, *Hopf Algebras*; Montgomery, *Hopf Algebras and Their
+Actions on Rings*, 5.1), so they are at most as many as the dimension of
+rad(A)^perp, the semisimple dimension.  When the verified candidates
+number exactly that, there is no other character, and they stand in for
+the search's answer; when they fall short, the search runs.
 
 Pointedness is decided over K: C is pointed iff the semisimple quotient
 of A (x) K has dimension equal to the number of K-valued characters (so
@@ -281,18 +280,13 @@ def _verified_group_likes(c: Coalgebra, tuples) -> list:
 
 
 def _candidates(c: Coalgebra) -> list:
-    """Characters that the construction of c names, as tuples in the form ``_characters`` gives.
+    """Basis vectors of c that are group-like, as tuples in the form ``_characters`` gives.
 
-    A product ``tensor(a, b)`` names g (x) h for the characters g of a
-    and h of b, each factor's held or found once; any other coalgebra
-    names each basis vector e_i whose stored block is D * e_i (x) e_i,
-    {i: ((i, D),)}, and whose counit is 1, in one scan of the blocks.
+    They are the e_i whose stored block is D * e_i (x) e_i,
+    {i: ((i, D),)}, and whose counit is 1, found in one scan of the
+    blocks.
     """
     ring = c.ring
-    factors = c._derived.get("factors")
-    if factors is not None:
-        left, right = _search(factors[0])[1], _search(factors[1])[1]
-        return [tuple(ring.reduce_row([x * y for x in g for y in h])) for g in left for h in right]
     one, zero = (1, 0) if ring.modulus else (Fraction(1), Fraction(0))
     out = []
     for i, block in enumerate(c.blocks):

@@ -316,14 +316,12 @@ class Lattice:
         """An n x r matrix T over the ring with B * T = I, for the basis B of a pure lattice.
 
         With W the first r columns of the held V, B * W is invertible over
-        the ring exactly when the lattice is pure, and T = W * (B * W)^-1.
-        Over Z and F_p, and mostly over Q and Z[S^-1], B * W is the
-        identity, and T = W without an inversion.
+        the ring exactly when the lattice is pure, and T = W * (B * W)^-1;
+        over Z and F_p, B * W is the identity.
         """
         r = self.rank
         w = Matrix(self.ring, self._in_ring([row[:r] for row in self._pure_transform("a section").rows]), r)
-        bw = self.basis * w
-        return w if bw == Matrix.identity(self.ring, r) else w * bw.inverse()
+        return w * (self.basis * w).inverse()
 
     def integral_projection(self) -> list:
         """Rows of an integral n x (n - r) matrix P with x * P = 0 exactly on the saturation.

@@ -468,12 +468,10 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     x -> eps(x) * g.  With e_g = E_g / d_g as ``components`` holds it,
     row i is sum_g (E_g[i] / d_g) * g, so r = E * G for the n x m matrix
     E whose column g is E_g / d_g and the group-like rows G: one Matrix
-    product, formed in integers (residues mod p over F_p).  Over Q and
-    Z[S^-1] each side goes over one common denominator, L = lcm of the
-    d_g for E and M for G, and r is the integer product over L * M.
-    Every call certifies r as a coalgebra map that fixes the group-likes
-    and has the held coradical as image; each row of r then lies in the
-    span of the group-likes, which r fixes, so r is idempotent.
+    product, formed in integers (residues mod p over F_p).  Every call
+    certifies it as a coalgebra map that fixes the group-likes and has
+    the held coradical as image; each row of r then lies in the span of
+    the group-likes, which r fixes, so r is idempotent.
     """
     components(c)
     ring = c.ring
@@ -481,18 +479,15 @@ def split_coradical(c: Coalgebra) -> CoalgebraMap:
     if n == 0:
         return CoalgebraMap(c, c, Matrix(ring, [], 0))
     _, coradical, idempotents = c._derived["components"]
-    gs = Matrix(ring, [g for g, _, _ in idempotents], n)
     if c.base == ring:
         # over Z an integral decomposition makes every e_g integral, and over F_p d_g is 1
         if any(d != 1 for _, _, d in idempotents):
             raise AssertionError("the component idempotents must be integral")
-        r = Matrix(ring, [e for _, e, _ in idempotents], n).transpose() * gs
+        columns = [e for _, e, _ in idempotents]
     else:
-        common = math.lcm(*[d for _, _, d in idempotents])
-        m, g_ints = cleared_rows(gs.rows)
-        columns = [e if d == common else [x * (common // d) for x in e] for _, e, d in idempotents]
-        product = Matrix(ZZ, columns, n).transpose() * Matrix(ZZ, g_ints, n)
-        r = Matrix(ring, [_fractions(row, common * m) for row in product.rows], n)
+        columns = [_fractions(e, d) for _, e, d in idempotents]
+    gs = Matrix(ring, [g for g, _, _ in idempotents], n)
+    r = Matrix(ring, columns, n).transpose() * gs
     retraction = CoalgebraMap(c, c, r)
     bad = validate_map(retraction).first_failure()
     if bad is not None:

