@@ -73,7 +73,7 @@ def _check_primes(a: AlgebraPresentation, primes):
     each p is a prime below 2**64 and that the ring does not invert it;
     no denominator D of the constants then shares a factor with p.
     """
-    if a.ring.kind not in ("Z", "ZS"):
+    if a.ring.is_field:
         raise UnsupportedRing("reduction mod p needs an algebra over Z or Z[S^-1]")
     for p in primes:
         reduce_rows_mod_p(a.ring, [], p)
@@ -214,7 +214,7 @@ def _stable_power(rows, m: int, q: int, n: int) -> list:
 
 def frobenius_matrix(ap: AlgebraPresentation) -> Matrix:
     """Matrix of x -> x^p on an F_p-algebra (rows are e_i^p)."""
-    if ap.ring.kind != "Fp":
+    if not ap.ring.modulus:
         raise UnsupportedRing("the Frobenius matrix needs a prime-field algebra")
     p = ap.ring.p
     ((_, _, rows),) = _frobenius_groups(ap.dual, (p,))

@@ -10,10 +10,10 @@ stored blocks of D * Delta (D the lcm of the denominators of Delta,
 saturated lattices of simultaneous eigenspaces, pursuing only
 eigenvalues in the ground field (no other eigenvalue can contribute);
 an integer eigenvalue lam of the scaled operators is the character
-value lam / D.  The candidates whose coordinates lie in the ground ring
-are then verified exactly against the defining equations, in integers
-like the search.  Eigenvalues are integer roots, or roots in F_p found
-by root finding for every prime, of characteristic polynomials.
+value lam / D.  Every candidate is then verified exactly against the
+defining equations, in integers like the search.  Eigenvalues are
+integer roots, or roots in F_p found by root finding for every prime,
+of characteristic polynomials.
 
 The search starts not in Z^n (or F_p^n) but in rad(A)^perp, the
 coradical of C (x) K over the fraction field K, met with the stored
@@ -51,13 +51,18 @@ number exactly that, there is no other character, and they stand in for
 the search's answer; when they fall short, the search runs.
 
 Pointedness is decided over K: C is pointed iff the semisimple quotient
-of A (x) K has dimension equal to the number of K-valued characters (so
-C (x) K is pointed) and every group-like of C (x) K already has
-coordinates in R.  One lattice gives both that dimension and the start
-of the search.  Both are derived once per coalgebra: the semisimple
-dimension and the characters are held on the Coalgebra after its first
-search, and the certified group-likes after their first verification,
-so ``is_pointed``, ``group_likes``, ``pointed_group_likes`` and every
+of A (x) K has dimension equal to the number of K-valued characters, so
+C (x) K is pointed.  Every group-like of C (x) K has its coordinates in R
+already: lam is an integer root of a monic integer polynomial and D is
+1 over Z and F_p and a unit over Q and Z[S^-1], so lam / D lies in R.
+It could not be otherwise: a character value is a root in K of a monic
+characteristic polynomial over R, and R, a principal ideal domain, is
+integrally closed.
+One lattice gives both that dimension and the start of the search.
+Both are derived once per coalgebra: the semisimple dimension and the
+characters are held on the Coalgebra after its first search, and the
+certified group-likes after their first verification, so
+``is_pointed``, ``group_likes``, ``pointed_group_likes`` and every
 structure call on one object share one search, and each check runs once
 for the object it guards.  A search, a count or a check that raises
 holds nothing, so it raises again on the next call.
@@ -107,22 +112,18 @@ class GroupLikeSet:
 class PointednessReport:
     semisimple_dimension: int
     character_count: int
-    nonintegral_grouplikes: tuple
     pointed: bool
 
     def __str__(self):
-        lines = [
+        return "\n".join([
             f"semisimple dimension over the fraction field: {self.semisimple_dimension}",
             f"ground-field characters: {self.character_count}",
-        ]
-        for g in self.nonintegral_grouplikes:
-            lines.append("non-integral group-like: (" + ", ".join(str(x) for x in g) + ")")
-        lines.append(f"pointed: {'yes' if self.pointed else 'no'}")
-        return "\n".join(lines)
+            f"pointed: {'yes' if self.pointed else 'no'}",
+        ])
 
 
 def _is_group_like(c: Coalgebra, g) -> bool:
-    """Whether Delta(g) = g (x) g and eps(g) = 1, for g over the ring or the fraction field.
+    """Whether Delta(g) = g (x) g and eps(g) = 1, for a vector g over the ring.
 
     The comultiplication is compared in integers for every ring: with
     g = a / d, d the lcm of the denominators (1 over Z and F_p), and the
@@ -242,57 +243,49 @@ def _character_tuples(blocks, start: Lattice) -> list[tuple]:
 
 
 def _characters(c: Coalgebra, start: Lattice) -> list[tuple]:
-    """The fraction-field-valued characters of the dual algebra, searched for inside ``start``.
+    """The characters of the dual algebra, searched for inside ``start``, as vectors over the ring.
 
     The search runs over Z (over F_p) on the stored blocks; an
     eigenvalue lam of the scaled blocks is the character value lam / D.
+    Over Z and F_p, D = 1 and the value is lam itself; over Q and
+    Z[S^-1], D is a unit and lam / D an element of the ring.
     """
     tuples = _character_tuples(c.blocks, start)
-    if c.ring.kind == "Fp":
+    if c.base == c.ring:
         return tuples
     return [tuple([Fraction(lam, c.denom) for lam in t]) for t in tuples]
 
 
-def _in_ring(ring: Ring, values) -> bool:
-    return ring.kind == "Fp" or all(ring.contains_fraction(x) for x in values)
-
-
 def _verified_group_likes(c: Coalgebra, tuples) -> list:
-    """The characters with coordinates in the ground ring, each reverified exactly.
+    """The characters, each reverified exactly, in ascending order.
 
     With ``_certified`` it certifies the group-likes of a finder whose
-    candidates include every character: each one kept is proved here.
-    Counted characters come here verified once already, for the count;
-    checking them again costs a scan of their support and keeps one
-    certifier for both finders.
+    candidates include every character: each one is proved here.  Every
+    character already lies in the ground ring (``_characters``), so each
+    is a group-like of C itself, not only of C (x) K.  Counted
+    characters come here verified once already, for the count; checking
+    them again costs a scan of their support and keeps one certifier for
+    both finders.
     """
-    ring = c.ring
-    vectors = []
     for tup in tuples:
-        if not _in_ring(ring, tup):
-            continue
-        cand = list(tup) if ring.kind == "Fp" else [ring.from_fraction(x) for x in tup]
-        if not _is_group_like(c, cand):
+        if not _is_group_like(c, tup):
             raise AssertionError("character candidate failed exact verification")
-        vectors.append(tuple(cand))
-    vectors.sort()
-    return vectors
+    return sorted(tuples)
 
 
 def _candidates(c: Coalgebra) -> list:
-    """Basis vectors of c that are group-like, as tuples in the form ``_characters`` gives.
+    """Basis vectors of c that are group-like, as ring vectors like those ``_characters`` gives.
 
     They are the e_i whose stored block is D * e_i (x) e_i,
     {i: ((i, D),)}, and whose counit is 1, found in one scan of the
     blocks.
     """
     ring = c.ring
-    one, zero = (1, 0) if ring.modulus else (Fraction(1), Fraction(0))
     out = []
     for i, block in enumerate(c.blocks):
         if len(block) == 1 and block.get(i) == ((i, c.denom),) and c.counit[i] == ring.one:
-            e = [zero] * c.rank
-            e[i] = one
+            e = [ring.zero] * c.rank
+            e[i] = ring.one
             out.append(tuple(e))
     return out
 
@@ -346,10 +339,8 @@ def _group_like_set(c: Coalgebra) -> GroupLikeSet:
 def group_likes(c: Coalgebra) -> GroupLikeSet:
     """All group-like elements, with certificates.
 
-    The characters over the fraction field are counted candidates or
-    the eigen-covector recursion's; a character survives if every
-    coordinate lies in the ground ring, and each survivor is reverified
-    exactly against the definition.
+    The characters are counted candidates or the eigen-covector
+    recursion's, and each is reverified exactly against the definition.
     """
     return _group_like_set(c)
 
@@ -417,16 +408,14 @@ def _coradical_span(c: Coalgebra) -> Lattice:
     return Lattice.from_rows(c.base, n, gram).saturate()
 
 
-def _pointedness(c: Coalgebra, semisimple_dim: int, tuples) -> PointednessReport:
-    """Pointedness from the characters: as many as the semisimple dimension, all integral."""
-    nonintegral = [t for t in tuples if not _in_ring(c.ring, t)]
-    flag = semisimple_dim == len(tuples) and not nonintegral
-    return PointednessReport(semisimple_dim, len(tuples), tuple(sorted(nonintegral)), flag)
+def _pointedness(semisimple_dim: int, characters) -> PointednessReport:
+    """Pointedness from the characters: as many as the semisimple dimension."""
+    return PointednessReport(semisimple_dim, len(characters), semisimple_dim == len(characters))
 
 
 def is_pointed(c: Coalgebra):
     """Decide pointedness; returns (flag, PointednessReport).  Nothing is certified."""
-    report = _pointedness(c, *_search(c))
+    report = _pointedness(*_search(c))
     return report.pointed, report
 
 
@@ -438,7 +427,7 @@ def pointed_group_likes(c: Coalgebra, need: str) -> GroupLikeSet:
     ``group_likes``.  A coalgebra that is not pointed raises NotPointed
     with ``need`` and the report.
     """
-    report = _pointedness(c, *_search(c))
+    report = _pointedness(*_search(c))
     if not report.pointed:
         raise NotPointed(f"{need}\n{report}")
     return _group_like_set(c)

@@ -294,7 +294,7 @@ class Lattice:
             raise NotPure(f"{need} requires a pure lattice")
         return v
 
-    def _in_ring(self, rows) -> list:
+    def _over_ring(self, rows) -> list:
         """Integer rows as rows over the ring: Fractions over Q and Z[S^-1]."""
         return rows if self._integral() is None else [_fractions(row, 1) for row in rows]
 
@@ -309,8 +309,8 @@ class Lattice:
         """
         n, r = self.ambient_rank, self.rank
         v = self._pure_transform("quotient projection")
-        proj = Matrix(self.ring, self._in_ring(self.integral_projection()), n - r)
-        return proj, Matrix(self.ring, self._in_ring(v.inverse().rows[r:]), n)
+        proj = Matrix(self.ring, self._over_ring(self.integral_projection()), n - r)
+        return proj, Matrix(self.ring, self._over_ring(v.inverse().rows[r:]), n)
 
     def section(self) -> Matrix:
         """An n x r matrix T over the ring with B * T = I, for the basis B of a pure lattice.
@@ -320,7 +320,7 @@ class Lattice:
         over Z and F_p, B * W is the identity.
         """
         r = self.rank
-        w = Matrix(self.ring, self._in_ring([row[:r] for row in self._pure_transform("a section").rows]), r)
+        w = Matrix(self.ring, self._over_ring([row[:r] for row in self._pure_transform("a section").rows]), r)
         return w * (self.basis * w).inverse()
 
     def integral_projection(self) -> list:

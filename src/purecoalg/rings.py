@@ -100,17 +100,6 @@ class Ring:
             return f"{a.numerator}/{a.denominator}"
         return str(int(a) if isinstance(a, Fraction) else a)
 
-    # --- fraction-field embedding ------------------------------------
-    @staticmethod
-    def to_fraction(a) -> Fraction:
-        return Fraction(a)
-
-    def contains_fraction(self, q: Fraction) -> bool:
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
 
 class _EuclideanRing(Ring):
     """Z and F_p, the rings the elimination kernel runs over."""
@@ -164,14 +153,6 @@ class IntegerRing(_EuclideanRing):
                 return int(a)
             raise ValidationError(f"{a!r} is not an integer")
         return a
-
-    def contains_fraction(self, q):
-        return q.denominator == 1
-
-    def from_fraction(self, q):
-        if q.denominator != 1:
-            raise ValidationError(f"{q} is not an integer")
-        return q.numerator
 
     def parse(self, s: str):
         try:
@@ -227,12 +208,6 @@ class RationalRing(_SubringOfQ):
         if isinstance(a, Fraction):
             return a
         raise ValidationError(f"{a!r} is not a rational")
-
-    def contains_fraction(self, q):
-        return True
-
-    def from_fraction(self, q):
-        return q
 
     def parse(self, s: str):
         try:
@@ -291,12 +266,6 @@ class PrimeField(_EuclideanRing):
         if isinstance(a, bool) or not isinstance(a, int):
             raise ValidationError(f"{a!r} is not an element of {self}")
         return a % self.p
-
-    def to_fraction(self, a):
-        raise UnsupportedRing("prime fields do not embed in Q")
-
-    def contains_fraction(self, q):
-        raise UnsupportedRing("prime fields do not embed in Q")
 
     def parse(self, s: str):
         try:
@@ -366,14 +335,6 @@ class LocalizedIntegerRing(_SubringOfQ):
                 raise ValidationError(f"denominator of {a} is not supported by {self}")
             return a
         raise ValidationError(f"{a!r} is not an element of {self}")
-
-    def contains_fraction(self, q):
-        return self._den_ok(q.denominator)
-
-    def from_fraction(self, q):
-        if not self._den_ok(q.denominator):
-            raise ValidationError(f"{q} does not lie in {self}")
-        return q
 
     def parse(self, s: str):
         try:

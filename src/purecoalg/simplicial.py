@@ -485,7 +485,7 @@ class ChainComplex:
                 raise AssertionError("boundary image must consist of cycles")
             cycle_rank -= len(self._smith(n))
         divs = self._smith(n + 1)
-        torsion = [int(ring.to_fraction(dv)) for dv in divs if not ring.is_unit(dv)]
+        torsion = [int(dv) for dv in divs if not ring.is_unit(dv)]
         return HomologyGroup(cycle_rank - len(divs), tuple(torsion), ring)
 
 

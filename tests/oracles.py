@@ -1133,7 +1133,11 @@ class _LocalizedDivision(_FractionDivision):
         if a == 0:
             return Fraction(0) if b == 0 else None
         q = Fraction(b) / a
-        return q if self.ring.contains_fraction(q) else None
+        d = q.denominator
+        for p in self.ring.inverted:
+            while d % p == 0:
+                d //= p
+        return q if d == 1 else None
 
     def gcdex(self, a, b):
         """(g, s, t) with g = s*a + t*b and g the gcd of the S-free parts of a and b."""

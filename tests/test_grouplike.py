@@ -105,9 +105,13 @@ def _over_q(c):
 
 def test_is_pointed_examples():
     assert is_pointed(set_like(ZZ, ["a", "b"]))[0]
-    flag, report = is_pointed(sqrt2_dual())
-    assert not flag
-    assert report.semisimple_dimension == 2 and report.character_count == 0
+    # Q(sqrt 2) stays a simple field of dimension 2 with no character when 2 and 3 are
+    # inverted, and so does F_9 over F_3
+    for ring in (ZZ, localized_integers([2]), localized_integers([2, 3]), prime_field(3)):
+        flag, report = is_pointed(sqrt2_dual(ring))
+        assert not flag
+        assert report.semisimple_dimension == 2 and report.character_count == 0
+        assert group_likes(sqrt2_dual(ring)).vectors == ()
     flag, report = is_pointed(dual_zxk(3))
     assert flag and report.semisimple_dimension == 1 == report.character_count
     assert is_pointed(set_like(ZZ, []))[0]
@@ -239,6 +243,45 @@ def _zs_with_conjugates():
                         for i in range(c.rank)], c.rank)
         out += [c, conjugate(c, w)]
     return out
+
+
+def _random_structure_constants(ring, rng, rank):
+    """A coalgebra with random small structure constants, which mostly fails the axioms."""
+    dens = [1] if ring == ZZ else [1, 1, 2, 3, 6]
+    delta = [[ring.normalize(Fraction(rng.choice([-1, 0, 0, 1, 1, 2]), rng.choice(dens))) for _ in range(rank * rank)]
+             for _ in range(rank)]
+    counit = [ring.normalize(rng.choice([0, 1, 1])) for _ in range(rank)]
+    return Coalgebra(ring, rank, Matrix(ring, delta, rank * rank), counit)
+
+
+def test_every_character_is_already_a_ring_vector():
+    # lam / D, lam an integer root and D a unit, lies in the integrally closed R, so no
+    # character of C (x) K needs a coordinate outside R; entry types included
+    zs = localized_integers([2, 3])
+    inputs = [_over_q(e.coalgebra) for e in generate_coalgebras(23, 15, max_rank=8)] + _zs_with_conjugates()
+    for seed, ring in enumerate((ZZ, QQ, zs, prime_field(101), prime_field(2), prime_field(3)), 31):
+        inputs += [e.coalgebra for e in generate_coalgebras(seed, 12, max_rank=6, ring=ring)]
+        inputs.append(sqrt2_dual(ring))
+    for ring in (ZZ, zs):
+        rng = random.Random(37)
+        inputs += [_random_structure_constants(ring, rng, rng.choice([1, 2, 2, 3])) for _ in range(80)]
+    searched = found = fractional = not_pointed = 0
+    for c in inputs:
+        try:
+            start = grouplike._coradical_span(c)
+            characters = grouplike._characters(c, start)
+        except AssertionError:
+            continue
+        searched += 1
+        for t in characters:
+            found += 1
+            assert [(type(x), x) for x in map(c.ring.normalize, t)] == [(type(x), x) for x in t]
+            fractional += any(x.denominator != 1 for x in t)
+        if start.rank != len(characters):
+            not_pointed += 1
+            flag, report = is_pointed(c)
+            assert not flag and str(report).endswith("pointed: no")
+    assert searched >= 200 and found >= 400 and fractional >= 10 and not_pointed >= 40
 
 
 def test_integer_group_like_check_matches_the_definition():
@@ -507,7 +550,11 @@ def test_unsolvable_interpolation_is_refused(monkeypatch):
         components(c)
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize(
+    "ring",
+    [ZZ, QQ, localized_integers([2]), localized_integers([2, 3]), prime_field(3)],
+    ids=["Z", "Q", "Z[1/2]", "Z[1/2,1/3]", "F3"],
+)
 def test_not_pointed_fires_from_every_structure_entry(ring):
     from purecoalg import NotPointed, components, components_by_wedge, coradical_filtration, primitives
 

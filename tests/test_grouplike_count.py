@@ -35,7 +35,7 @@ def _searched(c):
     """(search result, report, group-likes) from the character search alone, the oracle of the count."""
     start = grouplike._coradical_span(c)
     found = (start.rank, tuple(grouplike._characters(c, start)))
-    report = grouplike._pointedness(c, *found)
+    report = grouplike._pointedness(*found)
     return found, report, grouplike._certified(c, grouplike._verified_group_likes(c, found[1]))
 
 
