@@ -28,7 +28,7 @@ from .coalgebra import (
 )
 from .errors import OutputError, ParseError, TooLarge, UnsupportedRing, ValidationError, WorkbenchError
 from .grouplike import group_likes, is_pointed
-from .rings import ZZ
+from .rings import QQ, ZZ, prime_field
 from .simplicial import (
     chains_functor,
     chains_map,
@@ -58,8 +58,6 @@ def _ring_from_flag(text: str):
     if text == "Z":
         return ZZ
     if text == "Q":
-        from .rings import QQ
-
         return QQ
     if text.startswith("Z["):
         # Refused with the message the flag has always given: its parser once
@@ -70,8 +68,6 @@ def _ring_from_flag(text: str):
         p = int(text[1:] if text.startswith("F") else "")
     except ValueError:
         raise ParseError(f"unknown ring flag {text!r} (use Z, Q, Fp as F7, or Z[2,3])") from None
-    from .rings import prime_field
-
     return prime_field(p)
 
 

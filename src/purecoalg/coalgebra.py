@@ -26,10 +26,11 @@ conditions are products P^T X Q of small integer matrices
 (``sandwich``), never lattices in C (x) C or the n^2 x n^3 Kronecker
 matrices the identities formally live in.  Coassociativity and the
 square of a coalgebra map are summed on packed integer rows and share
-one zero test (``_first_slot``).  Whether a lattice is a
-subcoalgebra is read off the support of Delta carried into a basis
-adapted to it (``_adapted_support``), the same reading that validates
-a filtration or a component decomposition.
+one zero test (``_first_slot``).  Whether a lattice is a subcoalgebra
+is read off the support of Delta carried into a basis adapted to it
+(``_adapted_support``), the same reading that validates a filtration,
+whose basis is read off its stages' Hermite pivots (``_flag_basis``),
+or a component decomposition.
 """
 
 from __future__ import annotations
@@ -640,28 +641,26 @@ def _adapted_support(c: Coalgebra, rows, checked: int):
 
 
 def _flag_basis(c: Coalgebra, stages):
-    """(rows, degrees): integer rows T adapted to a flag of lattices, invertible over the fraction field.
+    """(rows, degrees): rows T adapted to an increasing flag of lattices, invertible over the fraction field.
 
-    The rows of degree m lift a basis of V_m / V_{m-1}: the image of the
-    basis B_m under the integral projection P_{m-1} (kernel V_{m-1}, so
-    the stages below the last must be pure) is brought to Hermite form
-    U * B_m * P_{m-1} = [H; 0], and the first rank H rows of U * B_m are
-    the lifts.  Unit vectors off the pivot columns of the last stage
-    complete the rows, with degree len(stages).
+    Hermite pivots are those of the reduced echelon form over the fraction
+    field K, so increasing stages have nested pivot sets.  The rows of
+    degree m are the Hermite rows of V_m with a pivot new at stage m, and
+    rows with distinct pivots are independent, so the rank V_m rows of
+    degree at most m are a K-basis of V_m; a count short of the rank (a
+    basis not in echelon form) is an AssertionError.  Unit vectors off
+    every pivot complete the rows, with degree len(stages).
     """
-    base, n = c.base, c.rank
-    rows, degrees = [], []
+    n = c.rank
+    rows, degrees, pivots = [], [], set()
     for m, v in enumerate(stages):
-        if v.rank == len(rows):
-            continue
-        basis = Matrix(base, cleared_rows(v.basis.rows)[1], n)
-        if rows:
-            proj = Matrix(base, stages[m - 1].integral_projection(), n - len(rows))
-            h, u = hnf(basis * proj)
-            basis = Matrix(base, u.rows[: h.nrows], basis.nrows) * basis
-        rows += basis.rows
-        degrees += [m] * basis.nrows
-    pivots = set(stages[-1].basis.pivot_columns())
+        for row, pc in zip(v.basis.rows, v._pivot_columns()):
+            if pc not in pivots:
+                pivots.add(pc)
+                rows.append(row)
+                degrees.append(m)
+        if len(rows) != v.rank:
+            raise AssertionError(f"flag stages through {m} have {len(rows)} distinct pivots for rank {v.rank}")
     rows += [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
     return rows, degrees + [len(stages)] * (n - len(degrees))
 
@@ -852,9 +851,10 @@ def is_subcoalgebra(l: Lattice, c: Coalgebra) -> bool:
     """Whether Delta maps the lattice into the tensor square of its saturation.
 
     This is the filtration check on the one-stage flag [l]: in the rows
-    t of ``_flag_basis``, Delta of each of the first rank l rows, which
-    span l, must have support on the t_a (x) t_b with a, b < rank l.  The
-    rows are invertible over the fraction field K, so this decides
+    t of ``_flag_basis``, the Hermite basis of l and then unit vectors off
+    its pivots, Delta of each of the first rank l rows must have support
+    on the t_a (x) t_b with a, b < rank l.  The rows are invertible over
+    the fraction field K, so this decides
     Delta(V_K) <= V_K (x) V_K, whose integral part is sat(l) (x) sat(l):
     pure and impure lattices (a scaled group-like line, say) take one path.
     """

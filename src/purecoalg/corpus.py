@@ -25,6 +25,7 @@ from .coalgebra import (
     truncated_polynomial_algebra,
 )
 from .errors import ValidationError
+from .grouplike import group_likes
 from .matrix import Matrix
 from .rings import ZZ, Ring
 
@@ -226,8 +227,6 @@ def generate_maps(seed: int, count: int, max_rank: int = 10, ring: Ring = ZZ) ->
         elif kind == 3:
             # fold C (+) D onto C: identity on the C block, eps * g on the rest
             # (the plain block projection is not a coalgebra map)
-            from .grouplike import group_likes
-
             other = rng.choice(entries).coalgebra
             total = direct_sum(other, c)
             g = group_likes(c).vectors[0]

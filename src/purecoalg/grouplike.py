@@ -25,11 +25,12 @@ the semisimple dimension of A, the group-like count for a pointed C,
 so the first characteristic polynomials are that small.  The radical
 is the trace-form kernel in characteristic zero and in characteristic
 p > rank (Dickson's criterion), so every ring but a small prime field
-takes the row space of one integer trace Gram matrix, mod p over F_p.
-For p <= rank the trace form can degenerate, and rad(A), the nilradical
-of the commutative A, is the kernel of the iterated Frobenius.  The
-trace form is built over Z: clearing the denominators of Delta scales
-it by a square and keeps its kernel.
+takes the row space of one integer trace Gram matrix, mod p over F_p,
+summed from one trace vector.  For p <= rank the trace form can
+degenerate, and rad(A), the nilradical of the commutative A, is the
+kernel of the iterated Frobenius.  The trace form is built over Z:
+clearing the denominators of Delta scales it by a square and keeps its
+kernel.
 
 A block that acts on an eigenspace as a scalar lam needs none of that:
 its characteristic polynomial is (x - lam)^r, lam is its only root, and
@@ -64,7 +65,9 @@ characters are held on the Coalgebra after its first search, and the
 certified group-likes after their first verification, so
 ``is_pointed``, ``group_likes``, ``pointed_group_likes`` and every
 structure call on one object share one search, and each check runs once
-for the object it guards.  A search, a count or a check that raises
+for the object it guards.  The search checks the axioms first
+(``Coalgebra.require_valid``, held too): a coalgebra that fails them
+raises ValidationError.  A search, a count or a check that raises
 holds nothing, so it raises again on the next call.
 """
 
@@ -316,11 +319,12 @@ def _search(c: Coalgebra) -> tuple:
 
     The characters are the candidates of ``_candidates`` when their
     count certifies them (``_counted``), and otherwise the character
-    search's; either way in the search's ascending order.
+    search's; either way in the search's ascending order, on a c whose
+    axioms pass: one that fails them raises ValidationError.
     """
     found = c._derived.get("search")
     if found is None:
-        start = _coradical_span(c)
+        start = _coradical_span(c.require_valid())
         characters = _counted(c, start.rank)
         if characters is None:
             characters = _characters(c, start)
@@ -380,31 +384,30 @@ def _coradical_span(c: Coalgebra) -> Lattice:
     that matrix (mod p over F_p).  The stored blocks X_a = D * Delta(e_a)
     scale the form by D^2, which keeps its kernel, so the Gram matrix is
     integral.  The transposed multiplication by the i-th dual basis
-    vector has row a equal to row i of X_a, so
-    tr(B_i B_j) = sum over a, b of X_a[i][b] * X_b[j][a], summed over the
-    nonzero entries only.  For p <= n the trace form can degenerate (it
-    is 0 on the dual of F_p[x]/(x^p), which has one character), and
-    rad(A), the nilradical, is the kernel of a stable Frobenius power
-    M = F^K (x -> x * M), K the least power of two with p^K >= n: the
-    lattice is the row space of the transpose of M, rad(A)^perp, which is
-    the same for every such K.
+    vector has row a equal to row i of X_a, so its trace is
+    T_i = sum_a X_a[i][a].  As L_x L_y = L_{xy} in an associative A (an
+    axiom ``_search`` checks first), tr(L_i L_j) = tr(L_{e_i e_j}): the
+    Gram matrix is sum_t T_t * X_t.  For p <= n the trace form can
+    degenerate (it is 0 on the dual of F_p[x]/(x^p), which has one
+    character), and rad(A), the nilradical, is the kernel of a stable
+    Frobenius power M = F^K (x -> x * M), K the least power of two with
+    p^K >= n: the lattice is the row space of the transpose of M,
+    rad(A)^perp, which is the same for every such K.
     """
     n = c.rank
     if 0 < c.ring.modulus <= n:
         return Lattice.from_rows(c.base, n, stable_frobenius(dual_algebra(c)).transpose().rows)
-    # column a of block b, as its nonzero (j, X_b[j][a])
-    columns = [[[] for _ in range(n)] for _ in range(n)]
-    for b, x in enumerate(c.blocks):
-        for j, entries in x.items():
-            for a, w in entries:
-                columns[b][a].append((j, w))
-    gram = [[0] * n for _ in range(n)]
+    trace = [0] * n
     for a, x in enumerate(c.blocks):
-        for i, entries in x.items():
-            row = gram[i]
-            for b, v in entries:
-                for j, w in columns[b][a]:
-                    row[j] += v * w
+        for t, entries in x.items():
+            trace[t] += sum(w for b, w in entries if b == a)
+    gram = [[0] * n for _ in range(n)]
+    for t, x in enumerate(c.blocks):
+        if trace[t]:
+            for i, entries in x.items():
+                row = gram[i]
+                for j, w in entries:
+                    row[j] += trace[t] * w
     return Lattice.from_rows(c.base, n, gram).saturate()
 
 

@@ -33,7 +33,9 @@ compatibility and membership conditions off the support of Delta in
 one basis adapted to the flag, to the direct sum or to the one-stage
 flag [V] (``coalgebra._adapted_support``): Delta is carried into that
 basis once, in integers, and only which coefficients are nonzero is
-read.  Nothing is built in the n^2-dimensional C (x) C.
+read; a flag's basis is its stages' Hermite rows with new pivots
+(``coalgebra._flag_basis``).  Nothing is built in the n^2-dimensional
+C (x) C.
 
 The coradical filtration and the component decomposition are each built
 and checked once per coalgebra and held on it (``Coalgebra._derived``):
@@ -86,8 +88,10 @@ class Filtration:
     increase, each must be pure and a subcoalgebra, and then
     Delta(V_m) <= sum_i V_{m-i} (x) V_i must hold at every stage m.  All
     of it but the increase and purity tests is read off one matrix: Delta
-    in a basis t_0, t_1, ... adapted to the flag, where the first rank V_m
-    rows span V_m.  Let deg r be the first stage holding t_r.  Over the
+    in a basis t_0, t_1, ... adapted to the flag: the Hermite rows of each
+    stage whose pivot is new there (``_flag_basis``), so that the first
+    rank V_m rows span V_m over the fraction field, as the stages
+    increase.  Let deg r be the first stage holding t_r.  Over the
     fraction field V_m (x) V_m is spanned by the t_s (x) t_t with s and t
     of degree at most m, and the sum by those of total degree at most m,
     and purity makes both statements integral.  So a nonzero coefficient

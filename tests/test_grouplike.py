@@ -1,6 +1,7 @@
 """Group-like computation, pointedness, retraction, functoriality."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from purecoalg import (
     tensor,
     truncated_polynomial_algebra,
     validate_map,
+    ValidationError,
 )
 from purecoalg import grouplike
 from purecoalg.corpus import generate_coalgebras
@@ -279,9 +281,30 @@ def test_every_character_is_already_a_ring_vector():
             fractional += any(x.denominator != 1 for x in t)
         if start.rank != len(characters):
             not_pointed += 1
+            if not c.validate().overall:
+                # the public search checks the axioms first
+                with pytest.raises(ValidationError, match="^coalgebra axiom failed: "):
+                    is_pointed(c)
+                continue
             flag, report = is_pointed(c)
             assert not flag and str(report).endswith("pointed: no")
     assert searched >= 200 and found >= 400 and fractional >= 10 and not_pointed >= 40
+
+
+def test_a_coalgebra_failing_the_axioms_is_refused_before_the_search():
+    # built directly, so no constructor checked them; the search checks them first and holds nothing
+    scaled = Coalgebra(ZZ, 1, Matrix(ZZ, [[2]], 1), [1])  # Delta(e) = 2 e (x) e, eps(e) = 1
+    twisted = Coalgebra(ZZ, 2, Matrix(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0]], 4), [1, 0])  # Delta(e1) = e0 (x) e1
+    rng = random.Random(37)
+    randoms = [_random_structure_constants(ZZ, rng, 3) for _ in range(20)]
+    bad = [c for c in [scaled, twisted] + randoms if not c.validate().overall]
+    assert len(bad) >= 10
+    for c in bad:
+        first = c.validate().first_failure()
+        for call in (is_pointed, group_likes, components, is_pointed):
+            with pytest.raises(ValidationError, match=f"^coalgebra axiom failed: {re.escape(str(first))}$"):
+                call(c)
+            assert c._derived == {}
 
 
 def test_integer_group_like_check_matches_the_definition():

@@ -157,10 +157,10 @@ def test_refused_candidate_holds_no_group_likes(monkeypatch):
     for call in (group_likes, components, split_coradical, coradical_filtration):
         with pytest.raises(AssertionError, match="character candidate failed exact verification"):
             call(c)
-        assert set(c._derived) == {"search"}
+        assert set(c._derived) == {"valid", "search"}
     monkeypatch.undo()
     assert components(c) == components(_twin(c))
-    assert set(c._derived) == {"search", "group_likes", "components"}
+    assert set(c._derived) == {"valid", "search", "group_likes", "components"}
 
 
 def test_refused_counted_candidate_holds_nothing(monkeypatch):
@@ -172,10 +172,10 @@ def test_refused_counted_candidate_holds_nothing(monkeypatch):
     for call in (is_pointed, group_likes, components, split_coradical, coradical_filtration):
         with pytest.raises(AssertionError, match="group-like candidate failed exact verification"):
             call(c)
-        assert c._derived == {}
+        assert c._derived == {"valid": True}  # the axiom check ahead of the search holds its verdict
     monkeypatch.undo()
     assert components(c) == components(_twin(c))
-    assert set(c._derived) == {"search", "group_likes", "components"}
+    assert set(c._derived) == {"valid", "search", "group_likes", "components"}
 
 
 def test_failed_search_holds_nothing(monkeypatch):
@@ -189,11 +189,11 @@ def test_failed_search_holds_nothing(monkeypatch):
     for call in (is_pointed, group_likes, components, is_pointed):
         with pytest.raises(AssertionError, match="joint eigenspace lost invariance"):
             call(c)
-        assert c._derived == {}
+        assert c._derived == {"valid": True}  # the axiom check ahead of the search holds its verdict
     monkeypatch.undo()
     assert is_pointed(c) == is_pointed(_twin(c))
     # deciding pointedness certifies nothing
-    assert set(c._derived) == {"search"}
+    assert set(c._derived) == {"valid", "search"}
 
 
 def test_refused_decomposition_holds_no_components(monkeypatch):

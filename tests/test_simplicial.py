@@ -195,12 +195,10 @@ def test_homology_eliminates_each_boundary_once_and_takes_no_rank(monkeypatch):
 
 def test_homology_refuses_boundaries_that_are_not_cycles():
     one = Matrix.identity(ZZ, 1)
-    cx = ChainComplex(ZZ, [1, 1, 1], {1: one, 2: one})
-    assert str(cx.homology(0)) == "0"  # degree 0 asks nothing of d_1 * d_0
-    with pytest.raises(AssertionError, match="boundary image must consist of cycles"):
-        cx.homology(1)
+    assert str(ChainComplex(ZZ, [1, 1], {1: one}).homology(0)) == "0"  # one boundary squares to nothing
+    # d_2 * d_1 = 1 is checked once, at construction, so no homology is read off it
     with pytest.raises(AssertionError, match="boundary squared is nonzero in degree 2"):
-        cx.check_square_zero()
+        ChainComplex(ZZ, [1, 1, 1], {1: one, 2: one})
 
 
 def test_weak_equivalence_examples():
