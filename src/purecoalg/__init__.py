@@ -79,6 +79,7 @@ from .simplicial import (
     SimplicialCoalgebra,
     SimplicialCoalgebraMap,
     SimplicialMap,
+    chain_complex,
     chains_functor,
     chains_map,
     constant_map,
@@ -89,7 +90,6 @@ from .simplicial import (
     is_cofibration,
     is_weak_equivalence,
     mapping_cone,
-    normalized_complex,
     projective_plane,
     simplicial_set_from_cells,
     standard_circle,

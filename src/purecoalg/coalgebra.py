@@ -643,24 +643,22 @@ def _adapted_support(c: Coalgebra, rows, checked: int):
 def _flag_basis(c: Coalgebra, stages):
     """(rows, degrees): rows T adapted to an increasing flag of lattices, invertible over the fraction field.
 
-    Hermite pivots are those of the reduced echelon form over the fraction
-    field K, so increasing stages have nested pivot sets.  The rows of
-    degree m are the Hermite rows of V_m with a pivot new at stage m, and
-    rows with distinct pivots are independent, so the rank V_m rows of
-    degree at most m are a K-basis of V_m; a count short of the rank (a
-    basis not in echelon form) is an AssertionError.  Unit vectors off
-    every pivot complete the rows, with degree len(stages).
+    The pivots of an echelon basis, which every ``Lattice`` has, are those
+    of the reduced echelon form over the fraction field K, so increasing
+    stages have nested pivot sets.  The rows of degree m are the Hermite
+    rows of V_m with a pivot new at stage m, and rows with distinct
+    pivots are independent, so the rank V_m rows of degree at most m are
+    a K-basis of V_m.  Unit vectors off every pivot complete the rows,
+    with degree len(stages).
     """
     n = c.rank
     rows, degrees, pivots = [], [], set()
     for m, v in enumerate(stages):
-        for row, pc in zip(v.basis.rows, v._pivot_columns()):
+        for row, pc in zip(v.basis.rows, v._pivots):
             if pc not in pivots:
                 pivots.add(pc)
                 rows.append(row)
                 degrees.append(m)
-        if len(rows) != v.rank:
-            raise AssertionError(f"flag stages through {m} have {len(rows)} distinct pivots for rank {v.rank}")
     rows += [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
     return rows, degrees + [len(stages)] * (n - len(degrees))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import AmbientMismatch, NotPure, RingMismatch
+from .errors import AmbientMismatch, NotPure, RingMismatch, ValidationError
 from .matrix import Matrix, _fractions, elementary_divisors, from_integer_hermite, hnf, hnf_basis, left_kernel_rows
 from .numtheory import factorize
 from .rings import ZZ, Ring
@@ -49,15 +49,23 @@ _UNSET = object()
 
 
 class Lattice:
+    """A submodule of R^n by an echelon basis: one pivot per row, strictly increasing, or ValidationError."""
+
     __slots__ = ("ring", "ambient_rank", "basis", "_pivots", "_cleared", "_transform", "_purity")
 
     def __init__(self, ring: Ring, ambient_rank: int, basis: Matrix):
         if basis.ncols != ambient_rank:
             raise AmbientMismatch(f"basis has {basis.ncols} columns in ambient rank {ambient_rank}")
+        pivots = basis.pivot_columns()
+        bad = next((i for i in range(1, len(pivots)) if pivots[i] <= pivots[i - 1]), len(pivots))
+        if len(pivots) < basis.nrows:
+            bad = min(bad, next(i for i, row in enumerate(basis.rows) if not any(row)))
+        if bad < basis.nrows:
+            raise ValidationError(f"basis row {bad} has no pivot right of the row above: not in echelon form")
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.basis = basis
-        self._pivots = None
+        self._pivots = pivots
         self._cleared = _UNSET
         self._transform = None
         self._purity = None
@@ -82,6 +90,7 @@ class Lattice:
         return self.basis.nrows
 
     def __eq__(self, other):
+        """Equality of bases: of modules only for canonical Hermite bases, which ``from_rows`` gives."""
         return (
             isinstance(other, Lattice)
             and self.ring == other.ring
@@ -113,11 +122,6 @@ class Lattice:
         integral = self._integral()
         return self.basis if integral is None else Matrix(ZZ, integral[1], self.ambient_rank)
 
-    def _pivot_columns(self) -> list[int]:
-        if self._pivots is None:
-            self._pivots = self.basis.pivot_columns()
-        return self._pivots
-
     def solve(self, vector):
         """Coordinates of the vector in the Hermite basis, or None.
 
@@ -133,7 +137,7 @@ class Lattice:
             return self._walk(ints, scale, True)
         v = list(vector)
         coords = []
-        for row, pc in zip(self.basis.rows, self._pivot_columns()):
+        for row, pc in zip(self.basis.rows, self._pivots):
             c = v[pc]
             if not c:
                 coords.append(ring.zero)
@@ -158,7 +162,7 @@ class Lattice:
         ring = self.ring
         scales, ints = self._integral()
         out = []
-        for d, row, pc in zip(scales, ints, self._pivot_columns()):
+        for d, row, pc in zip(scales, ints, self._pivots):
             c = v[pc]
             if not c:
                 if coords:

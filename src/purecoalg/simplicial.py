@@ -6,17 +6,18 @@ fits inside the truncation, and one walk lists the faces and
 degeneracies; the validators of simplicial sets, simplicial coalgebras
 and their maps all read these two, on name dicts or on matrices, and a
 face or degeneracy recorded outside the truncation is refused.
-Linearization produces simplicial coalgebras
-whose levels are set-like, and homology goes through the normalized
-chain complex on nondegenerate simplices: the degenerate part of each
-level is a direct summand, so the quotient is free and the boundary
-descends integrally.
+Linearization produces simplicial coalgebras whose levels are
+set-like, and homology is read off the chain complex of the levels with
+the alternating face sum as boundary.  The degenerate simplices span an
+acyclic subcomplex with the normalized complex as a complement (May,
+Simplicial Objects in Algebraic Topology, Thm. 22.1), so the homology
+is the normalized one and no quotient is taken.
 
 Truncation keeps claims honest: with top dimension d, homology (and the
-weak-equivalence predicate, which asks the mapping cone of the induced
-normalized chain map to be acyclic) is only reported through degree
-d - 1.  Cofibrations are degreewise injections with pure image, decided
-by elementary divisors.
+weak-equivalence predicate, which asks the mapping cone of the chain
+map to be acyclic) is only reported through degree d - 1.  Cofibrations
+are degreewise injections with pure image, decided by elementary
+divisors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .grouplike import pointed_group_likes
-from .lattice import Lattice
 from .matrix import Matrix, elementary_divisors
 from .rings import ZZ, Ring
 
@@ -479,6 +479,8 @@ class ChainComplex:
         less their number.  The boundaries are cycles because
         d_{n+1} * d_n = 0, which construction checked.
         """
+        if n < 0:
+            raise ValidationError(f"degree must be at least 0, got {n}")
         if n + 1 >= len(self.ranks):
             raise DegreeTooHigh(f"degree {n} homology needs chain degree {n + 1}")
         ring = self.ring
@@ -490,45 +492,23 @@ class ChainComplex:
         return HomologyGroup(cycle_rank - len(divs), tuple(torsion), ring)
 
 
-def normalized_complex(c: SimplicialCoalgebra) -> ChainComplex:
-    """Normalized chains: quotient each level by its degenerate summand.
+def chain_complex(c: SimplicialCoalgebra) -> ChainComplex:
+    """Level n in degree n, with d_n the alternating sum of the faces (n, i).
 
-    The degenerate sublattice is the sum of the degeneracy images; it is
-    pure (it splits off), so the quotient is free with an integral
-    projection and section, and the alternating face sum descends.
+    The degenerate subcomplex is acyclic and splits off, leaving the
+    normalized complex (May, Simplicial Objects, Thm. 22.1), so through
+    degree d - 1 of a d-truncation this complex has the homology of the
+    normalized one, and a map's cone is acyclic on either exactly when
+    it is on the other.
     """
-    return _normalized(c)[0]
-
-
-def _normalized(c: SimplicialCoalgebra):
-    """(complex, projections, sections): one ``complement_projection`` per level serves all three."""
     ring = c.ring
-    d = c.dimension_bound
-    projections = []
-    sections = []
-    ranks = []
-    for n, level in enumerate(c.levels):
-        rows = []
-        for j in range(n):
-            rows.extend(c.degeneracies[(n - 1, j)].rows)
-        degenerate = Lattice.from_rows(ring, level.rank, rows)
-        flag, witness = degenerate.is_pure()
-        if not flag:
-            raise AssertionError(f"degenerate part of level {n} is impure (witness {witness})")
-        proj, section = degenerate.complement_projection()
-        projections.append(proj)
-        sections.append(section)
-        ranks.append(proj.ncols)
     boundaries = {}
-    for n in range(1, d + 1):
+    for n in range(1, c.dimension_bound + 1):
         total = Matrix.zeros(ring, c.levels[n].rank, c.levels[n - 1].rank)
-        sign = 1
         for i in range(n + 1):
-            mat = c.faces[(n, i)]
-            total = total + mat if sign > 0 else total - mat
-            sign = -sign
-        boundaries[n] = sections[n] * total * projections[n - 1]
-    return ChainComplex(ring, ranks, boundaries), projections, sections
+            total = total - c.faces[(n, i)] if i % 2 else total + c.faces[(n, i)]
+        boundaries[n] = total
+    return ChainComplex(ring, [level.rank for level in c.levels], boundaries)
 
 
 def require_degree(top_degree: int, dimension_bound: int):
@@ -543,9 +523,9 @@ def require_degree(top_degree: int, dimension_bound: int):
 
 
 def homology(c: SimplicialCoalgebra, top_degree: int) -> list[HomologyGroup]:
-    """Integral homology of the normalized complex through top_degree."""
+    """Homology through top_degree, read off ``chain_complex``: the normalized homology (May, Thm. 22.1)."""
     require_degree(top_degree, c.dimension_bound)
-    cx = normalized_complex(c)
+    cx = chain_complex(c)
     return [cx.homology(n) for n in range(top_degree + 1)]
 
 
@@ -563,6 +543,8 @@ class SimplicialMap:
         self.domain = domain
         self.codomain = codomain
         self.maps = [dict(m) for m in maps]
+        if len(self.maps) != domain.dimension_bound + 1:
+            raise AmbientMismatch(f"simplicial map needs {domain.dimension_bound + 1} levels, got {len(self.maps)}")
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
@@ -615,6 +597,8 @@ class SimplicialCoalgebraMap:
         self.domain = domain
         self.codomain = codomain
         self.levels = list(levels)
+        if len(self.levels) != domain.dimension_bound + 1:
+            raise AmbientMismatch(f"map needs {domain.dimension_bound + 1} levels, got {len(self.levels)}")
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
@@ -665,32 +649,26 @@ def chains_map(m: SimplicialMap, ring: Ring) -> SimplicialCoalgebraMap:
 
 
 def mapping_cone(f: SimplicialCoalgebraMap) -> ChainComplex:
-    """Cone of the induced map of normalized complexes."""
+    """Cone of f on ``chain_complex``: degree n is C'_n + C_{n-1}, with d_n = [[d'_n, 0], [f_{n-1}, -d_{n-1}]].
+
+    Its acyclicity is that of the normalized cone (May, Thm. 22.1).  The
+    cone's boundary squares to zero exactly when both boundaries do and
+    d_n f_{n-1} = f_n d'_n below degree d, which ``ChainComplex`` checks
+    at construction; ``f.require_valid`` checks naturality at every level.
+    """
     f.require_valid()
     ring = f.domain.ring
-    normal = _normalized(f.domain)
-    cx_dom, _, dom_sections = normal
-    cx_cod, cod_projections, _ = normal if f.codomain is f.domain else _normalized(f.codomain)
+    dom = chain_complex(f.domain)
+    cod = dom if f.codomain is f.domain else chain_complex(f.codomain)
     d = f.domain.dimension_bound
-    # induced normalized chain map
-    induced = {}
-    for n in range(d + 1):
-        induced[n] = dom_sections[n] * f.levels[n] * cod_projections[n]
-    for n in range(1, d + 1):
-        if cx_dom.boundaries[n] * induced[n - 1] != induced[n] * cx_cod.boundaries[n]:
-            raise AssertionError("induced normalized map failed to be a chain map")
-    ranks = []
+    ranks = [cod.ranks[n] + (dom.ranks[n - 1] if n >= 1 else 0) for n in range(d + 1)]
     boundaries = {}
-    for n in range(d + 1):
-        ranks.append(cx_cod.ranks[n] + (cx_dom.ranks[n - 1] if n >= 1 else 0))
     for n in range(1, d + 1):
-        top = cx_cod.boundaries[n]
-        rows = []
-        for row in top.rows:
-            rows.append(list(row) + [ring.zero] * (cx_dom.ranks[n - 2] if n >= 2 else 0))
+        pad = [ring.zero] * (dom.ranks[n - 2] if n >= 2 else 0)
+        rows = [list(row) + pad for row in cod.boundaries[n].rows]
         for phi_row, bnd_row in zip(
-            induced[n - 1].rows,
-            (cx_dom.boundaries[n - 1].rows if n >= 2 else [[]] * cx_dom.ranks[n - 1]),
+            f.levels[n - 1].rows,
+            (dom.boundaries[n - 1].rows if n >= 2 else [[]] * dom.ranks[n - 1]),
         ):
             rows.append(list(phi_row) + [-v for v in bnd_row])
         boundaries[n] = Matrix(ring, rows, ranks[n - 1])

@@ -372,11 +372,16 @@ def direct_homology(sset, top_degree):
     return out
 
 
-def cone_is_acyclic(dom_sset, cod_sset, level_maps, top_degree):
+def cone_is_acyclic(dom_sset, cod_sset, level_maps, top_degree, unit=lambda t: t == 1):
     """Whether the induced map on direct nondegenerate chains has acyclic cone.
 
     ``level_maps`` sends names to names levelwise; degenerate images of
-    nondegenerate simplices contribute zero.
+    nondegenerate simplices contribute zero.  Over a ring R in which the
+    integer t is a unit exactly when unit(t), the cone is acyclic through
+    degree N when its integral homology there has no free part and only
+    torsion orders that are units: by universal coefficients H_n(C; R)
+    is H_n(C) (x) R plus Tor(H_{n-1}(C), R), for R flat over Z or a
+    field Z/p.
     """
     nd_dom, b_dom = nondegenerate_chain_complex(dom_sset)
     nd_cod, b_cod = nondegenerate_chain_complex(cod_sset)
@@ -407,7 +412,7 @@ def cone_is_acyclic(dom_sset, cod_sset, level_maps, top_degree):
         rank_in = rational_rank(cone[n - 1]) if n >= 1 else 0
         rank_out = rational_rank(cone[n])
         divs = naive_smith_divisors(cone[n])
-        if dim - rank_in - rank_out != 0 or any(dv > 1 for dv in divs):
+        if dim - rank_in - rank_out != 0 or any(not unit(dv) for dv in divs if dv > 1):
             return False
     return True
 

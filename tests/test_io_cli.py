@@ -664,7 +664,7 @@ def test_smap_check_refuses_malformed_levels(tmp_path, edit, message):
 
 
 def test_a_self_map_file_loads_and_checks_its_set_once(monkeypatch, tmp_path):
-    """Domain = codomain = one file: one parse, one validate_sset, one normalized complex, the verdicts of two copies."""
+    """Domain = codomain = one file: one parse, one validate_sset, one chain complex, the verdicts of two copies."""
     from purecoalg import simplicial
 
     interval = sz.load_json(data("interval.json"))
@@ -678,7 +678,7 @@ def test_a_self_map_file_loads_and_checks_its_set_once(monkeypatch, tmp_path):
         assert want == (0, "cofibration: yes" if flags == ["--cof"] else "weak equivalence through degree 1: yes")
         loads = _count_calls(monkeypatch, sz, "load_sset")
         checks = _count_calls(monkeypatch, simplicial, "validate_sset")
-        normals = _count_calls(monkeypatch, simplicial, "_normalized")
+        complexes = _count_calls(monkeypatch, simplicial, "chain_complex")
         assert run_command(["check", same, *flags], "smap") == want
-        assert len(loads) == 1 and len(checks) == 1 and len(normals) == (1 if "--we" in flags else 0)
+        assert len(loads) == 1 and len(checks) == 1 and len(complexes) == (1 if "--we" in flags else 0)
         monkeypatch.undo()

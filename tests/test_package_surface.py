@@ -1,6 +1,6 @@
 """The package's surface: what the benchmark reaches into, no dead imports, no undocumented held keys,
 no tuples grown from iterators, no ring-kind tests that a ring attribute serves, no kernel formed
-outside ``lattice``.
+outside ``lattice``, no import of ``lattice`` into ``simplicial``.
 
 The benchmark in ``perfbench/`` rebinds named functions and methods of
 the package to trace them, and calls the package through ``pc.<name>``
@@ -312,3 +312,27 @@ def test_only_the_lattice_module_forms_kernels_from_integer_eliminations():
     # and the structure layer its eliminations through Matrix and Lattice
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _hermite_importers(sources) == []
+
+
+def _lattice_imports(source: str) -> list:
+    """Each import from ``purecoalg.lattice`` in the source, as "module.name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "lattice":
+            found += [f"lattice.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] == "lattice"]
+    return found
+
+
+def test_lattice_import_check_fires():
+    assert _lattice_imports("from .lattice import Lattice\n") == ["lattice.Lattice"]
+    assert _lattice_imports("def f():\n    from purecoalg.lattice import kernel_lattice\n") == [
+        "lattice.kernel_lattice"]
+    assert _lattice_imports("import purecoalg.lattice\n") == ["purecoalg.lattice"]
+    assert _lattice_imports("from .matrix import Matrix\nLattice = None\n") == []
+
+
+def test_simplicial_imports_nothing_from_lattice():
+    # homology and the mapping cone read the alternating face sum of the levels: no quotient, no lattice
+    assert _lattice_imports((PACKAGE / "simplicial.py").read_text(encoding="utf-8")) == []

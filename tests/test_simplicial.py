@@ -1,4 +1,4 @@
-"""Simplicial sets, chains, normalized homology, the two predicates."""
+"""Simplicial sets, chains, homology, the two predicates."""
 
 import random
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 from purecoalg import (
     QQ,
+    AmbientMismatch,
     ChainComplex,
     Coalgebra,
     DegreeTooHigh,
@@ -17,6 +18,7 @@ from purecoalg import (
     SimplicialMap,
     ValidationError,
     ZZ,
+    chain_complex,
     chains_functor,
     chains_map,
     constant_map,
@@ -26,7 +28,7 @@ from purecoalg import (
     is_cofibration,
     is_weak_equivalence,
     localized_integers,
-    normalized_complex,
+    mapping_cone,
     prime_field,
     projective_plane,
     simplicial_set_from_cells,
@@ -37,7 +39,7 @@ from purecoalg import (
     validate_sset,
 )
 
-from oracles import direct_homology, simplicial_failure_locations
+from oracles import cone_is_acyclic, direct_homology, simplicial_failure_locations
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -124,7 +126,7 @@ def test_homology_matches_direct_oracle():
 
 def test_boundary_squares_to_zero():
     for x in CORPUS.values():
-        cx = normalized_complex(chains_functor(x, ZZ))
+        cx = chain_complex(chains_functor(x, ZZ))
         cx.check_square_zero()
 
 
@@ -150,30 +152,112 @@ def _strip(order, primes):
     return order
 
 
+RINGS = (ZZ, QQ, prime_field(2), prime_field(3), localized_integers([2]), localized_integers([2, 3]))
+
+
+def _is_unit(ring, t: int) -> bool:
+    """Whether the positive integer t is a unit of the ring, from the ring's kind alone."""
+    if ring.modulus:
+        return t % ring.modulus != 0
+    if ring == QQ:
+        return True
+    return _strip(t, getattr(ring, "inverted", ())) == 1
+
+
+def _universal_coefficients(integral, ring):
+    """(betti, torsion) over the ring from the integral pairs.
+
+    Over F_p: dim H_n = b_n + t_p(H_n) + t_p(H_{n-1}), t_p counting the torsion orders p divides;
+    over Q and Z[S^-1]: the free rank b_n and the torsion orders with the primes of S stripped.
+    """
+    want = []
+    for n, (betti, torsion) in enumerate(integral):
+        if ring.modulus:
+            below = integral[n - 1][1] if n else ()
+            betti += sum(not _is_unit(ring, t) for t in torsion + below)
+            torsion = ()
+        else:
+            primes = getattr(ring, "inverted", ())
+            torsion = tuple([t for t in (_strip(t, primes) for t in torsion) if not _is_unit(ring, t)])
+        want.append((betti, torsion))
+    return want
+
+
+def _homology_pairs(x, ring, top):
+    return [(h.betti, h.torsion) for h in homology(chains_functor(x, ring), top)]
+
+
+def _corpus(d: int) -> dict:
+    return {"point": standard_point(d), "interval": standard_interval(d), "circle": standard_circle(d),
+            "two-points": two_point_set(d), "rp2": projective_plane(d)}
+
+
+def _edge_circle(k: int, d: int):
+    """The circle of k vertices v_i and k edges e_i from v_i to v_{i+1}."""
+    vertices = [f"v{i}" for i in range(k)]
+    edges = [(f"e{i}", [((), vertices[(i + 1) % k]), ((), vertices[i])]) for i in range(k)]
+    return simplicial_set_from_cells(d, [vertices, edges])
+
+
+def _degree_map(k: int, d: int) -> SimplicialMap:
+    """The k-edge circle onto ``standard_circle``, each edge onto its one edge: degree k, cone H_1 = Z/k."""
+    x = _edge_circle(k, d)
+
+    def image(name):
+        ops, _, base = name.rpartition("(")
+        target = "v" if base.startswith("v") else "e"
+        return f"{ops}({target})" if ops else target
+
+    return SimplicialMap(x, standard_circle(d), [{s: image(s) for s in level} for level in x.levels])
+
+
 def test_homology_over_every_ring_is_the_universal_coefficient_image_of_the_integral_one():
-    # over F_p: dim H_n = b_n + t_p(H_n) + t_p(H_{n-1}), t_p counting the torsion orders p divides;
-    # over Z[S^-1]: the free rank b_n and the torsion orders with the primes of S stripped
-    sets = {**CORPUS, **_data_ssets()}
-    assert len(sets) == 10
-    zs = localized_integers([2, 3])
-    for name, x in sets.items():
+    sets = {(name, d): x for d in range(2, 6) for name, x in _corpus(d).items()}
+    sets.update({(f"{k}-edge circle", d): _edge_circle(k, d) for k in range(1, 7) for d in range(2, 6)})
+    sets.update({(name, x.dimension_bound): x for name, x in _data_ssets().items()})
+    assert len(sets) == 49
+    for key, x in sets.items():
         top = x.dimension_bound - 1
         integral = direct_homology(x, top)
-        assert [(h.betti, h.torsion) for h in homology(chains_functor(x, ZZ), top)] == integral, name
-        for ring in (QQ, prime_field(2), prime_field(3), zs):
-            got = [(h.betti, h.torsion) for h in homology(chains_functor(x, ring), top)]
-            want = []
-            for n, (betti, torsion) in enumerate(integral):
-                if ring.modulus:
-                    below = integral[n - 1][1] if n else ()
-                    betti += sum(t % ring.modulus == 0 for t in torsion + below)
-                    torsion = ()
-                elif ring == QQ:
-                    torsion = ()
-                else:
-                    torsion = tuple([t for t in (_strip(t, (2, 3)) for t in torsion) if t != 1])
-                want.append((betti, torsion))
-            assert got == want, (name, ring)
+        for ring in RINGS:
+            assert _homology_pairs(x, ring, top) == _universal_coefficients(integral, ring), (key, ring)
+
+
+def test_a_degree_k_map_is_a_weak_equivalence_exactly_where_k_is_a_unit():
+    verdicts = set()
+    for k in range(1, 7):
+        for d in range(2, 6):
+            m = _degree_map(k, d)
+            assert cone_is_acyclic(m.domain, m.codomain, m.maps, d - 1) == (k == 1)
+            for ring in RINGS:
+                got = is_weak_equivalence(chains_map(m, ring), d - 1)
+                assert got == cone_is_acyclic(m.domain, m.codomain, m.maps, d - 1, lambda t: _is_unit(ring, t))
+                assert got == _is_unit(ring, k), (k, d, ring)
+                verdicts.add((str(ring), k, got))
+    assert {(r, k) for r, k, got in verdicts if not got} == {
+        ("Z", k) for k in range(2, 7)} | {("F2", 2), ("F2", 4), ("F2", 6), ("F3", 3), ("F3", 6),
+                                          ("Z[1/{2}]", 3), ("Z[1/{2}]", 5), ("Z[1/{2}]", 6), ("Z[1/{2,3}]", 5)}
+
+
+def test_weak_equivalences_of_every_truncation_match_the_cone_oracle():
+    """Identities, collapses to a vertex and RP^2 onto the point.
+
+    From d = 3 the cone of RP^2 onto the point has H_2 = Z/2 in range, so it
+    is acyclic over Z[1/2], Q and F_3 only.
+    """
+    seen = set()
+    for d in range(2, 6):
+        corpus = _corpus(d)
+        maps = [constant_map(corpus["rp2"], corpus["point"], "pt")]
+        for x in corpus.values():
+            maps += [identity_simplicial_map(x)] + [constant_map(x, x, v) for v in x.levels[0]]
+        for m in maps:
+            for ring in RINGS:
+                got = is_weak_equivalence(chains_map(m, ring), d - 1)
+                assert got == cone_is_acyclic(m.domain, m.codomain, m.maps, d - 1, lambda t: _is_unit(ring, t))
+                seen.add((d > 2 and m.domain is corpus["rp2"] and m.codomain is corpus["point"], str(ring), got))
+    assert {ring for rp2_point, ring, got in seen if rp2_point and got} == {"Q", "F3", "Z[1/{2}]", "Z[1/{2,3}]"}
+    assert {got for _, _, got in seen} == {True, False}
 
 
 def test_homology_eliminates_each_boundary_once_and_takes_no_rank(monkeypatch):
@@ -199,6 +283,9 @@ def test_homology_refuses_boundaries_that_are_not_cycles():
     # d_2 * d_1 = 1 is checked once, at construction, so no homology is read off it
     with pytest.raises(AssertionError, match="boundary squared is nonzero in degree 2"):
         ChainComplex(ZZ, [1, 1, 1], {1: one, 2: one})
+    for bad in (-1, -5):
+        with pytest.raises(ValidationError, match=f"^degree must be at least 0, got {bad}$"):
+            ChainComplex(ZZ, [1, 1], {1: one}).homology(bad)
 
 
 def test_weak_equivalence_examples():
@@ -232,23 +319,29 @@ def test_cofibration_examples():
     assert is_cofibration(chains_map(vertex_inclusion, ZZ))
 
 
-def test_mapping_cone_runs_one_projection_per_level(monkeypatch):
-    """The cone reuses the projections and sections of the two normalized complexes."""
-    from purecoalg.lattice import Lattice
+def test_mapping_cone_refuses_a_map_that_is_not_a_chain_map(monkeypatch):
+    """With the map's own check switched off, the cone's square-zero check still refuses d f != f d'."""
+    interval = chains_functor(standard_interval(2), ZZ)
+    levels = chains_map(identity_simplicial_map(standard_interval(2)), ZZ).levels
+    swap = Matrix(ZZ, [[0, 1], [1, 0]], 2)  # a coalgebra map on the vertices that the edge's boundary sees
+    f = SimplicialCoalgebraMap(interval, interval, [swap] + levels[1:])
+    with pytest.raises(ValidationError, match="simplicial naturality"):
+        mapping_cone(f)
+    monkeypatch.setattr(SimplicialCoalgebraMap, "require_valid", lambda self: self)
+    with pytest.raises(AssertionError, match="^boundary squared is nonzero in degree 2$"):
+        mapping_cone(f)
 
-    calls = []
-    original = Lattice.complement_projection
 
-    def counted(self):
-        calls.append(self.ambient_rank)
-        return original(self)
-
-    monkeypatch.setattr(Lattice, "complement_projection", counted)
+def test_maps_refuse_a_level_list_of_the_wrong_length():
     pt = standard_point(2)
-    collapse = chains_map(constant_map(standard_interval(2), pt, "pt"), ZZ)
-    assert is_weak_equivalence(collapse, 1)
-    # three levels on each side, one Smith decomposition each
-    assert len(calls) == 6
+    maps = identity_simplicial_map(pt).maps
+    sc = chains_functor(pt, ZZ)
+    levels = [Matrix.identity(ZZ, 1)] * 3
+    for count in (2, 4):
+        with pytest.raises(AmbientMismatch, match=f"^simplicial map needs 3 levels, got {count}$"):
+            SimplicialMap(pt, pt, (maps * 2)[:count])
+        with pytest.raises(AmbientMismatch, match=f"^map needs 3 levels, got {count}$"):
+            SimplicialCoalgebraMap(sc, sc, (levels * 2)[:count])
 
 
 def test_weak_equivalence_degree_guard():
